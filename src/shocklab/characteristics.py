@@ -51,6 +51,7 @@ __all__ = [
     "boundary_x",
     "boundary_x_deriv",
     "classify",
+    "classify_array",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -137,6 +138,12 @@ def boundary_x_deriv(kind: BoundaryCurve, t: float) -> float:
 # Region classification
 # ---------------------------------------------------------------------------
 
+def _x_singular(t, z):
+    """x of B at time t with z = sqrt(t-1), by numpy's arctan for scalars and
+    arrays alike, so that classify and classify_array round it identically."""
+    return (2.0 - np.arctan(z)) * t + z
+
+
 def classify(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> RegionTag:
     """Unique region tag of p; on-curve tags win within geom_tol."""
     t, x = p.t, p.x
@@ -146,7 +153,7 @@ def classify(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> RegionTag:
     if abs(t - 1.0) <= tol and abs(x - 2.0) <= tol:
         return RegionTag.ON_CREASE
     if t > 1.0:
-        xb = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t)
+        xb = float(_x_singular(t, math.sqrt(t - 1.0)))
         if abs(x - 2.0 * t) <= tol:
             return RegionTag.ON_SHOCK
         if abs(x - xb) <= tol:
@@ -162,6 +169,56 @@ def classify(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> RegionTag:
         if x < xb:
             return RegionTag.WEAK_ONLY
     raise ShockLabError(f"unclassifiable point ({t}, {x})")  # pragma: no cover
+
+
+# Region tags in the order classify tests them: the first rule that holds wins.
+_TAG_ORDER = (
+    RegionTag.INITIAL_SLICE,
+    RegionTag.ON_CREASE,
+    RegionTag.ON_SHOCK,
+    RegionTag.ON_SINGULAR_BOUNDARY,
+    RegionTag.ON_CAUCHY_HORIZON,
+    RegionTag.OMEGA_A,
+    RegionTag.WEDGE,
+    RegionTag.WEAK_ONLY,
+)
+_TAG_OBJECTS = np.array(_TAG_ORDER, dtype=object)
+_INITIAL, _CREASE, _SHOCK, _ON_B, _ON_C, _OMEGA_A, _WEDGE, _WEAK_ONLY = range(len(_TAG_ORDER))
+
+
+def _region_codes(t: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """Index into _TAG_ORDER of each point's tag, by the rules of classify.
+
+    Rules are applied from the last to the first, so the first that holds
+    wins.  Past the crease a point off the curves and outside Omega_A is
+    weak-only left of B and in the wedge right of it: x >= 2t outside
+    Omega_A means x == 2t, which the shock band already takes.
+    """
+    if not (np.isfinite(t).all() and np.isfinite(x).all()):
+        raise DomainError("non-finite point in a region map")
+    if (t < 0.0).any():
+        raise DomainError("t < 0 in a region map; only t >= 0 is modelled")
+    post = t > 1.0
+    z = np.sqrt(np.maximum(t - 1.0, 0.0))
+    xb = _x_singular(t, z)
+    codes = np.where(x < xb, _WEAK_ONLY, _WEDGE)
+    codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = _OMEGA_A
+    codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= tol)] = _ON_C
+    codes[post & (np.abs(x - xb) <= tol)] = _ON_B
+    codes[post & (np.abs(x - 2.0 * t) <= tol)] = _SHOCK
+    codes[(np.abs(t - 1.0) <= tol) & (np.abs(x - 2.0) <= tol)] = _CREASE
+    codes[t <= tol] = _INITIAL
+    return codes
+
+
+def classify_array(t, x, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Region tags (an object array of RegionTag) of arrays of points.
+
+    Applies the rules and geom_tol bands of classify to every point of the
+    broadcast arrays t and x at once.
+    """
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    return _TAG_OBJECTS[_region_codes(t, x, policy.geom_tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +250,14 @@ def _foot_pre_crease(t: float, d: float, policy: NumericPolicy) -> float:
 
 
 def _foot_right(t: float, d: float, policy: NumericPolicy) -> float:
-    """Foot on the branch u >= sqrt(t-1) (t > 1); requires x right of B."""
+    """Foot on the branch u >= sqrt(t-1) (t > 1); the branch point at or left of B.
+
+    Callers decide domain membership (classify's geom_tol band); a point
+    with x_B(t) - x >= 0 that gets here is on B within that band.
+    """
     z = math.sqrt(t - 1.0)
-    rz = _residual(z, t, d)
-    if rz >= 0.0:
-        # x_B(t) - x >= 0: on B within tolerance, or outside the domain
-        if rz <= 2.0 * policy.geom_tol + 1e-14 * abs(d):
-            return z
-        raise OutsideDomain(f"point left of the singular boundary by {rz:.3e}")
+    if _residual(z, t, d) >= 0.0:
+        return z
     return _solve_branch(t, d, z, d + t * _HALF_PI, policy)
 
 
@@ -269,63 +326,69 @@ def shock_feet(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float,
 # Vectorized foot maps for bulk sampling
 # ---------------------------------------------------------------------------
 
+# Relative rounding allowance of the residual at the branch point, whose
+# error is set by forming d = x - 2t.
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _bracket(t, d, right):
+    """Bracket of the foot on the right family (u >= sqrt(t-1)) or the left one.
+
+    Up to the crease sqrt(t-1) reads as 0, and the foot on the line x = 2t
+    is exactly 0.
+    """
+    z = np.sqrt(np.maximum(t - 1.0, 0.0))
+    flat = (d == 0.0) & (t <= 1.0)
+    lo = np.where(flat, 0.0, np.where(right, z, d - t * _HALF_PI))
+    hi = np.where(flat, 0.0, np.where(right, d + t * _HALF_PI, -z))
+    return lo, hi
+
+
+def _solve_feet(t, d, lo, hi, tol):
+    """Roots of u - t*arctan(u) = d, one per bracket [lo, hi]."""
+    tf, df = t.ravel(), d.ravel()
+
+    def p_func(u, i):
+        return u - tf[i] * np.arctan(u) - df[i]
+
+    def dp_func(u, i):
+        return 1.0 - tf[i] / (1.0 + u * u)
+
+    def describe(i):
+        return f"point (t, d) = ({float(tf[i])!r}, {float(df[i])!r})"
+
+    return solve_monotone_array(p_func, dp_func, lo, hi, tol, describe=describe)
+
+
 def foot_weak_array(t, x, tol: float = 1e-14) -> np.ndarray:
     """Entropy-solution feet for arrays of points; shock-side chosen by sign(x - 2t)."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t, x = np.broadcast_arrays(t, x)
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     d = x - 2.0 * t
-    z = np.sqrt(np.maximum(t - 1.0, 0.0))
-    post = t > 1.0
-    lo = np.where(post & (d >= 0.0), z, d - t * _HALF_PI)
-    hi = np.where(post & (d < 0.0), -z, d + t * _HALF_PI)
-
-    def p_func(u):
-        return u - t * np.arctan(u) - d
-
-    def dp_func(u):
-        return 1.0 - t / (1.0 + u * u)
-
-    return solve_monotone_array(p_func, dp_func, lo, hi, tol)
+    lo, hi = _bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0)))
+    return _solve_feet(t, d, lo, hi, tol)
 
 
 def foot_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY, tol: float = 1e-14) -> np.ndarray:
     """Classical feet for arrays of points in cl(Omega_C).
 
-    Branch selection per point: left family at or below the Cauchy horizon,
-    right family at or right of the singular boundary.  Points strictly
-    between the two (the weak-only region) raise OutsideDomain.
+    Membership and branch follow the region tags of classify: points
+    tagged WeakOnly raise OutsideDomain; past the crease the left family
+    serves points on the Cauchy horizon and in Omega_A left of the shock,
+    the right family the rest.  Right-family points at or left of the
+    singular boundary, to within the rounding of x - 2t, get the branch
+    point sqrt(t-1) exactly instead of a solve at its double root.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t, x = np.broadcast_arrays(t, x)
-    d = x - 2.0 * t
-    post = t > 1.0
-    z = np.sqrt(np.maximum(t - 1.0, 0.0))
-    zc = np.where(post, z, 0.0)
-    xb = np.where(post, (2.0 - np.arctan(zc)) * t + zc, 2.0 * t)
-    xh = 4.0 - 2.0 * t
-    band = 2.0 * policy.geom_tol
-    left = post & (x <= xh + band) & (x < xb)
-    outside = post & ~left & (x < xb - band)
-    if np.any(outside):
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    codes = _region_codes(t, x, policy.geom_tol)
+    outside = codes == _WEAK_ONLY
+    if outside.any():
         bad = np.argwhere(outside)[0]
         raise OutsideDomain(f"point ({t[tuple(bad)]}, {x[tuple(bad)]}) outside the classical domain")
-    right = post & ~left
-    # points within the tolerance band left of B (or right of the left
-    # family's envelope) are snapped onto the branch endpoint
-    atan_z = np.arctan(z)
-    snap_r = right & (z - t * atan_z - d >= 0.0)
-    snap_l = left & (-z + t * atan_z - d <= 0.0)
-    d = np.where(snap_r, z - t * atan_z, d)
-    d = np.where(snap_l, -z + t * atan_z, d)
-    lo = np.where(right, z, d - t * _HALF_PI)
-    hi = np.where(left, -z, d + t * _HALF_PI)
-
-    def p_func(u):
-        return u - t * np.arctan(u) - d
-
-    def dp_func(u):
-        return 1.0 - t / (1.0 + u * u)
-
-    return solve_monotone_array(p_func, dp_func, lo, hi, tol)
+    d = x - 2.0 * t
+    post = t > 1.0
+    left = (codes == _ON_C) | ((codes == _OMEGA_A) & (x < 2.0 * t))
+    right = np.where(post, ~left, d > 0.0)
+    lo, hi = _bracket(t, d, right)
+    z = np.sqrt(np.maximum(t - 1.0, 0.0))
+    snap = post & right & (z - t * np.arctan(z) - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
+    return _solve_feet(t, d, np.where(snap, z, lo), np.where(snap, z, hi), tol)

@@ -26,8 +26,22 @@ from .core import (
     ShockLabError,
     SolutionVariant,
 )
-from .characteristics import BoundaryCurve, boundary_x, classify, outgoing_char
-from .burgers import dpsidx_classical, psi_classical, psi_weak, shock_trace
+from .characteristics import (
+    BoundaryCurve,
+    RegionTag,
+    boundary_x,
+    classify,
+    classify_array,
+    outgoing_char,
+)
+from .burgers import (
+    dpsidx_classical,
+    psi_classical,
+    psi_classical_array,
+    psi_weak,
+    psi_weak_array,
+    shock_trace,
+)
 from .geometry import metric, null_frame
 from .verification import SUITE_NAMES, lax_gaps, run_suite
 from .wave_potential import dphidt_closed, dphidx_closed, phi
@@ -154,23 +168,24 @@ def _cmd_grid(args) -> int:
     ts = np.linspace(t_min, t_max, args.nt)
     xs = np.linspace(x_min, x_max, args.nx)
     print("t,x,value")
-    for t in ts:
-        for x in xs:
-            p = Point(float(t), float(x))
-            if args.field == "region":
-                print(f"{_fmt(t)},{_fmt(x)},{classify(p, policy).value}")
-                continue
-            try:
-                if args.field == "psi":
-                    v = psi_classical(p, policy) if variant is SolutionVariant.CLASSICAL else psi_weak(p, policy)
-                elif args.field == "phi":
-                    v = phi(p, variant, policy)
-                else:
-                    raise DomainError(f"unknown grid field {args.field!r}")
-            except (OutsideDomain, OnShockError):
-                print(f"{_fmt(t)},{_fmt(x)},NA")
-                continue
-            print(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}")
+    if args.field == "phi":
+        for t in ts:
+            for x in xs:
+                try:
+                    v = phi(Point(float(t), float(x)), variant, policy)
+                except (OutsideDomain, OnShockError):
+                    print(f"{_fmt(t)},{_fmt(x)},NA")
+                    continue
+                print(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}")
+    else:
+        cells = _grid_cells(ts, xs, args.field, variant, policy)
+        x_txt = [_fmt(x) for x in xs]
+        nx = len(xs)
+        print("\n".join(
+            f"{t_txt},{x},{cell}"
+            for i, t_txt in enumerate(_fmt(t) for t in ts)
+            for x, cell in zip(x_txt, cells[i * nx:(i + 1) * nx])
+        ))
     if args.characteristics > 0:
         print("curve,foot,t,x")
         feet = np.linspace(x_min, x_max, args.characteristics)
@@ -182,6 +197,26 @@ def _cmd_grid(args) -> int:
                 # ingoing lines have fixed slope -2 through (t_min, x0)
                 print(f"ingoing,{_fmt(x0)},{_fmt(t)},{_fmt(x0 - 2.0 * (t - t_min))}")
     return 0
+
+
+def _grid_cells(ts, xs, field: str, variant: SolutionVariant, policy: NumericPolicy) -> list[str]:
+    """Row-major cells of a region or psi grid, `NA` where the field is undefined.
+
+    Classical psi is undefined in the weak-only region; weak psi on the
+    shock, where psi_weak raises OnShockError.
+    """
+    tt, xx = (a.ravel() for a in np.meshgrid(ts, xs, indexing="ij"))
+    if field == "region":
+        return [tag.value for tag in classify_array(tt, xx, policy)]
+    if variant is SolutionVariant.CLASSICAL:
+        na = classify_array(tt, xx, policy) == RegionTag.WEAK_ONLY
+        values = psi_classical_array(tt[~na], xx[~na], policy)
+    else:
+        na = (tt > 1.0) & (np.abs(xx - 2.0 * tt) <= policy.geom_tol)
+        values = psi_weak_array(tt[~na], xx[~na])
+    cells = np.full(tt.size, "NA", dtype=object)
+    cells[~na] = list(map(repr, values.tolist()))  # Python floats: repr is _fmt
+    return cells.tolist()
 
 
 def _cmd_godunov(args) -> int:

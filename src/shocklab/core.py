@@ -213,7 +213,9 @@ def find_root(
     Newton steps (analytic derivative when supplied, secant otherwise) are
     taken whenever they stay inside the shrinking bracket; bisection is the
     fallback, so convergence is guaranteed for continuous f.  Returns r with
-    |f(r)| <= policy.root_tol, polished until floating point stagnates.
+    |f(r)| <= policy.root_tol, polished until floating point stagnates; once
+    the bracket has shrunk to a few ulps, r is returned even where rounding
+    keeps |f| above root_tol (large arguments).
 
     Raises NoSignChange if f has the same strict sign at both ends and
     MaxIterExceeded if the cap is hit first.
@@ -258,8 +260,9 @@ def find_root(
         else:
             lo, flo = x, fx
 
-        # stop once within tolerance and no further progress is possible
-        if best_f <= policy.root_tol and (hi - lo) <= 4.0 * np.finfo(float).eps * (abs(lo) + abs(hi) + 1.0):
+        # stop once no further progress is possible: within a few ulps of
+        # the root, best_f is the rounding floor of f even if above root_tol
+        if (hi - lo) <= 4.0 * np.finfo(float).eps * (abs(lo) + abs(hi) + 1.0):
             return best_x
 
     if best_f <= policy.root_tol:
@@ -269,42 +272,85 @@ def find_root(
     )
 
 
+# Points per block of the batched solver: large inputs are solved block by
+# block so that its working arrays stay the same size whatever the input.
+_BLOCK = 8192
+
+
 def solve_monotone_array(
-    p_func: Callable[[np.ndarray], np.ndarray],
-    dp_func: Callable[[np.ndarray], np.ndarray],
+    p_func: Callable[[np.ndarray, slice | np.ndarray], np.ndarray],
+    dp_func: Callable[[np.ndarray, slice | np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
     max_iter: int = 160,
+    describe: Callable[[int], str] | None = None,
 ) -> np.ndarray:
-    """Vectorized safeguarded Newton for a batch of bracketed scalar roots.
+    """Vectorized Newton for a batch of bracketed scalar roots, converging per point.
 
-    Each bracket [lo_i, hi_i] must contain exactly one sign change of the
-    residual p_func (negative at lo, positive at hi).  Used by the foot maps
-    on bulk samples, where per-point Python root finds would dominate the
-    runtime.
+    Each bracket [lo_i, hi_i] must hold exactly one sign change of the
+    increasing residual (negative at lo, positive at hi).  ``p_func(u, idx)``
+    and ``dp_func(u, idx)`` evaluate the residual and its derivative at the
+    iterates u of the points idx, a slice or an index array into the
+    flattened brackets.
+
+    Newton starts on the convex side of the bracket, at hi where lo >= 0
+    and at lo elsewhere: for a residual whose curvature has the sign of u
+    (every characteristic residual u - t*arctan(u) - d) the iterates then
+    approach the root monotonically with no bisection, also at a double
+    root, where a residual test would stop far from it.  Steps are clipped
+    to the bracket.  A point stops once rounding makes its residual change
+    sign, vanish or stop shrinking, or once its step is at most
+    tol*(1 + |u|); the iterate with the smaller residual is kept.
+    Converged points leave the active set, and large inputs are solved in
+    blocks of _BLOCK points.  Points with lo == hi are returned as given.
+
+    Raises MaxIterExceeded after max_iter sweeps, naming the active point
+    with the largest residual (``describe(i)`` labels flat index i), its
+    iterate, residual and bracket.
     """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    u = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        r = p_func(u)
-        if np.all(np.abs(r) <= tol):
-            # one extra Newton polish pass, clipped to the bracket
-            d = dp_func(u)
-            step = np.where(d != 0.0, r / np.where(d != 0.0, d, 1.0), 0.0)
-            un = u - step
-            ok = (un >= lo) & (un <= hi) & np.isfinite(un)
-            return np.where(ok, un, u)
-        neg = r < 0.0
-        lo = np.where(neg, u, lo)
-        hi = np.where(neg, hi, u)
-        d = dp_func(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            un = u - r / d
-        bad = ~np.isfinite(un) | (un <= lo) | (un >= hi)
-        u = np.where(bad, 0.5 * (lo + hi), un)
-    raise MaxIterExceeded(f"batched root solve did not reach |r| <= {tol}")
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    out = np.empty(lo.size)
+    for first in range(0, lo.size, _BLOCK):
+        blk = slice(first, min(first + _BLOCK, lo.size))
+        out[blk] = _solve_block(p_func, dp_func, lo[blk], hi[blk], blk, tol, max_iter, describe)
+    return out.reshape(shape)
+
+
+def _solve_block(p_func, dp_func, lo, hi, blk, tol, max_iter, describe):
+    u = np.where(lo >= 0.0, hi, lo)
+    out = np.empty(u.size)
+    pos = np.arange(u.size)          # block positions of the active points
+    idx = blk                        # their flat indices, as handed to the callbacks
+    r = p_func(u, idx)
+    best, done = u, (r == 0.0) | (lo >= hi)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        for sweep in range(max_iter + 1):
+            if done.any():
+                out[pos[done]] = best[done]
+                live = ~done
+                pos, u, r, lo, hi = pos[live], u[live], r[live], lo[live], hi[live]
+                idx = pos + blk.start
+            if pos.size == 0:
+                return out
+            if sweep == max_iter:
+                break
+            un = np.minimum(np.maximum(u - r / dp_func(u, idx), lo), hi)
+            rn = p_func(un, idx)
+            better = np.abs(rn) < np.abs(r)
+            done = ~better | (rn * r <= 0.0) | (np.abs(un - u) <= tol * (1.0 + np.abs(un)))
+            best = np.where(better, un, u)
+            u, r = un, rn
+    i = int(np.argmax(np.abs(r)))
+    j = int(pos[i]) + blk.start
+    what = describe(j) if describe is not None else f"point #{j}"
+    raise MaxIterExceeded(
+        f"batched root solve: {pos.size} points unconverged after {max_iter} sweeps; "
+        f"worst {what}: u = {float(u[i])!r}, residual {float(r[i]):.3e}, "
+        f"bracket [{float(lo[i])!r}, {float(hi[i])!r}]"
+    )
 
 
 # ---------------------------------------------------------------------------

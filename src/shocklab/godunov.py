@@ -114,8 +114,7 @@ def step(s: GodunovState, dt_cap: float = math.inf) -> GodunovState:
     """
     u = s.cell_averages
     h = s.h
-    ghost_l = psi_weak_array(np.array([s.time]), np.array([s.x_lo - 0.5 * h]))[0]
-    ghost_r = psi_weak_array(np.array([s.time]), np.array([s.x_hi + 0.5 * h]))[0]
+    ghost_l, ghost_r = psi_weak_array(s.time, np.array([s.x_lo - 0.5 * h, s.x_hi + 0.5 * h])).tolist()
     ext = np.concatenate([[ghost_l], u, [ghost_r]])
     # CFL over the extended array: ghost speeds bound the boundary-cell waves
     dt = min(s.cfl * h / float(np.max(np.abs(2.0 + ext))), dt_cap)

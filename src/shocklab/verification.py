@@ -187,8 +187,8 @@ def _displaced_weak_array(t, x, delta: float) -> np.ndarray:
 
         # the left family's residual is increasing on u <= -sqrt(t-1)
         feet = solve_monotone_array(
-            lambda u: u - ts * np.arctan(u) - ds,
-            lambda u: 1.0 - ts / (1.0 + u * u),
+            lambda u, i: u - ts[i] * np.arctan(u) - ds[i],
+            lambda u, i: 1.0 - ts[i] / (1.0 + u * u),
             ds - ts * _HALF_PI,
             -z,
             1e-14,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shocklab.core import DomainError, NearSingular, NumericPolicy, OnShockError, Point
+from shocklab.core import DomainError, NearSingular, NumericPolicy, OnShockError, Point, psi0
 from shocklab.characteristics import RegionTag, classify, outgoing_char
 from shocklab.burgers import (
     dpsidx_classical,
@@ -236,3 +236,17 @@ class TestArrayEvaluators:
         for (t, x), w, c in zip(pts, cw, cc):
             assert w == pytest.approx(psi_weak(Point(t, x), POL), abs=1e-12)
             assert c == pytest.approx(psi_classical(Point(t, x), POL), abs=1e-12)
+
+
+class TestDegeneratePoints:
+    def test_crease_value(self):
+        one, two = np.array([1.0]), np.array([2.0])
+        assert abs(psi_weak_array(one, two)[0]) <= 1e-7
+        assert abs(psi_classical_array(one, two, POL)[0]) <= 1e-7
+
+    def test_value_on_B_is_boundary_extension(self):
+        for z in (0.5, 1.0, math.sqrt(2.0), 3.0, 31.6):
+            p, value = psi_boundary_extension(z)
+            got = psi_classical_array(np.array([p.t]), np.array([p.x]), POL)[0]
+            assert got == psi0(math.sqrt(p.t - 1.0))
+            assert got == pytest.approx(value, abs=1e-15)

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from shocklab.core import DomainError, NumericPolicy, OnShockError, OutsideDomain, Point
+from shocklab.core import (
+    DomainError,
+    MaxIterExceeded,
+    NumericPolicy,
+    OnShockError,
+    OutsideDomain,
+    Point,
+    solve_monotone_array,
+)
+from shocklab import characteristics
 from shocklab.characteristics import (
     BoundaryCurve,
     RegionTag,
@@ -12,6 +21,7 @@ from shocklab.characteristics import (
     boundary_x,
     boundary_x_deriv,
     classify,
+    classify_array,
     foot_classical,
     foot_classical_array,
     foot_weak,
@@ -104,19 +114,22 @@ class TestBoundaryCurves:
             assert fd == pytest.approx(boundary_x_deriv(B, t), abs=1e-9)
 
 
+TAG_CASES = [
+    (0.5, 7.0, RegionTag.OMEGA_A),
+    (1.27, 2.5, RegionTag.WEDGE),
+    (1.5, 1.2, RegionTag.WEAK_ONLY),
+    (0.0, 3.0, RegionTag.INITIAL_SLICE),
+    (1.0, 2.0, RegionTag.ON_CREASE),
+    (2.0, 4.0, RegionTag.ON_SHOCK),
+    (2.0, 0.0, RegionTag.ON_CAUCHY_HORIZON),
+    (0.5, 1.0, RegionTag.OMEGA_A),
+    (2.5, -4.0, RegionTag.OMEGA_A),       # beneath the horizon
+    (2.0, 10.0, RegionTag.OMEGA_A),       # beneath the shock
+]
+
+
 class TestClassify:
-    @pytest.mark.parametrize("t,x,tag", [
-        (0.5, 7.0, RegionTag.OMEGA_A),
-        (1.27, 2.5, RegionTag.WEDGE),
-        (1.5, 1.2, RegionTag.WEAK_ONLY),
-        (0.0, 3.0, RegionTag.INITIAL_SLICE),
-        (1.0, 2.0, RegionTag.ON_CREASE),
-        (2.0, 4.0, RegionTag.ON_SHOCK),
-        (2.0, 0.0, RegionTag.ON_CAUCHY_HORIZON),
-        (0.5, 1.0, RegionTag.OMEGA_A),
-        (2.5, -4.0, RegionTag.OMEGA_A),       # beneath the horizon
-        (2.0, 10.0, RegionTag.OMEGA_A),       # beneath the shock
-    ])
+    @pytest.mark.parametrize("t,x,tag", TAG_CASES)
     def test_tags(self, t, x, tag):
         assert classify(Point(t, x), POL) is tag
 
@@ -130,6 +143,32 @@ class TestClassify:
         assert classify(Point(t, xb + 1e-6), POL) is RegionTag.WEDGE
         assert classify(Point(t, 2 * t - 1e-6), POL) is RegionTag.WEDGE
         assert classify(Point(t, xb - 1e-6), POL) is RegionTag.WEAK_ONLY
+
+
+class TestClassifyArray:
+    def test_matches_classify_on_examples(self):
+        t = np.array([c[0] for c in TAG_CASES])
+        x = np.array([c[1] for c in TAG_CASES])
+        assert classify_array(t, x, POL).tolist() == [c[2] for c in TAG_CASES]
+
+    def test_bands_match_classify(self):
+        # points straddling each band edge of B, C, K and the crease
+        ts, xs = [], []
+        for t in (1.0 + 1e-11, 1.27, 2.0, 37.5):
+            for x0 in (boundary_x(B, t), boundary_x(C, t), boundary_x(K, t), 2.0):
+                for off in (-2e-10, -1e-10, -5e-11, 0.0, 5e-11, 1e-10, 2e-10):
+                    ts.append(t)
+                    xs.append(x0 + off)
+        ts += [1.0 - 5e-11, 5e-11, 1e-9]
+        xs += [2.0 + 5e-11, 3.0, -1.0]
+        tags = classify_array(np.array(ts), np.array(xs), POL)
+        assert tags.tolist() == [classify(Point(t, x), POL) for t, x in zip(ts, xs)]
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            classify_array(np.array([-0.1]), np.array([0.0]), POL)
+        with pytest.raises(DomainError):
+            classify_array(np.array([1.0]), np.array([math.nan]), POL)
 
 
 class TestFootMaps:
@@ -253,3 +292,51 @@ class TestArrayFootMaps:
     def test_classical_array_outside_domain(self):
         with pytest.raises(OutsideDomain):
             foot_classical_array(np.array([2.2]), np.array([0.5]), POL)
+
+
+class TestMembershipBand:
+    def test_just_left_of_B_is_outside_on_both_paths(self):
+        t = 2.0
+        x = boundary_x(B, t) - 1.5e-10
+        with pytest.raises(OutsideDomain):
+            foot_classical(Point(t, x), POL)
+        with pytest.raises(OutsideDomain):
+            foot_classical_array(np.array([t]), np.array([x]), POL)
+
+    def test_on_B_foot_is_branch_point(self):
+        for t in (1.5, 2.0, 3.0, 10.0, 164.98, 1000.0):
+            x = boundary_x(B, t)
+            u = foot_classical_array(np.array([t]), np.array([x]), POL)[0]
+            assert u == math.sqrt(t - 1.0)
+
+    def test_near_tangency_is_solved_not_snapped(self):
+        # the x0 = 1 characteristic touches B at t = 2; just before, the point
+        # is inside the band but has a well-defined foot 1
+        p = outgoing_char(1.0, 2.0 - 1e-6)
+        u = foot_classical_array(np.array([p.t]), np.array([p.x]), POL)[0]
+        assert u == pytest.approx(1.0, abs=1e-8)
+
+
+class TestWideArrays:
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("L", [40.0, 1e3, 1e6])
+    def test_weak_feet_on_wide_samples(self, t, L):
+        x = np.linspace(-L, L, 2001)
+        u = foot_weak_array(np.full_like(x, t), x)
+        d = x - 2.0 * t
+        residual = u - t * np.arctan(u) - d
+        assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * (np.abs(u) + np.abs(d) + t))
+        assert np.all(np.diff(u) > 0)
+
+    def test_scalar_feet_at_wide_x(self):
+        # the residual's rounding floor here is above root_tol
+        for t, x in ((673.8212074159051, 127546.64089624258), (0.5, -1e6), (1000.0, 1e6)):
+            u = foot_weak(Point(t, x), POL)
+            v = foot_weak_array(np.array([t]), np.array([x]))[0]
+            assert u == pytest.approx(v, rel=1e-14)
+
+    def test_max_iter_message_names_t_and_d(self, monkeypatch):
+        capped = lambda *a, **k: solve_monotone_array(*a, **dict(k, max_iter=1))
+        monkeypatch.setattr(characteristics, "solve_monotone_array", capped)
+        with pytest.raises(MaxIterExceeded, match=r"\(t, d\) = \(1\.0, 0\.25\).*bracket \[0\.0, "):
+            foot_weak_array(np.array([0.5, 1.0]), np.array([1.2, 2.25]))

@@ -1,9 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from shocklab.burgers import psi_classical, psi_weak
+from shocklab.characteristics import classify
 from shocklab.cli import main
+from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +145,63 @@ class TestGrid:
         assert any(line.startswith("ingoing,") for line in lines)
 
 
+def reference_grid(t_range, x_range, nt, nx, field, variant):
+    """Per-point classify and scalar psi: the grid as evaluated cell by cell."""
+    pol = NumericPolicy()
+    (t0, t1), (x0, x1) = t_range, x_range
+    rows = []
+    for t in np.linspace(t0, t1, nt):
+        for x in np.linspace(x0, x1, nx):
+            p = Point(float(t), float(x))
+            if field == "region":
+                cell = classify(p, pol).value
+            else:
+                try:
+                    cell = psi_classical(p, pol) if variant == "classical" else psi_weak(p, pol)
+                except (OutsideDomain, OnShockError):
+                    cell = "NA"
+            rows.append((repr(float(t)), repr(float(x)), cell))
+    return rows
+
+
+class TestGridEquivalence:
+    # boxes through the crease, B, C and K; the second puts grid rows on
+    # t = 1 and t = 2 and a cell on the crease and on the shock
+    BOXES = [((0.0, 3.7), (-9.0, 13.0), 37, 61), ((0.0, 2.0), (0.0, 4.0), 9, 17),
+             ((1.5, 2.5), (-0.5, 5.5), 11, 97)]
+
+    @pytest.mark.parametrize("box", BOXES)
+    @pytest.mark.parametrize("field,variant", [("region", "weak"), ("psi", "weak"), ("psi", "classical")])
+    def test_matches_per_point_reference(self, capsys, box, field, variant):
+        (t0, t1), (x0, x1), nt, nx = box
+        code, out, _ = run_cli(
+            capsys, "grid", f"--t-range={t0}:{t1}", f"--x-range={x0}:{x1}",
+            "--nt", str(nt), "--nx", str(nx), "--field", field, "--variant", variant,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "t,x,value"
+        rows = [tuple(line.split(",")) for line in lines[1:]]
+        ref = reference_grid((t0, t1), (x0, x1), nt, nx, field, variant)
+        assert [r[:2] for r in rows] == [r[:2] for r in ref]
+        for (_, _, cell), (_, _, want) in zip(rows, ref):
+            if field == "region" or want == "NA" or cell == "NA":
+                assert cell == want
+            else:
+                assert float(cell) == pytest.approx(want, abs=1e-7)
+
+    def test_wide_phi_grid(self, capsys):
+        code, out, err = run_cli(
+            capsys, "grid", "--t-range=0.5:1", "--x-range=100:200", "--nt", "2", "--nx", "2",
+            "--field", "phi",
+        )
+        assert code == 0, err
+        values = [float(row.split(",")[2]) for row in out.strip().splitlines()[1:]]
+        assert len(values) == 4
+        # |psi| < pi/2 along an ingoing segment of length 2t
+        assert all(-1.0 * math.pi / 2 < v / t < 0.0 for v, t in zip(values, (0.5, 0.5, 1.0, 1.0)))
+
+
 class TestShockVerb:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "shock", "--t-range", "1.2:2", "--n", "3")
@@ -165,6 +226,15 @@ class TestGodunovVerb:
         text = out_file.read_text()
         assert text.startswith("x_center,value")
         assert len(text.strip().splitlines()) == 201
+
+
+    def test_wide_domain_compare(self, capsys):
+        code, out, err = run_cli(
+            capsys, "godunov", "--t-end", "0.5", "--n-cells", "200",
+            "--x-range=-200:200", "--compare",
+        )
+        assert code == 0, err
+        assert math.isfinite(float(out.strip().splitlines()[-1].partition("=")[2]))
 
 
 class TestVerifyVerb:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shocklab.core import DomainError, InvariantViolation, Point
-from shocklab.burgers import psi_classical, psi_weak
+from shocklab.burgers import psi_classical, psi_weak, psi_weak_array
 from shocklab.godunov import (
     GodunovState,
     godunov_flux,
@@ -100,6 +100,21 @@ class TestStep:
         linf = float(np.max(np.abs(s2.cell_averages - s.cell_averages)))
         # |du| <= dt * max|f'| * max|psi0'| + O(h) boundary effects
         assert linf <= dt * (2.0 + math.pi / 2) * 1.0 + s.h
+
+    def test_both_ghost_cells_from_one_field_call(self, monkeypatch):
+        import shocklab.godunov as fv
+
+        calls = []
+
+        def counted(t, x):
+            calls.append(np.size(x))
+            return psi_weak_array(t, x)
+
+        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        s = initial_state(64)
+        s2 = step(step(s))
+        assert calls == [2, 2]
+        assert s2.time > 0.0
 
     def test_invariants_over_run(self):
         # step() enforces the stencil-wise maximum principle and extended

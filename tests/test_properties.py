@@ -1,0 +1,137 @@
+"""Property tests over wide ranges: |x| up to 1e6 and t up to 1e3."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shocklab.burgers import psi_classical, psi_classical_array, psi_weak, psi_weak_array
+from shocklab.characteristics import (
+    BoundaryCurve,
+    RegionTag,
+    boundary_x,
+    classify,
+    classify_array,
+    foot_classical_array,
+    foot_weak_array,
+)
+from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point
+
+POL = NumericPolicy()
+EPS = np.finfo(float).eps
+
+T = st.floats(min_value=0.0, max_value=1e3)
+X = st.floats(min_value=-1e6, max_value=1e6)
+NEAR = st.floats(min_value=-20.0, max_value=20.0)
+POINTS = st.lists(st.tuples(T, st.one_of(X, NEAR)), min_size=1, max_size=40)
+
+
+def arrays(points):
+    return np.array([p[0] for p in points]), np.array([p[1] for p in points])
+
+
+def residual(t, x, u):
+    return u - t * np.arctan(u) - (x - 2.0 * t)
+
+
+def rounding(t, x, u):
+    """A few ulps of the largest term of the characteristic residual."""
+    return 8.0 * EPS * (np.abs(u) + t * math.pi / 2 + np.abs(x) + 2.0 * t)
+
+
+@st.composite
+def near_curves(draw):
+    """Points within a few geom_tol of B, C, K or the crease, or anywhere."""
+    t = draw(st.one_of(T, st.floats(min_value=0.9, max_value=3.0)))
+    kind = draw(st.sampled_from(["B", "C", "K", "crease", "free"]))
+    off = draw(st.floats(min_value=-1e-9, max_value=1e-9))
+    if kind == "free":
+        return t, draw(st.one_of(X, NEAR))
+    if kind == "crease":
+        return 1.0 + draw(st.floats(min_value=-1e-9, max_value=1e-9)), 2.0 + off
+    if t < 1.0:
+        t = 2.0 - t
+    curve = {"B": BoundaryCurve.SINGULAR_BOUNDARY, "C": BoundaryCurve.CAUCHY_HORIZON,
+             "K": BoundaryCurve.SHOCK}[kind]
+    return t, boundary_x(curve, t) + off
+
+
+def away_from_degeneracies(t, x):
+    """Not within 1e-2 of the crease, nor within 1e-3 of B past it."""
+    if math.hypot(t - 1.0, x - 2.0) < 1e-2:
+        return False
+    return t <= 1.0 or abs(x - boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t)) > 1e-3
+
+
+@settings(deadline=None)
+@given(POINTS)
+def test_weak_foot_residual_is_rounding(points):
+    t, x = arrays(points)
+    u = foot_weak_array(t, x)
+    assert np.all(np.abs(residual(t, x, u)) <= rounding(t, x, u))
+
+
+@settings(deadline=None)
+@given(POINTS)
+def test_classical_foot_residual_is_rounding(points):
+    t, x = arrays(points)
+    keep = classify_array(t, x, POL) != RegionTag.WEAK_ONLY
+    t, x = t[keep], x[keep]
+    u = foot_classical_array(t, x, POL)
+    r = np.abs(residual(t, x, u))
+    # a point inside the band left of B takes the branch point, whose
+    # residual is its distance to B
+    on_band = np.isin(classify_array(t, x, POL), [RegionTag.ON_SINGULAR_BOUNDARY, RegionTag.ON_CREASE,
+                                                  RegionTag.ON_SHOCK])
+    assert np.all((r <= rounding(t, x, u)) | (on_band & (r <= 3.0 * POL.geom_tol)))
+
+
+@settings(deadline=None)
+@given(
+    t=T,
+    x0=st.one_of(X, NEAR),
+    gaps=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=40),
+)
+def test_weak_field_nonincreasing_in_x(t, x0, gaps):
+    # samples at least 1e-6 apart relative to the problem's scale, so that
+    # the exact differences exceed the rounding of each value
+    scale = 1.0 + abs(x0) + t
+    x = x0 + np.concatenate([[0.0], np.cumsum(gaps) * scale])
+    x = x[x <= 1e6]
+    v = psi_weak_array(np.full_like(x, t), x)
+    assert np.all(np.diff(v) <= 0.0)
+
+
+@settings(deadline=None)
+@given(POINTS)
+def test_scalar_and_array_agree(points):
+    for t, x in points:
+        p = Point(t, x)
+        try:
+            s = psi_weak(p, POL)
+        except OnShockError:
+            s = None
+        a = float(psi_weak_array(np.array([t]), np.array([x]))[0])
+        if s is not None and away_from_degeneracies(t, x):
+            assert a == pytest.approx(s, abs=1e-12)
+
+        try:
+            s = psi_classical(p, POL)
+        except OutsideDomain:
+            s = None
+        try:
+            a = float(psi_classical_array(np.array([t]), np.array([x]), POL)[0])
+        except OutsideDomain:
+            a = None
+        assert (s is None) == (a is None)
+        if s is not None and away_from_degeneracies(t, x):
+            assert a == pytest.approx(s, abs=1e-12)
+
+
+@settings(deadline=None)
+@given(st.lists(near_curves(), min_size=1, max_size=40))
+def test_classify_array_equals_classify(points):
+    t, x = arrays(points)
+    assert classify_array(t, x, POL).tolist() == [classify(Point(a, b), POL) for a, b in points]
