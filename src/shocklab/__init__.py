@@ -13,7 +13,6 @@ from .core import (
     DomainError,
     MaxIterExceeded,
     NearSingular,
-    NoSignChange,
     NumericPolicy,
     OnShockError,
     OutsideDomain,
@@ -22,7 +21,6 @@ from .core import (
     ShockLabError,
     SolutionVariant,
     Vec2,
-    find_root,
     psi0,
     psi0_prime,
     psi0_second,

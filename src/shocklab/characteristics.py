@@ -13,8 +13,10 @@ Inverting a characteristic through a point (t, x) means solving
 
 for the foot u.  The residual is monotone on each half-axis and, past the
 focusing time, on each branch |u| >= sqrt(t-1), so every foot map below is
-a bracketed scalar root find.  The classical and weak foot maps share one
-branch solver so that they agree bit-for-bit wherever both are defined.
+a bracketed root find.  All of them go through one batched solve
+(core.solve_monotone_array) and all region tags through one set of rules
+(_region_codes); a scalar foot map or classify is a size-1 array call, so
+scalar and array answers agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .core import (
     OnShockError,
     OutsideDomain,
     Point,
-    ShockLabError,
-    find_root,
     psi0,
     solve_monotone_array,
 )
@@ -138,40 +138,7 @@ def boundary_x_deriv(kind: BoundaryCurve, t: float) -> float:
 # Region classification
 # ---------------------------------------------------------------------------
 
-def _x_singular(t, z):
-    """x of B at time t with z = sqrt(t-1), by numpy's arctan for scalars and
-    arrays alike, so that classify and classify_array round it identically."""
-    return (2.0 - np.arctan(z)) * t + z
-
-
-def classify(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> RegionTag:
-    """Unique region tag of p; on-curve tags win within geom_tol."""
-    t, x = p.t, p.x
-    tol = policy.geom_tol
-    if t <= tol:
-        return RegionTag.INITIAL_SLICE
-    if abs(t - 1.0) <= tol and abs(x - 2.0) <= tol:
-        return RegionTag.ON_CREASE
-    if t > 1.0:
-        xb = float(_x_singular(t, math.sqrt(t - 1.0)))
-        if abs(x - 2.0 * t) <= tol:
-            return RegionTag.ON_SHOCK
-        if abs(x - xb) <= tol:
-            return RegionTag.ON_SINGULAR_BOUNDARY
-        if abs(x - (4.0 - 2.0 * t)) <= tol:
-            return RegionTag.ON_CAUCHY_HORIZON
-    if t < max(0.5 * x, 2.0 - 0.5 * x):
-        return RegionTag.OMEGA_A
-    if t > 1.0:
-        # for t > 1 the curves are ordered: 4 - 2t < x_B(t) < 2t
-        if xb < x < 2.0 * t:
-            return RegionTag.WEDGE
-        if x < xb:
-            return RegionTag.WEAK_ONLY
-    raise ShockLabError(f"unclassifiable point ({t}, {x})")  # pragma: no cover
-
-
-# Region tags in the order classify tests them: the first rule that holds wins.
+# Region tags by precedence: where several rules hold, the first wins.
 _TAG_ORDER = (
     RegionTag.INITIAL_SLICE,
     RegionTag.ON_CREASE,
@@ -187,7 +154,8 @@ _INITIAL, _CREASE, _SHOCK, _ON_B, _ON_C, _OMEGA_A, _WEDGE, _WEAK_ONLY = range(le
 
 
 def _region_codes(t: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-    """Index into _TAG_ORDER of each point's tag, by the rules of classify.
+    """Index into _TAG_ORDER of each point's tag: the region rules of
+    classify, classify_array and the classical foot map.
 
     Rules are applied from the last to the first, so the first that holds
     wins.  Past the crease a point off the curves and outside Omega_A is
@@ -200,7 +168,7 @@ def _region_codes(t: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
         raise DomainError("t < 0 in a region map; only t >= 0 is modelled")
     post = t > 1.0
     z = np.sqrt(np.maximum(t - 1.0, 0.0))
-    xb = _x_singular(t, z)
+    xb = (2.0 - np.arctan(z)) * t + z
     codes = np.where(x < xb, _WEAK_ONLY, _WEDGE)
     codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = _OMEGA_A
     codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= tol)] = _ON_C
@@ -211,11 +179,16 @@ def _region_codes(t: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     return codes
 
 
+def classify(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> RegionTag:
+    """Unique region tag of p; on-curve tags win within geom_tol."""
+    return _TAG_ORDER[int(_region_codes(np.asarray(p.t), np.asarray(p.x), policy.geom_tol))]
+
+
 def classify_array(t, x, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Region tags (an object array of RegionTag) of arrays of points.
 
     Applies the rules and geom_tol bands of classify to every point of the
-    broadcast arrays t and x at once.
+    broadcast arrays t and x at once; classify is its size-1 case.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     return _TAG_OBJECTS[_region_codes(t, x, policy.geom_tol)]
@@ -223,107 +196,6 @@ def classify_array(t, x, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Foot maps (characteristic inversion)
-# ---------------------------------------------------------------------------
-
-def _residual(u: float, t: float, d: float) -> float:
-    return u - t * math.atan(u) - d
-
-
-def _residual_prime(u: float, t: float) -> float:
-    return 1.0 - t / (1.0 + u * u)
-
-
-def _solve_branch(t: float, d: float, lo: float, hi: float, policy: NumericPolicy) -> float:
-    return find_root(
-        lambda u: _residual(u, t, d),
-        (lo, hi),
-        policy,
-        dfdx=lambda u: _residual_prime(u, t),
-    )
-
-
-def _foot_pre_crease(t: float, d: float, policy: NumericPolicy) -> float:
-    # residual is monotone for t <= 1; full bracket
-    if d == 0.0:
-        return 0.0
-    return _solve_branch(t, d, d - t * _HALF_PI, d + t * _HALF_PI, policy)
-
-
-def _foot_right(t: float, d: float, policy: NumericPolicy) -> float:
-    """Foot on the branch u >= sqrt(t-1) (t > 1); the branch point at or left of B.
-
-    Callers decide domain membership (classify's geom_tol band); a point
-    with x_B(t) - x >= 0 that gets here is on B within that band.
-    """
-    z = math.sqrt(t - 1.0)
-    if _residual(z, t, d) >= 0.0:
-        return z
-    return _solve_branch(t, d, z, d + t * _HALF_PI, policy)
-
-
-def _foot_left(t: float, d: float, policy: NumericPolicy) -> float:
-    """Foot on the branch u <= -sqrt(t-1) (t > 1)."""
-    z = math.sqrt(t - 1.0)
-    rz = _residual(-z, t, d)
-    if rz <= 0.0:
-        if rz >= -(2.0 * policy.geom_tol + 1e-14 * abs(d)):
-            return -z
-        raise OutsideDomain(f"point beyond the left characteristic family by {-rz:.3e}")
-    return _solve_branch(t, d, d - t * _HALF_PI, -z, policy)
-
-
-def foot_weak(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    """Foot of the entropy-solution characteristic through p.
-
-    The foot is positive iff p lies right of the shock line x = 2t and
-    negative iff left of it; on the shock itself (t > 1) the value is
-    two-sided and an OnShockError is raised.
-    """
-    t, x = p.t, p.x
-    d = x - 2.0 * t
-    if t <= 1.0:
-        return _foot_pre_crease(t, d, policy)
-    if abs(d) <= policy.geom_tol:
-        raise OnShockError(f"({t}, {x}) is on the shock; use shock_trace for the limits")
-    if d > 0.0:
-        return _foot_right(t, d, policy)
-    return _foot_left(t, d, policy)
-
-
-def foot_classical(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    """Foot of the unique classical characteristic through p in cl(Omega_C).
-
-    Raises OutsideDomain when p lies strictly beyond the singular boundary
-    and Cauchy horizon (the weak-only region).
-    """
-    t, x = p.t, p.x
-    tag = classify(p, policy)
-    if tag is RegionTag.WEAK_ONLY:
-        raise OutsideDomain(f"({t}, {x}) is outside the classical domain")
-    d = x - 2.0 * t
-    if t <= 1.0:
-        return _foot_pre_crease(t, d, policy)
-    if tag is RegionTag.ON_CAUCHY_HORIZON or (tag is RegionTag.OMEGA_A and x < 2.0 * t):
-        return _foot_left(t, d, policy)
-    # wedge, on-shock, on-B, or below the shock: the right family
-    return _foot_right(t, d, policy)
-
-
-def shock_feet(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float, float]:
-    """Feet (-x0, +x0) of the two characteristics meeting the shock at time t > 1.
-
-    x0 > 0 solves x0 = t*arctan(x0); the residual is negative at
-    sqrt(t-1) and positive at t*pi/2, bracketing the nontrivial root.
-    """
-    if t <= 1.0:
-        raise DomainError(f"the shock exists for t > 1, got t = {t}")
-    z = math.sqrt(t - 1.0)
-    x0 = _solve_branch(t, 0.0, z, t * _HALF_PI, policy)
-    return -x0, x0
-
-
-# ---------------------------------------------------------------------------
-# Vectorized foot maps for bulk sampling
 # ---------------------------------------------------------------------------
 
 # Relative rounding allowance of the residual at the branch point, whose
@@ -371,7 +243,7 @@ def foot_weak_array(t, x, tol: float = 1e-14) -> np.ndarray:
 def foot_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY, tol: float = 1e-14) -> np.ndarray:
     """Classical feet for arrays of points in cl(Omega_C).
 
-    Membership and branch follow the region tags of classify: points
+    Membership and branch follow the region tags of classify_array: points
     tagged WeakOnly raise OutsideDomain; past the crease the left family
     serves points on the Cauchy horizon and in Omega_A left of the shock,
     the right family the rest.  Right-family points at or left of the
@@ -382,8 +254,8 @@ def foot_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY, tol: floa
     codes = _region_codes(t, x, policy.geom_tol)
     outside = codes == _WEAK_ONLY
     if outside.any():
-        bad = np.argwhere(outside)[0]
-        raise OutsideDomain(f"point ({t[tuple(bad)]}, {x[tuple(bad)]}) outside the classical domain")
+        i = np.flatnonzero(outside)[0]
+        raise OutsideDomain(f"({float(t.flat[i])}, {float(x.flat[i])}) is outside the classical domain")
     d = x - 2.0 * t
     post = t > 1.0
     left = (codes == _ON_C) | ((codes == _OMEGA_A) & (x < 2.0 * t))
@@ -392,3 +264,37 @@ def foot_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY, tol: floa
     z = np.sqrt(np.maximum(t - 1.0, 0.0))
     snap = post & right & (z - t * np.arctan(z) - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
     return _solve_feet(t, d, np.where(snap, z, lo), np.where(snap, z, hi), tol)
+
+
+def foot_weak(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+    """Foot of the entropy-solution characteristic through p.
+
+    The foot is positive iff p lies right of the shock line x = 2t and
+    negative iff left of it; on the shock itself (t > 1) the value is
+    two-sided and an OnShockError is raised.
+    """
+    t, x = p.t, p.x
+    if t > 1.0 and abs(x - 2.0 * t) <= policy.geom_tol:
+        raise OnShockError(f"({t}, {x}) is on the shock; use shock_trace for the limits")
+    return float(foot_weak_array(t, x))
+
+
+def foot_classical(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+    """Foot of the unique classical characteristic through p in cl(Omega_C).
+
+    Raises OutsideDomain when p lies strictly beyond the singular boundary
+    and Cauchy horizon (the weak-only region).
+    """
+    return float(foot_classical_array(p.t, p.x, policy))
+
+
+def shock_feet(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+    """Feet (-x0, +x0) of the two characteristics meeting the shock at time t > 1.
+
+    x0 > 0 solves x0 = t*arctan(x0): it is the right-family foot of the
+    shock point (t, 2t), bracketed by sqrt(t-1) and t*pi/2.
+    """
+    if t <= 1.0:
+        raise DomainError(f"the shock exists for t > 1, got t = {t}")
+    x0 = float(foot_weak_array(t, 2.0 * t))
+    return -x0, x0

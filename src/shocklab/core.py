@@ -5,8 +5,9 @@ equation whose ingoing-derivative field ``psi = d_t(Phi) - 2 d_x(Phi)``
 satisfies a decoupled Burgers equation with flux ``(2 + psi)^2 / 2`` and
 initial profile ``psi0(x) = -arctan(x)``.  Everything downstream (foot
 maps, boundary curves, wave potentials, acoustic geometry) reduces to
-closed-form expressions in this datum plus scalar root finding and
-segmented Gauss-Legendre quadrature, which live here.
+closed-form expressions in this datum plus one batched bracketed root
+solver (a scalar root is a size-1 batch) and segmented Gauss-Legendre
+quadrature, which live here.
 
 All computation is 64-bit floating point; the artifact is restricted to
 times t >= 0.
@@ -31,7 +32,6 @@ __all__ = [
     "DomainError",
     "OutsideDomain",
     "OnShockError",
-    "NoSignChange",
     "MaxIterExceeded",
     "NearSingular",
     "DegenerateMetric",
@@ -43,7 +43,6 @@ __all__ = [
     "psi0",
     "psi0_prime",
     "psi0_second",
-    "find_root",
     "solve_monotone_array",
     "gauss_panel",
     "adaptive_quad",
@@ -68,10 +67,6 @@ class OutsideDomain(DomainError):
 
 class OnShockError(DomainError):
     """Point lies on the shock curve; the weak field is two-valued there."""
-
-
-class NoSignChange(ShockLabError):
-    """Root bracket does not straddle a sign change."""
 
 
 class MaxIterExceeded(ShockLabError):
@@ -155,9 +150,11 @@ class SolutionVariant(enum.Enum):
 class NumericPolicy:
     """Shared tolerances and iteration caps.
 
-    root_tol bounds |f(root)| for scalar root finds, quad_tol is the
-    absolute adaptive-quadrature target, geom_tol is the band half-width
-    for on-curve membership tests.
+    quad_tol is the absolute adaptive-quadrature target, geom_tol is the
+    band half-width for on-curve membership tests.  root_tol and max_iter
+    steer no solver: every foot solve stops at its rounding floor (see
+    solve_monotone_array).  They are kept because verify reports echo the
+    policy and --root-tol is a CLI flag.
     """
 
     root_tol: float = 1e-12
@@ -199,78 +196,8 @@ def psi0_second(x):
 
 
 # ---------------------------------------------------------------------------
-# Scalar root finding: bisection-safeguarded Newton
+# Root finding: batched, bracketed Newton
 # ---------------------------------------------------------------------------
-
-def find_root(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    policy: NumericPolicy = DEFAULT_POLICY,
-    dfdx: Callable[[float], float] | None = None,
-) -> float:
-    """Root of f inside a sign-change bracket.
-
-    Newton steps (analytic derivative when supplied, secant otherwise) are
-    taken whenever they stay inside the shrinking bracket; bisection is the
-    fallback, so convergence is guaranteed for continuous f.  Returns r with
-    |f(r)| <= policy.root_tol, polished until floating point stagnates; once
-    the bracket has shrunk to a few ulps, r is returned even where rounding
-    keeps |f| above root_tol (large arguments).
-
-    Raises NoSignChange if f has the same strict sign at both ends and
-    MaxIterExceeded if the cap is hit first.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if lo > hi:
-        lo, hi = hi, lo
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChange(f"f({lo}) = {flo} and f({hi}) = {fhi} share sign")
-
-    x, fx = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    x_prev, f_prev = (hi, fhi) if x == lo else (lo, flo)
-    best_x, best_f = x, abs(fx)
-
-    for _ in range(policy.max_iter):
-        # Newton (or secant) candidate
-        if dfdx is not None:
-            d = dfdx(x)
-        else:
-            d = (fx - f_prev) / (x - x_prev) if x != x_prev else 0.0
-        if d != 0.0 and math.isfinite(d):
-            cand = x - fx / d
-        else:
-            cand = math.nan
-        if not (lo < cand < hi) or not math.isfinite(cand):
-            cand = 0.5 * (lo + hi)
-
-        x_prev, f_prev = x, fx
-        x = cand
-        fx = f(x)
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fhi > 0.0):
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-
-        # stop once no further progress is possible: within a few ulps of
-        # the root, best_f is the rounding floor of f even if above root_tol
-        if (hi - lo) <= 4.0 * np.finfo(float).eps * (abs(lo) + abs(hi) + 1.0):
-            return best_x
-
-    if best_f <= policy.root_tol:
-        return best_x
-    raise MaxIterExceeded(
-        f"no root to |f| <= {policy.root_tol} in {policy.max_iter} iterations (best |f| = {best_f})"
-    )
-
 
 # Points per block of the batched solver: large inputs are solved block by
 # block so that its working arrays stay the same size whatever the input.

@@ -49,6 +49,13 @@ class TestEval:
         assert code == 2
         assert "shock" in err.lower()
 
+    def test_outside_classical_domain_stderr(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--t", "2.2", "--x", "0.5", "--variant", "classical", "--fields", "psi",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: (2.2, 0.5) is outside the classical domain\n"
+
     def test_metric_and_frame_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--t", "0.5", "--x", "1", "--variant", "classical",

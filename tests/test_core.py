@@ -7,13 +7,11 @@ from scipy.optimize import brentq
 from shocklab.core import (
     DomainError,
     MaxIterExceeded,
-    NoSignChange,
     NumericPolicy,
     Point,
     QuadFailure,
     Vec2,
     adaptive_quad,
-    find_root,
     psi0,
     psi0_prime,
     psi0_second,
@@ -92,55 +90,6 @@ class TestDomainTypes:
     def test_policy_defaults(self):
         assert POL.root_tol <= 1e-12
         assert POL.geom_tol <= 1e-10
-
-
-class TestFindRoot:
-    def test_linear(self):
-        r = find_root(lambda y: y - 1.0, (0.0, 2.0), POL)
-        assert r == pytest.approx(1.0, abs=1e-12)
-
-    def test_against_brentq_oracle(self):
-        f = lambda y: y - math.atan(y) - 0.1
-        expected = brentq(f, 0.0, 2.0, xtol=1e-15, rtol=8.9e-16)
-        r = find_root(f, (0.0, 2.0), POL)
-        assert r == pytest.approx(expected, abs=1e-12)
-        assert r == pytest.approx(0.7316594726612043, abs=1e-12)
-
-    def test_two_atan(self):
-        f = lambda y: y - 2.0 * math.atan(y)
-        expected = brentq(f, 1.0, 3.0, xtol=1e-15, rtol=8.9e-16)
-        r = find_root(f, (1.0, 3.0), POL)
-        assert r == pytest.approx(expected, abs=1e-12)
-        assert r == pytest.approx(2.3311223704144224, abs=1e-12)
-
-    def test_residual_bound(self):
-        f = lambda y: math.cos(y) - y
-        r = find_root(f, (0.0, 1.0), POL)
-        assert abs(f(r)) <= POL.root_tol
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            find_root(lambda y: y * y + 1.0, (-1.0, 1.0), POL)
-
-    def test_max_iter_exceeded(self):
-        tight = NumericPolicy(max_iter=3)
-        with pytest.raises(MaxIterExceeded):
-            find_root(lambda y: (y - 1.0) ** 3, (0.0, 3.7), tight)
-
-    def test_endpoint_root(self):
-        assert find_root(lambda y: y, (0.0, 1.0), POL) == 0.0
-
-    def test_bracket_widening_invariance(self):
-        f = lambda y: y - 2.0 * math.atan(y)
-        r1 = find_root(f, (1.0, 3.0), POL)
-        r2 = find_root(f, (0.5, 6.0), POL)
-        assert abs(r1 - r2) <= 10 * POL.root_tol
-
-    def test_uses_analytic_derivative(self):
-        f = lambda y: y ** 3 - 2.0
-        df = lambda y: 3.0 * y * y
-        r = find_root(f, (1.0, 2.0), POL, dfdx=df)
-        assert r == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
 
 
 def _foot_callbacks(t, d):

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,9 @@ from shocklab.characteristics import (
     boundary_x,
     classify,
     classify_array,
+    foot_classical,
     foot_classical_array,
+    foot_weak,
     foot_weak_array,
 )
 from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point
@@ -58,13 +59,6 @@ def near_curves(draw):
     return t, boundary_x(curve, t) + off
 
 
-def away_from_degeneracies(t, x):
-    """Not within 1e-2 of the crease, nor within 1e-3 of B past it."""
-    if math.hypot(t - 1.0, x - 2.0) < 1e-2:
-        return False
-    return t <= 1.0 or abs(x - boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t)) > 1e-3
-
-
 @settings(deadline=None)
 @given(POINTS)
 def test_weak_foot_residual_is_rounding(points):
@@ -104,30 +98,42 @@ def test_weak_field_nonincreasing_in_x(t, x0, gaps):
     assert np.all(np.diff(v) <= 0.0)
 
 
+def assert_scalar_equals_array(points):
+    """Scalar feet and fields equal the batch's, bit for bit, at every point,
+    and both paths put the same points outside the classical domain."""
+    t, x = arrays(points)
+    weak_feet, weak_psi = foot_weak_array(t, x), psi_weak_array(t, x)
+    inside = classify_array(t, x, POL) != RegionTag.WEAK_ONLY
+    classical_feet = foot_classical_array(t[inside], x[inside], POL)
+    classical_psi = psi_classical_array(t[inside], x[inside], POL)
+    k = 0
+    for i, (a, b) in enumerate(points):
+        p = Point(a, b)
+        try:
+            assert foot_weak(p, POL) == weak_feet[i]
+            assert psi_weak(p, POL) == weak_psi[i]
+        except OnShockError:
+            assert a > 1.0 and abs(b - 2.0 * a) <= POL.geom_tol
+        try:
+            u, v = foot_classical(p, POL), psi_classical(p, POL)
+        except OutsideDomain:
+            assert not inside[i]
+            continue
+        assert inside[i]
+        assert (u, v) == (classical_feet[k], classical_psi[k])
+        k += 1
+
+
 @settings(deadline=None)
 @given(POINTS)
 def test_scalar_and_array_agree(points):
-    for t, x in points:
-        p = Point(t, x)
-        try:
-            s = psi_weak(p, POL)
-        except OnShockError:
-            s = None
-        a = float(psi_weak_array(np.array([t]), np.array([x]))[0])
-        if s is not None and away_from_degeneracies(t, x):
-            assert a == pytest.approx(s, abs=1e-12)
+    assert_scalar_equals_array(points)
 
-        try:
-            s = psi_classical(p, POL)
-        except OutsideDomain:
-            s = None
-        try:
-            a = float(psi_classical_array(np.array([t]), np.array([x]), POL)[0])
-        except OutsideDomain:
-            a = None
-        assert (s is None) == (a is None)
-        if s is not None and away_from_degeneracies(t, x):
-            assert a == pytest.approx(s, abs=1e-12)
+
+@settings(deadline=None)
+@given(st.lists(near_curves(), min_size=1, max_size=40))
+def test_scalar_and_array_agree_near_curves(points):
+    assert_scalar_equals_array(points)
 
 
 @settings(deadline=None)
