@@ -17,7 +17,6 @@ from .core import (
     OnShockError,
     OutsideDomain,
     Point,
-    QuadFailure,
     ShockLabError,
     SolutionVariant,
     Vec2,
@@ -50,8 +49,6 @@ from .burgers import (
     shock_trace,
 )
 from .wave_potential import (
-    QuadPlan,
-    build_quad_plan,
     dphidt_closed,
     dphidx_closed,
     horizon_jump_probe,

@@ -44,7 +44,7 @@ from .burgers import (
 )
 from .geometry import metric, null_frame
 from .verification import SUITE_NAMES, lax_gaps, run_suite
-from .wave_potential import dphidt_closed, dphidx_closed, phi
+from .wave_potential import dphidt_closed, dphidx_closed, phi, phi_array
 from . import godunov as fv
 
 _CURVES = {
@@ -61,16 +61,10 @@ def _fmt(v: float) -> str:
 
 
 def _policy_from_args(args) -> NumericPolicy:
-    return NumericPolicy(
-        root_tol=args.root_tol,
-        quad_tol=args.quad_tol,
-        geom_tol=args.geom_tol,
-    )
+    return NumericPolicy(geom_tol=args.geom_tol)
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--root-tol", type=float, default=DEFAULT_POLICY.root_tol)
-    p.add_argument("--quad-tol", type=float, default=DEFAULT_POLICY.quad_tol)
     p.add_argument("--geom-tol", type=float, default=DEFAULT_POLICY.geom_tol)
 
 
@@ -168,24 +162,14 @@ def _cmd_grid(args) -> int:
     ts = np.linspace(t_min, t_max, args.nt)
     xs = np.linspace(x_min, x_max, args.nx)
     print("t,x,value")
-    if args.field == "phi":
-        for t in ts:
-            for x in xs:
-                try:
-                    v = phi(Point(float(t), float(x)), variant, policy)
-                except (OutsideDomain, OnShockError):
-                    print(f"{_fmt(t)},{_fmt(x)},NA")
-                    continue
-                print(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}")
-    else:
-        cells = _grid_cells(ts, xs, args.field, variant, policy)
-        x_txt = [_fmt(x) for x in xs]
-        nx = len(xs)
-        print("\n".join(
-            f"{t_txt},{x},{cell}"
-            for i, t_txt in enumerate(_fmt(t) for t in ts)
-            for x, cell in zip(x_txt, cells[i * nx:(i + 1) * nx])
-        ))
+    cells = _grid_cells(ts, xs, args.field, variant, policy)
+    x_txt = [_fmt(x) for x in xs]
+    nx = len(xs)
+    print("\n".join(
+        f"{t_txt},{x},{cell}"
+        for i, t_txt in enumerate(_fmt(t) for t in ts)
+        for x, cell in zip(x_txt, cells[i * nx:(i + 1) * nx])
+    ))
     if args.characteristics > 0:
         print("curve,foot,t,x")
         feet = np.linspace(x_min, x_max, args.characteristics)
@@ -200,20 +184,26 @@ def _cmd_grid(args) -> int:
 
 
 def _grid_cells(ts, xs, field: str, variant: SolutionVariant, policy: NumericPolicy) -> list[str]:
-    """Row-major cells of a region or psi grid, `NA` where the field is undefined.
+    """Row-major cells of a region, psi or phi grid, `NA` where the field is undefined.
 
-    Classical psi is undefined in the weak-only region; weak psi on the
-    shock, where psi_weak raises OnShockError.
+    Both classical fields are undefined in the weak-only region; weak psi
+    on the shock, where psi_weak raises OnShockError.  Weak phi is defined
+    everywhere.
     """
     tt, xx = (a.ravel() for a in np.meshgrid(ts, xs, indexing="ij"))
     if field == "region":
         return [tag.value for tag in classify_array(tt, xx, policy)]
     if variant is SolutionVariant.CLASSICAL:
         na = classify_array(tt, xx, policy) == RegionTag.WEAK_ONLY
-        values = psi_classical_array(tt[~na], xx[~na], policy)
     else:
-        na = (tt > 1.0) & (np.abs(xx - 2.0 * tt) <= policy.geom_tol)
-        values = psi_weak_array(tt[~na], xx[~na])
+        na = (field == "psi") & (tt > 1.0) & (np.abs(xx - 2.0 * tt) <= policy.geom_tol)
+    t_def, x_def = tt[~na], xx[~na]
+    if field == "phi":
+        values = phi_array(t_def, x_def, variant, policy)
+    elif variant is SolutionVariant.CLASSICAL:
+        values = psi_classical_array(t_def, x_def, policy)
+    else:
+        values = psi_weak_array(t_def, x_def)
     cells = np.full(tt.size, "NA", dtype=object)
     cells[~na] = list(map(repr, values.tolist()))  # Python floats: repr is _fmt
     return cells.tolist()

@@ -6,8 +6,8 @@ satisfies a decoupled Burgers equation with flux ``(2 + psi)^2 / 2`` and
 initial profile ``psi0(x) = -arctan(x)``.  Everything downstream (foot
 maps, boundary curves, wave potentials, acoustic geometry) reduces to
 closed-form expressions in this datum plus one batched bracketed root
-solver (a scalar root is a size-1 batch) and segmented Gauss-Legendre
-quadrature, which live here.
+solver (a scalar root is a size-1 batch) and a 15-point Gauss-Legendre
+panel rule, which live here.
 
 All computation is 64-bit floating point; the artifact is restricted to
 times t >= 0.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "DegenerateMetric",
     "ZeroVector",
     "ApexNotOnBoundary",
-    "QuadFailure",
     "InvariantViolation",
     "PoorFit",
     "psi0",
@@ -45,7 +44,6 @@ __all__ = [
     "psi0_second",
     "solve_monotone_array",
     "gauss_panel",
-    "adaptive_quad",
 ]
 
 
@@ -87,10 +85,6 @@ class ZeroVector(DomainError):
 
 class ApexNotOnBoundary(DomainError):
     """Causal-past query apex does not lie on the singular boundary."""
-
-
-class QuadFailure(ShockLabError):
-    """Adaptive quadrature could not meet the requested tolerance."""
 
 
 class InvariantViolation(ShockLabError):
@@ -148,27 +142,19 @@ class SolutionVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Shared tolerances and iteration caps.
+    """Shared numeric tolerance.
 
-    quad_tol is the absolute adaptive-quadrature target, geom_tol is the
-    band half-width for on-curve membership tests.  root_tol and max_iter
-    steer no solver: every foot solve stops at its rounding floor (see
-    solve_monotone_array).  They are kept because verify reports echo the
-    policy and --root-tol is a CLI flag.
+    geom_tol is the band half-width for on-curve membership tests.  Root
+    solves stop at their rounding floor (see solve_monotone_array) and the
+    wave potential uses a fixed quadrature rule, so neither takes a
+    tolerance.
     """
 
-    root_tol: float = 1e-12
-    quad_tol: float = 1e-10
     geom_tol: float = 1e-10
-    max_iter: int = 100
 
     def __post_init__(self):
-        for name in ("root_tol", "quad_tol", "geom_tol"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be strictly positive, got {v}")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
+        if not (self.geom_tol > 0.0 and math.isfinite(self.geom_tol)):
+            raise DomainError(f"geom_tol must be strictly positive, got {self.geom_tol}")
 
 
 DEFAULT_POLICY = NumericPolicy()
@@ -281,7 +267,7 @@ def _solve_block(p_func, dp_func, lo, hi, blk, tol, max_iter, describe):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature kernels: 15-point Gauss-Legendre panels with adaptive bisection
+# Quadrature kernel: 15-point Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -291,63 +277,3 @@ def gauss_panel(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 15-point Gauss-Legendre rule on [a, b]."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * _GL_NODES, half * _GL_WEIGHTS
-
-
-def _panel_integral(f_vec, a: float, b: float) -> float:
-    nodes, weights = gauss_panel(a, b)
-    return float(np.dot(weights, f_vec(nodes)))
-
-
-def adaptive_quad(
-    f_vec: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
-    breakpoints: Sequence[float] = (),
-    max_depth: int = 48,
-) -> float:
-    """Integral of f over [a, b] to absolute tolerance tol.
-
-    f_vec must accept a node array and return values elementwise.  The
-    interval is pre-split at the supplied breakpoints (known kinks or
-    jumps); each segment is then bisected recursively, accepting the
-    two-half estimate once it agrees with the parent panel to the
-    segment's share of the tolerance.  Raises QuadFailure when bisection
-    depth is exhausted before convergence.
-    """
-    if b <= a:
-        if b == a:
-            return 0.0
-        return -adaptive_quad(f_vec, b, a, tol, breakpoints, max_depth)
-
-    cuts = [a] + sorted(c for c in set(breakpoints) if a < c < b) + [b]
-    total_len = b - a
-    total = 0.0
-    for seg_a, seg_b in zip(cuts[:-1], cuts[1:]):
-        seg_tol = max(tol * (seg_b - seg_a) / total_len, 1e-3 * tol)
-        total += _adaptive_segment(f_vec, seg_a, seg_b, seg_tol, max_depth)
-    return total
-
-
-def _adaptive_segment(f_vec, a, b, tol, max_depth) -> float:
-    whole = _panel_integral(f_vec, a, b)
-    stack = [(a, b, whole, tol, 0)]
-    acc = 0.0
-    while stack:
-        a0, b0, coarse, tol0, depth = stack.pop()
-        m = 0.5 * (a0 + b0)
-        left = _panel_integral(f_vec, a0, m)
-        right = _panel_integral(f_vec, m, b0)
-        fine = left + right
-        if abs(fine - coarse) <= max(tol0, 1e-16 * (1.0 + abs(fine))):
-            acc += fine
-        elif depth >= max_depth:
-            raise QuadFailure(
-                f"segment [{a0}, {b0}] not converged at depth {max_depth} "
-                f"(estimate gap {abs(fine - coarse):.3e}, tol {tol0:.3e})"
-            )
-        else:
-            half_tol = 0.5 * tol0
-            stack.append((a0, m, left, half_tol, depth + 1))
-            stack.append((m, b0, right, half_tol, depth + 1))
-    return acc

@@ -516,12 +516,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "policy": {
-                "root_tol": self.policy.root_tol,
-                "quad_tol": self.policy.quad_tol,
-                "geom_tol": self.policy.geom_tol,
-                "max_iter": self.policy.max_iter,
-            },
+            "policy": {"geom_tol": self.policy.geom_tol},
             "checks": [
                 {
                     "name": c.name,

@@ -7,10 +7,14 @@ slice:
     Phi(t, x) = 1/2 * integral_{y=x}^{x+2t} psi(t + (x - y)/2, y) dy,
 
 so Phi(0, .) = 0 and the ingoing derivative d_t(Phi) - 2 d_x(Phi)
-recovers the field exactly.  The integration path crosses the line x = 2s
-at most once, at y = t + x/2 (crossing time t/2 + x/4); when that crossing
-time exceeds 1 the weak integrand jumps there, and quadrature panels are
-split at the crossing.
+recovers the field exactly.  The integral is taken in the foot variable u
+of the path points, in which the path is explicit: no root solve per node,
+and no sqrt or cube-root degeneracy at the singular boundary or the
+crease.  A fixed Gauss-Legendre rule on panels graded in asinh(u)
+evaluates it for a whole array of points at once (phi_array; phi is its
+size-1 call).  The path crosses the line x = 2s at most once, at crossing
+time t/2 + x/4; when that time exceeds 1 the weak feet jump there from
+-x0 to +x0 and the interval in u is split.
 
 The spatial derivative has a closed form.  Differentiating the integral in
 x translates the path, which (i) turns the integrand derivative into an
@@ -31,7 +35,6 @@ the quadrature in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +46,19 @@ from .core import (
     OutsideDomain,
     Point,
     SolutionVariant,
-    adaptive_quad,
+    gauss_panel,
     psi0,
 )
-from .characteristics import RegionTag, classify
+from .characteristics import RegionTag, classify, foot_classical_array, foot_weak_array
 from .burgers import (
     psi_classical,
-    psi_classical_array,
     psi_weak,
-    psi_weak_array,
     shock_trace,
 )
 
 __all__ = [
-    "QuadPlan",
-    "build_quad_plan",
     "phi",
+    "phi_array",
     "dphidx_closed",
     "dphidt_closed",
     "lbar_derivative",
@@ -67,63 +67,93 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadPlan:
-    """Ordered panel edges (in the integration variable y) for one potential evaluation."""
-
-    breakpoints: tuple[float, ...]
-    nodes_per_panel: int = 15
-
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints[:-1])):
-            raise DomainError("breakpoints must be strictly increasing")
+# 15-point Gauss-Legendre rule on [-1, 1], shared with core.gauss_panel.
+_GL_X, _GL_W = gauss_panel(-1.0, 1.0)
 
 
-def _crossing_y(t: float, x: float) -> float | None:
-    """Path point where the ingoing line meets x = 2s, if inside the span."""
-    y_star = t + 0.5 * x
-    if x < y_star < x + 2.0 * t:
-        return y_star
-    return None
+def _shock_crossing(t, x):
+    """Whether the ingoing path from (t, x) crosses the shock K, and when.
+
+    The path meets the line x = 2s at time t_c = t/2 + x/4, inside the
+    path when -2t < x < 2t; it crosses the shock only if t_c > 1.
+    Returns (crosses, t_c) for scalars or arrays alike.
+    """
+    t_c = 0.5 * t + 0.25 * x
+    return (-2.0 * t < x) & (x < 2.0 * t) & (t_c > 1.0), t_c
 
 
-def build_quad_plan(p: Point, variant: SolutionVariant) -> QuadPlan:
-    """Panel edges for the ingoing integral from p: split at the shock-line
-    crossing and at the crease-time passage, where the integrand loses
-    smoothness."""
-    t, x = p.t, p.x
-    inner: set[float] = set()
-    y_star = _crossing_y(t, x)
-    if y_star is not None:
-        inner.add(y_star)
-    if t > 1.0:
-        y_crease = x + 2.0 * (t - 1.0)  # path time passes 1 here
-        if x < y_crease < x + 2.0 * t:
-            inner.add(y_crease)
-    edges = (x, *sorted(inner), x + 2.0 * t)
-    return QuadPlan(breakpoints=edges)
+def _foot_integral(c, a, s_a, b, s_b):
+    """Integral of psi0(u) y'(u) / 2 over the feet u in [a, b] of the lines y + 2s = c.
+
+    s_a and s_b are the path times of the ends.  The integral runs in the
+    offset c - u = s * (4 + psi0(u)), formed from the ends' path times, so
+    that the ends keep their relative accuracy when |c| is large.  Panel
+    edges are equally spaced in asinh(u), at most one unit apart: every
+    panel then keeps the same distance, relative to its width, from the
+    integrand's singularities at u = +-i.  The 15 nodes of a panel are
+    affine in u.  Each interval gets its own panel count and its panels
+    are summed in order from +0.0, so its value does not depend on the
+    other intervals of the batch.
+    """
+    va, vb = np.arcsinh(a), np.arcsinh(b)
+    n = np.maximum(np.ceil(vb - va), 1.0)
+    total = np.zeros(np.shape(c))
+    hi = s_a * (4.0 + psi0(a))
+    end = s_b * (4.0 + psi0(b))
+    for k in range(1, int(n.max(initial=0.0)) + 1):
+        lo = np.where(k >= n, end, c - np.sinh(va + (vb - va) * (k / n)))
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        r = mid[..., None] + half[..., None] * _GL_X
+        u = c[..., None] - r
+        w = 4.0 + psi0(u)
+        # 1/2 psi0(u) y'(u), with y' = 2 (1 - s/(1 + u^2)) / w and s = r / w
+        g = psi0(u) * (1.0 - r / (w * (1.0 + u * u))) / w
+        total += half * np.sum(g * _GL_W, axis=-1)
+        hi = lo
+    return total
+
+
+def phi_array(t, x, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Wave potential of the requested field variant at arrays of points.
+
+    Along the ingoing line y + 2s = c through (t, x), c = x + 2t, the
+    point whose foot is u sits at s(u) = (c - u)/(4 + psi0(u)), y(u) =
+    c - 2 s(u), so Phi = 1/2 integral of psi0(u) y'(u) over u from the
+    foot of (t, x) to c, with no root solve per node.  Where the weak
+    path crosses the shock the feet jump from -x0 to +x0 and the interval
+    is split there.  The classical variant raises OutsideDomain if any
+    point is weak-only.  Zero on the initial slice.
+    """
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    c = x + 2.0 * t
+    zero = np.zeros(t.shape)
+    if variant is SolutionVariant.CLASSICAL:
+        u = foot_classical_array(t, x, policy)
+        crosses, t_c = np.zeros(t.shape, dtype=bool), zero
+    else:
+        u = foot_weak_array(t, x)
+        crosses, t_c = _shock_crossing(t, x)
+        t_c = np.where(crosses, t_c, 0.0)
+    x0 = np.where(crosses, foot_weak_array(t_c, 2.0 * t_c), c) if crosses.any() else c
+    # [u, -x0] and [x0, c] where the path crosses the shock at time t_c,
+    # [u, c] and the empty [c, c] elsewhere
+    parts = _foot_integral(
+        np.stack([c, c]),
+        np.stack([u, x0]), np.stack([t, t_c]),
+        np.stack([np.where(crosses, -x0, c), c]), np.stack([t_c, zero]),
+    )
+    return parts[0] + parts[1]
 
 
 def phi(p: Point, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    """Wave potential of the requested field variant at p; zero on the initial slice."""
-    t, x = p.t, p.x
-    if t == 0.0:
-        return 0.0
-    if variant is SolutionVariant.CLASSICAL:
-        if classify(p, policy) is RegionTag.WEAK_ONLY:
-            raise OutsideDomain(f"classical potential undefined at ({t}, {x})")
+    """Wave potential of the requested field variant at p: a size-1 phi_array call.
 
-        def integrand(y: np.ndarray) -> np.ndarray:
-            return 0.5 * psi_classical_array(t + 0.5 * (x - y), y, policy)
-    else:
-
-        def integrand(y: np.ndarray) -> np.ndarray:
-            return 0.5 * psi_weak_array(t + 0.5 * (x - y), y)
-
-    plan = build_quad_plan(p, variant)
-    return adaptive_quad(
-        integrand, x, x + 2.0 * t, policy.quad_tol, breakpoints=plan.breakpoints[1:-1]
-    )
+    Raises OutsideDomain for the classical variant at weak-only points.
+    """
+    try:
+        return float(phi_array(p.t, p.x, variant, policy))
+    except OutsideDomain:
+        raise OutsideDomain(f"classical potential undefined at ({p.t}, {p.x})") from None
 
 
 def _field_value(p: Point, variant: SolutionVariant, policy: NumericPolicy) -> float:
@@ -142,8 +172,8 @@ def dphidx_closed(p: Point, variant: SolutionVariant, policy: NumericPolicy = DE
     psi_here = _field_value(p, variant, policy)
     value = math.log((4.0 + float(psi0(x + 2.0 * t))) / (4.0 + psi_here))
     if variant is SolutionVariant.WEAK:
-        t_cross = 0.5 * t + 0.25 * x
-        if _crossing_y(t, x) is not None and t_cross > 1.0:
+        crosses, t_cross = _shock_crossing(t, x)
+        if crosses:
             trace = shock_trace(t_cross, policy)
             value += math.log((4.0 + trace.left_value) / (4.0 + trace.right_value))
             value -= 0.25 * (trace.left_value - trace.right_value)
@@ -164,7 +194,7 @@ def lbar_derivative(
     """Ingoing derivative d_t(Phi) - 2 d_x(Phi) by symmetric differencing along (1, -2).
 
     Contract: equals the field value at p (off the shock) up to the
-    finite-difference and quadrature tolerance.
+    finite-difference error and the rounding of phi divided by h.
     """
     t, x = p.t, p.x
     if h is None:
@@ -201,8 +231,8 @@ def pde_residual_classical(p: Point, h: float, policy: NumericPolicy = DEFAULT_P
     Returns the larger of the transport residual |L psi| (differenced
     along the local characteristic direction (1, 2 + psi)) and the
     ingoing-derivative residual |Lbar Phi - psi|.  Requires the stencil to
-    stay inside the classical domain; expected size O(h^2) plus
-    quadrature noise divided by h.
+    stay inside the classical domain; expected size O(h^2) plus the
+    rounding of phi divided by h.
     """
     t, x = p.t, p.x
     if h <= 0.0:

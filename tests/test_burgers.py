@@ -45,7 +45,7 @@ class TestClassicalField:
             cap = 1.0 + x0 * x0 if x0 > 0 else (4.0 - x0) / (4.0 + math.atan(-x0))
             v1 = psi_classical(outgoing_char(x0, 0.3 * cap), POL)
             v2 = psi_classical(outgoing_char(x0, 0.9 * cap), POL)
-            assert abs(v1 - v2) <= 10 * POL.root_tol
+            assert abs(v1 - v2) <= 1e-11
             assert v1 == pytest.approx(-math.atan(x0), abs=1e-11)
 
 
@@ -175,7 +175,7 @@ class TestShockTrace:
         for t in (1.01, 2.0, 7.0):
             tr = shock_trace(t, POL)
             mean = 0.5 * ((2 + tr.left_value) + (2 + tr.right_value))
-            assert abs(tr.speed - mean) <= 10 * POL.root_tol
+            assert abs(tr.speed - mean) <= 1e-11
 
     def test_matches_one_sided_field_limits(self):
         t = 2.0

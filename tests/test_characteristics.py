@@ -231,7 +231,7 @@ class TestFootMaps:
                 t_max = 0.9 * (4.0 - x0) / (4.0 + math.atan(-x0)) if x0 < 0 else 0.9
             t = float(rng.uniform(0.0, t_max))
             p = outgoing_char(x0, t)
-            assert foot_classical(p, POL) == pytest.approx(x0, abs=10 * POL.root_tol)
+            assert foot_classical(p, POL) == pytest.approx(x0, abs=1e-11)
 
     def test_non_intersection(self):
         # positions at a common time are strictly increasing in the foot
@@ -329,7 +329,7 @@ class TestWideArrays:
         assert np.all(np.diff(u) > 0)
 
     def test_scalar_feet_at_wide_x(self):
-        # the residual's rounding floor here is above root_tol
+        # the residual's rounding floor here is above 1e-12
         for t, x in ((673.8212074159051, 127546.64089624258), (0.5, -1e6), (1000.0, 1e6)):
             u = foot_weak(Point(t, x), POL)
             v = foot_weak_array(np.array([t]), np.array([x]))[0]

@@ -7,7 +7,8 @@ import pytest
 from shocklab.burgers import psi_classical, psi_weak
 from shocklab.characteristics import classify
 from shocklab.cli import main
-from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point
+from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.wave_potential import phi
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,13 @@ class TestEval:
         )
         assert (code, out) == (2, "")
         assert err == "error: (2.2, 0.5) is outside the classical domain\n"
+
+    def test_outside_classical_domain_phi_stderr(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--t", "2.2", "--x", "0.5", "--variant", "classical", "--fields", "phi",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: classical potential undefined at (2.2, 0.5)\n"
 
     def test_metric_and_frame_fields(self, capsys):
         code, out, _ = run_cli(
@@ -153,7 +161,7 @@ class TestGrid:
 
 
 def reference_grid(t_range, x_range, nt, nx, field, variant):
-    """Per-point classify and scalar psi: the grid as evaluated cell by cell."""
+    """Per-point classify and scalar psi or phi: the grid as evaluated cell by cell."""
     pol = NumericPolicy()
     (t0, t1), (x0, x1) = t_range, x_range
     rows = []
@@ -164,7 +172,10 @@ def reference_grid(t_range, x_range, nt, nx, field, variant):
                 cell = classify(p, pol).value
             else:
                 try:
-                    cell = psi_classical(p, pol) if variant == "classical" else psi_weak(p, pol)
+                    if field == "phi":
+                        cell = phi(p, SolutionVariant(variant), pol)
+                    else:
+                        cell = psi_classical(p, pol) if variant == "classical" else psi_weak(p, pol)
                 except (OutsideDomain, OnShockError):
                     cell = "NA"
             rows.append((repr(float(t)), repr(float(x)), cell))
@@ -178,7 +189,8 @@ class TestGridEquivalence:
              ((1.5, 2.5), (-0.5, 5.5), 11, 97)]
 
     @pytest.mark.parametrize("box", BOXES)
-    @pytest.mark.parametrize("field,variant", [("region", "weak"), ("psi", "weak"), ("psi", "classical")])
+    @pytest.mark.parametrize("field,variant", [("region", "weak"), ("psi", "weak"), ("psi", "classical"),
+                                               ("phi", "weak"), ("phi", "classical")])
     def test_matches_per_point_reference(self, capsys, box, field, variant):
         (t0, t1), (x0, x1), nt, nx = box
         code, out, _ = run_cli(
@@ -195,7 +207,7 @@ class TestGridEquivalence:
             if field == "region" or want == "NA" or cell == "NA":
                 assert cell == want
             else:
-                assert float(cell) == pytest.approx(want, abs=1e-7)
+                assert float(cell) == pytest.approx(want, abs=1e-12 if field == "phi" else 1e-7)
 
     def test_wide_phi_grid(self, capsys):
         code, out, err = run_cli(
@@ -265,9 +277,9 @@ class TestVerifyVerb:
         assert failing and all(name.startswith("holder_horizon") for name in failing)
 
     def test_policy_echo(self, capsys):
-        _, out, _ = run_cli(capsys, "verify", "--suite", "rh", "--root-tol", "1e-13")
+        _, out, _ = run_cli(capsys, "verify", "--suite", "rh", "--geom-tol", "1e-11")
         doc = json.loads(out)
-        assert doc["policy"]["root_tol"] == 1e-13
+        assert doc["policy"] == {"geom_tol": 1e-11}
         assert doc["seed"] == 0
 
 

@@ -9,9 +9,7 @@ from shocklab.core import (
     MaxIterExceeded,
     NumericPolicy,
     Point,
-    QuadFailure,
     Vec2,
-    adaptive_quad,
     psi0,
     psi0_prime,
     psi0_second,
@@ -81,14 +79,11 @@ class TestDomainTypes:
 
     def test_policy_validation(self):
         with pytest.raises(DomainError):
-            NumericPolicy(root_tol=0.0)
+            NumericPolicy(geom_tol=0.0)
         with pytest.raises(DomainError):
             NumericPolicy(geom_tol=-1e-10)
-        with pytest.raises(DomainError):
-            NumericPolicy(max_iter=0)
 
     def test_policy_defaults(self):
-        assert POL.root_tol <= 1e-12
         assert POL.geom_tol <= 1e-10
 
 
@@ -142,28 +137,3 @@ class TestSolveMonotoneArray:
         msg = str(err.value)
         assert "(t, d) = (1.0, 0.001)" in msg
         assert "residual" in msg and "bracket [0.0, " in msg
-
-
-class TestAdaptiveQuad:
-    def test_smooth(self):
-        val = adaptive_quad(np.sin, 0.0, math.pi, 1e-12)
-        assert val == pytest.approx(2.0, abs=1e-11)
-
-    def test_kink_with_breakpoint(self):
-        val = adaptive_quad(np.abs, -1.0, 1.0, 1e-12, breakpoints=(0.0,))
-        assert val == pytest.approx(1.0, abs=1e-13)
-
-    def test_reversed_interval(self):
-        val = adaptive_quad(np.sin, math.pi, 0.0, 1e-12)
-        assert val == pytest.approx(-2.0, abs=1e-11)
-
-    def test_jump_with_breakpoint_is_exact(self):
-        jump = 1.0 / math.sqrt(2.0)
-        f = lambda y: np.where(y < jump, 0.0, 1.0)
-        val = adaptive_quad(f, 0.0, 1.0, 1e-15, breakpoints=(jump,))
-        assert val == pytest.approx(1.0 - jump, abs=1e-14)
-
-    def test_depth_exhaustion_raises(self):
-        f = lambda y: np.sqrt(np.abs(y))
-        with pytest.raises(QuadFailure):
-            adaptive_quad(f, 0.0, 1.0, 1e-15, max_depth=3)

@@ -18,9 +18,11 @@ from shocklab.characteristics import (
     foot_weak,
     foot_weak_array,
 )
-from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point
+from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.wave_potential import phi, phi_array
 
 POL = NumericPolicy()
+W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
 EPS = np.finfo(float).eps
 
 T = st.floats(min_value=0.0, max_value=1e3)
@@ -99,28 +101,35 @@ def test_weak_field_nonincreasing_in_x(t, x0, gaps):
 
 
 def assert_scalar_equals_array(points):
-    """Scalar feet and fields equal the batch's, bit for bit, at every point,
-    and both paths put the same points outside the classical domain."""
+    """Scalar feet, fields and potentials equal the batch's, bit for bit, at
+    every point, and both paths put the same points outside the classical
+    domain."""
     t, x = arrays(points)
-    weak_feet, weak_psi = foot_weak_array(t, x), psi_weak_array(t, x)
+    weak_feet, weak_psi, weak_phi = foot_weak_array(t, x), psi_weak_array(t, x), phi_array(t, x, W, POL)
     inside = classify_array(t, x, POL) != RegionTag.WEAK_ONLY
     classical_feet = foot_classical_array(t[inside], x[inside], POL)
     classical_psi = psi_classical_array(t[inside], x[inside], POL)
+    classical_phi = phi_array(t[inside], x[inside], CL, POL)
     k = 0
     for i, (a, b) in enumerate(points):
         p = Point(a, b)
+        assert phi(p, W, POL) == weak_phi[i]
         try:
             assert foot_weak(p, POL) == weak_feet[i]
             assert psi_weak(p, POL) == weak_psi[i]
         except OnShockError:
             assert a > 1.0 and abs(b - 2.0 * a) <= POL.geom_tol
         try:
+            f = phi(p, CL, POL)
+        except OutsideDomain:
+            f = None
+        try:
             u, v = foot_classical(p, POL), psi_classical(p, POL)
         except OutsideDomain:
-            assert not inside[i]
+            assert not inside[i] and f is None
             continue
         assert inside[i]
-        assert (u, v) == (classical_feet[k], classical_psi[k])
+        assert (u, v, f) == (classical_feet[k], classical_psi[k], classical_phi[k])
         k += 1
 
 
