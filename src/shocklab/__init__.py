@@ -9,11 +9,10 @@ claims against independent oracles.
 """
 
 from .core import (
-    DEFAULT_POLICY,
+    GEOM_TOL,
     DomainError,
     MaxIterExceeded,
     NearSingular,
-    NumericPolicy,
     OnShockError,
     OutsideDomain,
     Point,

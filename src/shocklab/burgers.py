@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_POLICY,
+    GEOM_TOL,
     DomainError,
     NearSingular,
-    NumericPolicy,
     Point,
     psi0,
     psi0_prime,
@@ -94,38 +93,38 @@ class ExpansionPrediction:
 # Field evaluation
 # ---------------------------------------------------------------------------
 
-def psi_classical(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def psi_classical(p: Point) -> float:
     """Classical field value psi0(foot) on the closed classical domain.
 
     Defined across the shock (which is interior to the classical domain)
     and, by continuous extension, on the crease and singular boundary.
     Raises OutsideDomain beyond them.
     """
-    return float(psi0(foot_classical(p, policy)))
+    return float(psi0(foot_classical(p)))
 
 
-def psi_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    return np.asarray(psi0(foot_classical_array(t, x, policy)))
+def psi_classical_array(t, x) -> np.ndarray:
+    return np.asarray(psi0(foot_classical_array(t, x)))
 
 
-def dpsidx_classical(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def dpsidx_classical(p: Point) -> float:
     """Spatial derivative psi0'(x0) / (1 + t*psi0'(x0)) of the classical field.
 
     Diverges like the inverse distance to the blowup time along each
-    characteristic; evaluation inside the geom_tol band around the
+    characteristic; evaluation inside the GEOM_TOL band around the
     degeneracy raises NearSingular instead of returning a huge number.
     """
-    x0 = foot_classical(p, policy)
+    x0 = foot_classical(p)
     g = float(psi0_prime(x0))
     denom = 1.0 + p.t * g
-    if abs(denom) < policy.geom_tol:
+    if abs(denom) < GEOM_TOL:
         raise NearSingular(f"1 + t*psi0'(x0) = {denom:.3e} at foot {x0}")
     return g / denom
 
 
-def psi_weak(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def psi_weak(p: Point) -> float:
     """Entropy field value; two-sided on the shock (raises OnShockError there)."""
-    return float(psi0(foot_weak(p, policy)))
+    return float(psi0(foot_weak(p)))
 
 
 def psi_weak_array(t, x) -> np.ndarray:
@@ -145,13 +144,13 @@ def psi_boundary_extension(z: float) -> tuple[Point, float]:
     return Point(t, x), float(psi0(z))
 
 
-def shock_trace(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> ShockTrace:
+def shock_trace(t: float) -> ShockTrace:
     """One-sided limits and speed of the shock at time t > 1.
 
     The Rankine-Hugoniot identity speed = mean of the one-sided
     characteristic speeds holds exactly by the +/-x0 pairing of feet.
     """
-    neg, pos = shock_feet(t, policy)
+    neg, pos = shock_feet(t)
     left = float(psi0(neg))
     right = float(psi0(pos))
     return ShockTrace(t=t, left_value=left, right_value=right, speed=2.0)

@@ -27,9 +27,8 @@ import math
 import numpy as np
 
 from .core import (
-    DEFAULT_POLICY,
+    GEOM_TOL,
     DomainError,
-    NumericPolicy,
     OnShockError,
     OutsideDomain,
     Point,
@@ -153,7 +152,7 @@ _TAG_OBJECTS = np.array(_TAG_ORDER, dtype=object)
 _INITIAL, _CREASE, _SHOCK, _ON_B, _ON_C, _OMEGA_A, _WEDGE, _WEAK_ONLY = range(len(_TAG_ORDER))
 
 
-def _region_codes(t: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index into _TAG_ORDER of each point's tag: the region rules of
     classify, classify_array and the classical foot map.
 
@@ -171,27 +170,27 @@ def _region_codes(t: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     xb = (2.0 - np.arctan(z)) * t + z
     codes = np.where(x < xb, _WEAK_ONLY, _WEDGE)
     codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = _OMEGA_A
-    codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= tol)] = _ON_C
-    codes[post & (np.abs(x - xb) <= tol)] = _ON_B
-    codes[post & (np.abs(x - 2.0 * t) <= tol)] = _SHOCK
-    codes[(np.abs(t - 1.0) <= tol) & (np.abs(x - 2.0) <= tol)] = _CREASE
-    codes[t <= tol] = _INITIAL
+    codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= GEOM_TOL)] = _ON_C
+    codes[post & (np.abs(x - xb) <= GEOM_TOL)] = _ON_B
+    codes[post & (np.abs(x - 2.0 * t) <= GEOM_TOL)] = _SHOCK
+    codes[(np.abs(t - 1.0) <= GEOM_TOL) & (np.abs(x - 2.0) <= GEOM_TOL)] = _CREASE
+    codes[t <= GEOM_TOL] = _INITIAL
     return codes
 
 
-def classify(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> RegionTag:
-    """Unique region tag of p; on-curve tags win within geom_tol."""
-    return _TAG_ORDER[int(_region_codes(np.asarray(p.t), np.asarray(p.x), policy.geom_tol))]
+def classify(p: Point) -> RegionTag:
+    """Unique region tag of p; on-curve tags win within GEOM_TOL."""
+    return _TAG_ORDER[int(_region_codes(np.asarray(p.t), np.asarray(p.x)))]
 
 
-def classify_array(t, x, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def classify_array(t, x) -> np.ndarray:
     """Region tags (an object array of RegionTag) of arrays of points.
 
-    Applies the rules and geom_tol bands of classify to every point of the
+    Applies the rules and GEOM_TOL bands of classify to every point of the
     broadcast arrays t and x at once; classify is its size-1 case.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    return _TAG_OBJECTS[_region_codes(t, x, policy.geom_tol)]
+    return _TAG_OBJECTS[_region_codes(t, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def _bracket(t, d, right):
     return lo, hi
 
 
-def _solve_feet(t, d, lo, hi, tol):
+def _solve_feet(t, d, lo, hi):
     """Roots of u - t*arctan(u) = d, one per bracket [lo, hi]."""
     tf, df = t.ravel(), d.ravel()
 
@@ -229,18 +228,18 @@ def _solve_feet(t, d, lo, hi, tol):
     def describe(i):
         return f"point (t, d) = ({float(tf[i])!r}, {float(df[i])!r})"
 
-    return solve_monotone_array(p_func, dp_func, lo, hi, tol, describe=describe)
+    return solve_monotone_array(p_func, dp_func, lo, hi, describe=describe)
 
 
-def foot_weak_array(t, x, tol: float = 1e-14) -> np.ndarray:
+def foot_weak_array(t, x) -> np.ndarray:
     """Entropy-solution feet for arrays of points; shock-side chosen by sign(x - 2t)."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     d = x - 2.0 * t
     lo, hi = _bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0)))
-    return _solve_feet(t, d, lo, hi, tol)
+    return _solve_feet(t, d, lo, hi)
 
 
-def foot_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY, tol: float = 1e-14) -> np.ndarray:
+def foot_classical_array(t, x) -> np.ndarray:
     """Classical feet for arrays of points in cl(Omega_C).
 
     Membership and branch follow the region tags of classify_array: points
@@ -251,7 +250,7 @@ def foot_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY, tol: floa
     point sqrt(t-1) exactly instead of a solve at its double root.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    codes = _region_codes(t, x, policy.geom_tol)
+    codes = _region_codes(t, x)
     outside = codes == _WEAK_ONLY
     if outside.any():
         i = np.flatnonzero(outside)[0]
@@ -263,10 +262,10 @@ def foot_classical_array(t, x, policy: NumericPolicy = DEFAULT_POLICY, tol: floa
     lo, hi = _bracket(t, d, right)
     z = np.sqrt(np.maximum(t - 1.0, 0.0))
     snap = post & right & (z - t * np.arctan(z) - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
-    return _solve_feet(t, d, np.where(snap, z, lo), np.where(snap, z, hi), tol)
+    return _solve_feet(t, d, np.where(snap, z, lo), np.where(snap, z, hi))
 
 
-def foot_weak(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def foot_weak(p: Point) -> float:
     """Foot of the entropy-solution characteristic through p.
 
     The foot is positive iff p lies right of the shock line x = 2t and
@@ -274,21 +273,21 @@ def foot_weak(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     two-sided and an OnShockError is raised.
     """
     t, x = p.t, p.x
-    if t > 1.0 and abs(x - 2.0 * t) <= policy.geom_tol:
+    if t > 1.0 and abs(x - 2.0 * t) <= GEOM_TOL:
         raise OnShockError(f"({t}, {x}) is on the shock; use shock_trace for the limits")
     return float(foot_weak_array(t, x))
 
 
-def foot_classical(p: Point, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def foot_classical(p: Point) -> float:
     """Foot of the unique classical characteristic through p in cl(Omega_C).
 
     Raises OutsideDomain when p lies strictly beyond the singular boundary
     and Cauchy horizon (the weak-only region).
     """
-    return float(foot_classical_array(p.t, p.x, policy))
+    return float(foot_classical_array(p.t, p.x))
 
 
-def shock_feet(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def shock_feet(t: float) -> tuple[float, float]:
     """Feet (-x0, +x0) of the two characteristics meeting the shock at time t > 1.
 
     x0 > 0 solves x0 = t*arctan(x0): it is the right-family foot of the

@@ -17,9 +17,8 @@ import sys
 import numpy as np
 
 from .core import (
-    DEFAULT_POLICY,
+    GEOM_TOL,
     DomainError,
-    NumericPolicy,
     OnShockError,
     OutsideDomain,
     Point,
@@ -60,14 +59,6 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _policy_from_args(args) -> NumericPolicy:
-    return NumericPolicy(geom_tol=args.geom_tol)
-
-
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--geom-tol", type=float, default=DEFAULT_POLICY.geom_tol)
-
-
 def _parse_range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
     return float(lo), float(hi)
@@ -78,7 +69,6 @@ def _parse_range(text: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    policy = _policy_from_args(args)
     p = Point(args.t, args.x)
     variant = SolutionVariant(args.variant)
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
@@ -88,28 +78,28 @@ def _cmd_eval(args) -> int:
     out = []
     for f in fields:
         if f == "psi":
-            v = psi_classical(p, policy) if variant is SolutionVariant.CLASSICAL else psi_weak(p, policy)
+            v = psi_classical(p) if variant is SolutionVariant.CLASSICAL else psi_weak(p)
             out.append(f"psi={_fmt(v)}")
         elif f == "dpsi_dx":
             if variant is not SolutionVariant.CLASSICAL:
                 raise DomainError("dpsi_dx is provided for the classical variant")
-            out.append(f"dpsi_dx={_fmt(dpsidx_classical(p, policy))}")
+            out.append(f"dpsi_dx={_fmt(dpsidx_classical(p))}")
         elif f == "phi":
-            out.append(f"phi={_fmt(phi(p, variant, policy))}")
+            out.append(f"phi={_fmt(phi(p, variant))}")
         elif f == "dphi_dx":
-            out.append(f"dphi_dx={_fmt(dphidx_closed(p, variant, policy))}")
+            out.append(f"dphi_dx={_fmt(dphidx_closed(p, variant))}")
         elif f == "dphi_dt":
-            out.append(f"dphi_dt={_fmt(dphidt_closed(p, variant, policy))}")
+            out.append(f"dphi_dt={_fmt(dphidt_closed(p, variant))}")
         elif f == "region":
-            out.append(f"region={classify(p, policy).value}")
+            out.append(f"region={classify(p).value}")
         elif f == "metric":
-            v = psi_classical(p, policy) if variant is SolutionVariant.CLASSICAL else psi_weak(p, policy)
-            g = metric(v, policy)
+            v = psi_classical(p) if variant is SolutionVariant.CLASSICAL else psi_weak(p)
+            g = metric(v)
             out.append(f"metric_tt={_fmt(g.gtt)}")
             out.append(f"metric_tx={_fmt(g.gtx)}")
             out.append(f"metric_xx={_fmt(g.gxx)}")
         elif f == "frame":
-            v = psi_classical(p, policy) if variant is SolutionVariant.CLASSICAL else psi_weak(p, policy)
+            v = psi_classical(p) if variant is SolutionVariant.CLASSICAL else psi_weak(p)
             fr = null_frame(v)
             out.append(f"L_t={_fmt(fr.L.dt)}")
             out.append(f"L_x={_fmt(fr.L.dx)}")
@@ -120,8 +110,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    policy = _policy_from_args(args)
-    print(f"region={classify(Point(args.t, args.x), policy).value}")
+    print(f"region={classify(Point(args.t, args.x)).value}")
     return 0
 
 
@@ -137,14 +126,13 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_shock(args) -> int:
-    policy = _policy_from_args(args)
     t_min, t_max = _parse_range(args.t_range)
     if not (1.0 < t_min < t_max) or args.n < 2:
         raise DomainError("need 1 < t_min < t_max and n >= 2")
     print("t,x,left_value,right_value,speed,lax_lower,lax_upper")
     for t in np.linspace(t_min, t_max, args.n):
-        tr = shock_trace(float(t), policy)
-        lo, up = lax_gaps(float(t), policy)
+        tr = shock_trace(float(t))
+        lo, up = lax_gaps(float(t))
         print(
             f"{_fmt(t)},{_fmt(2.0 * t)},{_fmt(tr.left_value)},{_fmt(tr.right_value)},"
             f"{_fmt(tr.speed)},{_fmt(lo)},{_fmt(up)}"
@@ -153,7 +141,6 @@ def _cmd_shock(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    policy = _policy_from_args(args)
     t_min, t_max = _parse_range(args.t_range)
     x_min, x_max = _parse_range(args.x_range)
     if args.nt < 2 or args.nx < 2 or t_min < 0 or t_min >= t_max or x_min >= x_max:
@@ -162,7 +149,7 @@ def _cmd_grid(args) -> int:
     ts = np.linspace(t_min, t_max, args.nt)
     xs = np.linspace(x_min, x_max, args.nx)
     print("t,x,value")
-    cells = _grid_cells(ts, xs, args.field, variant, policy)
+    cells = _grid_cells(ts, xs, args.field, variant)
     x_txt = [_fmt(x) for x in xs]
     nx = len(xs)
     print("\n".join(
@@ -183,7 +170,7 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _grid_cells(ts, xs, field: str, variant: SolutionVariant, policy: NumericPolicy) -> list[str]:
+def _grid_cells(ts, xs, field: str, variant: SolutionVariant) -> list[str]:
     """Row-major cells of a region, psi or phi grid, `NA` where the field is undefined.
 
     Both classical fields are undefined in the weak-only region; weak psi
@@ -192,16 +179,16 @@ def _grid_cells(ts, xs, field: str, variant: SolutionVariant, policy: NumericPol
     """
     tt, xx = (a.ravel() for a in np.meshgrid(ts, xs, indexing="ij"))
     if field == "region":
-        return [tag.value for tag in classify_array(tt, xx, policy)]
+        return [tag.value for tag in classify_array(tt, xx)]
     if variant is SolutionVariant.CLASSICAL:
-        na = classify_array(tt, xx, policy) == RegionTag.WEAK_ONLY
+        na = classify_array(tt, xx) == RegionTag.WEAK_ONLY
     else:
-        na = (field == "psi") & (tt > 1.0) & (np.abs(xx - 2.0 * tt) <= policy.geom_tol)
+        na = (field == "psi") & (tt > 1.0) & (np.abs(xx - 2.0 * tt) <= GEOM_TOL)
     t_def, x_def = tt[~na], xx[~na]
     if field == "phi":
-        values = phi_array(t_def, x_def, variant, policy)
+        values = phi_array(t_def, x_def, variant)
     elif variant is SolutionVariant.CLASSICAL:
-        values = psi_classical_array(t_def, x_def, policy)
+        values = psi_classical_array(t_def, x_def)
     else:
         values = psi_weak_array(t_def, x_def)
     cells = np.full(tt.size, "NA", dtype=object)
@@ -225,8 +212,7 @@ def _cmd_godunov(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    policy = _policy_from_args(args)
-    report = run_suite(args.suite, policy, args.seed)
+    report = run_suite(args.suite, args.seed)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.all_passed else 1
 
@@ -243,26 +229,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--variant", choices=["classical", "weak"], default="weak")
     p.add_argument("--fields", default="psi,region")
-    _add_policy_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("classify", help="region tag of one event")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
-    _add_policy_flags(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("boundary", help="sample a boundary curve as CSV")
     p.add_argument("--curve", choices=list(_CURVES), required=True)
     p.add_argument("--t-range", required=True, help="t_min:t_max")
     p.add_argument("--n", type=int, required=True)
-    _add_policy_flags(p)
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("shock", help="shock trace and admissibility gaps as CSV")
     p.add_argument("--t-range", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_policy_flags(p)
     p.set_defaults(func=_cmd_shock)
 
     p = sub.add_parser("grid", help="field or region values on a grid as CSV")
@@ -274,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=["psi", "phi", "region"], default="psi")
     p.add_argument("--characteristics", type=int, default=0,
                    help="emit this many outgoing/ingoing curves after the grid")
-    _add_policy_flags(p)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("godunov", help="run the finite-volume oracle, emit CSV")
@@ -290,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run check suites, print a JSON report")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--seed", type=int, default=0)
-    _add_policy_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     return ap

@@ -26,8 +26,7 @@ __all__ = [
     "Point",
     "Vec2",
     "SolutionVariant",
-    "NumericPolicy",
-    "DEFAULT_POLICY",
+    "GEOM_TOL",
     "ShockLabError",
     "DomainError",
     "OutsideDomain",
@@ -68,7 +67,7 @@ class OnShockError(DomainError):
 
 
 class MaxIterExceeded(ShockLabError):
-    """Iteration cap hit before meeting the requested tolerance."""
+    """Iteration cap hit before the solve converged."""
 
 
 class NearSingular(ShockLabError):
@@ -140,24 +139,11 @@ class SolutionVariant(enum.Enum):
     WEAK = "weak"
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Shared numeric tolerance.
-
-    geom_tol is the band half-width for on-curve membership tests.  Root
-    solves stop at their rounding floor (see solve_monotone_array) and the
-    wave potential uses a fixed quadrature rule, so neither takes a
-    tolerance.
-    """
-
-    geom_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.geom_tol > 0.0 and math.isfinite(self.geom_tol)):
-            raise DomainError(f"geom_tol must be strictly positive, got {self.geom_tol}")
-
-
-DEFAULT_POLICY = NumericPolicy()
+# Half-width of the band within which a point counts as on a curve (B, C,
+# K, the crease) or a quantity as zero.  It is the model's only tolerance:
+# the curves are closed-form, root solves stop at their rounding floor (see
+# solve_monotone_array) and the wave potential uses a fixed quadrature rule.
+GEOM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +174,8 @@ def psi0_second(x):
 # Points per block of the batched solver: large inputs are solved block by
 # block so that its working arrays stay the same size whatever the input.
 _BLOCK = 8192
+# Relative step below which a Newton iterate counts as converged: a few ulp.
+_STEP_TOL = 1e-14
 
 
 def solve_monotone_array(
@@ -195,7 +183,6 @@ def solve_monotone_array(
     dp_func: Callable[[np.ndarray, slice | np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    tol: float,
     max_iter: int = 160,
     describe: Callable[[int], str] | None = None,
 ) -> np.ndarray:
@@ -214,7 +201,7 @@ def solve_monotone_array(
     root, where a residual test would stop far from it.  Steps are clipped
     to the bracket.  A point stops once rounding makes its residual change
     sign, vanish or stop shrinking, or once its step is at most
-    tol*(1 + |u|); the iterate with the smaller residual is kept.
+    _STEP_TOL*(1 + |u|); the iterate with the smaller residual is kept.
     Converged points leave the active set, and large inputs are solved in
     blocks of _BLOCK points.  Points with lo == hi are returned as given.
 
@@ -228,11 +215,11 @@ def solve_monotone_array(
     out = np.empty(lo.size)
     for first in range(0, lo.size, _BLOCK):
         blk = slice(first, min(first + _BLOCK, lo.size))
-        out[blk] = _solve_block(p_func, dp_func, lo[blk], hi[blk], blk, tol, max_iter, describe)
+        out[blk] = _solve_block(p_func, dp_func, lo[blk], hi[blk], blk, max_iter, describe)
     return out.reshape(shape)
 
 
-def _solve_block(p_func, dp_func, lo, hi, blk, tol, max_iter, describe):
+def _solve_block(p_func, dp_func, lo, hi, blk, max_iter, describe):
     u = np.where(lo >= 0.0, hi, lo)
     out = np.empty(u.size)
     pos = np.arange(u.size)          # block positions of the active points
@@ -253,7 +240,7 @@ def _solve_block(p_func, dp_func, lo, hi, blk, tol, max_iter, describe):
             un = np.minimum(np.maximum(u - r / dp_func(u, idx), lo), hi)
             rn = p_func(un, idx)
             better = np.abs(rn) < np.abs(r)
-            done = ~better | (rn * r <= 0.0) | (np.abs(un - u) <= tol * (1.0 + np.abs(un)))
+            done = ~better | (rn * r <= 0.0) | (np.abs(un - u) <= _STEP_TOL * (1.0 + np.abs(un)))
             best = np.where(better, un, u)
             u, r = un, rn
     i = int(np.argmax(np.abs(r)))

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_POLICY,
+    GEOM_TOL,
     ApexNotOnBoundary,
     DegenerateMetric,
     DomainError,
-    NumericPolicy,
     Point,
     Vec2,
     ZeroVector,
@@ -110,8 +109,8 @@ class CausalClass(enum.Enum):
 class PastQuery:
     """Membership query: is `target` in the causal/timelike past of `apex`?
 
-    The apex must lie on the singular boundary (within geom_tol) and the
-    target at or before the apex time.
+    The apex must lie on the singular boundary (to within 100*GEOM_TOL
+    times max(1, |x|)) and the target at or before the apex time.
     """
 
     apex: Point
@@ -127,21 +126,21 @@ class PastQuery:
 # Metric and frame
 # ---------------------------------------------------------------------------
 
-def _check_regular(psi: float, policy: NumericPolicy) -> None:
-    if abs(psi + 4.0) <= policy.geom_tol or abs(psi + 2.0) <= policy.geom_tol:
+def _check_regular(psi: float | np.ndarray) -> None:
+    if np.any((np.abs(psi + 4.0) <= GEOM_TOL) | (np.abs(psi + 2.0) <= GEOM_TOL)):
         raise DegenerateMetric(f"metric degenerate at psi = {psi}")
 
 
-def metric(psi: float, policy: NumericPolicy = DEFAULT_POLICY) -> Metric2:
-    """Covariant acoustic metric at field value psi."""
-    _check_regular(psi, policy)
+def metric(psi: float | np.ndarray) -> Metric2:
+    """Covariant acoustic metric at field value psi (a float or an array of them)."""
+    _check_regular(psi)
     s = (4.0 + psi) ** 2
     return Metric2(gtt=-8.0 * (2.0 + psi) / s, gtx=-2.0 * psi / s, gxx=4.0 / s)
 
 
-def inverse_metric(psi: float, policy: NumericPolicy = DEFAULT_POLICY) -> Metric2:
-    """Contravariant form (-1, -psi/2; -psi/2, 2(2+psi))."""
-    _check_regular(psi, policy)
+def inverse_metric(psi: float | np.ndarray) -> Metric2:
+    """Contravariant form (-1, -psi/2; -psi/2, 2(2+psi)), also for an array of psi."""
+    _check_regular(psi)
     return Metric2(gtt=-1.0, gtx=-0.5 * psi, gxx=2.0 * (2.0 + psi))
 
 
@@ -149,12 +148,12 @@ def null_frame(psi: float) -> NullFrame:
     return NullFrame(L=Vec2(1.0, 2.0 + psi), Lbar=Vec2(1.0, -2.0))
 
 
-def causal_class(psi: float, v: Vec2, policy: NumericPolicy = DEFAULT_POLICY) -> CausalClass:
-    """Sign classification of g(v, v) with a geom_tol-wide null band."""
+def causal_class(psi: float, v: Vec2) -> CausalClass:
+    """Sign classification of g(v, v) with a GEOM_TOL-wide null band."""
     if v.is_zero:
         raise ZeroVector("cannot classify the zero vector")
-    q = metric(psi, policy).norm_sq(v)
-    if abs(q) <= policy.geom_tol:
+    q = metric(psi).norm_sq(v)
+    if abs(q) <= GEOM_TOL:
         return CausalClass.NULL
     return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
 
@@ -173,31 +172,31 @@ def tangency_residual_B(t: float) -> float:
     return abs(slope - (2.0 + psi_ext))
 
 
-def shock_tangent_norms(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def shock_tangent_norms(t: float) -> tuple[float, float]:
     """g(T, T) for the shock tangent T = (1, 2), against the pre-shock
     (right/classical) and post-shock (left) fields; equals
     -16 psi / (4 + psi)^2 at the one-sided values."""
-    trace = shock_trace(t, policy)
-    right = metric(trace.right_value, policy).norm_sq(SHOCK_TANGENT)
-    left = metric(trace.left_value, policy).norm_sq(SHOCK_TANGENT)
+    trace = shock_trace(t)
+    right = metric(trace.right_value).norm_sq(SHOCK_TANGENT)
+    left = metric(trace.left_value).norm_sq(SHOCK_TANGENT)
     return right, left
 
 
-def shock_character(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[CausalClass, CausalClass]:
+def shock_character(t: float) -> tuple[CausalClass, CausalClass]:
     """Causal class of the shock tangent against the two one-sided metrics.
 
     Expected (Spacelike, Timelike) for t > 1: supersonic for the field in
     its past, subsonic for the field in its future, degenerating to null
     at the crease.
     """
-    trace = shock_trace(t, policy)
+    trace = shock_trace(t)
     return (
-        causal_class(trace.right_value, SHOCK_TANGENT, policy),
-        causal_class(trace.left_value, SHOCK_TANGENT, policy),
+        causal_class(trace.right_value, SHOCK_TANGENT),
+        causal_class(trace.left_value, SHOCK_TANGENT),
     )
 
 
-def horizon_null_check(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def horizon_null_check(t: float) -> float:
     """|g(Lbar, Lbar)| on the Cauchy horizon with the extended field value.
 
     Also verifies that the horizon tangent is exactly proportional to
@@ -208,21 +207,21 @@ def horizon_null_check(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> floa
     if boundary_x_deriv(BoundaryCurve.CAUCHY_HORIZON, t) != -2.0:
         raise DomainError("horizon tangent is not (1, -2)")  # pragma: no cover
     x = boundary_x(BoundaryCurve.CAUCHY_HORIZON, t)
-    psi_ext = psi_weak(Point(t, x), policy)  # smooth across the horizon
-    return abs(metric(psi_ext, policy).norm_sq(Vec2(1.0, -2.0)))
+    psi_ext = psi_weak(Point(t, x))  # smooth across the horizon
+    return abs(metric(psi_ext).norm_sq(Vec2(1.0, -2.0)))
 
 
 # ---------------------------------------------------------------------------
 # Causal and timelike pasts on the closed classical domain
 # ---------------------------------------------------------------------------
 
-def _require_apex_on_B(apex: Point, policy: NumericPolicy) -> float:
+def _require_apex_on_B(apex: Point) -> float:
     """Validate the apex and return its boundary foot sqrt(t - 1)."""
     if apex.t <= 1.0:
         raise ApexNotOnBoundary(f"apex time {apex.t} is not past the crease")
     xb = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, apex.t)
     scale = max(1.0, abs(apex.x))
-    if abs(apex.x - xb) > 100.0 * policy.geom_tol * scale:
+    if abs(apex.x - xb) > 100.0 * GEOM_TOL * scale:
         raise ApexNotOnBoundary(
             f"apex ({apex.t}, {apex.x}) off the singular boundary by {abs(apex.x - xb):.3e}"
         )
@@ -242,7 +241,7 @@ def _past_right(apex: Point, t: float) -> float:
     return apex.x + 2.0 * (apex.t - t)
 
 
-def causal_past_contains(q: PastQuery, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def causal_past_contains(q: PastQuery) -> bool:
     """Whether q.target can be reached from q.apex by a past causal curve.
 
     The past of a singular-boundary point is bounded on the left by the
@@ -250,40 +249,40 @@ def causal_past_contains(q: PastQuery, policy: NumericPolicy = DEFAULT_POLICY) -
     crease (a null curve that rides the boundary), and on the right by
     the backward ingoing line; membership is weak (boundaries included).
     """
-    _require_apex_on_B(q.apex, policy)
+    _require_apex_on_B(q.apex)
     t = q.target.t
     if t > q.apex.t:
         raise DomainError("target must not lie after the apex")
-    tol = policy.geom_tol * max(1.0, abs(q.target.x))
+    tol = GEOM_TOL * max(1.0, abs(q.target.x))
     return (
         _past_left_causal(t) - tol <= q.target.x <= _past_right(q.apex, t) + tol
     )
 
 
-def timelike_past_contains(q: PastQuery, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def timelike_past_contains(q: PastQuery) -> bool:
     """Whether q.target is in the strictly timelike past of q.apex.
 
     Timelike curves cannot ride the null singular boundary, so the left
     boundary tightens to the interior characteristic that focuses at the
     apex; membership is strict.
     """
-    z = _require_apex_on_B(q.apex, policy)
+    z = _require_apex_on_B(q.apex)
     t = q.target.t
     if t > q.apex.t:
         raise DomainError("target must not lie after the apex")
     left = z + t * (2.0 - math.atan(z))
-    tol = policy.geom_tol * max(1.0, abs(q.target.x))
+    tol = GEOM_TOL * max(1.0, abs(q.target.x))
     return left + tol < q.target.x < _past_right(q.apex, t) - tol
 
 
-def bubble_witness(apex: Point, policy: NumericPolicy = DEFAULT_POLICY) -> Point:
+def bubble_witness(apex: Point) -> Point:
     """A point in the causal-but-not-timelike past of a boundary apex.
 
     Taken halfway up to the apex in time, midway between the two left
     boundaries (the singular boundary and the interior characteristic);
     the gap is nonempty for every apex strictly past the crease.
     """
-    z = _require_apex_on_B(apex, policy)
+    z = _require_apex_on_B(apex)
     t_mid = 0.5 * (1.0 + apex.t)
     lo = _past_left_causal(t_mid)
     hi = z + t_mid * (2.0 - math.atan(z))
@@ -291,10 +290,7 @@ def bubble_witness(apex: Point, policy: NumericPolicy = DEFAULT_POLICY) -> Point
 
 
 def backward_L_curves(
-    apex: Point,
-    duration: float,
-    steps: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    apex: Point, duration: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """Two distinct backward solutions of dgamma/ds = L(gamma) from a boundary apex.
 
@@ -305,7 +301,7 @@ def backward_L_curves(
     central-difference defects |dx/ds - (2 + psi)| with psi from the
     boundary extension and from the classical field respectively.
     """
-    z = _require_apex_on_B(apex, policy)
+    z = _require_apex_on_B(apex)
     if steps < 2:
         raise DomainError("need at least 2 steps")
     if duration <= 0.0:
@@ -323,7 +319,7 @@ def backward_L_curves(
     fd_b = (xb[2:] - xb[:-2]) / (2.0 * ds)
     fd_i = (x_int[2:] - x_int[:-2]) / (2.0 * ds)
     speed_b = 2.0 - np.arctan(zs[1:-1])  # 2 + extended field on the boundary
-    psi_int = psi_classical_array(ts[1:-1], x_int[1:-1], policy)
+    psi_int = psi_classical_array(ts[1:-1], x_int[1:-1])
     res_b = float(np.max(np.abs(fd_b - speed_b)))
     res_i = float(np.max(np.abs(fd_i - (2.0 + psi_int))))
     return gamma_boundary, gamma_interior, (res_b, res_i)

@@ -11,7 +11,7 @@ results into a machine-readable report with one pass/fail line per check.
 
 Sampling is deterministic: a Halton sequence (bases 2 and 3) offset by the
 seed, filtered through the region classifier, so reports reproduce
-bit-for-bit for a fixed seed and policy.
+bit-for-bit for a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DEFAULT_POLICY,
+    GEOM_TOL,
     DomainError,
-    NumericPolicy,
     OutsideDomain,
     Point,
     PoorFit,
@@ -53,6 +52,8 @@ from .geometry import (
     PastQuery,
     bubble_witness,
     causal_past_contains,
+    inverse_metric,
+    metric,
     shock_tangent_norms,
     tangency_residual_B,
     timelike_past_contains,
@@ -185,14 +186,13 @@ def _displaced_weak_array(t, x, delta: float) -> np.ndarray:
         if np.any(ds >= reach):
             raise DomainError("displacement exceeds the left family's reach")
         # feet on the left family, u <= -sqrt(t-1)
-        vals[strip] = psi0(_solve_feet(ts, ds, ds - ts * _HALF_PI, -z, 1e-14))
+        vals[strip] = psi0(_solve_feet(ts, ds, ds - ts * _HALF_PI, -z))
     return vals
 
 
 def weak_form_residual(
     variant: SolutionVariant,
     tf: TestFunction,
-    policy: NumericPolicy = DEFAULT_POLICY,
     nt_panels: int = 24,
     nx_panels: int = 24,
     shock_shift: float = 0.0,
@@ -210,10 +210,10 @@ def weak_form_residual(
     if t_hi <= 0.0:
         return 0.0
     if variant is SolutionVariant.CLASSICAL:
-        _require_support_classical(tf, policy)
+        _require_support_classical(tf)
 
         def field(tv, xv):
-            return psi_classical_array(tv, xv, policy)
+            return psi_classical_array(tv, xv)
     elif shock_shift != 0.0:
 
         def field(tv, xv):
@@ -251,7 +251,7 @@ def weak_form_residual(
     return total
 
 
-def _require_support_classical(tf: TestFunction, policy: NumericPolicy) -> None:
+def _require_support_classical(tf: TestFunction) -> None:
     """Reject supports that poke into the weak-only region.
 
     The weak-only interval (4 - 2t, x_B(t)) only grows with t, since
@@ -263,7 +263,7 @@ def _require_support_classical(tf: TestFunction, policy: NumericPolicy) -> None:
         return
     xb = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t_hi)
     xh = 4.0 - 2.0 * t_hi
-    if x_lo < xb - policy.geom_tol and x_hi > xh + policy.geom_tol:
+    if x_lo < xb - GEOM_TOL and x_hi > xh + GEOM_TOL:
         raise OutsideDomain("test-function support leaves the classical domain")
 
 
@@ -300,21 +300,21 @@ def oleinik_scan(t: float, x_range: tuple[float, float], n: int) -> OleinikRepor
     return OleinikReport(t=t, max_quotient=float(np.max(quot)), n_pairs=n)
 
 
-def rh_residual(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def rh_residual(t: float) -> float:
     """|shock speed - mean of one-sided characteristic speeds| at time t > 1."""
-    trace = shock_trace(t, policy)
+    trace = shock_trace(t)
     mean_speed = 0.5 * ((2.0 + trace.left_value) + (2.0 + trace.right_value))
     return abs(trace.speed - mean_speed)
 
 
-def lax_gaps(t: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def lax_gaps(t: float) -> tuple[float, float]:
     """Admissibility gaps (speed - right characteristic, left characteristic - speed).
 
     Both are strictly positive for t > 1 and both equal arctan of the
     positive shock foot, degenerating to zero at the crease.
     """
-    trace = shock_trace(t, policy)
-    psi_right_classical = psi_classical(Point(t, 2.0 * t), policy)
+    trace = shock_trace(t)
+    psi_right_classical = psi_classical(Point(t, 2.0 * t))
     lower = trace.speed - (2.0 + psi_right_classical)
     upper = (2.0 + trace.left_value) - trace.speed
     return lower, upper
@@ -360,7 +360,6 @@ def holder_fit(
     target: HolderTarget,
     base,
     offsets,
-    policy: NumericPolicy = DEFAULT_POLICY,
     r2_min: float = 0.999,
 ) -> FitReport:
     """Fitted power law of a boundary degeneracy.
@@ -385,7 +384,7 @@ def holder_fit(
             raise DomainError("crease fit must anchor at (1, 2)")
         _, v0 = psi_boundary_extension(0.0)
         xs = np.array([2.0 + d for d in offsets])
-        vals = np.abs(psi_classical_array(np.ones_like(xs), xs, policy) - v0)
+        vals = np.abs(psi_classical_array(np.ones_like(xs), xs) - v0)
     elif target is HolderTarget.SINGULAR_BOUNDARY_SPATIAL:
         t_bar = float(base)
         if t_bar <= 1.0:
@@ -393,10 +392,10 @@ def holder_fit(
         x_bar = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t_bar)
         _, v0 = psi_boundary_extension(math.sqrt(t_bar - 1.0))
         xs = np.array([x_bar + d for d in offsets])
-        vals = np.abs(psi_classical_array(np.full_like(xs, t_bar), xs, policy) - v0)
+        vals = np.abs(psi_classical_array(np.full_like(xs, t_bar), xs) - v0)
     elif target is HolderTarget.HORIZON_JUMP:
         x = float(base)
-        vals = np.array([abs(horizon_jump_probe(x, d, policy)) for d in offsets])
+        vals = np.array([abs(horizon_jump_probe(x, d)) for d in offsets])
     else:  # pragma: no cover
         raise DomainError(f"unknown fit target {target}")
 
@@ -433,7 +432,7 @@ class AgreementReport:
         )
 
 
-def _sample_region(tag: RegionTag, n: int, box, policy: NumericPolicy, skip: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_region(tag: RegionTag, n: int, box, skip: int) -> tuple[np.ndarray, np.ndarray]:
     """First n Halton points of the box falling in the requested region."""
     t_lo, t_hi, x_lo, x_hi = box
     ts, xs = [], []
@@ -443,7 +442,7 @@ def _sample_region(tag: RegionTag, n: int, box, policy: NumericPolicy, skip: int
         cursor += 4096
         cand_t = t_lo + batch[:, 0] * (t_hi - t_lo)
         cand_x = x_lo + batch[:, 1] * (x_hi - x_lo)
-        hits = np.flatnonzero(classify_array(cand_t, cand_x, policy) == tag)[: n - len(ts)]
+        hits = np.flatnonzero(classify_array(cand_t, cand_x) == tag)[: n - len(ts)]
         ts.extend(cand_t[hits].tolist())
         xs.extend(cand_x[hits].tolist())
         if cursor > skip + 4096 * 64:  # pragma: no cover
@@ -451,11 +450,7 @@ def _sample_region(tag: RegionTag, n: int, box, policy: NumericPolicy, skip: int
     return np.array(ts), np.array(xs)
 
 
-def agreement_disagreement_scan(
-    n: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    seed: int = 0,
-) -> AgreementReport:
+def agreement_disagreement_scan(n: int, seed: int = 0) -> AgreementReport:
     """Compare the two solutions where they must agree and must differ.
 
     Samples n points in the pre-shock agreement region (equality to root
@@ -465,14 +460,14 @@ def agreement_disagreement_scan(
     """
     if n < 100:
         raise DomainError("scan needs n >= 100")
-    ta, xa = _sample_region(RegionTag.OMEGA_A, n, (0.05, 3.0, -8.0, 8.0), policy, skip=seed)
+    ta, xa = _sample_region(RegionTag.OMEGA_A, n, (0.05, 3.0, -8.0, 8.0), skip=seed)
     gap_a = np.abs(
-        psi_classical_array(ta, xa, policy) - psi_weak_array(ta, xa)
+        psi_classical_array(ta, xa) - psi_weak_array(ta, xa)
     )
-    tw, xw = _sample_region(RegionTag.WEDGE, n, (1.02, 5.0, 2.0, 11.0), policy, skip=seed + 1)
-    gap_w = psi_weak_array(tw, xw) - psi_classical_array(tw, xw, policy)
-    phi_w = phi(WEDGE_PROBE, SolutionVariant.WEAK, policy)
-    phi_c = phi(WEDGE_PROBE, SolutionVariant.CLASSICAL, policy)
+    tw, xw = _sample_region(RegionTag.WEDGE, n, (1.02, 5.0, 2.0, 11.0), skip=seed + 1)
+    gap_w = psi_weak_array(tw, xw) - psi_classical_array(tw, xw)
+    phi_w = phi(WEDGE_PROBE, SolutionVariant.WEAK)
+    phi_c = phi(WEDGE_PROBE, SolutionVariant.CLASSICAL)
     return AgreementReport(
         n_omega_a=n,
         n_wedge=n,
@@ -502,7 +497,6 @@ class CheckResult:
 @dataclass
 class Report:
     seed: int
-    policy: NumericPolicy
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
@@ -516,7 +510,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "policy": {"geom_tol": self.policy.geom_tol},
+            "policy": {"geom_tol": GEOM_TOL},
             "checks": [
                 {
                     "name": c.name,
@@ -539,23 +533,23 @@ def _log_spaced_times(n: int = 50, lo: float = 1.001, hi: float = 100.0) -> np.n
     return np.exp(np.linspace(math.log(lo), math.log(hi), n))
 
 
-def _suite_rh(policy: NumericPolicy, seed: int) -> list[CheckResult]:
-    worst = max(rh_residual(float(t), policy) for t in _log_spaced_times())
+def _suite_rh(seed: int) -> list[CheckResult]:
+    worst = max(rh_residual(float(t)) for t in _log_spaced_times())
     return [CheckResult(
         "rankine_hugoniot", worst <= 1e-11, worst, 1e-11,
         "shock speed equals the mean of the one-sided characteristic speeds",
     )]
 
 
-def _suite_lax(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_lax(seed: int) -> list[CheckResult]:
     dev, min_gap = 0.0, math.inf
     for t in _log_spaced_times():
-        lower, upper = lax_gaps(float(t), policy)
-        x0 = shock_feet(float(t), policy)[1]
+        lower, upper = lax_gaps(float(t))
+        x0 = shock_feet(float(t))[1]
         expected = math.atan(x0)
         dev = max(dev, abs(lower - expected), abs(upper - expected))
         min_gap = min(min_gap, lower, upper)
-    near = max(lax_gaps(1.0 + 1e-6, policy))
+    near = max(lax_gaps(1.0 + 1e-6))
     results = [
         CheckResult(
             "lax_gaps_match_feet", dev <= 1e-10 and min_gap > 0.0, dev, 1e-10,
@@ -569,7 +563,7 @@ def _suite_lax(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     return results
 
 
-def _suite_oleinik(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_oleinik(seed: int) -> list[CheckResult]:
     worst = max(
         oleinik_scan(t, (-10.0, 10.0), 400).max_quotient for t in (0.5, 1.0, 2.0, 5.0)
     )
@@ -596,14 +590,13 @@ def standard_test_functions() -> list[TestFunction]:
     ]
 
 
-def _suite_weakform(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_weakform(seed: int) -> list[CheckResult]:
     worst = max(
-        abs(weak_form_residual(SolutionVariant.WEAK, tf, policy))
+        abs(weak_form_residual(SolutionVariant.WEAK, tf))
         for tf in standard_test_functions()
     )
     control = abs(weak_form_residual(
-        SolutionVariant.WEAK, TestFunction(Point(2.0, 4.0), (0.4, 0.8)),
-        policy, shock_shift=0.05,
+        SolutionVariant.WEAK, TestFunction(Point(2.0, 4.0), (0.4, 0.8)), shock_shift=0.05,
     ))
     return [
         CheckResult(
@@ -617,11 +610,9 @@ def _suite_weakform(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     ]
 
 
-def _suite_holder(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_holder(seed: int) -> list[CheckResult]:
     out = []
-    crease = holder_fit(
-        HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11), policy
-    )
+    crease = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11))
     c_ok = abs(crease.exponent - 1.0 / 3.0) <= 0.02 and abs(
         crease.coefficient / 3.0 ** (1.0 / 3.0) - 1.0
     ) <= 0.05
@@ -630,9 +621,7 @@ def _suite_holder(policy: NumericPolicy, seed: int) -> list[CheckResult]:
         "cube-root field profile at the crease with coefficient 3^(1/3)",
     ))
     for t_bar in (1.5, 2.0, 5.0):
-        fit = holder_fit(
-            HolderTarget.SINGULAR_BOUNDARY_SPATIAL, t_bar, dyadic_offsets(1e-4, 11), policy
-        )
+        fit = holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, t_bar, dyadic_offsets(1e-4, 11))
         pred = abs(expansion_near_B(t_bar).leading_coefficient)
         ok = abs(fit.exponent - 0.5) <= 0.02 and abs(fit.coefficient / pred - 1.0) <= 0.05
         out.append(CheckResult(
@@ -640,7 +629,7 @@ def _suite_holder(policy: NumericPolicy, seed: int) -> list[CheckResult]:
             "square-root field profile transverse to the singular boundary",
         ))
     for x in (-2.0, 0.0, 1.0):
-        fit = holder_fit(HolderTarget.HORIZON_JUMP, x, dyadic_offsets(1e-2, 11), policy)
+        fit = holder_fit(HolderTarget.HORIZON_JUMP, x, dyadic_offsets(1e-2, 11))
         ok = abs(fit.exponent - 0.5) <= 0.02 and abs(fit.coefficient / math.sqrt(6.0) - 1.0) <= 0.05
         out.append(CheckResult(
             f"holder_horizon_x{x}", ok, fit.exponent, 0.5,
@@ -652,7 +641,7 @@ def _suite_holder(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     return out
 
 
-def _suite_tangency(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_tangency(seed: int) -> list[CheckResult]:
     worst = max(tangency_residual_B(float(t)) for t in _log_spaced_times())
     return [CheckResult(
         "boundary_tangency", worst <= 1e-10, worst, 1e-10,
@@ -660,17 +649,17 @@ def _suite_tangency(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     )]
 
 
-def _suite_nullness(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_nullness(seed: int) -> list[CheckResult]:
     p = np.linspace(-_HALF_PI + 1e-6, _HALF_PI - 1e-6, 10_000)
-    s = (4.0 + p) ** 2
-    gtt, gtx, gxx = -8.0 * (2.0 + p) / s, -2.0 * p / s, 4.0 / s
+    g, inv = metric(p), inverse_metric(p)
+    gtt, gtx, gxx = g.gtt, g.gtx, g.gxx
     # frame norms: L = (1, 2+p), Lbar = (1, -2)
     gLL = gtt + 2.0 * gtx * (2.0 + p) + gxx * (2.0 + p) ** 2
     gBB = gtt - 4.0 * gtx + 4.0 * gxx
     worst_null = float(np.max(np.maximum(np.abs(gLL), np.abs(gBB))))
-    worst_det = float(np.max(gtt * gxx - gtx * gtx))
-    # product with the inverse (-1, -p/2; -p/2, 2(2+p)), componentwise
-    itt, itx, ixx = -np.ones_like(p), -0.5 * p, 2.0 * (2.0 + p)
+    worst_det = float(np.max(g.det))
+    # product with the inverse, componentwise
+    itt, itx, ixx = np.broadcast_arrays(inv.gtt, inv.gtx, inv.gxx)
     prod = np.stack([
         gtt * itt + gtx * itx - 1.0,
         gtt * itx + gtx * ixx,
@@ -685,7 +674,7 @@ def _suite_nullness(policy: NumericPolicy, seed: int) -> list[CheckResult]:
         ixx + (2.0 + p) * (-2.0),
     ])
     worst_dec = float(np.max(np.abs(dec)))
-    horizon = max(horizon_null_check(float(t), policy) for t in (1.5, 3.0, 10.0))
+    horizon = max(horizon_null_check(float(t)) for t in (1.5, 3.0, 10.0))
     return [
         CheckResult(
             "frame_nullness", worst_null <= 1e-13, worst_null, 1e-13,
@@ -710,26 +699,26 @@ def _suite_nullness(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     ]
 
 
-def _suite_bubble(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_bubble(seed: int) -> list[CheckResult]:
     ok = True
     for z in (0.25, 0.5, 1.0, 2.0, 4.0):
         apex, _ = psi_boundary_extension(z)
-        q = bubble_witness(apex, policy)
-        in_causal = causal_past_contains(PastQuery(apex, q, "Causal"), policy)
-        in_timelike = timelike_past_contains(PastQuery(apex, q, "Timelike"), policy)
+        q = bubble_witness(apex)
+        in_causal = causal_past_contains(PastQuery(apex, q, "Causal"))
+        in_timelike = timelike_past_contains(PastQuery(apex, q, "Timelike"))
         ok = ok and in_causal and not in_timelike
     apex = Point(2.0, 5.0 - _HALF_PI)
     target = Point(1.0, 2.1)
-    explicit = causal_past_contains(PastQuery(apex, target), policy) and not timelike_past_contains(
-        PastQuery(apex, target, "Timelike"), policy
+    explicit = causal_past_contains(PastQuery(apex, target)) and not timelike_past_contains(
+        PastQuery(apex, target, "Timelike")
     )
     sc_ok = True
     val_dev = 0.0
     for t in _log_spaced_times():
-        right, left = shock_tangent_norms(float(t), policy)
+        right, left = shock_tangent_norms(float(t))
         sc_ok = sc_ok and right > 0.0 and left < 0.0
     t_ref = 4.0 / math.pi
-    right, left = shock_tangent_norms(t_ref, policy)
+    right, left = shock_tangent_norms(t_ref)
     exp_right = -16.0 * (-math.pi / 4.0) / (4.0 - math.pi / 4.0) ** 2
     exp_left = -16.0 * (math.pi / 4.0) / (4.0 + math.pi / 4.0) ** 2
     val_dev = max(abs(right - exp_right), abs(left - exp_left))
@@ -746,7 +735,7 @@ def _suite_bubble(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     ]
 
 
-def _suite_pde(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_pde(seed: int) -> list[CheckResult]:
     pts = []
     cursor = seed
     while len(pts) < 200:
@@ -754,7 +743,7 @@ def _suite_pde(policy: NumericPolicy, seed: int) -> list[CheckResult]:
         cursor += 1024
         cand_t = 0.1 + batch[:, 0] * 2.4
         cand_x = -6.0 + batch[:, 1] * 14.0
-        tags = classify_array(cand_t, cand_x, policy)
+        tags = classify_array(cand_t, cand_x)
         for t, x, tag in zip(cand_t.tolist(), cand_x.tolist(), tags):
             if tag in (RegionTag.OMEGA_A, RegionTag.WEDGE):
                 # margins keep the difference stencils inside the closed domain
@@ -768,13 +757,13 @@ def _suite_pde(policy: NumericPolicy, seed: int) -> list[CheckResult]:
                 if len(pts) == 200:
                     break
     h = 1e-5
-    worst = max(pde_residual_classical(p, h * max(1.0, abs(p.t), abs(p.x)), policy) for p in pts)
+    worst = max(pde_residual_classical(p, h * max(1.0, abs(p.t), abs(p.x))) for p in pts)
     orders = []
     for k in range(10):
         p = Point(0.7, 1.1 + 0.08 * k)
         h0 = 2e-3
-        r_coarse = pde_residual_classical(p, 2.0 * h0, policy)
-        r_fine = pde_residual_classical(p, h0, policy)
+        r_coarse = pde_residual_classical(p, 2.0 * h0)
+        r_fine = pde_residual_classical(p, h0)
         if r_fine > 0:
             orders.append(math.log2(r_coarse / r_fine))
     min_order = min(orders)
@@ -790,8 +779,8 @@ def _suite_pde(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     ]
 
 
-def _suite_agreement(policy: NumericPolicy, seed: int) -> list[CheckResult]:
-    rep = agreement_disagreement_scan(1000, policy, seed)
+def _suite_agreement(seed: int) -> list[CheckResult]:
+    rep = agreement_disagreement_scan(1000, seed)
     return [
         CheckResult(
             "agreement_region", rep.max_gap_omega_a <= 1e-11, rep.max_gap_omega_a, 1e-11,
@@ -809,7 +798,7 @@ def _suite_agreement(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     ]
 
 
-def _suite_godunov(policy: NumericPolicy, seed: int) -> list[CheckResult]:
+def _suite_godunov(seed: int) -> list[CheckResult]:
     s4 = fv.solve(2.0, fv.initial_state(4000))
     e4 = fv.l1_error(s4)
     s8 = fv.solve(2.0, fv.initial_state(8000))
@@ -818,7 +807,7 @@ def _suite_godunov(policy: NumericPolicy, seed: int) -> list[CheckResult]:
     i = int(np.argmin(np.abs(sw.cell_centers - WEDGE_PROBE.x)))
     u = float(sw.cell_averages[i])
     pw = float(psi_weak_array(np.array([WEDGE_PROBE.t]), np.array([WEDGE_PROBE.x]))[0])
-    pc = psi_classical(WEDGE_PROBE, policy)
+    pc = psi_classical(WEDGE_PROBE)
     entropy_ok = abs(u - pw) <= 0.05 and abs(u - pc) >= 0.5
     return [
         CheckResult(
@@ -856,11 +845,7 @@ _SUITES = {
 }
 
 
-def run_suite(
-    suite: str = "all",
-    policy: NumericPolicy = DEFAULT_POLICY,
-    seed: int = 0,
-) -> Report:
+def run_suite(suite: str = "all", seed: int = 0) -> Report:
     """Run one named check suite (or all of them) and return the report."""
     if suite == "all":
         names = SUITE_NAMES
@@ -868,7 +853,7 @@ def run_suite(
         names = (suite,)
     else:
         raise DomainError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
-    report = Report(seed=seed, policy=policy)
+    report = Report(seed=seed)
     for name in names:
-        report.checks.extend(_SUITES[name](policy, seed))
+        report.checks.extend(_SUITES[name](seed))
     return report

@@ -39,9 +39,8 @@ import math
 import numpy as np
 
 from .core import (
-    DEFAULT_POLICY,
+    GEOM_TOL,
     DomainError,
-    NumericPolicy,
     OnShockError,
     OutsideDomain,
     Point,
@@ -113,7 +112,7 @@ def _foot_integral(c, a, s_a, b, s_b):
     return total
 
 
-def phi_array(t, x, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def phi_array(t, x, variant: SolutionVariant) -> np.ndarray:
     """Wave potential of the requested field variant at arrays of points.
 
     Along the ingoing line y + 2s = c through (t, x), c = x + 2t, the
@@ -128,7 +127,7 @@ def phi_array(t, x, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_PO
     c = x + 2.0 * t
     zero = np.zeros(t.shape)
     if variant is SolutionVariant.CLASSICAL:
-        u = foot_classical_array(t, x, policy)
+        u = foot_classical_array(t, x)
         crosses, t_c = np.zeros(t.shape, dtype=bool), zero
     else:
         u = foot_weak_array(t, x)
@@ -145,52 +144,47 @@ def phi_array(t, x, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_PO
     return parts[0] + parts[1]
 
 
-def phi(p: Point, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def phi(p: Point, variant: SolutionVariant) -> float:
     """Wave potential of the requested field variant at p: a size-1 phi_array call.
 
     Raises OutsideDomain for the classical variant at weak-only points.
     """
     try:
-        return float(phi_array(p.t, p.x, variant, policy))
+        return float(phi_array(p.t, p.x, variant))
     except OutsideDomain:
         raise OutsideDomain(f"classical potential undefined at ({p.t}, {p.x})") from None
 
 
-def _field_value(p: Point, variant: SolutionVariant, policy: NumericPolicy) -> float:
+def _field_value(p: Point, variant: SolutionVariant) -> float:
     if variant is SolutionVariant.CLASSICAL:
-        return psi_classical(p, policy)
-    return psi_weak(p, policy)
+        return psi_classical(p)
+    return psi_weak(p)
 
 
-def dphidx_closed(p: Point, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def dphidx_closed(p: Point, variant: SolutionVariant) -> float:
     """Closed-form spatial derivative of the potential (see module docstring).
 
     For the weak variant on the shock the field value is two-sided and an
     OnShockError is raised; the classical variant is smooth there.
     """
     t, x = p.t, p.x
-    psi_here = _field_value(p, variant, policy)
+    psi_here = _field_value(p, variant)
     value = math.log((4.0 + float(psi0(x + 2.0 * t))) / (4.0 + psi_here))
     if variant is SolutionVariant.WEAK:
         crosses, t_cross = _shock_crossing(t, x)
         if crosses:
-            trace = shock_trace(t_cross, policy)
+            trace = shock_trace(t_cross)
             value += math.log((4.0 + trace.left_value) / (4.0 + trace.right_value))
             value -= 0.25 * (trace.left_value - trace.right_value)
     return value
 
 
-def dphidt_closed(p: Point, variant: SolutionVariant, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def dphidt_closed(p: Point, variant: SolutionVariant) -> float:
     """Time derivative via the exact ingoing identity d_t Phi = psi + 2 d_x Phi."""
-    return _field_value(p, variant, policy) + 2.0 * dphidx_closed(p, variant, policy)
+    return _field_value(p, variant) + 2.0 * dphidx_closed(p, variant)
 
 
-def lbar_derivative(
-    p: Point,
-    variant: SolutionVariant,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    h: float | None = None,
-) -> float:
+def lbar_derivative(p: Point, variant: SolutionVariant, h: float | None = None) -> float:
     """Ingoing derivative d_t(Phi) - 2 d_x(Phi) by symmetric differencing along (1, -2).
 
     Contract: equals the field value at p (off the shock) up to the
@@ -201,14 +195,14 @@ def lbar_derivative(
         h = 1e-5 * max(1.0, abs(t), abs(x))
     if t - h < 0.0:
         raise DomainError(f"stencil leaves t >= 0 at t = {t} with step {h}")
-    if variant is SolutionVariant.WEAK and t > 1.0 and abs(x - 2.0 * t) <= policy.geom_tol:
+    if variant is SolutionVariant.WEAK and t > 1.0 and abs(x - 2.0 * t) <= GEOM_TOL:
         raise OnShockError(f"({t}, {x}) is on the shock")
-    up = phi(Point(t + h, x - 2.0 * h), variant, policy)
-    dn = phi(Point(t - h, x + 2.0 * h), variant, policy)
+    up = phi(Point(t + h, x - 2.0 * h), variant)
+    dn = phi(Point(t - h, x + 2.0 * h), variant)
     return (up - dn) / (2.0 * h)
 
 
-def horizon_jump_probe(x: float, eps: float, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def horizon_jump_probe(x: float, eps: float) -> float:
     """Change of the weak d_x(Phi) a height eps above the Cauchy horizon at fixed x < 2.
 
     The shock-crossing terms individually scale like sqrt(eps) but cancel
@@ -220,12 +214,12 @@ def horizon_jump_probe(x: float, eps: float, policy: NumericPolicy = DEFAULT_POL
     if not (0.0 < eps <= 0.05):
         raise DomainError(f"probe offset must lie in (0, 0.05], got {eps}")
     t0 = 2.0 - 0.5 * x
-    above = dphidx_closed(Point(t0 + eps, x), SolutionVariant.WEAK, policy)
-    base = dphidx_closed(Point(t0, x), SolutionVariant.WEAK, policy)
+    above = dphidx_closed(Point(t0 + eps, x), SolutionVariant.WEAK)
+    base = dphidx_closed(Point(t0, x), SolutionVariant.WEAK)
     return above - base
 
 
-def pde_residual_classical(p: Point, h: float, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def pde_residual_classical(p: Point, h: float) -> float:
     """First-order-system residual of the classical pair (psi, Phi) at p.
 
     Returns the larger of the transport residual |L psi| (differenced
@@ -239,14 +233,14 @@ def pde_residual_classical(p: Point, h: float, policy: NumericPolicy = DEFAULT_P
         raise DomainError(f"step must be positive, got {h}")
     if t - h < 0.0:
         raise DomainError(f"stencil leaves t >= 0 at t = {t} with step {h}")
-    tag = classify(p, policy)
+    tag = classify(p)
     if tag not in (RegionTag.OMEGA_A, RegionTag.WEDGE, RegionTag.ON_SHOCK):
         raise OutsideDomain(f"residual point must be interior, got {tag.value}")
-    psi_here = psi_classical(p, policy)
+    psi_here = psi_classical(p)
     slope = 2.0 + psi_here
     transport = abs(
-        psi_classical(Point(t + h, x + h * slope), policy)
-        - psi_classical(Point(t - h, x - h * slope), policy)
+        psi_classical(Point(t + h, x + h * slope))
+        - psi_classical(Point(t - h, x - h * slope))
     ) / (2.0 * h)
-    ingoing = abs(lbar_derivative(p, SolutionVariant.CLASSICAL, policy, h=h) - psi_here)
+    ingoing = abs(lbar_derivative(p, SolutionVariant.CLASSICAL, h=h) - psi_here)
     return max(transport, ingoing)

@@ -18,7 +18,6 @@ from shocklab import Point, SolutionVariant
 from shocklab.characteristics import BoundaryCurve
 from shocklab.verification import HolderTarget
 
-POL = sl.NumericPolicy()
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
 
 
@@ -32,18 +31,18 @@ def log_spaced(n=50, lo=1.001, hi=100.0):
 
 class TestAcceptance:
     def test_c01_rankine_hugoniot(self):
-        worst = max(sl.rh_residual(float(t), POL) for t in log_spaced())
+        worst = max(sl.rh_residual(float(t)) for t in log_spaced())
         report("C01 rankine-hugoniot", worst <= 1e-11, f"max residual {worst:.3e} <= 1e-11")
         assert worst <= 1e-11
 
     def test_c02_lax_entropy(self):
         dev, min_gap = 0.0, math.inf
         for t in log_spaced():
-            lo, up = sl.lax_gaps(float(t), POL)
-            expected = math.atan(sl.shock_feet(float(t), POL)[1])
+            lo, up = sl.lax_gaps(float(t))
+            expected = math.atan(sl.shock_feet(float(t))[1])
             dev = max(dev, abs(lo - expected), abs(up - expected))
             min_gap = min(min_gap, lo, up)
-        near = max(sl.lax_gaps(1.0 + 1e-6, POL))
+        near = max(sl.lax_gaps(1.0 + 1e-6))
         ok = min_gap > 0.0 and dev <= 1e-10 and near < 2e-3
         report("C02 lax-entropy", ok,
                f"min gap {min_gap:.3e} > 0, foot deviation {dev:.3e} <= 1e-10, "
@@ -60,9 +59,9 @@ class TestAcceptance:
 
     def test_c04_weak_form(self):
         from shocklab.verification import standard_test_functions, weak_form_residual, TestFunction
-        residuals = [abs(weak_form_residual(W, tf, POL)) for tf in standard_test_functions()]
+        residuals = [abs(weak_form_residual(W, tf)) for tf in standard_test_functions()]
         control = abs(weak_form_residual(
-            W, TestFunction(Point(2.0, 4.0), (0.4, 0.8)), POL, shock_shift=0.05))
+            W, TestFunction(Point(2.0, 4.0), (0.4, 0.8)), shock_shift=0.05))
         ok = max(residuals) <= 1e-6 and control >= 1e-3
         report("C04 weak-form", ok,
                f"max |residual| {max(residuals):.3e} <= 1e-6 over 10 test functions, "
@@ -71,13 +70,13 @@ class TestAcceptance:
 
     def test_c05_holder_crease_and_boundary(self):
         crease = sl.holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0),
-                               sl.dyadic_offsets(1e-3, 11), POL)
+                               sl.dyadic_offsets(1e-3, 11))
         ok = abs(crease.exponent - 1.0 / 3.0) <= 0.02
         ok = ok and abs(crease.coefficient / 3.0 ** (1.0 / 3.0) - 1.0) <= 0.05
         detail = [f"crease ({crease.exponent:.4f}, {crease.coefficient:.4f})"]
         for t_bar in (1.5, 2.0, 5.0):
             fit = sl.holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, t_bar,
-                                sl.dyadic_offsets(1e-4, 11), POL)
+                                sl.dyadic_offsets(1e-4, 11))
             pred = abs(sl.expansion_near_B(t_bar).leading_coefficient)
             ok = ok and abs(fit.exponent - 0.5) <= 0.02
             ok = ok and abs(fit.coefficient / pred - 1.0) <= 0.05
@@ -95,7 +94,7 @@ class TestAcceptance:
     def test_c06_horizon_roughness(self):
         oks, details = [], []
         for x in (-2.0, 0.0, 1.0):
-            fit = sl.holder_fit(HolderTarget.HORIZON_JUMP, x, sl.dyadic_offsets(1e-2, 11), POL)
+            fit = sl.holder_fit(HolderTarget.HORIZON_JUMP, x, sl.dyadic_offsets(1e-2, 11))
             ok = abs(fit.exponent - 0.5) <= 0.02
             ok = ok and abs(fit.coefficient / math.sqrt(6.0) - 1.0) <= 0.05
             oks.append(ok)
@@ -123,13 +122,13 @@ class TestAcceptance:
         from shocklab.geometry import CausalClass
         ok = True
         for t in log_spaced():
-            right, left = sl.shock_tangent_norms(float(t), POL)
+            right, left = sl.shock_tangent_norms(float(t))
             ok = ok and right > 0.0 and left < 0.0
-            rc, lc = sl.shock_character(float(t), POL)
+            rc, lc = sl.shock_character(float(t))
             ok = ok and rc is CausalClass.SPACELIKE and lc is CausalClass.TIMELIKE
         # reference values at t = 4/pi from the tangent-norm formula
         # -16 psi/(4+psi)^2 at psi = -/+ pi/4: +1.2160614 and -0.5487490
-        right, left = sl.shock_tangent_norms(4.0 / math.pi, POL)
+        right, left = sl.shock_tangent_norms(4.0 / math.pi)
         exp_right = -16.0 * (-math.pi / 4.0) / (4.0 - math.pi / 4.0) ** 2
         exp_left = -16.0 * (math.pi / 4.0) / (4.0 + math.pi / 4.0) ** 2
         dev = max(abs(right - exp_right), abs(left - exp_left))
@@ -144,13 +143,13 @@ class TestAcceptance:
         ok = True
         for z in (0.25, 0.5, 1.0, 2.0, 4.0):
             apex, _ = sl.psi_boundary_extension(z)
-            q = sl.bubble_witness(apex, POL)
-            ok = ok and sl.causal_past_contains(PastQuery(apex, q), POL)
-            ok = ok and not sl.timelike_past_contains(PastQuery(apex, q, "Timelike"), POL)
+            q = sl.bubble_witness(apex)
+            ok = ok and sl.causal_past_contains(PastQuery(apex, q))
+            ok = ok and not sl.timelike_past_contains(PastQuery(apex, q, "Timelike"))
         apex = Point(2.0, 5.0 - math.pi / 2)
         target = Point(1.0, 2.1)
-        in_causal = sl.causal_past_contains(PastQuery(apex, target), POL)
-        in_timelike = sl.timelike_past_contains(PastQuery(apex, target, "Timelike"), POL)
+        in_causal = sl.causal_past_contains(PastQuery(apex, target))
+        in_timelike = sl.timelike_past_contains(PastQuery(apex, target, "Timelike"))
         ok = ok and in_causal and not in_timelike
         report("C09 causal-bubbles", ok,
                f"witnesses causal-not-timelike at 5 apexes; explicit pair causal={in_causal}, "
@@ -159,7 +158,7 @@ class TestAcceptance:
 
     def test_c10_nonunique_backward_curves(self):
         apex = Point(2.0, 5.0 - math.pi / 2)
-        gb, gi, (rb, ri) = sl.backward_L_curves(apex, 0.95, 10_000, POL)
+        gb, gi, (rb, ri) = sl.backward_L_curves(apex, 0.95, 10_000)
         k = int(np.argmin(np.abs(gb[:, 0] - 1.5)))
         gap = abs(gi[k, 1] - gb[k, 1])
         ok = rb <= 1e-4 and ri <= 1e-4 and gap >= 0.03
@@ -169,7 +168,7 @@ class TestAcceptance:
         assert ok
 
     def test_c11_agreement_disagreement(self):
-        rep = sl.agreement_disagreement_scan(1000, POL, seed=0)
+        rep = sl.agreement_disagreement_scan(1000, seed=0)
         ok = (rep.max_gap_omega_a <= 1e-11 and rep.min_wedge_gap > 0.0
               and abs(rep.phi_gap_at_probe) >= 1e-4)
         report("C11 agreement-disagreement", ok,
@@ -180,13 +179,13 @@ class TestAcceptance:
 
     def test_c12_first_order_system(self):
         from shocklab.verification import _suite_pde
-        checks = _suite_pde(POL, seed=0)
+        checks = _suite_pde(seed=0)
         by_name = {c.name: c for c in checks}
         res, order = by_name["pde_residual"], by_name["pde_fd_order"]
         # the stated example points at the stated step size
         examples = max(
-            sl.pde_residual_classical(Point(0.5, 1.0), 1e-4, POL),
-            sl.pde_residual_classical(Point(0.2, -5.0), 1e-4, POL),
+            sl.pde_residual_classical(Point(0.5, 1.0), 1e-4),
+            sl.pde_residual_classical(Point(0.2, -5.0), 1e-4),
         )
         ok = res.passed and order.passed and examples <= 1e-6
         report("C12 first-order-system", ok,
@@ -204,8 +203,8 @@ class TestAcceptance:
         sw = fv.solve(1.27, fv.initial_state(8000))
         i = int(np.argmin(np.abs(sw.cell_centers - 2.5)))
         u = float(sw.cell_averages[i])
-        pw = sl.psi_weak(Point(1.27, 2.5), POL)
-        pc = sl.psi_classical(Point(1.27, 2.5), POL)
+        pw = sl.psi_weak(Point(1.27, 2.5))
+        pc = sl.psi_classical(Point(1.27, 2.5))
         ok = (e4 <= 1e-2 and e8 / e4 <= 0.75
               and abs(u - pw) <= 0.05 and abs(u - pc) >= 0.5)
         report("C13 godunov-oracle", ok,

@@ -5,9 +5,9 @@ import pytest
 from scipy.optimize import brentq
 
 from shocklab.core import (
+    GEOM_TOL,
     DomainError,
     MaxIterExceeded,
-    NumericPolicy,
     OnShockError,
     OutsideDomain,
     Point,
@@ -31,7 +31,6 @@ from shocklab.characteristics import (
     shock_feet,
 )
 
-POL = NumericPolicy()
 B, C, K = BoundaryCurve.SINGULAR_BOUNDARY, BoundaryCurve.CAUCHY_HORIZON, BoundaryCurve.SHOCK
 
 
@@ -131,25 +130,25 @@ TAG_CASES = [
 class TestClassify:
     @pytest.mark.parametrize("t,x,tag", TAG_CASES)
     def test_tags(self, t, x, tag):
-        assert classify(Point(t, x), POL) is tag
+        assert classify(Point(t, x)) is tag
 
     def test_on_singular_boundary(self):
         t = 2.0
-        assert classify(Point(t, boundary_x(B, t)), POL) is RegionTag.ON_SINGULAR_BOUNDARY
+        assert classify(Point(t, boundary_x(B, t))) is RegionTag.ON_SINGULAR_BOUNDARY
 
     def test_wedge_bounds(self):
         t = 1.27
         xb = boundary_x(B, t)
-        assert classify(Point(t, xb + 1e-6), POL) is RegionTag.WEDGE
-        assert classify(Point(t, 2 * t - 1e-6), POL) is RegionTag.WEDGE
-        assert classify(Point(t, xb - 1e-6), POL) is RegionTag.WEAK_ONLY
+        assert classify(Point(t, xb + 1e-6)) is RegionTag.WEDGE
+        assert classify(Point(t, 2 * t - 1e-6)) is RegionTag.WEDGE
+        assert classify(Point(t, xb - 1e-6)) is RegionTag.WEAK_ONLY
 
 
 class TestClassifyArray:
     def test_matches_classify_on_examples(self):
         t = np.array([c[0] for c in TAG_CASES])
         x = np.array([c[1] for c in TAG_CASES])
-        assert classify_array(t, x, POL).tolist() == [c[2] for c in TAG_CASES]
+        assert classify_array(t, x).tolist() == [c[2] for c in TAG_CASES]
 
     def test_bands_match_classify(self):
         # points straddling each band edge of B, C, K and the crease
@@ -161,65 +160,65 @@ class TestClassifyArray:
                     xs.append(x0 + off)
         ts += [1.0 - 5e-11, 5e-11, 1e-9]
         xs += [2.0 + 5e-11, 3.0, -1.0]
-        tags = classify_array(np.array(ts), np.array(xs), POL)
-        assert tags.tolist() == [classify(Point(t, x), POL) for t, x in zip(ts, xs)]
+        tags = classify_array(np.array(ts), np.array(xs))
+        assert tags.tolist() == [classify(Point(t, x)) for t, x in zip(ts, xs)]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            classify_array(np.array([-0.1]), np.array([0.0]), POL)
+            classify_array(np.array([-0.1]), np.array([0.0]))
         with pytest.raises(DomainError):
-            classify_array(np.array([1.0]), np.array([math.nan]), POL)
+            classify_array(np.array([1.0]), np.array([math.nan]))
 
 
 class TestFootMaps:
     def test_classical_examples(self):
-        assert foot_classical(Point(0.5, 1.0), POL) == pytest.approx(0.0, abs=1e-12)
+        assert foot_classical(Point(0.5, 1.0)) == pytest.approx(0.0, abs=1e-12)
         expected = oracle_foot(1.0, 2.1, 0.0, 2.0)
-        assert foot_classical(Point(1.0, 2.1), POL) == pytest.approx(expected, abs=1e-12)
+        assert foot_classical(Point(1.0, 2.1)) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.7316594726612043, abs=1e-12)
         for a in (-2.0, 0.0, 5.0):
-            assert foot_classical(Point(0.0, a), POL) == a
+            assert foot_classical(Point(0.0, a)) == a
 
     def test_classical_outside_domain(self):
         with pytest.raises(OutsideDomain):
-            foot_classical(Point(2.2, 0.5), POL)  # weak-only region
+            foot_classical(Point(2.2, 0.5))  # weak-only region
 
     def test_classical_left_family(self):
         # beneath the horizon the foot is negative and beyond -sqrt(t-1)
         p = Point(1.2, 1.0)
-        u = foot_classical(p, POL)
+        u = foot_classical(p)
         assert u == pytest.approx(oracle_foot(1.2, 1.0, -10.0, -math.sqrt(0.2)), abs=1e-11)
         assert u < -math.sqrt(p.t - 1.0)
 
     def test_classical_wedge_foot(self):
         # wedge feet live between the branch point and the shock foot
         t = 1.27
-        u = foot_classical(Point(t, 2.5), POL)
-        assert math.sqrt(t - 1.0) < u < shock_feet(t, POL)[1]
+        u = foot_classical(Point(t, 2.5))
+        assert math.sqrt(t - 1.0) < u < shock_feet(t)[1]
 
     def test_weak_examples(self):
-        u = foot_weak(Point(2.0, 3.0), POL)
+        u = foot_weak(Point(2.0, 3.0))
         assert u == pytest.approx(oracle_foot(2.0, 3.0, -10.0, -1.0), abs=1e-11)
         assert u == pytest.approx(-3.5996486052653953, abs=1e-10)
-        v = foot_weak(Point(2.0, 5.0), POL)
+        v = foot_weak(Point(2.0, 5.0))
         assert v == pytest.approx(oracle_foot(2.0, 5.0, 1.0, 10.0), abs=1e-11)
         # mirror of the (2, 3) foot: the residual is odd in the foot
         assert v == pytest.approx(3.5996486052653953, abs=1e-10)
-        assert foot_weak(Point(0.5, 1.0), POL) == pytest.approx(0.0, abs=1e-12)
+        assert foot_weak(Point(0.5, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_weak_on_shock_raises(self):
         with pytest.raises(OnShockError):
-            foot_weak(Point(2.0, 4.0), POL)
+            foot_weak(Point(2.0, 4.0))
 
     def test_weak_side_signs(self):
         for t in (1.5, 2.0, 4.0):
-            assert foot_weak(Point(t, 2 * t + 0.3), POL) > 0
-            assert foot_weak(Point(t, 2 * t - 0.3), POL) < 0
+            assert foot_weak(Point(t, 2 * t + 0.3)) > 0
+            assert foot_weak(Point(t, 2 * t - 0.3)) < 0
 
     def test_agreement_where_both_defined(self):
         # below the shock and horizon the two foot maps are the same root
         for t, x in ((0.5, 1.0), (0.9, -2.0), (2.0, 4.5), (1.2, 1.0), (3.0, 7.0)):
-            assert foot_classical(Point(t, x), POL) == foot_weak(Point(t, x), POL)
+            assert foot_classical(Point(t, x)) == foot_weak(Point(t, x))
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)
@@ -231,7 +230,7 @@ class TestFootMaps:
                 t_max = 0.9 * (4.0 - x0) / (4.0 + math.atan(-x0)) if x0 < 0 else 0.9
             t = float(rng.uniform(0.0, t_max))
             p = outgoing_char(x0, t)
-            assert foot_classical(p, POL) == pytest.approx(x0, abs=1e-11)
+            assert foot_classical(p) == pytest.approx(x0, abs=1e-11)
 
     def test_non_intersection(self):
         # positions at a common time are strictly increasing in the foot
@@ -254,21 +253,21 @@ class TestFootMaps:
 
 class TestShockFeet:
     def test_reference_time(self):
-        neg, pos = shock_feet(4.0 / math.pi, POL)
+        neg, pos = shock_feet(4.0 / math.pi)
         assert pos == pytest.approx(1.0, abs=1e-12)
         assert neg == -pos
 
     def test_t2(self):
-        _, pos = shock_feet(2.0, POL)
+        _, pos = shock_feet(2.0)
         assert pos == pytest.approx(2.3311223704144224, abs=1e-12)
 
     def test_crease_limit(self):
-        _, pos = shock_feet(1.0 + 1e-10, POL)
+        _, pos = shock_feet(1.0 + 1e-10)
         assert 0 < pos < 1e-4
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            shock_feet(1.0, POL)
+            shock_feet(1.0)
 
 
 class TestArrayFootMaps:
@@ -279,41 +278,66 @@ class TestArrayFootMaps:
         xs = np.where(np.abs(xs - 2 * ts) < 1e-6, xs + 0.01, xs)
         batch = foot_weak_array(ts, xs)
         for t, x, u in zip(ts, xs, batch):
-            assert u == pytest.approx(foot_weak(Point(float(t), float(x)), POL), abs=1e-11)
+            assert u == pytest.approx(foot_weak(Point(float(t), float(x))), abs=1e-11)
 
     def test_classical_matches_scalar(self):
         pts = [(0.5, 1.0), (1.27, 2.5), (2.0, 4.5), (1.2, 1.0), (3.0, -2.5), (1.0, 2.1)]
         ts = np.array([p[0] for p in pts])
         xs = np.array([p[1] for p in pts])
-        batch = foot_classical_array(ts, xs, POL)
+        batch = foot_classical_array(ts, xs)
         for (t, x), u in zip(pts, batch):
-            assert u == pytest.approx(foot_classical(Point(t, x), POL), abs=1e-11)
+            assert u == pytest.approx(foot_classical(Point(t, x)), abs=1e-11)
 
     def test_classical_array_outside_domain(self):
         with pytest.raises(OutsideDomain):
-            foot_classical_array(np.array([2.2]), np.array([0.5]), POL)
+            foot_classical_array(np.array([2.2]), np.array([0.5]))
+
+
+R = RegionTag
+# Offsets across a curve, in units of its band half-width
+_BAND_STEPS = np.array([-2.0, -0.5, 0.5, 2.0]) * GEOM_TOL
+# (t0, x0, dt, dx, tags): the tags at (t0, x0) + _BAND_STEPS * (dt, dx)
+_BAND_EDGES = [
+    pytest.param(t, boundary_x(curve, t), 0.0, 1.0, (left, on, on, right), id=f"{curve.value}-t{t}")
+    for curve, on, left, right in (
+        (K, R.ON_SHOCK, R.WEDGE, R.OMEGA_A),
+        (B, R.ON_SINGULAR_BOUNDARY, R.WEAK_ONLY, R.WEDGE),
+        (C, R.ON_CAUCHY_HORIZON, R.OMEGA_A, R.WEAK_ONLY),
+    )
+    for t in (1.27, 2.0, 37.5)
+] + [
+    pytest.param(1.0, 2.0, 0.0, 1.0, (R.OMEGA_A, R.ON_CREASE, R.ON_CREASE, R.OMEGA_A), id="crease-x"),
+    pytest.param(1.0, 2.0, 1.0, 0.0, (R.OMEGA_A, R.ON_CREASE, R.ON_CREASE, R.WEAK_ONLY), id="crease-t"),
+]
 
 
 class TestMembershipBand:
+    @pytest.mark.parametrize("t0,x0,dt,dx,tags", _BAND_EDGES)
+    def test_band_edges(self, t0, x0, dt, dx, tags):
+        # half a band off a curve is on it, two bands off is beside it
+        t, x = t0 + dt * _BAND_STEPS, x0 + dx * _BAND_STEPS
+        assert classify_array(t, x).tolist() == list(tags)
+        assert [classify(Point(a, b)) for a, b in zip(t.tolist(), x.tolist())] == list(tags)
+
     def test_just_left_of_B_is_outside_on_both_paths(self):
         t = 2.0
         x = boundary_x(B, t) - 1.5e-10
         with pytest.raises(OutsideDomain):
-            foot_classical(Point(t, x), POL)
+            foot_classical(Point(t, x))
         with pytest.raises(OutsideDomain):
-            foot_classical_array(np.array([t]), np.array([x]), POL)
+            foot_classical_array(np.array([t]), np.array([x]))
 
     def test_on_B_foot_is_branch_point(self):
         for t in (1.5, 2.0, 3.0, 10.0, 164.98, 1000.0):
             x = boundary_x(B, t)
-            u = foot_classical_array(np.array([t]), np.array([x]), POL)[0]
+            u = foot_classical_array(np.array([t]), np.array([x]))[0]
             assert u == math.sqrt(t - 1.0)
 
     def test_near_tangency_is_solved_not_snapped(self):
         # the x0 = 1 characteristic touches B at t = 2; just before, the point
         # is inside the band but has a well-defined foot 1
         p = outgoing_char(1.0, 2.0 - 1e-6)
-        u = foot_classical_array(np.array([p.t]), np.array([p.x]), POL)[0]
+        u = foot_classical_array(np.array([p.t]), np.array([p.x]))[0]
         assert u == pytest.approx(1.0, abs=1e-8)
 
 
@@ -331,7 +355,7 @@ class TestWideArrays:
     def test_scalar_feet_at_wide_x(self):
         # the residual's rounding floor here is above 1e-12
         for t, x in ((673.8212074159051, 127546.64089624258), (0.5, -1e6), (1000.0, 1e6)):
-            u = foot_weak(Point(t, x), POL)
+            u = foot_weak(Point(t, x))
             v = foot_weak_array(np.array([t]), np.array([x]))[0]
             assert u == pytest.approx(v, rel=1e-14)
 

@@ -7,7 +7,7 @@ import pytest
 from shocklab.burgers import psi_classical, psi_weak
 from shocklab.characteristics import classify
 from shocklab.cli import main
-from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.core import GEOM_TOL, OnShockError, OutsideDomain, Point, SolutionVariant
 from shocklab.wave_potential import phi
 
 
@@ -162,20 +162,19 @@ class TestGrid:
 
 def reference_grid(t_range, x_range, nt, nx, field, variant):
     """Per-point classify and scalar psi or phi: the grid as evaluated cell by cell."""
-    pol = NumericPolicy()
     (t0, t1), (x0, x1) = t_range, x_range
     rows = []
     for t in np.linspace(t0, t1, nt):
         for x in np.linspace(x0, x1, nx):
             p = Point(float(t), float(x))
             if field == "region":
-                cell = classify(p, pol).value
+                cell = classify(p).value
             else:
                 try:
                     if field == "phi":
-                        cell = phi(p, SolutionVariant(variant), pol)
+                        cell = phi(p, SolutionVariant(variant))
                     else:
-                        cell = psi_classical(p, pol) if variant == "classical" else psi_weak(p, pol)
+                        cell = psi_classical(p) if variant == "classical" else psi_weak(p)
                 except (OutsideDomain, OnShockError):
                     cell = "NA"
             rows.append((repr(float(t)), repr(float(x)), cell))
@@ -277,9 +276,9 @@ class TestVerifyVerb:
         assert failing and all(name.startswith("holder_horizon") for name in failing)
 
     def test_policy_echo(self, capsys):
-        _, out, _ = run_cli(capsys, "verify", "--suite", "rh", "--geom-tol", "1e-11")
+        _, out, _ = run_cli(capsys, "verify", "--suite", "rh")
         doc = json.loads(out)
-        assert doc["policy"] == {"geom_tol": 1e-11}
+        assert doc["policy"] == {"geom_tol": GEOM_TOL}
         assert doc["seed"] == 0
 
 

@@ -5,9 +5,9 @@ import pytest
 from scipy.optimize import brentq
 
 from shocklab.core import (
+    GEOM_TOL,
     DomainError,
     MaxIterExceeded,
-    NumericPolicy,
     Point,
     Vec2,
     psi0,
@@ -15,8 +15,6 @@ from shocklab.core import (
     psi0_second,
     solve_monotone_array,
 )
-
-POL = NumericPolicy()
 
 
 class TestInitialDatum:
@@ -77,14 +75,8 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             Vec2(math.inf, 0.0)
 
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            NumericPolicy(geom_tol=0.0)
-        with pytest.raises(DomainError):
-            NumericPolicy(geom_tol=-1e-10)
-
     def test_policy_defaults(self):
-        assert POL.geom_tol <= 1e-10
+        assert GEOM_TOL <= 1e-10
 
 
 def _foot_callbacks(t, d):
@@ -107,7 +99,7 @@ class TestSolveMonotoneArray:
         d = np.array([0.7, 1.0, 1e-6, -4e5, -0.3])
         lo = np.array([0.0, 1.0, 0.0, -4e5 - 2.0, -10.0])
         hi = np.array([2.0, 10.0, 1.0, 0.0, -math.sqrt(2.0)])
-        u = solve_monotone_array(*_foot_callbacks(t, d), lo, hi, 1e-14)
+        u = solve_monotone_array(*_foot_callbacks(t, d), lo, hi)
         for ti, di, a, b, ui in zip(t, d, lo, hi, u):
             f = lambda y: y - ti * math.atan(y) - di
             expected = brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
@@ -118,21 +110,21 @@ class TestSolveMonotoneArray:
         rng = np.random.default_rng(5)
         t = rng.uniform(0.0, 0.99, (3, 7000))
         d = rng.uniform(0.01, 50.0, (3, 7000))
-        u = solve_monotone_array(*_foot_callbacks(t, d), np.zeros_like(t), d + t * math.pi / 2, 1e-14)
+        u = solve_monotone_array(*_foot_callbacks(t, d), np.zeros_like(t), d + t * math.pi / 2)
         assert u.shape == t.shape
         residual = u - t * np.arctan(u) - d
         assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * (u + d))
 
     def test_collapsed_bracket_returned_as_given(self):
         p, dp = _foot_callbacks([2.0, 0.5], [1.0, 0.0])
-        u = solve_monotone_array(p, dp, np.array([1.25, 0.0]), np.array([1.25, 0.0]), 1e-14)
+        u = solve_monotone_array(p, dp, np.array([1.25, 0.0]), np.array([1.25, 0.0]))
         assert u.tolist() == [1.25, 0.0]
 
     def test_max_iter_message_names_worst_point(self):
         t, d = np.array([0.5, 1.0]), np.array([0.1, 1e-3])
         p, dp = _foot_callbacks(t, d)
         with pytest.raises(MaxIterExceeded) as err:
-            solve_monotone_array(p, dp, np.zeros(2), d + t * math.pi / 2, 1e-14, max_iter=2,
+            solve_monotone_array(p, dp, np.zeros(2), d + t * math.pi / 2, max_iter=2,
                                  describe=lambda i: f"(t, d) = ({t[i]}, {d[i]})")
         msg = str(err.value)
         assert "(t, d) = (1.0, 0.001)" in msg

@@ -1,9 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from shocklab.core import DomainError, NumericPolicy, Point, Vec2
+from shocklab.core import DomainError, Point, Vec2
 from shocklab.core import DegenerateMetric, ZeroVector, ApexNotOnBoundary
 from shocklab.burgers import psi_boundary_extension
 from shocklab.characteristics import foot_classical
@@ -24,27 +25,26 @@ from shocklab.geometry import (
     timelike_past_contains,
 )
 
-POL = NumericPolicy()
 APEX = Point(2.0, 5.0 - math.pi / 2)  # boundary point with foot 1
 
 
 class TestMetric:
     def test_components_at_zero(self):
-        g = metric(0.0, POL)
+        g = metric(0.0)
         assert (g.gtt, g.gtx, g.gxx) == (-1.0, 0.0, 0.25)
 
     def test_inverse_at_zero(self):
-        gi = inverse_metric(0.0, POL)
+        gi = inverse_metric(0.0)
         assert (gi.gtt, gi.gtx, gi.gxx) == (-1.0, 0.0, 4.0)
 
     def test_product_identity(self):
         for psi in np.linspace(-1.5, 1.5, 31):
-            prod = metric(float(psi), POL).as_matrix() @ inverse_metric(float(psi), POL).as_matrix()
+            prod = metric(float(psi)).as_matrix() @ inverse_metric(float(psi)).as_matrix()
             assert np.max(np.abs(prod - np.eye(2))) <= 1e-13
 
     def test_lorentzian(self):
         for psi in np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 101):
-            g = metric(float(psi), POL)
+            g = metric(float(psi))
             assert g.det < 0.0
             # determinant has the closed form -4/(4+psi)^2
             assert g.det == pytest.approx(-4.0 / (4.0 + psi) ** 2, rel=1e-12)
@@ -52,20 +52,29 @@ class TestMetric:
     def test_degenerate_guard(self):
         for bad in (-2.0, -4.0):
             with pytest.raises(DegenerateMetric):
-                metric(bad, POL)
+                metric(bad)
             with pytest.raises(DegenerateMetric):
-                inverse_metric(bad, POL)
+                inverse_metric(bad)
+
+    def test_array_of_psi(self):
+        psi = np.linspace(-1.5, 1.5, 7)
+        g, gi = metric(psi), inverse_metric(psi)
+        for k, p in enumerate(psi.tolist()):
+            assert (g.gtt[k], g.gtx[k], g.gxx[k]) == astuple(metric(p))
+            assert (gi.gtx[k], gi.gxx[k]) == astuple(inverse_metric(p))[1:]
+        with pytest.raises(DegenerateMetric):
+            metric(np.array([0.0, -2.0]))
 
     def test_frame_null(self):
         for psi in np.linspace(-1.5, 1.5, 64):
-            g = metric(float(psi), POL)
+            g = metric(float(psi))
             fr = null_frame(float(psi))
             assert abs(g.norm_sq(fr.L)) <= 1e-13
             assert abs(g.norm_sq(fr.Lbar)) <= 1e-13
 
     def test_inverse_decomposition(self):
         for psi in np.linspace(-1.5, 1.5, 64):
-            gi = inverse_metric(float(psi), POL).as_matrix()
+            gi = inverse_metric(float(psi)).as_matrix()
             fr = null_frame(float(psi))
             L = np.array([fr.L.dt, fr.L.dx])
             Lb = np.array([fr.Lbar.dt, fr.Lbar.dx])
@@ -77,16 +86,16 @@ class TestCausalClass:
     def test_frame_vectors_null(self):
         for psi in (-1.0, 0.0, 1.2):
             fr = null_frame(psi)
-            assert causal_class(psi, fr.L, POL) is CausalClass.NULL
-            assert causal_class(psi, fr.Lbar, POL) is CausalClass.NULL
+            assert causal_class(psi, fr.L) is CausalClass.NULL
+            assert causal_class(psi, fr.Lbar) is CausalClass.NULL
 
     def test_time_and_space_at_zero(self):
-        assert causal_class(0.0, Vec2(1.0, 0.0), POL) is CausalClass.TIMELIKE
-        assert causal_class(0.0, Vec2(0.0, 1.0), POL) is CausalClass.SPACELIKE
+        assert causal_class(0.0, Vec2(1.0, 0.0)) is CausalClass.TIMELIKE
+        assert causal_class(0.0, Vec2(0.0, 1.0)) is CausalClass.SPACELIKE
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
-            causal_class(0.0, Vec2(0.0, 0.0), POL)
+            causal_class(0.0, Vec2(0.0, 0.0))
 
 
 class TestBoundaryGeometry:
@@ -100,50 +109,50 @@ class TestBoundaryGeometry:
 
     def test_horizon_null(self):
         for t in (1.5, 3.0, 12.0):
-            assert horizon_null_check(t, POL) <= 1e-13
+            assert horizon_null_check(t) <= 1e-13
 
     def test_shock_character(self):
         for t in (1.1, 4.0 / math.pi, 2.0, 10.0):
-            right_cls, left_cls = shock_character(t, POL)
+            right_cls, left_cls = shock_character(t)
             assert right_cls is CausalClass.SPACELIKE
             assert left_cls is CausalClass.TIMELIKE
 
     def test_shock_tangent_norm_values(self):
-        right, left = shock_tangent_norms(4.0 / math.pi, POL)
+        right, left = shock_tangent_norms(4.0 / math.pi)
         # -16 psi / (4 + psi)^2 at psi = -pi/4 and +pi/4
         assert right == pytest.approx(1.2160613541670577, abs=1e-9)
         assert left == pytest.approx(-0.5487489558357169, abs=1e-9)
 
     def test_shock_norms_degenerate_at_crease(self):
-        right, left = shock_tangent_norms(1.0 + 1e-9, POL)
+        right, left = shock_tangent_norms(1.0 + 1e-9)
         assert abs(right) < 1e-4 and abs(left) < 1e-4
 
 
 class TestPasts:
     def test_explicit_memberships(self):
-        assert causal_past_contains(PastQuery(APEX, Point(1.0, 2.1)), POL) is True
-        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 2.1), "Timelike"), POL) is False
-        assert causal_past_contains(PastQuery(APEX, Point(0.5, 1.0)), POL) is True  # on the center line
-        assert causal_past_contains(PastQuery(APEX, Point(1.0, 6.0)), POL) is False
-        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 3.0), "Timelike"), POL) is True
-        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 6.0), "Timelike"), POL) is False
+        assert causal_past_contains(PastQuery(APEX, Point(1.0, 2.1))) is True
+        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 2.1), "Timelike")) is False
+        assert causal_past_contains(PastQuery(APEX, Point(0.5, 1.0))) is True  # on the center line
+        assert causal_past_contains(PastQuery(APEX, Point(1.0, 6.0))) is False
+        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 3.0), "Timelike")) is True
+        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 6.0), "Timelike")) is False
 
     def test_right_boundary_is_ingoing_line(self):
         # on the backward ingoing line: causally reachable, not timelike
         t = 1.4
         x = APEX.x + 2.0 * (APEX.t - t)
-        assert causal_past_contains(PastQuery(APEX, Point(t, x)), POL) is True
-        assert timelike_past_contains(PastQuery(APEX, Point(t, x), "Timelike"), POL) is False
+        assert causal_past_contains(PastQuery(APEX, Point(t, x))) is True
+        assert timelike_past_contains(PastQuery(APEX, Point(t, x), "Timelike")) is False
 
     def test_apex_validation(self):
         with pytest.raises(ApexNotOnBoundary):
-            causal_past_contains(PastQuery(Point(2.0, 3.0), Point(1.0, 2.5)), POL)
+            causal_past_contains(PastQuery(Point(2.0, 3.0), Point(1.0, 2.5)))
         with pytest.raises(ApexNotOnBoundary):
-            bubble_witness(Point(0.5, 1.0), POL)
+            bubble_witness(Point(0.5, 1.0))
 
     def test_target_after_apex(self):
         with pytest.raises(DomainError):
-            causal_past_contains(PastQuery(APEX, Point(3.0, 2.0)), POL)
+            causal_past_contains(PastQuery(APEX, Point(3.0, 2.0)))
 
     def test_query_mode_validation(self):
         with pytest.raises(DomainError):
@@ -152,19 +161,19 @@ class TestPasts:
 
 class TestBubble:
     def test_witness_for_reference_apex(self):
-        q = bubble_witness(APEX, POL)
+        q = bubble_witness(APEX)
         assert q.t == pytest.approx(1.5, abs=1e-12)
         # interval between the boundary curve and the interior characteristic
         assert 2.7838 < q.x < 2.8220
-        assert causal_past_contains(PastQuery(APEX, q), POL) is True
-        assert timelike_past_contains(PastQuery(APEX, q, "Timelike"), POL) is False
+        assert causal_past_contains(PastQuery(APEX, q)) is True
+        assert timelike_past_contains(PastQuery(APEX, q, "Timelike")) is False
 
     @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_witness_along_boundary(self, z):
         apex, _ = psi_boundary_extension(z)
-        q = bubble_witness(apex, POL)
-        assert causal_past_contains(PastQuery(apex, q), POL) is True
-        assert timelike_past_contains(PastQuery(apex, q, "Timelike"), POL) is False
+        q = bubble_witness(apex)
+        assert causal_past_contains(PastQuery(apex, q)) is True
+        assert timelike_past_contains(PastQuery(apex, q, "Timelike")) is False
 
     def test_bubble_width_shrinks_toward_crease(self):
         widths = []
@@ -183,7 +192,7 @@ class TestBackwardCurves:
     def test_two_solutions(self):
         # keep the boundary leg strictly past the crease: its curvature
         # blows up at t = 1 and would dominate the difference residual
-        gb, gi, (rb, ri) = backward_L_curves(APEX, 0.95, 10_000, POL)
+        gb, gi, (rb, ri) = backward_L_curves(APEX, 0.95, 10_000)
         assert gb.shape == gi.shape == (10_001, 2)
         # shared apex
         assert gb[-1] == pytest.approx([2.0, 5.0 - math.pi / 2], abs=1e-12)
@@ -196,14 +205,14 @@ class TestBackwardCurves:
         assert gap >= 0.03
 
     def test_boundary_curve_is_boundary(self):
-        gb, _, _ = backward_L_curves(APEX, 0.5, 100, POL)
+        gb, _, _ = backward_L_curves(APEX, 0.5, 100)
         from shocklab.characteristics import BoundaryCurve, boundary_x
         for t, x in gb[::10]:
             assert x == pytest.approx(boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, float(t)), abs=1e-12)
 
     def test_duration_guard(self):
         with pytest.raises(DomainError):
-            backward_L_curves(APEX, 1.5, 100, POL)
+            backward_L_curves(APEX, 1.5, 100)
 
     def test_extrinsically_spacelike(self):
         # backward characteristics from interior points approaching the apex
@@ -211,6 +220,6 @@ class TestBackwardCurves:
         # the boundary's own backward null curve which reaches the crease
         for t_n in (1.9, 1.99, 1.999):
             p = Point(t_n, APEX.x)
-            u = foot_classical(p, POL)
+            u = foot_classical(p)
             x_at_1 = u + 1.0 * (2.0 - math.atan(u))
             assert x_at_1 - 2.0 >= 0.2

@@ -18,10 +18,9 @@ from shocklab.characteristics import (
     foot_weak,
     foot_weak_array,
 )
-from shocklab.core import NumericPolicy, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.core import GEOM_TOL, OnShockError, OutsideDomain, Point, SolutionVariant
 from shocklab.wave_potential import phi, phi_array
 
-POL = NumericPolicy()
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
 EPS = np.finfo(float).eps
 
@@ -73,15 +72,15 @@ def test_weak_foot_residual_is_rounding(points):
 @given(POINTS)
 def test_classical_foot_residual_is_rounding(points):
     t, x = arrays(points)
-    keep = classify_array(t, x, POL) != RegionTag.WEAK_ONLY
+    keep = classify_array(t, x) != RegionTag.WEAK_ONLY
     t, x = t[keep], x[keep]
-    u = foot_classical_array(t, x, POL)
+    u = foot_classical_array(t, x)
     r = np.abs(residual(t, x, u))
     # a point inside the band left of B takes the branch point, whose
     # residual is its distance to B
-    on_band = np.isin(classify_array(t, x, POL), [RegionTag.ON_SINGULAR_BOUNDARY, RegionTag.ON_CREASE,
+    on_band = np.isin(classify_array(t, x), [RegionTag.ON_SINGULAR_BOUNDARY, RegionTag.ON_CREASE,
                                                   RegionTag.ON_SHOCK])
-    assert np.all((r <= rounding(t, x, u)) | (on_band & (r <= 3.0 * POL.geom_tol)))
+    assert np.all((r <= rounding(t, x, u)) | (on_band & (r <= 3.0 * GEOM_TOL)))
 
 
 @settings(deadline=None)
@@ -105,26 +104,26 @@ def assert_scalar_equals_array(points):
     every point, and both paths put the same points outside the classical
     domain."""
     t, x = arrays(points)
-    weak_feet, weak_psi, weak_phi = foot_weak_array(t, x), psi_weak_array(t, x), phi_array(t, x, W, POL)
-    inside = classify_array(t, x, POL) != RegionTag.WEAK_ONLY
-    classical_feet = foot_classical_array(t[inside], x[inside], POL)
-    classical_psi = psi_classical_array(t[inside], x[inside], POL)
-    classical_phi = phi_array(t[inside], x[inside], CL, POL)
+    weak_feet, weak_psi, weak_phi = foot_weak_array(t, x), psi_weak_array(t, x), phi_array(t, x, W)
+    inside = classify_array(t, x) != RegionTag.WEAK_ONLY
+    classical_feet = foot_classical_array(t[inside], x[inside])
+    classical_psi = psi_classical_array(t[inside], x[inside])
+    classical_phi = phi_array(t[inside], x[inside], CL)
     k = 0
     for i, (a, b) in enumerate(points):
         p = Point(a, b)
-        assert phi(p, W, POL) == weak_phi[i]
+        assert phi(p, W) == weak_phi[i]
         try:
-            assert foot_weak(p, POL) == weak_feet[i]
-            assert psi_weak(p, POL) == weak_psi[i]
+            assert foot_weak(p) == weak_feet[i]
+            assert psi_weak(p) == weak_psi[i]
         except OnShockError:
-            assert a > 1.0 and abs(b - 2.0 * a) <= POL.geom_tol
+            assert a > 1.0 and abs(b - 2.0 * a) <= GEOM_TOL
         try:
-            f = phi(p, CL, POL)
+            f = phi(p, CL)
         except OutsideDomain:
             f = None
         try:
-            u, v = foot_classical(p, POL), psi_classical(p, POL)
+            u, v = foot_classical(p), psi_classical(p)
         except OutsideDomain:
             assert not inside[i] and f is None
             continue
@@ -149,4 +148,4 @@ def test_scalar_and_array_agree_near_curves(points):
 @given(st.lists(near_curves(), min_size=1, max_size=40))
 def test_classify_array_equals_classify(points):
     t, x = arrays(points)
-    assert classify_array(t, x, POL).tolist() == [classify(Point(a, b), POL) for a, b in points]
+    assert classify_array(t, x).tolist() == [classify(Point(a, b)) for a, b in points]

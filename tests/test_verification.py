@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from shocklab.core import DomainError, NumericPolicy, OutsideDomain, Point, SolutionVariant
+from shocklab.core import DomainError, OutsideDomain, Point, SolutionVariant
 from shocklab.verification import (
     HolderTarget,
     TestFunction,
@@ -20,7 +20,6 @@ from shocklab.verification import (
     weak_form_residual,
 )
 
-POL = NumericPolicy()
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
 
 
@@ -61,35 +60,35 @@ class TestTestFunction:
 class TestWeakForm:
     def test_smooth_region(self):
         tf = TestFunction(Point(0.5, 0.0), (0.3, 1.0))
-        assert abs(weak_form_residual(W, tf, POL)) <= 1e-6
+        assert abs(weak_form_residual(W, tf)) <= 1e-6
 
     def test_straddling_shock(self):
         tf = TestFunction(Point(2.0, 4.0), (0.4, 0.8))
-        assert abs(weak_form_residual(W, tf, POL)) <= 1e-6
+        assert abs(weak_form_residual(W, tf)) <= 1e-6
 
     def test_touching_initial_slice(self):
         tf = TestFunction(Point(0.3, 1.0), (0.5, 1.5))
-        assert abs(weak_form_residual(W, tf, POL)) <= 1e-6
+        assert abs(weak_form_residual(W, tf)) <= 1e-6
 
     def test_negative_control(self):
         tf = TestFunction(Point(2.0, 4.0), (0.4, 0.8))
-        assert abs(weak_form_residual(W, tf, POL, shock_shift=0.05)) >= 1e-3
+        assert abs(weak_form_residual(W, tf, shock_shift=0.05)) >= 1e-3
 
     def test_classical_variant(self):
         # the classical field is a classical solution across the shock, so
         # the residual vanishes on wedge-straddling supports too
         tf = TestFunction(Point(1.6, 3.8), (0.3, 0.45))
-        assert abs(weak_form_residual(CL, tf, POL)) <= 1e-6
+        assert abs(weak_form_residual(CL, tf)) <= 1e-6
 
     def test_classical_support_guard(self):
         tf = TestFunction(Point(2.0, 1.0), (0.4, 1.0))  # pokes past the horizon
         with pytest.raises(OutsideDomain):
-            weak_form_residual(CL, tf, POL)
+            weak_form_residual(CL, tf)
 
     def test_panel_refinement_converges(self):
         tf = TestFunction(Point(0.5, 0.0), (0.3, 1.0))
-        coarse = abs(weak_form_residual(W, tf, POL, nt_panels=1, nx_panels=1))
-        fine = abs(weak_form_residual(W, tf, POL, nt_panels=2, nx_panels=2))
+        coarse = abs(weak_form_residual(W, tf, nt_panels=1, nx_panels=1))
+        fine = abs(weak_form_residual(W, tf, nt_panels=2, nx_panels=2))
         assert fine <= coarse / 4.0 + 1e-13
 
     def test_standard_family(self):
@@ -121,55 +120,55 @@ class TestScans:
 
     def test_rh_residual(self):
         for t in (1.01, 4.0 / math.pi, 2.0, 10.0):
-            assert rh_residual(t, POL) <= 1e-11
+            assert rh_residual(t) <= 1e-11
 
     def test_lax_gaps(self):
-        lo, up = lax_gaps(4.0 / math.pi, POL)
+        lo, up = lax_gaps(4.0 / math.pi)
         assert lo == pytest.approx(math.pi / 4, abs=1e-11)
         assert up == pytest.approx(math.pi / 4, abs=1e-11)
-        lo2, up2 = lax_gaps(2.0, POL)
+        lo2, up2 = lax_gaps(2.0)
         assert lo2 == pytest.approx(up2, abs=1e-11)
         assert lo2 == pytest.approx(1.1655611852072114, abs=1e-10)
 
 
 class TestHolderFits:
     def test_crease(self):
-        fit = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11), POL)
+        fit = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11))
         assert fit.exponent == pytest.approx(1.0 / 3.0, abs=0.02)
         assert fit.coefficient == pytest.approx(3.0 ** (1.0 / 3.0), rel=0.05)
         assert fit.r_squared > 0.9999
 
     def test_singular_boundary(self):
         from shocklab.burgers import expansion_near_B
-        fit = holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 2.0, dyadic_offsets(1e-4, 11), POL)
+        fit = holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 2.0, dyadic_offsets(1e-4, 11))
         assert fit.exponent == pytest.approx(0.5, abs=0.02)
         assert fit.coefficient == pytest.approx(abs(expansion_near_B(2.0).leading_coefficient), rel=0.05)
 
     def test_exponent_stable_under_window_halving(self):
-        f1 = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11), POL)
-        f2 = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(5e-4, 11), POL)
+        f1 = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11))
+        f2 = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(5e-4, 11))
         assert abs(f1.exponent - f2.exponent) <= 0.005
 
     def test_horizon_probe_decays_linearly(self):
         # the sqrt-order terms cancel in the verified closed form
-        fit = holder_fit(HolderTarget.HORIZON_JUMP, 0.0, dyadic_offsets(1e-2, 11), POL)
+        fit = holder_fit(HolderTarget.HORIZON_JUMP, 0.0, dyadic_offsets(1e-2, 11))
         assert fit.exponent == pytest.approx(1.0, abs=0.05)
 
     def test_offset_window_validation(self):
         with pytest.raises(DomainError):
-            holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), (1e-1, 1e-2), POL)
+            holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), (1e-1, 1e-2))
         with pytest.raises(DomainError):
-            holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), (1e-3, 1e-3), POL)
+            holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), (1e-3, 1e-3))
 
     def test_samples_recorded(self):
         offs = dyadic_offsets(1e-3, 5)
-        fit = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), offs, POL)
+        fit = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), offs)
         assert tuple(s[0] for s in fit.samples) == offs
 
 
 class TestAgreementScan:
     def test_small_scan(self):
-        rep = agreement_disagreement_scan(100, POL, seed=0)
+        rep = agreement_disagreement_scan(100, seed=0)
         assert rep.max_gap_omega_a <= 1e-11
         assert rep.min_wedge_gap > 0.0
         assert abs(rep.phi_gap_at_probe) >= 1e-4
@@ -177,26 +176,26 @@ class TestAgreementScan:
 
     def test_requires_minimum_n(self):
         with pytest.raises(DomainError):
-            agreement_disagreement_scan(10, POL)
+            agreement_disagreement_scan(10)
 
 
 class TestSuiteRunner:
     def test_single_suite(self):
-        rep = run_suite("rh", POL, seed=0)
+        rep = run_suite("rh", seed=0)
         assert rep.all_passed
         assert rep.checks[0].name == "rankine_hugoniot"
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
-            run_suite("nonsense", POL)
+            run_suite("nonsense")
 
     def test_deterministic_reports(self):
-        a = json.dumps(run_suite("lax", POL, seed=42).to_dict(), sort_keys=True)
-        b = json.dumps(run_suite("lax", POL, seed=42).to_dict(), sort_keys=True)
+        a = json.dumps(run_suite("lax", seed=42).to_dict(), sort_keys=True)
+        b = json.dumps(run_suite("lax", seed=42).to_dict(), sort_keys=True)
         assert a == b
 
     def test_report_shape(self):
-        rep = run_suite("nullness", POL)
+        rep = run_suite("nullness")
         d = rep.to_dict()
         assert d["summary"]["total"] == len(d["checks"])
         assert {"name", "status", "measured", "threshold", "claim"} <= set(d["checks"][0])

@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 from shocklab.core import (
     DomainError,
-    NumericPolicy,
     OnShockError,
     OutsideDomain,
     Point,
@@ -23,7 +22,6 @@ from shocklab.wave_potential import (
     phi,
 )
 
-POL = NumericPolicy()
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
 
 
@@ -58,29 +56,29 @@ WIDE_POINTS = [(0.5, 1e3), (0.5, -1e3), (3.0, 1e3), (3.0, -1e3), (600.0, 1e3), (
 class TestPhi:
     def test_zero_on_initial_slice(self):
         for a in (-3.0, 0.0, 2.0):
-            assert phi(Point(0.0, a), W, POL) == 0.0
-            assert phi(Point(0.0, a), CL, POL) == 0.0
+            assert phi(Point(0.0, a), W) == 0.0
+            assert phi(Point(0.0, a), CL) == 0.0
 
     def test_variants_agree_below_shock(self):
         p = Point(0.5, 1.0)
-        assert abs(phi(p, CL, POL) - phi(p, W, POL)) <= 2e-10
+        assert abs(phi(p, CL) - phi(p, W)) <= 2e-10
 
     def test_against_independent_quadrature(self):
         for t, x in SAMPLE_POINTS + WIDE_POINTS:
-            assert phi(Point(t, x), W, POL) == pytest.approx(oracle_phi_weak(t, x), abs=1e-9)
+            assert phi(Point(t, x), W) == pytest.approx(oracle_phi_weak(t, x), abs=1e-9)
 
     def test_frozen_value(self):
-        assert phi(Point(2.0, 3.0), W, POL) == pytest.approx(-2.0313356695132665, abs=1e-9)
+        assert phi(Point(2.0, 3.0), W) == pytest.approx(-2.0313356695132665, abs=1e-9)
 
     def test_classical_outside_domain(self):
         with pytest.raises(OutsideDomain):
-            phi(Point(2.2, 0.5), CL, POL)
+            phi(Point(2.2, 0.5), CL)
 
     def test_continuity_across_shock(self):
         t = 2.0
         gaps = []
         for d in (1e-2, 1e-4, 1e-6):
-            gaps.append(abs(phi(Point(t, 4.0 + d), W, POL) - phi(Point(t, 4.0 - d), W, POL)))
+            gaps.append(abs(phi(Point(t, 4.0 + d), W) - phi(Point(t, 4.0 - d), W)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-5
 
@@ -89,7 +87,7 @@ class TestPhi:
         t0 = 2.0
         gaps = []
         for d in (1e-2, 1e-4, 1e-6):
-            gaps.append(abs(phi(Point(t0 + d, x), W, POL) - phi(Point(t0 - d, x), W, POL)))
+            gaps.append(abs(phi(Point(t0 + d, x), W) - phi(Point(t0 - d, x), W)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-5
 
@@ -97,40 +95,40 @@ class TestPhi:
 class TestClosedFormDerivative:
     def test_zero_at_initial_slice(self):
         for a in (-2.0, 0.0, 3.0):
-            assert dphidx_closed(Point(0.0, a), W, POL) == pytest.approx(0.0, abs=1e-15)
+            assert dphidx_closed(Point(0.0, a), W) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_difference_of_phi(self):
         h = 1e-5
         for t, x in SAMPLE_POINTS:
-            fd = (phi(Point(t, x + h), W, POL) - phi(Point(t, x - h), W, POL)) / (2 * h)
-            assert abs(dphidx_closed(Point(t, x), W, POL) - fd) <= 1e-6
+            fd = (phi(Point(t, x + h), W) - phi(Point(t, x - h), W)) / (2 * h)
+            assert abs(dphidx_closed(Point(t, x), W) - fd) <= 1e-6
 
     def test_classical_variant_matches_fd(self):
         h = 1e-5
         for t, x in ((0.5, 1.0), (1.27, 2.5), (1.2, 1.0)):
-            fd = (phi(Point(t, x + h), CL, POL) - phi(Point(t, x - h), CL, POL)) / (2 * h)
-            assert abs(dphidx_closed(Point(t, x), CL, POL) - fd) <= 1e-6
+            fd = (phi(Point(t, x + h), CL) - phi(Point(t, x - h), CL)) / (2 * h)
+            assert abs(dphidx_closed(Point(t, x), CL) - fd) <= 1e-6
 
     def test_frozen_values(self):
         # finite-difference-of-quadrature oracle values
-        assert dphidx_closed(Point(0.5, 1.0), W, POL) == pytest.approx(-0.3240517425288392, abs=1e-9)
-        assert dphidx_closed(Point(2.0, 3.0), W, POL) == pytest.approx(-0.7093472255439564, abs=1e-9)
+        assert dphidx_closed(Point(0.5, 1.0), W) == pytest.approx(-0.3240517425288392, abs=1e-9)
+        assert dphidx_closed(Point(2.0, 3.0), W) == pytest.approx(-0.7093472255439564, abs=1e-9)
 
     def test_on_shock_raises(self):
         with pytest.raises(OnShockError):
-            dphidx_closed(Point(2.0, 4.0), W, POL)
+            dphidx_closed(Point(2.0, 4.0), W)
 
     def test_c1_matching_from_below_horizon(self):
         # approaching the horizon from below, both potential derivatives
         # converge to their boundary values (first-order matching)
         x = 0.0
         t0 = 2.0 - 0.5 * x
-        base_dx = dphidx_closed(Point(t0, x), W, POL)
-        base_dt = dphidt_closed(Point(t0, x), W, POL)
+        base_dx = dphidx_closed(Point(t0, x), W)
+        base_dt = dphidt_closed(Point(t0, x), W)
         gaps = []
         for d in (1e-3, 1e-5, 1e-7):
-            gx = abs(dphidx_closed(Point(t0 - d, x), W, POL) - base_dx)
-            gt = abs(dphidt_closed(Point(t0 - d, x), W, POL) - base_dt)
+            gx = abs(dphidx_closed(Point(t0 - d, x), W) - base_dx)
+            gt = abs(dphidt_closed(Point(t0 - d, x), W) - base_dt)
             gaps.append(max(gx, gt))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-6
@@ -139,55 +137,55 @@ class TestClosedFormDerivative:
         # d_t(Phi) - 2 d_x(Phi) = psi identically
         for t, x in SAMPLE_POINTS:
             p = Point(t, x)
-            lhs = dphidt_closed(p, W, POL) - 2.0 * dphidx_closed(p, W, POL)
-            assert lhs == pytest.approx(psi_weak(p, POL), abs=1e-13)
+            lhs = dphidt_closed(p, W) - 2.0 * dphidx_closed(p, W)
+            assert lhs == pytest.approx(psi_weak(p), abs=1e-13)
         h = 1e-5
         p = Point(2.0, 3.0)
-        fd = (phi(Point(p.t + h, p.x), W, POL) - phi(Point(p.t - h, p.x), W, POL)) / (2 * h)
-        assert abs(dphidt_closed(p, W, POL) - fd) <= 1e-6
+        fd = (phi(Point(p.t + h, p.x), W) - phi(Point(p.t - h, p.x), W)) / (2 * h)
+        assert abs(dphidt_closed(p, W) - fd) <= 1e-6
 
 
 class TestLbarDerivative:
     def test_equals_field(self):
         for t, x in SAMPLE_POINTS:
             p = Point(t, x)
-            assert abs(lbar_derivative(p, W, POL) - psi_weak(p, POL)) <= 1e-6
+            assert abs(lbar_derivative(p, W) - psi_weak(p)) <= 1e-6
 
     def test_classical_variant(self):
         p = Point(0.5, 1.0)
-        assert abs(lbar_derivative(p, CL, POL) - 0.0) <= 1e-6
+        assert abs(lbar_derivative(p, CL) - 0.0) <= 1e-6
 
     def test_weak_value_at_reference_point(self):
-        assert lbar_derivative(Point(2.0, 3.0), W, POL) == pytest.approx(1.2998243026326977, abs=1e-6)
+        assert lbar_derivative(Point(2.0, 3.0), W) == pytest.approx(1.2998243026326977, abs=1e-6)
 
     def test_on_shock_raises(self):
         with pytest.raises(OnShockError):
-            lbar_derivative(Point(2.0, 4.0), W, POL)
+            lbar_derivative(Point(2.0, 4.0), W)
 
     def test_small_time_guard(self):
         with pytest.raises(DomainError):
-            lbar_derivative(Point(1e-7, 0.0), W, POL)
+            lbar_derivative(Point(1e-7, 0.0), W)
 
 
 class TestHorizonProbe:
     def test_domain_guards(self):
         with pytest.raises(DomainError):
-            horizon_jump_probe(2.5, 1e-3, POL)
+            horizon_jump_probe(2.5, 1e-3)
         with pytest.raises(DomainError):
-            horizon_jump_probe(0.0, 0.0, POL)
+            horizon_jump_probe(0.0, 0.0)
         with pytest.raises(DomainError):
-            horizon_jump_probe(0.0, 0.1, POL)
+            horizon_jump_probe(0.0, 0.1)
 
     def test_matches_fd_of_phi(self):
         x, eps = 0.0, 1e-2
         t0 = 2.0 - 0.5 * x
         h = 1e-6
-        fd_above = (phi(Point(t0 + eps, x + h), W, POL) - phi(Point(t0 + eps, x - h), W, POL)) / (2 * h)
-        fd_base = (phi(Point(t0, x + h), W, POL) - phi(Point(t0, x - h), W, POL)) / (2 * h)
-        assert horizon_jump_probe(x, eps, POL) == pytest.approx(fd_above - fd_base, abs=1e-6)
+        fd_above = (phi(Point(t0 + eps, x + h), W) - phi(Point(t0 + eps, x - h), W)) / (2 * h)
+        fd_base = (phi(Point(t0, x + h), W) - phi(Point(t0, x - h), W)) / (2 * h)
+        assert horizon_jump_probe(x, eps) == pytest.approx(fd_above - fd_base, abs=1e-6)
 
     def test_vanishes_at_horizon(self):
-        vals = [abs(horizon_jump_probe(0.0, 1e-2 * 2.0 ** -k, POL)) for k in range(8)]
+        vals = [abs(horizon_jump_probe(0.0, 1e-2 * 2.0 ** -k)) for k in range(8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-5
 
@@ -195,7 +193,7 @@ class TestHorizonProbe:
         # the sqrt-order parts of the shock-crossing terms cancel; what
         # remains decays linearly in the height above the horizon
         eps = np.array([1e-2 * 2.0 ** -k for k in range(11)])
-        vals = np.array([abs(horizon_jump_probe(0.0, float(e), POL)) for e in eps])
+        vals = np.array([abs(horizon_jump_probe(0.0, float(e))) for e in eps])
         slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
@@ -225,28 +223,28 @@ class TestDerivativeIdentitySample:
         worst_lbar, worst_dx = 0.0, 0.0
         for t, x in pts:
             p = Point(t, x)
-            psi = psi_weak(p, POL)
-            worst_lbar = max(worst_lbar, abs(lbar_derivative(p, W, POL) - psi))
+            psi = psi_weak(p)
+            worst_lbar = max(worst_lbar, abs(lbar_derivative(p, W) - psi))
             h = 1e-5 * max(1.0, t, abs(x))
-            fd = (phi(Point(t, x + h), W, POL) - phi(Point(t, x - h), W, POL)) / (2 * h)
-            worst_dx = max(worst_dx, abs(dphidx_closed(p, W, POL) - fd))
+            fd = (phi(Point(t, x + h), W) - phi(Point(t, x - h), W)) / (2 * h)
+            worst_dx = max(worst_dx, abs(dphidx_closed(p, W) - fd))
         assert worst_lbar <= 1e-6
         assert worst_dx <= 1e-6
 
 
 class TestPdeResidual:
     def test_examples(self):
-        assert pde_residual_classical(Point(0.5, 1.0), 1e-4, POL) <= 1e-6
-        assert pde_residual_classical(Point(0.2, -5.0), 1e-4, POL) <= 1e-6
+        assert pde_residual_classical(Point(0.5, 1.0), 1e-4) <= 1e-6
+        assert pde_residual_classical(Point(0.2, -5.0), 1e-4) <= 1e-6
 
     def test_second_order(self):
         p = Point(0.7, 1.3)
-        r_coarse = pde_residual_classical(p, 2e-3, POL)
-        r_fine = pde_residual_classical(p, 1e-3, POL)
+        r_coarse = pde_residual_classical(p, 2e-3)
+        r_fine = pde_residual_classical(p, 1e-3)
         assert math.log2(r_coarse / r_fine) >= 1.9
 
     def test_domain_guards(self):
         with pytest.raises(OutsideDomain):
-            pde_residual_classical(Point(2.2, 0.5), 1e-4, POL)
+            pde_residual_classical(Point(2.2, 0.5), 1e-4)
         with pytest.raises(DomainError):
-            pde_residual_classical(Point(0.5, 1.0), -1e-4, POL)
+            pde_residual_classical(Point(0.5, 1.0), -1e-4)
