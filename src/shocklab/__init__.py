@@ -90,6 +90,6 @@ from .verification import (
     run_suite,
     weak_form_residual,
 )
-from .godunov import GodunovState, godunov_flux, initial_state, l1_error, solve, step
+from .godunov import GodunovState, initial_state, l1_error, solve, step
 
 __version__ = "0.1.0"

@@ -94,19 +94,19 @@ WEDGE_PROBE = Point(1.27, 2.5)
 # Deterministic low-discrepancy sampling
 # ---------------------------------------------------------------------------
 
-def _radical_inverse(i: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 def halton(n: int, skip: int = 0) -> np.ndarray:
     """First n points of the 2D Halton sequence (bases 2, 3) after `skip`."""
-    idx = np.arange(skip + 1, skip + n + 1)
-    return np.array([[_radical_inverse(int(i), 2), _radical_inverse(int(i), 3)] for i in idx])
+    cols = []
+    for base in (2, 3):
+        # radical inverse of every index at once; finished indices add 0.0
+        i = np.arange(skip + 1, skip + n + 1)
+        f, r = np.ones(n), np.zeros(n)
+        while np.any(i > 0):
+            f /= base
+            r += f * (i % base)
+            i //= base
+        cols.append(r)
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shocklab.godunov as fv
 from shocklab.core import DomainError, InvariantViolation, Point
 from shocklab.burgers import psi_classical, psi_weak, psi_weak_array
-from shocklab.godunov import (
-    GodunovState,
-    godunov_flux,
-    initial_state,
-    l1_error,
-    solve,
-    state_from_csv,
-    state_to_csv,
-    step,
-)
+from shocklab.godunov import GodunovState, initial_state, l1_error, solve, state_to_csv, step
 
 
 def flux(u):
     return 0.5 * (2.0 + u) ** 2
+
+
+def godunov_flux(u_left, u_right):
+    """Reference exact-Riemann interface flux for the convex flux (2+u)^2/2.
+
+    Shock case (u_left > u_right): max of the endpoint fluxes.
+    Rarefaction case: min over the fan, which is the sonic value 0 when
+    the fan straddles u = -2 and the upwind endpoint otherwise.
+    """
+    ul = np.asarray(u_left, dtype=float)
+    ur = np.asarray(u_right, dtype=float)
+    shock_val = np.maximum(flux(ul), flux(ur))
+    rare_val = np.where(ur <= -2.0, flux(ur), np.where(ul >= -2.0, flux(ul), 0.0))
+    out = np.where(ul > ur, shock_val, rare_val)
+    return float(out) if out.ndim == 0 else out
+
+
+_on_range = st.floats(-math.pi / 2, math.pi / 2)
 
 
 class TestFlux:
@@ -28,13 +40,6 @@ class TestFlux:
     def test_shock_case(self):
         # decreasing data: max of the endpoint fluxes (upwind left on range)
         assert godunov_flux(1.0, -1.0) == 4.5
-
-    def test_rarefaction_case(self):
-        assert godunov_flux(-1.0, 1.0) == 0.5
-
-    def test_transonic_rarefaction(self):
-        # fan straddling the sonic point u = -2 gives the sonic flux 0
-        assert godunov_flux(-3.0, 1.0) == 0.0
 
     def test_array(self):
         ul = np.array([0.0, 1.0, -1.0])
@@ -61,14 +66,14 @@ class TestState:
         with pytest.raises(InvariantViolation):
             GodunovState(-1.0, 1.0, 4, np.array([0.0, 3.0, 0.0, 0.0]), 0.0)
 
-    def test_csv_round_trip(self):
-        s = initial_state(32)
-        text = state_to_csv(s)
-        back = state_from_csv(text, time=0.0)
-        assert back.n_cells == 32
-        assert np.allclose(back.cell_averages, s.cell_averages)
-        assert back.x_lo == pytest.approx(s.x_lo)
-        assert back.x_hi == pytest.approx(s.x_hi)
+    def test_csv_frozen(self):
+        assert state_to_csv(initial_state(4)) == (
+            "x_center,value\n"
+            "-7.5,1.4382447944982226\n"
+            "-2.5,1.1902899496825317\n"
+            "2.5,-1.1902899496825317\n"
+            "7.5,-1.4382447944982226\n"
+        )
 
 
 class TestStep:
@@ -77,6 +82,28 @@ class TestStep:
         s2 = step(s)
         # interior cells see equal fluxes on both faces
         assert np.allclose(s2.cell_averages[1:-1], 0.3, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(_on_range, min_size=2, max_size=40),
+        ghosts=st.tuples(_on_range, _on_range),
+        cfl=st.floats(0.05, 0.95),
+        width=st.floats(0.5, 50.0),
+        dt_cap=st.floats(1e-6, 10.0),
+    )
+    def test_equals_exact_riemann_update(self, cells, ghosts, cfl, width, dt_cap):
+        # on the invariant range the upwind step is the exact-Riemann step, bit for bit
+        u = np.array(cells)
+        s = GodunovState(-width, width, len(u), u, time=0.25, cfl=cfl)
+        ext = np.concatenate([[ghosts[0]], u, [ghosts[1]]])
+        dt = min(cfl * s.h / float(np.max(np.abs(2.0 + ext))), dt_cap)
+        f = godunov_flux(ext[:-1], ext[1:])
+        expected = u - dt / s.h * (f[1:] - f[:-1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
+            s2 = step(s, dt_cap)
+        assert s2.time == 0.25 + dt
+        assert s2.cell_averages.tobytes() == expected.tobytes()
 
     def test_mass_conservation(self):
         s = initial_state(256)
@@ -102,8 +129,6 @@ class TestStep:
         assert linf <= dt * (2.0 + math.pi / 2) * 1.0 + s.h
 
     def test_both_ghost_cells_from_one_field_call(self, monkeypatch):
-        import shocklab.godunov as fv
-
         calls = []
 
         def counted(t, x):
@@ -131,7 +156,45 @@ class TestStep:
             assert s.total_variation <= tv0 + 0.05 * s.time + 1e-9
 
 
+class TestChecksKept:
+    # ghost values off the invariant range: the upwind flux is then not the
+    # exact-Riemann flux, and the per-step checks must stop the march
+    @pytest.mark.parametrize("ghosts, message", [
+        # a left ghost below the sonic point u = -2 pushes cell 0 above every stencil value
+        ((-3.9, -1.5), "maximum principle violated"),
+        ((-6.0, 6.0), "total variation increased"),
+    ])
+    @pytest.mark.parametrize("march", [step, lambda s: solve(1.0, s)], ids=["step", "solve"])
+    def test_raises(self, monkeypatch, march, ghosts, message):
+        monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
+        with pytest.raises(InvariantViolation, match=message):
+            march(GodunovState(-10.0, 10.0, 64, np.full(64, -1.5), 0.0))
+
+
 class TestSolve:
+    def test_one_state_per_solve(self, monkeypatch):
+        built = []
+        post_init = GodunovState.__post_init__
+
+        def counted(self):
+            built.append(self.time)
+            post_init(self)
+
+        s0 = initial_state(400)
+        monkeypatch.setattr(GodunovState, "__post_init__", counted)
+        s = solve(2.0, s0)
+        assert built == [2.0]
+        assert s.time == 2.0
+
+    @pytest.mark.parametrize("t_end, n_cells, expected", [
+        (2.0, 800, 0.03899372247601471),
+        (0.5, 200, 0.06192566358829541),
+    ])
+    def test_frozen_l1_error(self, t_end, n_cells, expected):
+        s = solve(t_end, initial_state(n_cells))
+        assert s.time == t_end
+        assert l1_error(s) == expected
+
     def test_noop(self):
         s = initial_state(64)
         assert solve(0.0, s) is s

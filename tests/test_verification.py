@@ -29,6 +29,23 @@ class TestHalton:
         b = halton(16, skip=3)
         assert np.array_equal(a, b)
 
+    def test_frozen_first_points(self):
+        expected = [[1 / 2, 1 / 3], [1 / 4, 2 / 3], [3 / 4, 1 / 9], [1 / 8, 4 / 9]]
+        assert halton(4).tolist() == expected
+
+    def test_matches_per_index_loop(self):
+        def radical_inverse(i, base):
+            f, r = 1.0, 0.0
+            while i > 0:
+                f /= base
+                r += f * (i % base)
+                i //= base
+            return r
+
+        skip = 4096 * 63 + 99
+        expected = [[radical_inverse(i, 2), radical_inverse(i, 3)] for i in range(skip + 1, skip + 513)]
+        assert halton(512, skip=skip).tolist() == expected
+
     def test_range_and_spread(self):
         pts = halton(256)
         assert np.all((pts > 0) & (pts < 1))
