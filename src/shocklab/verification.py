@@ -173,20 +173,16 @@ def _displaced_weak_array(t, x, delta: float) -> np.ndarray:
     displaced field violates the jump condition along its displaced
     discontinuity.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t, x = np.broadcast_arrays(t, x)
-    vals = np.array(psi_weak_array(t, x), copy=True)
+    vals = psi_weak_array(t, x)
     d = x - 2.0 * t
     strip = (t > 1.0) & (d > 0.0) & (d < delta)
-    if np.any(strip):
-        ts, ds = t[strip], d[strip]
-        z = np.sqrt(ts - 1.0)
-        reach = ts * np.arctan(z) - z
-        if np.any(ds >= reach):
-            raise DomainError("displacement exceeds the left family's reach")
-        # feet on the left family, u <= -sqrt(t-1)
-        vals[strip] = psi0(_solve_feet(ts, ds, ds - ts * _HALF_PI, -z))
+    ts, ds = t[strip], d[strip]
+    z = np.sqrt(ts - 1.0)
+    reach = ts * np.arctan(z) - z
+    if np.any(ds >= reach):
+        raise DomainError("displacement exceeds the left family's reach")
+    # feet on the left family, u <= -sqrt(t-1)
+    vals[strip] = psi0(_solve_feet(ts, ds, ds - ts * _HALF_PI, -z))
     return vals
 
 
@@ -211,19 +207,9 @@ def weak_form_residual(
         return 0.0
     if variant is SolutionVariant.CLASSICAL:
         _require_support_classical(tf)
-
-        def field(tv, xv):
-            return psi_classical_array(tv, xv)
-    elif shock_shift != 0.0:
-
-        def field(tv, xv):
-            return _displaced_weak_array(tv, xv, shock_shift)
-    else:
-
-        def field(tv, xv):
-            return psi_weak_array(tv, xv)
-
-    total = 0.0
+    # every row's panels first (same t-nodes and shock cuts), then one field call
+    gl_n, gl_w = gauss_panel(-1.0, 1.0)
+    rows = []  # (t, t-weight, x-panel mids, x-panel half-widths)
     t_edges = np.linspace(t_lo, t_hi, nt_panels + 1)
     for i in range(nt_panels):
         t_nodes, t_weights = gauss_panel(t_edges[i], t_edges[i + 1])
@@ -237,12 +223,22 @@ def weak_form_residual(
                 edges = np.linspace(a, b, n_sub + 1)
                 mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
                 halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
-                gl_n, gl_w = gauss_panel(-1.0, 1.0)
-                xs = (mids + halves * gl_n[None, :]).ravel()
-                ws = (halves * gl_w[None, :]).ravel()
-                ps = field(np.full(xs.shape, t), xs)
-                integrand = ps * tf.dt(t, xs) + 0.5 * (2.0 + ps) ** 2 * tf.dx(t, xs)
-                total += wt * float(np.dot(ws, integrand))
+                rows.append((t, wt, mids, halves))
+    sizes = [mids.size * gl_n.size for _, _, mids, _ in rows]
+    ts = np.repeat([r[0] for r in rows], sizes)
+    xs = np.concatenate([(mids + halves * gl_n).ravel() for _, _, mids, halves in rows])
+    if variant is SolutionVariant.CLASSICAL:
+        ps = psi_classical_array(ts, xs)
+    elif shock_shift != 0.0:
+        ps = _displaced_weak_array(ts, xs, shock_shift)
+    else:
+        ps = psi_weak_array(ts, xs)
+    # the integrand row by row keeps its temporaries small
+    total = 0.0
+    for (t, wt, mids, halves), pn in zip(rows, np.split(ps, np.cumsum(sizes))):
+        xn = (mids + halves * gl_n).ravel()
+        integrand = pn * tf.dt(t, xn) + 0.5 * (2.0 + pn) ** 2 * tf.dx(t, xn)
+        total += wt * float(np.dot((halves * gl_w).ravel(), integrand))
     if tf.center.t - tf.radii[0] < 0.0:
         edges = np.linspace(x_lo, x_hi, nx_panels + 1)
         for a, b in zip(edges[:-1], edges[1:]):
@@ -432,22 +428,19 @@ class AgreementReport:
         )
 
 
-def _sample_region(tag: RegionTag, n: int, box, skip: int) -> tuple[np.ndarray, np.ndarray]:
-    """First n Halton points of the box falling in the requested region."""
+def _sample(n: int, box, skip: int, keep) -> tuple[np.ndarray, np.ndarray]:
+    """First n Halton points of the box (t_lo, t_hi, x_lo, x_hi) where keep(t, x, tags) holds,
+    from at most 64 batches; a Halton point depends only on its index, not on its batch."""
     t_lo, t_hi, x_lo, x_hi = box
-    ts, xs = [], []
-    cursor = skip
-    while len(ts) < n:
+    ts, xs = np.empty(0), np.empty(0)
+    for cursor in range(skip, skip + 4096 * 64, 4096):
         batch = halton(4096, skip=cursor)
-        cursor += 4096
-        cand_t = t_lo + batch[:, 0] * (t_hi - t_lo)
-        cand_x = x_lo + batch[:, 1] * (x_hi - x_lo)
-        hits = np.flatnonzero(classify_array(cand_t, cand_x) == tag)[: n - len(ts)]
-        ts.extend(cand_t[hits].tolist())
-        xs.extend(cand_x[hits].tolist())
-        if cursor > skip + 4096 * 64:  # pragma: no cover
-            raise DomainError(f"could not collect {n} points with tag {tag}")
-    return np.array(ts), np.array(xs)
+        cand_t, cand_x = (np.array([t_lo, x_lo]) + batch * np.array([t_hi - t_lo, x_hi - x_lo])).T
+        hits = np.flatnonzero(keep(cand_t, cand_x, classify_array(cand_t, cand_x)))
+        ts, xs = np.append(ts, cand_t[hits]), np.append(xs, cand_x[hits])
+        if len(ts) >= n:
+            return ts[:n], xs[:n]
+    raise DomainError(f"could not collect {n} sample points in the box {box}")  # pragma: no cover
 
 
 def agreement_disagreement_scan(n: int, seed: int = 0) -> AgreementReport:
@@ -460,11 +453,11 @@ def agreement_disagreement_scan(n: int, seed: int = 0) -> AgreementReport:
     """
     if n < 100:
         raise DomainError("scan needs n >= 100")
-    ta, xa = _sample_region(RegionTag.OMEGA_A, n, (0.05, 3.0, -8.0, 8.0), skip=seed)
+    ta, xa = _sample(n, (0.05, 3.0, -8.0, 8.0), seed, lambda t, x, tags: tags == RegionTag.OMEGA_A)
     gap_a = np.abs(
         psi_classical_array(ta, xa) - psi_weak_array(ta, xa)
     )
-    tw, xw = _sample_region(RegionTag.WEDGE, n, (1.02, 5.0, 2.0, 11.0), skip=seed + 1)
+    tw, xw = _sample(n, (1.02, 5.0, 2.0, 11.0), seed + 1, lambda t, x, tags: tags == RegionTag.WEDGE)
     gap_w = psi_weak_array(tw, xw) - psi_classical_array(tw, xw)
     phi_w = phi(WEDGE_PROBE, SolutionVariant.WEAK)
     phi_c = phi(WEDGE_PROBE, SolutionVariant.CLASSICAL)
@@ -735,38 +728,25 @@ def _suite_bubble(seed: int) -> list[CheckResult]:
     ]
 
 
+def _pde_margins(t, x, tags) -> np.ndarray:
+    """Interior points 0.05 off the crease and (wedge) B, and for t > 1 either 0.05 left of C
+    or not left of the shock: the one-sided C margin leaves out the whole wedge."""
+    z = np.sqrt(np.maximum(t - 1.0, 0.0))
+    x_b = (2.0 - np.arctan(z)) * t + z
+    return (
+        ((tags == RegionTag.OMEGA_A) | ((tags == RegionTag.WEDGE) & (x - x_b >= 0.05)))
+        & (np.hypot(t - 1.0, x - 2.0) >= 0.05)
+        & ~((t > 1.0) & (x < 2.0 * t) & ((4.0 - 2.0 * t) - x < 0.05))
+    )
+
+
 def _suite_pde(seed: int) -> list[CheckResult]:
-    pts = []
-    cursor = seed
-    while len(pts) < 200:
-        batch = halton(1024, skip=cursor)
-        cursor += 1024
-        cand_t = 0.1 + batch[:, 0] * 2.4
-        cand_x = -6.0 + batch[:, 1] * 14.0
-        tags = classify_array(cand_t, cand_x)
-        for t, x, tag in zip(cand_t.tolist(), cand_x.tolist(), tags):
-            if tag in (RegionTag.OMEGA_A, RegionTag.WEDGE):
-                # margins keep the difference stencils inside the closed domain
-                if math.hypot(t - 1.0, x - 2.0) < 0.05:
-                    continue
-                if tag is RegionTag.WEDGE and x - boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t) < 0.05:
-                    continue
-                if t > 1.0 and x < 2.0 * t and (4.0 - 2.0 * t) - x < 0.05:
-                    continue
-                pts.append(Point(t, x))
-                if len(pts) == 200:
-                    break
-    h = 1e-5
-    worst = max(pde_residual_classical(p, h * max(1.0, abs(p.t), abs(p.x))) for p in pts)
-    orders = []
-    for k in range(10):
-        p = Point(0.7, 1.1 + 0.08 * k)
-        h0 = 2e-3
-        r_coarse = pde_residual_classical(p, 2.0 * h0)
-        r_fine = pde_residual_classical(p, h0)
-        if r_fine > 0:
-            orders.append(math.log2(r_coarse / r_fine))
-    min_order = min(orders)
+    t, x = _sample(200, (0.1, 2.5, -6.0, 8.0), seed, _pde_margins)
+    h = 1e-5 * np.maximum(np.maximum(1.0, np.abs(t)), np.abs(x))
+    worst = float(np.max(pde_residual_classical(t, x, h)))
+    # second order at 10 points: one call with the steps 4e-3 and 2e-3
+    r_coarse, r_fine = pde_residual_classical(0.7, 1.1 + 0.08 * np.arange(10), np.array([[4e-3], [2e-3]]))
+    min_order = min(map(math.log2, r_coarse[r_fine > 0] / r_fine[r_fine > 0]))
     return [
         CheckResult(
             "pde_residual", worst <= 1e-6, worst, 1e-6,

@@ -12,9 +12,10 @@ of the path points, in which the path is explicit: no root solve per node,
 and no sqrt or cube-root degeneracy at the singular boundary or the
 crease.  A fixed Gauss-Legendre rule on panels graded in asinh(u)
 evaluates it for a whole array of points at once (phi_array; phi is its
-size-1 call).  The path crosses the line x = 2s at most once, at crossing
-time t/2 + x/4; when that time exceeds 1 the weak feet jump there from
--x0 to +x0 and the interval in u is split.
+size-1 call; lbar_derivative and pde_residual_classical difference it on
+arrays).  The path crosses the line x = 2s at most once, at crossing time
+t/2 + x/4; when that time exceeds 1 the weak feet jump there from -x0 to
++x0 and the interval in u is split.
 
 The spatial derivative has a closed form.  Differentiating the integral in
 x translates the path, which (i) turns the integrand derivative into an
@@ -30,6 +31,7 @@ the bracket vanish like sqrt of the height above the Cauchy horizon and
 cancel at that order, so d_x(Phi) of the weak potential is differentiable
 across the horizon; the formula is verified against finite differences of
 the quadrature in the test suite.
+
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ from .core import (
     gauss_panel,
     psi0,
 )
-from .characteristics import RegionTag, classify, foot_classical_array, foot_weak_array
+from .characteristics import RegionTag, classify_array, foot_classical_array, foot_weak_array
 from .burgers import (
     psi_classical,
+    psi_classical_array,
     psi_weak,
     shock_trace,
 )
@@ -184,21 +187,28 @@ def dphidt_closed(p: Point, variant: SolutionVariant) -> float:
     return _field_value(p, variant) + 2.0 * dphidx_closed(p, variant)
 
 
-def lbar_derivative(p: Point, variant: SolutionVariant, h: float | None = None) -> float:
+def _raise_at(bad, error, message: str, t, x, **at) -> None:
+    """Raise error(message) at the first point p where bad holds, with the values there of at."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        p = f"({float(t.flat[i])}, {float(x.flat[i])})"
+        raise error(message.format(p=p, **{k: v.flat[i] for k, v in at.items()}))
+
+
+def lbar_derivative(t, x, variant: SolutionVariant, h=None) -> np.ndarray:
     """Ingoing derivative d_t(Phi) - 2 d_x(Phi) by symmetric differencing along (1, -2).
 
-    Contract: equals the field value at p (off the shock) up to the
+    t, x and the steps h (default 1e-5 * max(1, |t|, |x|)) broadcast.
+    Contract: equals the field value off the shock up to the
     finite-difference error and the rounding of phi divided by h.
     """
-    t, x = p.t, p.x
     if h is None:
-        h = 1e-5 * max(1.0, abs(t), abs(x))
-    if t - h < 0.0:
-        raise DomainError(f"stencil leaves t >= 0 at t = {t} with step {h}")
-    if variant is SolutionVariant.WEAK and t > 1.0 and abs(x - 2.0 * t) <= GEOM_TOL:
-        raise OnShockError(f"({t}, {x}) is on the shock")
-    up = phi(Point(t + h, x - 2.0 * h), variant)
-    dn = phi(Point(t - h, x + 2.0 * h), variant)
+        h = 1e-5 * np.maximum(np.maximum(1.0, np.abs(t)), np.abs(x))
+    t, x, h = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, h)))
+    _raise_at(t - h < 0.0, DomainError, "stencil leaves t >= 0 at {p} with step {h}", t, x, h=h)
+    if variant is SolutionVariant.WEAK:
+        _raise_at((t > 1.0) & (np.abs(x - 2.0 * t) <= GEOM_TOL), OnShockError, "{p} is on the shock", t, x)
+    up, dn = phi_array(np.stack([t + h, t - h]), np.stack([x - 2.0 * h, x + 2.0 * h]), variant)
     return (up - dn) / (2.0 * h)
 
 
@@ -219,28 +229,23 @@ def horizon_jump_probe(x: float, eps: float) -> float:
     return above - base
 
 
-def pde_residual_classical(p: Point, h: float) -> float:
-    """First-order-system residual of the classical pair (psi, Phi) at p.
+def pde_residual_classical(t, x, h) -> np.ndarray:
+    """First-order-system residual of the classical pair (psi, Phi) at arrays of points.
 
-    Returns the larger of the transport residual |L psi| (differenced
-    along the local characteristic direction (1, 2 + psi)) and the
-    ingoing-derivative residual |Lbar Phi - psi|.  Requires the stencil to
-    stay inside the classical domain; expected size O(h^2) plus the
-    rounding of phi divided by h.
+    t, x and the steps h broadcast.  Per point, the larger of the transport
+    residual |L psi| (differenced along (1, 2 + psi)) and the ingoing
+    residual |Lbar Phi - psi|; every stencil must stay inside the classical
+    domain.  Expected size O(h^2) plus the rounding of phi divided by h.
     """
-    t, x = p.t, p.x
-    if h <= 0.0:
-        raise DomainError(f"step must be positive, got {h}")
-    if t - h < 0.0:
-        raise DomainError(f"stencil leaves t >= 0 at t = {t} with step {h}")
-    tag = classify(p)
-    if tag not in (RegionTag.OMEGA_A, RegionTag.WEDGE, RegionTag.ON_SHOCK):
-        raise OutsideDomain(f"residual point must be interior, got {tag.value}")
-    psi_here = psi_classical(p)
-    slope = 2.0 + psi_here
-    transport = abs(
-        psi_classical(Point(t + h, x + h * slope))
-        - psi_classical(Point(t - h, x - h * slope))
-    ) / (2.0 * h)
-    ingoing = abs(lbar_derivative(p, SolutionVariant.CLASSICAL, h=h) - psi_here)
-    return max(transport, ingoing)
+    t, x, h = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, h)))
+    _raise_at(h <= 0.0, DomainError, "step must be positive, got {h} at {p}", t, x, h=h)
+    _raise_at(t - h < 0.0, DomainError, "stencil leaves t >= 0 at {p} with step {h}", t, x, h=h)
+    tags = classify_array(t.ravel(), x.ravel())
+    interior = np.isin(tags, (RegionTag.OMEGA_A, RegionTag.WEDGE, RegionTag.ON_SHOCK))
+    _raise_at(~interior, OutsideDomain, "residual point {p} must be interior, got {tag.value}", t, x, tag=tags)
+    psi_here = psi_classical_array(t, x)
+    step = h * (2.0 + psi_here)
+    fwd, bwd = psi_classical_array(np.stack([t + h, t - h]), np.stack([x + step, x - step]))
+    transport = np.abs(fwd - bwd) / (2.0 * h)
+    ingoing = np.abs(lbar_derivative(t, x, SolutionVariant.CLASSICAL, h) - psi_here)
+    return np.maximum(transport, ingoing)

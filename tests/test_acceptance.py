@@ -184,8 +184,8 @@ class TestAcceptance:
         res, order = by_name["pde_residual"], by_name["pde_fd_order"]
         # the stated example points at the stated step size
         examples = max(
-            sl.pde_residual_classical(Point(0.5, 1.0), 1e-4),
-            sl.pde_residual_classical(Point(0.2, -5.0), 1e-4),
+            sl.pde_residual_classical(0.5, 1.0, 1e-4),
+            sl.pde_residual_classical(0.2, -5.0, 1e-4),
         )
         ok = res.passed and order.passed and examples <= 1e-6
         report("C12 first-order-system", ok,

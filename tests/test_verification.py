@@ -1,13 +1,19 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from shocklab import characteristics, verification, wave_potential
+from shocklab.characteristics import BoundaryCurve, RegionTag, boundary_x, classify_array
 from shocklab.core import DomainError, OutsideDomain, Point, SolutionVariant
 from shocklab.verification import (
     HolderTarget,
     TestFunction,
+    _pde_margins,
+    _sample,
+    _suite_pde,
     agreement_disagreement_scan,
     dyadic_offsets,
     halton,
@@ -218,3 +224,105 @@ class TestSuiteRunner:
         assert {"name", "status", "measured", "threshold", "claim"} <= set(d["checks"][0])
         for c in rep.checks:
             assert "PASS" in c.line() or "FAIL" in c.line()
+
+
+def counting(monkeypatch, calls, module, name):
+    """Replace module.name with a wrapper that counts its calls in calls[name]."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestFrozenBits:
+    # measured before the weak-form and pde checks became array code; the
+    # array forms must reproduce them exactly
+    def test_standard_weak_form_residuals(self):
+        assert [weak_form_residual(W, tf) for tf in standard_test_functions()] == [
+            -6.399359984086203e-17, -2.728444081505939e-16, 1.3051315502717504e-15,
+            2.410520242614178e-16, 3.29922721087339e-16, 2.885205596081879e-16,
+            2.527317724350326e-07, 6.814959384874654e-16, 3.0031260322964375e-17,
+            -3.940166884282797e-16,
+        ]
+
+    def test_shifted_shock_control(self):
+        tf = TestFunction(Point(2.0, 4.0), (0.4, 0.8))
+        assert weak_form_residual(W, tf, shock_shift=0.05) == -0.007356879231779953
+
+    def test_pde_suite_seed_42(self):
+        measured = {c.name: c.measured for c in run_suite("pde", seed=42).checks}
+        assert measured == {"pde_residual": 8.634380127547914e-09, "pde_fd_order": 1.992960551699347}
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("variant, shift, expected", [
+        (CL, 0.0, {"psi_classical_array": 1}),
+        (W, 0.0, {"psi_weak_array": 1}),
+        (W, 0.05, {"_displaced_weak_array": 1, "psi_weak_array": 1}),
+    ])
+    def test_weak_form_one_field_call(self, monkeypatch, variant, shift, expected):
+        calls = Counter()
+        for name in ("psi_classical_array", "psi_weak_array", "_displaced_weak_array"):
+            counting(monkeypatch, calls, verification, name)
+        center = Point(1.6, 3.8) if variant is CL else Point(2.0, 4.0)
+        weak_form_residual(variant, TestFunction(center, (0.3, 0.45)), shock_shift=shift)
+        assert calls == expected
+
+    def test_pde_suite(self, monkeypatch):
+        calls = Counter()
+        counting(monkeypatch, calls, wave_potential, "phi_array")
+        counting(monkeypatch, calls, wave_potential, "psi_classical_array")
+        for module in (characteristics, wave_potential, verification):
+            for name in ("phi", "classify"):
+                if hasattr(module, name):
+                    counting(monkeypatch, calls, module, name)
+        _suite_pde(seed=0)
+        # two residual calls: 200 sample points, then 10 points at two steps
+        assert calls == {"phi_array": 2, "psi_classical_array": 4}
+
+
+def keeps_pde_point(t, x, tag):
+    """The pde suite's margins as first written, for one point."""
+    if tag not in (RegionTag.OMEGA_A, RegionTag.WEDGE):
+        return False
+    if math.hypot(t - 1.0, x - 2.0) < 0.05:
+        return False
+    if tag is RegionTag.WEDGE and x - boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t) < 0.05:
+        return False
+    return not (t > 1.0 and x < 2.0 * t and (4.0 - 2.0 * t) - x < 0.05)
+
+
+def pde_points_per_point_loop(seed):
+    """The pde suite's sample as first written: one point at a time."""
+    pts = []
+    cursor = seed
+    while len(pts) < 200:
+        batch = halton(1024, skip=cursor)
+        cursor += 1024
+        cand_t = 0.1 + batch[:, 0] * 2.4
+        cand_x = -6.0 + batch[:, 1] * 14.0
+        tags = classify_array(cand_t, cand_x)
+        for t, x, tag in zip(cand_t.tolist(), cand_x.tolist(), tags):
+            if keeps_pde_point(t, x, tag):
+                pts.append((t, x))
+                if len(pts) == 200:
+                    break
+    return np.array(pts).T
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 7, 42, 99])
+    def test_pde_sample_matches_per_point_loop(self, seed):
+        got = np.stack(_sample(200, (0.1, 2.5, -6.0, 8.0), seed, _pde_margins))
+        assert np.array_equal(got, pde_points_per_point_loop(seed))
+
+    @pytest.mark.parametrize("box", [(0.1, 2.4, -6.0, 14.0), (0.9, 0.2, 1.9, 0.2)])
+    def test_pde_margins_match_per_point_rule(self, box):
+        # (t_lo, t_span, x_lo, x_span): the pde box, and a box around the crease
+        t, x = (np.array(box[0::2]) + halton(16384) * np.array(box[1::2])).T
+        tags = classify_array(t, x)
+        expected = [keeps_pde_point(a, b, tag) for a, b, tag in zip(t.tolist(), x.tolist(), tags)]
+        assert np.array_equal(_pde_margins(t, x, tags), expected)

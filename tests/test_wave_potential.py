@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -13,6 +16,7 @@ from shocklab.core import (
     SolutionVariant,
 )
 from shocklab.burgers import psi_weak
+from shocklab.characteristics import RegionTag, classify_array
 from shocklab.wave_potential import (
     dphidt_closed,
     dphidx_closed,
@@ -149,22 +153,22 @@ class TestLbarDerivative:
     def test_equals_field(self):
         for t, x in SAMPLE_POINTS:
             p = Point(t, x)
-            assert abs(lbar_derivative(p, W) - psi_weak(p)) <= 1e-6
+            assert abs(lbar_derivative(t, x, W) - psi_weak(p)) <= 1e-6
 
     def test_classical_variant(self):
         p = Point(0.5, 1.0)
-        assert abs(lbar_derivative(p, CL) - 0.0) <= 1e-6
+        assert abs(lbar_derivative(p.t, p.x, CL) - 0.0) <= 1e-6
 
     def test_weak_value_at_reference_point(self):
-        assert lbar_derivative(Point(2.0, 3.0), W) == pytest.approx(1.2998243026326977, abs=1e-6)
+        assert lbar_derivative(2.0, 3.0, W) == pytest.approx(1.2998243026326977, abs=1e-6)
 
     def test_on_shock_raises(self):
         with pytest.raises(OnShockError):
-            lbar_derivative(Point(2.0, 4.0), W)
+            lbar_derivative(2.0, 4.0, W)
 
     def test_small_time_guard(self):
         with pytest.raises(DomainError):
-            lbar_derivative(Point(1e-7, 0.0), W)
+            lbar_derivative(1e-7, 0.0, W)
 
 
 class TestHorizonProbe:
@@ -224,7 +228,7 @@ class TestDerivativeIdentitySample:
         for t, x in pts:
             p = Point(t, x)
             psi = psi_weak(p)
-            worst_lbar = max(worst_lbar, abs(lbar_derivative(p, W) - psi))
+            worst_lbar = max(worst_lbar, abs(lbar_derivative(t, x, W) - psi))
             h = 1e-5 * max(1.0, t, abs(x))
             fd = (phi(Point(t, x + h), W) - phi(Point(t, x - h), W)) / (2 * h)
             worst_dx = max(worst_dx, abs(dphidx_closed(p, W) - fd))
@@ -234,17 +238,90 @@ class TestDerivativeIdentitySample:
 
 class TestPdeResidual:
     def test_examples(self):
-        assert pde_residual_classical(Point(0.5, 1.0), 1e-4) <= 1e-6
-        assert pde_residual_classical(Point(0.2, -5.0), 1e-4) <= 1e-6
+        assert pde_residual_classical(0.5, 1.0, 1e-4) <= 1e-6
+        assert pde_residual_classical(0.2, -5.0, 1e-4) <= 1e-6
 
     def test_second_order(self):
         p = Point(0.7, 1.3)
-        r_coarse = pde_residual_classical(p, 2e-3)
-        r_fine = pde_residual_classical(p, 1e-3)
+        r_coarse = pde_residual_classical(p.t, p.x, 2e-3)
+        r_fine = pde_residual_classical(p.t, p.x, 1e-3)
         assert math.log2(r_coarse / r_fine) >= 1.9
 
     def test_domain_guards(self):
         with pytest.raises(OutsideDomain):
-            pde_residual_classical(Point(2.2, 0.5), 1e-4)
+            pde_residual_classical(2.2, 0.5, 1e-4)
         with pytest.raises(DomainError):
-            pde_residual_classical(Point(0.5, 1.0), -1e-4)
+            pde_residual_classical(0.5, 1.0, -1e-4)
+
+
+def wedge_point(t, frac):
+    """The point a fraction frac of the way from B to the shock at time t > 1."""
+    z = math.sqrt(t - 1.0)
+    x_b = (2.0 - math.atan(z)) * t + z
+    return t, x_b + frac * (2.0 * t - x_b)
+
+
+# points of the pde suite's box and of the wedge, each with a step
+STENCILS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.floats(0.1, 2.5), st.floats(-6.0, 8.0)),
+            st.builds(wedge_point, st.floats(1.5, 2.5), st.floats(0.0, 1.0)),
+        ),
+        st.floats(1e-6, 1e-3),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+def interior(stencils):
+    """The interior points 0.05 away from the crease, B and C, with their steps."""
+    t, x, h = (np.array(c) for c in zip(*[(a, b, c) for (a, b), c in stencils]))
+    tags = classify_array(t, x)
+    z = np.sqrt(np.maximum(t - 1.0, 0.0))
+    keep = (
+        ((tags == RegionTag.OMEGA_A) | (tags == RegionTag.WEDGE))
+        & (np.hypot(t - 1.0, x - 2.0) >= 0.05)
+        & (np.abs(x - (2.0 - np.arctan(z)) * t - z) >= 0.05)
+        & (np.abs(x - (4.0 - 2.0 * t)) >= 0.05)
+    )
+    assume(keep.any())
+    return t[keep], x[keep], h[keep]
+
+
+class TestArrayForms:
+    @settings(deadline=None, max_examples=50)
+    @given(STENCILS)
+    def test_batch_equals_scalar_calls(self, stencils):
+        t, x, h = interior(stencils)
+        batch = pde_residual_classical(t, x, h)
+        assert np.array_equal(batch, [pde_residual_classical(*p) for p in zip(t, x, h)])
+        for variant in (W, CL):
+            batch = lbar_derivative(t, x, variant)
+            assert np.array_equal(batch, [lbar_derivative(a, b, variant) for a, b in zip(t, x)])
+
+    @settings(deadline=None, max_examples=25)
+    @given(STENCILS, st.floats(1.2, 2.5), st.floats(0.1, 0.9), st.integers(0, 10))
+    def test_weak_only_point_named(self, stencils, tw, frac, k):
+        # a second weak-only point at the end: the error names the first
+        t, x, h = interior(stencils)
+        z = math.sqrt(tw - 1.0)
+        lo, hi = 4.0 - 2.0 * tw, (2.0 - math.atan(z)) * tw + z
+        xw = lo + frac * (hi - lo)
+        assume(classify_array(tw, xw) == RegionTag.WEAK_ONLY and xw != 0.5 * (lo + hi))
+        k = min(k, len(t))
+        t, x, h = np.insert(t, k, tw), np.insert(x, k, xw), np.insert(h, k, 1e-4)
+        t, x, h = np.append(t, tw), np.append(x, 0.5 * (lo + hi)), np.append(h, 1e-4)
+        with pytest.raises(OutsideDomain, match=re.escape(f"({tw}, {xw}) must be interior, got WeakOnly")):
+            pde_residual_classical(t, x, h)
+
+    @settings(deadline=None, max_examples=25)
+    @given(STENCILS, st.floats(0.0, 0.9e-3), st.floats(-6.0, 8.0), st.integers(0, 10))
+    def test_stencil_below_initial_slice_named(self, stencils, tb, xb, k):
+        t, x, h = interior(stencils)
+        k = min(k, len(t))
+        expected = re.escape(f"stencil leaves t >= 0 at ({tb}, {xb}) with step 0.001")
+        with pytest.raises(DomainError, match=expected):
+            pde_residual_classical(np.insert(t, k, tb), np.insert(x, k, xb), np.insert(h, k, 1e-3))
+        with pytest.raises(DomainError, match=expected):
+            lbar_derivative(np.insert(t, k, tb), np.insert(x, k, xb), W, np.insert(h, k, 1e-3))
