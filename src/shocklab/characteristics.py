@@ -190,7 +190,9 @@ def classify_array(t, x) -> np.ndarray:
     broadcast arrays t and x at once; classify is its size-1 case.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    return _TAG_OBJECTS[_region_codes(t, x)]
+    codes = _region_codes(t, x)
+    # index the flat codes: a 0-d index would return a bare RegionTag
+    return _TAG_OBJECTS[codes.ravel()].reshape(codes.shape)
 
 
 # ---------------------------------------------------------------------------

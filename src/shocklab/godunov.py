@@ -9,14 +9,18 @@ upwind flux f(u_left) there.  This module marches that conservative
 explicit update with CFL-limited steps on one local array, with Dirichlet
 ghost cells fed by the exact entropy field and both invariant checks on
 every step, and compares the result in L1 against exact per-cell averages
-with the shock cell split.  Agreement here validates the entropy
-selection of the exact construction; disagreement at the wedge values
-would expose a wrong branch choice.
+with the shock cell split.  One march serves several end times: it takes
+only full CFL steps, and each end is reached by its capped final steps on
+a copy, so every state equals that of a march to its end alone.
+Agreement here validates the entropy selection of the exact
+construction; disagreement at the wedge values would expose a wrong
+branch choice.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +33,7 @@ __all__ = [
     "initial_state",
     "step",
     "solve",
+    "solve_at",
     "l1_error",
     "state_to_csv",
 ]
@@ -88,18 +93,25 @@ def _flux(u):
     return 0.5 * (2.0 + u) ** 2
 
 
-def _advance(ext: np.ndarray, s: GodunovState, t: float, dt_cap: float) -> float:
-    """Advance the cells ext[1:-1] of grid s in place by one step from t; return dt.
+def _fill_ghosts(ext: np.ndarray, s: GodunovState, t: float) -> float:
+    """Fill the ghost cells ext[0] and ext[-1] of grid s at time t; return the CFL step.
 
-    The ghost cells ext[0] and ext[-1] are refilled from the exact entropy
-    field at the ghost cell centers.  Raises InvariantViolation if the
-    maximum principle or total-variation monotonicity breaks; ext is then
-    left part-way through the step.
+    The ghost values are the exact entropy field at the ghost cell centers,
+    from one 2-point field call.
     """
     h = s.h
     ext[[0, -1]] = psi_weak_array(t, np.array([s.x_lo - 0.5 * h, s.x_hi + 0.5 * h]))
     # CFL over the extended array: ghost speeds bound the boundary-cell waves
-    dt = min(s.cfl * h / float(np.max(np.abs(2.0 + ext))), dt_cap)
+    return s.cfl * h / float(np.max(np.abs(2.0 + ext)))
+
+
+def _update(ext: np.ndarray, s: GodunovState, dt: float) -> None:
+    """Advance the cells ext[1:-1] of grid s in place by the upwind flux over dt.
+
+    Raises InvariantViolation if the maximum principle or total-variation
+    monotonicity breaks; ext is then left part-way through the step.
+    """
+    h = s.h
     flux = _flux(ext[:-1])
     u_new = ext[1:-1] - dt / h * (flux[1:] - flux[:-1])
     lo_bound = float(np.min(ext)) - _RANGE_SLACK
@@ -110,7 +122,6 @@ def _advance(ext: np.ndarray, s: GodunovState, t: float, dt_cap: float) -> float
     ext[1:-1] = u_new
     if float(np.sum(np.abs(np.diff(ext)))) > tv_old + 1e-10 * (1.0 + tv_old):
         raise InvariantViolation("total variation increased in a Godunov step")
-    return dt
 
 
 def step(s: GodunovState, dt_cap: float = math.inf) -> GodunovState:
@@ -124,21 +135,52 @@ def step(s: GodunovState, dt_cap: float = math.inf) -> GodunovState:
     monotonicity breaks.
     """
     ext = np.concatenate([[0.0], s.cell_averages, [0.0]])
-    dt = _advance(ext, s, s.time, dt_cap)
+    dt = min(_fill_ghosts(ext, s, s.time), dt_cap)
+    _update(ext, s, dt)
     return replace(s, cell_averages=ext[1:-1], time=s.time + dt)
+
+
+def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, ...]:
+    """March once from s0 and return the state at each of the nondecreasing t_ends.
+
+    Each state equals solve(t_end, s0) bit for bit.  The shared march takes
+    only full CFL steps; each end is reached on a copy of the cells with the
+    capped steps a march to that end alone takes, starting from the CFL
+    step already computed at the point where the march to it leaves.
+    """
+    for i, (before, t_end) in enumerate(zip((s0.time, *t_ends), t_ends)):
+        if t_end < before:
+            what = "the end time before it" if i else "the state time"
+            raise DomainError(f"t_end = {t_end} precedes {what} {before}")
+    states = []
+    ext = np.concatenate([[0.0], s0.cell_averages, [0.0]])
+    t, dt = s0.time, None  # dt: CFL step of the ghosts filled at t, None if not filled
+    for t_end in t_ends:
+        if t_end == s0.time:
+            states.append(s0)
+            continue
+        while t < t_end:
+            if dt is None:
+                dt = _fill_ghosts(ext, s0, t)
+            if dt > t_end - t:
+                break
+            _update(ext, s0, dt)
+            t, dt = t + dt, None
+        # the march to t_end alone leaves the shared one here
+        cells, t_cut, dt_cut = ext.copy(), t, dt
+        while t_cut < t_end:
+            if dt_cut is None:
+                dt_cut = _fill_ghosts(cells, s0, t_cut)
+            dt_cut = min(dt_cut, t_end - t_cut)
+            _update(cells, s0, dt_cut)
+            t_cut, dt_cut = t_cut + dt_cut, None
+        states.append(replace(s0, cell_averages=cells[1:-1], time=t_cut))
+    return tuple(states)
 
 
 def solve(t_end: float, s0: GodunovState) -> GodunovState:
     """March the state to exactly t_end with a matched final partial step."""
-    if t_end < s0.time:
-        raise DomainError(f"t_end = {t_end} precedes the state time {s0.time}")
-    if t_end == s0.time:
-        return s0
-    ext = np.concatenate([[0.0], s0.cell_averages, [0.0]])
-    t = s0.time
-    while t < t_end:
-        t += _advance(ext, s0, t, t_end - t)
-    return replace(s0, cell_averages=ext[1:-1], time=t)
+    return solve_at((t_end,), s0)[0]
 
 
 def l1_error(s: GodunovState) -> float:

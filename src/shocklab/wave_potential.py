@@ -240,7 +240,7 @@ def pde_residual_classical(t, x, h) -> np.ndarray:
     t, x, h = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, h)))
     _raise_at(h <= 0.0, DomainError, "step must be positive, got {h} at {p}", t, x, h=h)
     _raise_at(t - h < 0.0, DomainError, "stencil leaves t >= 0 at {p} with step {h}", t, x, h=h)
-    tags = classify_array(t.ravel(), x.ravel())
+    tags = classify_array(t, x)
     interior = np.isin(tags, (RegionTag.OMEGA_A, RegionTag.WEDGE, RegionTag.ON_SHOCK))
     _raise_at(~interior, OutsideDomain, "residual point {p} must be interior, got {tag.value}", t, x, tag=tags)
     psi_here = psi_classical_array(t, x)

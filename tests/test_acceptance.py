@@ -198,9 +198,8 @@ class TestAcceptance:
         from shocklab import godunov as fv
         s4 = fv.solve(2.0, fv.initial_state(4000))
         e4 = fv.l1_error(s4)
-        s8 = fv.solve(2.0, fv.initial_state(8000))
+        sw, s8 = fv.solve_at((1.27, 2.0), fv.initial_state(8000))
         e8 = fv.l1_error(s8)
-        sw = fv.solve(1.27, fv.initial_state(8000))
         i = int(np.argmin(np.abs(sw.cell_centers - 2.5)))
         u = float(sw.cell_averages[i])
         pw = sl.psi_weak(Point(1.27, 2.5))
@@ -212,6 +211,8 @@ class TestAcceptance:
                f"wedge cell {u:.4f} within 0.05 of entropy {pw:.4f} and "
                f">= 0.5 from classical {pc:.4f}")
         assert ok
+        # frozen: the one march serves both end times bit for bit
+        assert (e4, e8, u) == (0.00781216453767635, 0.003827092042893625, 0.8283574257847297)
 
     def test_c14_crease_location(self):
         at_crease = [sl.boundary_x(kind, 1.0) for kind in BoundaryCurve]

@@ -163,6 +163,12 @@ class TestClassifyArray:
         tags = classify_array(np.array(ts), np.array(xs))
         assert tags.tolist() == [classify(Point(t, x)) for t, x in zip(ts, xs)]
 
+    def test_scalar_input_gives_0d_array(self):
+        tags = classify_array(0.5, 0.0)
+        assert isinstance(tags, np.ndarray) and tags.shape == ()
+        assert tags.item() is RegionTag.OMEGA_A
+        assert not ~(tags == RegionTag.OMEGA_A)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             classify_array(np.array([-0.1]), np.array([0.0]))

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shocklab.godunov as fv
 from shocklab.core import DomainError, InvariantViolation, Point
 from shocklab.burgers import psi_classical, psi_weak, psi_weak_array
-from shocklab.godunov import GodunovState, initial_state, l1_error, solve, state_to_csv, step
+from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, state_to_csv, step
 
 
 def flux(u):
@@ -164,7 +166,10 @@ class TestChecksKept:
         ((-3.9, -1.5), "maximum principle violated"),
         ((-6.0, 6.0), "total variation increased"),
     ])
-    @pytest.mark.parametrize("march", [step, lambda s: solve(1.0, s)], ids=["step", "solve"])
+    # solve_at's first end is reached by a capped step on the copy of the cells
+    @pytest.mark.parametrize("march", [
+        step, lambda s: solve(1.0, s), lambda s: solve_at((1e-3, 1.0), s),
+    ], ids=["step", "solve", "solve_at"])
     def test_raises(self, monkeypatch, march, ghosts, message):
         monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
         with pytest.raises(InvariantViolation, match=message):
@@ -185,6 +190,9 @@ class TestSolve:
         s = solve(2.0, s0)
         assert built == [2.0]
         assert s.time == 2.0
+        built.clear()
+        assert [s.time for s in solve_at((1.27, 2.0), s0)] == [1.27, 2.0]
+        assert built == [1.27, 2.0]
 
     @pytest.mark.parametrize("t_end, n_cells, expected", [
         (2.0, 800, 0.03899372247601471),
@@ -232,3 +240,56 @@ class TestSolve:
         u = float(s.cell_averages[i])
         assert abs(u - psi_weak(Point(1.27, 2.5))) <= 0.05
         assert abs(u - psi_classical(Point(1.27, 2.5))) >= 0.5
+
+
+class TestSolveAt:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_cells=st.integers(8, 48),
+        t0=st.sampled_from([0.0, 0.35, 1.1]),
+        offsets=st.lists(st.just(0.0) | st.floats(0.0, 1.5), min_size=1, max_size=4),
+        repeat=st.booleans(),
+    )
+    def test_equals_separate_solves(self, n_cells, t0, offsets, repeat):
+        s0 = replace(initial_state(n_cells), time=t0)
+        t_ends = sorted(t0 + d for d in (offsets * 2 if repeat else offsets))
+        got = solve_at(t_ends, s0)
+        want = [solve(t, s0) for t in t_ends]
+        assert len(got) == len(t_ends)
+        for a, b in zip(got, want):
+            assert a.time == b.time
+            assert a.cell_averages.tobytes() == b.cell_averages.tobytes()
+
+    def test_ends_within_one_step(self):
+        # all three ends leave the shared march at the same CFL step
+        s0 = initial_state(64)
+        t_ends = (0.5, 0.5 + 1e-9, 0.5 + 2e-9)
+        for a, t in zip(solve_at(t_ends, s0), t_ends):
+            b = solve(t, s0)
+            assert (a.time, a.cell_averages.tobytes()) == (b.time, b.cell_averages.tobytes())
+
+    def test_start_time_returns_the_state(self):
+        s0 = initial_state(64)
+        first, last = solve_at((0.0, 0.3), s0)
+        assert first is s0 and last.time == 0.3
+        assert solve_at((), s0) == ()
+
+    @pytest.mark.parametrize("t_ends", [(1.0, 0.5), (0.2, 0.7, 0.6), (-0.1, 0.5)])
+    def test_decreasing_rejected(self, t_ends):
+        with pytest.raises(DomainError):
+            solve_at(t_ends, initial_state(64))
+
+    def test_one_march_for_both_ends(self, monkeypatch):
+        calls = []
+
+        def counted(t, x):
+            calls.append(t)
+            return psi_weak_array(t, x)
+
+        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        s0 = initial_state(400)
+        solve(2.0, s0)
+        n_solve = len(calls)
+        calls.clear()
+        solve_at((1.27, 2.0), s0)
+        assert len(calls) <= n_solve + 1
