@@ -13,8 +13,8 @@ Inverting a characteristic through a point (t, x) means solving
 
 for the foot u.  The residual is monotone on each half-axis and, past the
 focusing time, on each branch |u| >= sqrt(t-1), so every foot map below is
-a bracketed root find.  All of them go through one batched solve
-(core.solve_monotone_array) and all region tags through one set of rules
+a bracketed root find.  All of them go through one batched Newton solve
+(_solve_feet) and all region tags through one set of rules
 (_region_codes); a scalar foot map or classify is a size-1 array call, so
 scalar and array answers agree bit for bit.
 """
@@ -29,11 +29,11 @@ import numpy as np
 from .core import (
     GEOM_TOL,
     DomainError,
+    MaxIterExceeded,
     OnShockError,
     OutsideDomain,
     Point,
     psi0,
-    solve_monotone_array,
 )
 
 __all__ = [
@@ -217,20 +217,69 @@ def _bracket(t, d, right):
     return lo, hi
 
 
+# Points per block of the batched solve, which bounds its working arrays.
+_BLOCK = 8192
+# Relative step below which a Newton iterate counts as converged: a few ulp.
+_STEP_TOL = 1e-14
+# Newton sweeps before a block gives up with MaxIterExceeded.
+_MAX_SWEEPS = 160
+
+
 def _solve_feet(t, d, lo, hi):
-    """Roots of u - t*arctan(u) = d, one per bracket [lo, hi]."""
-    tf, df = t.ravel(), d.ravel()
+    """Roots of u - t*arctan(u) = d, one per bracket [lo, hi], by batched Newton.
 
-    def p_func(u, i):
-        return u - tf[i] * np.arctan(u) - df[i]
+    Each bracket holds one sign change of the increasing residual.  Newton
+    starts on its convex side (hi where lo >= 0, lo elsewhere: the
+    curvature has the sign of u), so the iterates approach the root
+    monotonically with no bisection, also at a double root, where a
+    residual test would stop far from it.  Steps are clipped to the
+    bracket.  A point stops once rounding makes its residual change sign,
+    vanish or stop shrinking, or once its step is at most
+    _STEP_TOL*(1 + |u|); it keeps the iterate with the smaller residual and
+    leaves the active set.  Large inputs are solved in blocks of _BLOCK
+    points; points with lo == hi are returned as given.
 
-    def dp_func(u, i):
-        return 1.0 - tf[i] / (1.0 + u * u)
+    Raises MaxIterExceeded after _MAX_SWEEPS sweeps, naming the active point
+    (t, d) with the largest residual, its iterate, residual and bracket.
+    """
+    t, d, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, d, lo, hi)))
+    shape = lo.shape
+    t, d, lo, hi = t.ravel(), d.ravel(), lo.ravel(), hi.ravel()
+    out = np.empty(lo.size)
+    for first in range(0, lo.size, _BLOCK):
+        blk = slice(first, first + _BLOCK)
+        out[blk] = _solve_block(t[blk], d[blk], lo[blk], hi[blk])
+    return out.reshape(shape)
 
-    def describe(i):
-        return f"point (t, d) = ({float(tf[i])!r}, {float(df[i])!r})"
 
-    return solve_monotone_array(p_func, dp_func, lo, hi, describe=describe)
+def _solve_block(t, d, lo, hi):
+    u = np.where(lo >= 0.0, hi, lo)
+    out = np.empty(u.size)
+    pos = np.arange(u.size)          # block positions of the active points
+    r = u - t * np.arctan(u) - d
+    best, done = u, (r == 0.0) | (lo >= hi)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        for sweep in range(_MAX_SWEEPS + 1):
+            if done.any():
+                out[pos[done]] = best[done]
+                live = ~done
+                pos, t, d, u, r, lo, hi = pos[live], t[live], d[live], u[live], r[live], lo[live], hi[live]
+            if pos.size == 0:
+                return out
+            if sweep == _MAX_SWEEPS:
+                break
+            un = np.minimum(np.maximum(u - r / (1.0 - t / (1.0 + u * u)), lo), hi)
+            rn = un - t * np.arctan(un) - d
+            better = np.abs(rn) < np.abs(r)
+            done = ~better | (rn * r <= 0.0) | (np.abs(un - u) <= _STEP_TOL * (1.0 + np.abs(un)))
+            best = np.where(better, un, u)
+            u, r = un, rn
+    i = int(np.argmax(np.abs(r)))
+    raise MaxIterExceeded(
+        f"batched root solve: {pos.size} points unconverged after {_MAX_SWEEPS} sweeps; "
+        f"worst point (t, d) = ({float(t[i])!r}, {float(d[i])!r}): u = {float(u[i])!r}, "
+        f"residual {float(r[i]):.3e}, bracket [{float(lo[i])!r}, {float(hi[i])!r}]"
+    )
 
 
 def foot_weak_array(t, x) -> np.ndarray:

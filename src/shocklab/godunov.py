@@ -131,9 +131,11 @@ def step(s: GodunovState, dt_cap: float = math.inf) -> GodunovState:
     centers (inflow-dominated boundaries).  The interface flux is the
     upwind value f(u_left): every wave speed 2 + u is positive on the
     invariant range, so no Riemann fan reaches back across an interface.
-    Raises InvariantViolation if the maximum principle or total-variation
-    monotonicity breaks.
+    Raises DomainError unless dt_cap > 0, and InvariantViolation if the
+    maximum principle or total-variation monotonicity breaks.
     """
+    if not dt_cap > 0.0:
+        raise DomainError(f"dt_cap must be positive, got {dt_cap}")
     ext = np.concatenate([[0.0], s.cell_averages, [0.0]])
     dt = min(_fill_ghosts(ext, s, s.time), dt_cap)
     _update(ext, s, dt)

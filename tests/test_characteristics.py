@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from shocklab.core import (
     OnShockError,
     OutsideDomain,
     Point,
-    solve_monotone_array,
 )
 from shocklab import characteristics
 from shocklab.characteristics import (
@@ -366,7 +366,38 @@ class TestWideArrays:
             assert u == pytest.approx(v, rel=1e-14)
 
     def test_max_iter_message_names_t_and_d(self, monkeypatch):
-        capped = lambda *a, **k: solve_monotone_array(*a, **dict(k, max_iter=1))
-        monkeypatch.setattr(characteristics, "solve_monotone_array", capped)
+        monkeypatch.setattr(characteristics, "_MAX_SWEEPS", 1)
         with pytest.raises(MaxIterExceeded, match=r"\(t, d\) = \(1\.0, 0\.25\).*bracket \[0\.0, "):
             foot_weak_array(np.array([0.5, 1.0]), np.array([1.2, 2.25]))
+
+
+class TestFrozenFeet:
+    """Exact feet, pinned bit for bit: a change to the solver's arithmetic shows here."""
+
+    @pytest.mark.parametrize("t, x, expected", [
+        (2.0, 4.5, "0x1.7fb1d0d0056cfp+1"),           # right family past the crease
+        (2.0, 3.0, "-0x1.ccc149165a7b4p+1"),          # left family past the crease
+        (0.5, 1.0, "0x0.0p+0"),                       # flat point: d = 0, t <= 1
+        (1.0, 2.0, "0x0.0p+0"),
+        (1000.0, 1e6, "0x1.e812597350473p+19"),
+        (0.5, -1e6, "-0x1.e8483921fa47dp+19"),
+    ])
+    def test_weak_feet(self, t, x, expected):
+        assert foot_weak(Point(t, x)).hex() == expected
+
+    def test_classical_foot_snaps_to_branch_point(self):
+        assert foot_classical(Point(3.0, boundary_x(B, 3.0))).hex() == "0x1.6a09e667f3bcdp+0"
+
+    def test_shock_feet_near_crease(self):
+        assert [u.hex() for u in shock_feet(1.0 + 1e-6)] == ["-0x1.c60c02321061fp-10", "0x1.c60c02321061fp-10"]
+
+    def test_godunov_ghost_pair(self):
+        u = foot_weak_array(1.3, np.array([-10.00125, 10.00125]))
+        assert [float(v).hex() for v in u] == ["-0x1.d1bb3744323bap+3", "0x1.29bb27d50aa33p+3"]
+
+    def test_batch_across_blocks(self):
+        # 10007 points: more than one solver block
+        t = np.linspace(0.0, 4.0, 10007)
+        x = np.linspace(-30.0, 40.0, 10007)[::-1]
+        digest = hashlib.sha256(foot_weak_array(t, x).tobytes()).hexdigest()
+        assert digest == "174b654e7649bd9b775d6c39138d0e92ecba31730f56544630b61fee961fda6d"

@@ -13,8 +13,9 @@ from shocklab.core import (
     psi0,
     psi0_prime,
     psi0_second,
-    solve_monotone_array,
 )
+from shocklab import characteristics
+from shocklab.characteristics import _solve_feet
 
 
 class TestInitialDatum:
@@ -79,19 +80,6 @@ class TestDomainTypes:
         assert GEOM_TOL <= 1e-10
 
 
-def _foot_callbacks(t, d):
-    """Residual u - t*atan(u) - d and its derivative, indexed by active point."""
-    t, d = np.ravel(t), np.ravel(d)
-
-    def p(u, i):
-        return u - t[i] * np.arctan(u) - d[i]
-
-    def dp(u, i):
-        return 1.0 - t[i] / (1.0 + u * u)
-
-    return p, dp
-
-
 class TestSolveMonotoneArray:
     def test_matches_brentq_per_point(self):
         # easy points, a point near the crease and a wide-|d| point converge together
@@ -99,7 +87,7 @@ class TestSolveMonotoneArray:
         d = np.array([0.7, 1.0, 1e-6, -4e5, -0.3])
         lo = np.array([0.0, 1.0, 0.0, -4e5 - 2.0, -10.0])
         hi = np.array([2.0, 10.0, 1.0, 0.0, -math.sqrt(2.0)])
-        u = solve_monotone_array(*_foot_callbacks(t, d), lo, hi)
+        u = _solve_feet(t, d, lo, hi)
         for ti, di, a, b, ui in zip(t, d, lo, hi, u):
             f = lambda y: y - ti * math.atan(y) - di
             expected = brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
@@ -110,22 +98,21 @@ class TestSolveMonotoneArray:
         rng = np.random.default_rng(5)
         t = rng.uniform(0.0, 0.99, (3, 7000))
         d = rng.uniform(0.01, 50.0, (3, 7000))
-        u = solve_monotone_array(*_foot_callbacks(t, d), np.zeros_like(t), d + t * math.pi / 2)
+        u = _solve_feet(t, d, np.zeros_like(t), d + t * math.pi / 2)
         assert u.shape == t.shape
         residual = u - t * np.arctan(u) - d
         assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * (u + d))
 
     def test_collapsed_bracket_returned_as_given(self):
-        p, dp = _foot_callbacks([2.0, 0.5], [1.0, 0.0])
-        u = solve_monotone_array(p, dp, np.array([1.25, 0.0]), np.array([1.25, 0.0]))
+        t, d = np.array([2.0, 0.5]), np.array([1.0, 0.0])
+        u = _solve_feet(t, d, np.array([1.25, 0.0]), np.array([1.25, 0.0]))
         assert u.tolist() == [1.25, 0.0]
 
-    def test_max_iter_message_names_worst_point(self):
+    def test_max_iter_message_names_worst_point(self, monkeypatch):
         t, d = np.array([0.5, 1.0]), np.array([0.1, 1e-3])
-        p, dp = _foot_callbacks(t, d)
+        monkeypatch.setattr(characteristics, "_MAX_SWEEPS", 2)
         with pytest.raises(MaxIterExceeded) as err:
-            solve_monotone_array(p, dp, np.zeros(2), d + t * math.pi / 2, max_iter=2,
-                                 describe=lambda i: f"(t, d) = ({t[i]}, {d[i]})")
+            _solve_feet(t, d, np.zeros(2), d + t * math.pi / 2)
         msg = str(err.value)
         assert "(t, d) = (1.0, 0.001)" in msg
         assert "residual" in msg and "bracket [0.0, " in msg

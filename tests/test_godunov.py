@@ -107,6 +107,13 @@ class TestStep:
         assert s2.time == 0.25 + dt
         assert s2.cell_averages.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dt_cap", [-0.01, 0.0, math.nan])
+    def test_non_positive_dt_cap_rejected(self, dt_cap):
+        # a negative cap used to march backward: 0.5 -> 0.49
+        s = solve(0.5, initial_state(64))
+        with pytest.raises(DomainError, match="dt_cap"):
+            step(s, dt_cap)
+
     def test_mass_conservation(self):
         s = initial_state(256)
         # telescoping: interior fluxes cancel, only boundary fluxes move mass
