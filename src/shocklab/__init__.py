@@ -59,7 +59,6 @@ from .geometry import (
     CausalClass,
     Metric2,
     NullFrame,
-    PastQuery,
     backward_L_curves,
     bubble_witness,
     causal_class,

@@ -66,7 +66,10 @@ class ShockTrace:
     t: float
     left_value: float
     right_value: float
-    speed: float
+
+    @property
+    def speed(self) -> float:
+        return 2.0
 
     @property
     def jump(self) -> float:
@@ -153,7 +156,7 @@ def shock_trace(t: float) -> ShockTrace:
     neg, pos = shock_feet(t)
     left = float(psi0(neg))
     right = float(psi0(pos))
-    return ShockTrace(t=t, left_value=left, right_value=right, speed=2.0)
+    return ShockTrace(t=t, left_value=left, right_value=right)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ import numpy as np
 from .core import (
     GEOM_TOL,
     DomainError,
-    OnShockError,
-    OutsideDomain,
     Point,
     ShockLabError,
     SolutionVariant,
@@ -281,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, OutsideDomain, OnShockError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ShockLabError as exc:

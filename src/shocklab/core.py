@@ -68,7 +68,7 @@ class MaxIterExceeded(ShockLabError):
     """Iteration cap hit before the solve converged."""
 
 
-class NearSingular(ShockLabError):
+class NearSingular(DomainError):
     """Derivative evaluation requested within the blowup tolerance band."""
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "Metric2",
     "NullFrame",
     "CausalClass",
-    "PastQuery",
     "metric",
     "inverse_metric",
     "causal_class",
@@ -103,23 +102,6 @@ class CausalClass(enum.Enum):
     TIMELIKE = "Timelike"
     NULL = "Null"
     SPACELIKE = "Spacelike"
-
-
-@dataclass(frozen=True)
-class PastQuery:
-    """Membership query: is `target` in the causal/timelike past of `apex`?
-
-    The apex must lie on the singular boundary (to within 100*GEOM_TOL
-    times max(1, |x|)) and the target at or before the apex time.
-    """
-
-    apex: Point
-    target: Point
-    mode: str = "Causal"
-
-    def __post_init__(self):
-        if self.mode not in ("Causal", "Timelike"):
-            raise DomainError(f"mode must be Causal or Timelike, got {self.mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,38 +223,40 @@ def _past_right(apex: Point, t: float) -> float:
     return apex.x + 2.0 * (apex.t - t)
 
 
-def causal_past_contains(q: PastQuery) -> bool:
-    """Whether q.target can be reached from q.apex by a past causal curve.
+def causal_past_contains(apex: Point, target: Point) -> bool:
+    """Whether target can be reached from apex by a past causal curve.
 
-    The past of a singular-boundary point is bounded on the left by the
+    The apex must lie on the singular boundary (to within 100*GEOM_TOL
+    times max(1, |x|)) and the target at or before the apex time.  The
+    past of a singular-boundary point is bounded on the left by the
     boundary itself continued by the center characteristic below the
     crease (a null curve that rides the boundary), and on the right by
     the backward ingoing line; membership is weak (boundaries included).
     """
-    _require_apex_on_B(q.apex)
-    t = q.target.t
-    if t > q.apex.t:
+    _require_apex_on_B(apex)
+    t = target.t
+    if t > apex.t:
         raise DomainError("target must not lie after the apex")
-    tol = GEOM_TOL * max(1.0, abs(q.target.x))
-    return (
-        _past_left_causal(t) - tol <= q.target.x <= _past_right(q.apex, t) + tol
-    )
+    tol = GEOM_TOL * max(1.0, abs(target.x))
+    return _past_left_causal(t) - tol <= target.x <= _past_right(apex, t) + tol
 
 
-def timelike_past_contains(q: PastQuery) -> bool:
-    """Whether q.target is in the strictly timelike past of q.apex.
+def timelike_past_contains(apex: Point, target: Point) -> bool:
+    """Whether target is in the strictly timelike past of apex.
 
+    The apex must lie on the singular boundary (to within 100*GEOM_TOL
+    times max(1, |x|)) and the target at or before the apex time.
     Timelike curves cannot ride the null singular boundary, so the left
     boundary tightens to the interior characteristic that focuses at the
     apex; membership is strict.
     """
-    z = _require_apex_on_B(q.apex)
-    t = q.target.t
-    if t > q.apex.t:
+    z = _require_apex_on_B(apex)
+    t = target.t
+    if t > apex.t:
         raise DomainError("target must not lie after the apex")
     left = z + t * (2.0 - math.atan(z))
-    tol = GEOM_TOL * max(1.0, abs(q.target.x))
-    return left + tol < q.target.x < _past_right(q.apex, t) - tol
+    tol = GEOM_TOL * max(1.0, abs(target.x))
+    return left + tol < target.x < _past_right(apex, t) - tol
 
 
 def bubble_witness(apex: Point) -> Point:

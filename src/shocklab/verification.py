@@ -35,6 +35,7 @@ from .core import (
 from .characteristics import (
     BoundaryCurve,
     RegionTag,
+    _bracket,
     _solve_feet,
     boundary_x,
     classify_array,
@@ -49,7 +50,6 @@ from .burgers import (
     shock_trace,
 )
 from .geometry import (
-    PastQuery,
     bubble_witness,
     causal_past_contains,
     inverse_metric,
@@ -88,6 +88,10 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 WEDGE_PROBE = Point(1.27, 2.5)
+# Least r^2 a power-law fit must reach.
+_R2_MIN = 0.999
+# 50 log-spaced times from just past the crease to t = 100.
+_LOG_TIMES = np.exp(np.linspace(math.log(1.001), math.log(100.0), 50))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def _displaced_weak_array(t, x, delta: float) -> np.ndarray:
     if np.any(ds >= reach):
         raise DomainError("displacement exceeds the left family's reach")
     # feet on the left family, u <= -sqrt(t-1)
-    vals[strip] = psi0(_solve_feet(ts, ds, ds - ts * _HALF_PI, -z))
+    vals[strip] = psi0(_solve_feet(ts, ds, *_bracket(ts, ds, False)))
     return vals
 
 
@@ -284,8 +288,8 @@ class OleinikReport:
     max_quotient: float
     n_pairs: int
 
-    def bound(self, c: float = 1.0) -> float:
-        return c * (1.0 + 1.0 / self.t)
+    def bound(self) -> float:
+        return 1.0 + 1.0 / self.t
 
 
 def oleinik_scan(t: float, x_range: tuple[float, float], n: int) -> OleinikReport:
@@ -293,7 +297,7 @@ def oleinik_scan(t: float, x_range: tuple[float, float], n: int) -> OleinikRepor
 
     The entropy field is nonincreasing in x at fixed t, so the maximum is
     <= 0 up to root-solver noise: strictly stronger than the one-sided
-    bound C (1 + 1/t) for any C > 0.
+    bound C (1 + 1/t) for any C > 0 (bound() reports it for C = 1).
     """
     if n < 2:
         raise DomainError("need at least 2 sample pairs")
@@ -361,21 +365,17 @@ def _fit_power_law(offsets, values) -> tuple[float, float, float]:
     return float(slope), float(math.exp(intercept)), r2
 
 
-def holder_fit(
-    target: HolderTarget,
-    base,
-    offsets,
-    r2_min: float = 0.999,
-) -> FitReport:
+def holder_fit(target: HolderTarget, base, offsets) -> FitReport:
     """Fitted power law of a boundary degeneracy.
 
-    CREASE_SPATIAL: field drop right of the crease (cube root expected).
+    CREASE_SPATIAL: field drop right of the crease (1, 2), which `base`
+    must be (cube root expected).
     SINGULAR_BOUNDARY_SPATIAL: field drop right of the boundary at fixed
     time `base` (square root expected).  HORIZON_JUMP: the potential
     derivative probe above the horizon at fixed x = `base`.
 
     Offsets must be strictly decreasing inside the validated window
-    [1e-8, 1e-2]; raises PoorFit when r^2 falls below r2_min.
+    [1e-8, 1e-2]; raises PoorFit when r^2 falls below 0.999.
     """
     offsets = tuple(float(d) for d in offsets)
     if any(b >= a for a, b in zip(offsets, offsets[1:])):
@@ -384,8 +384,7 @@ def holder_fit(
         raise DomainError("offsets outside the validated window [1e-8, 1e-2]")
 
     if target is HolderTarget.CREASE_SPATIAL:
-        base_pt = base if isinstance(base, Point) else Point(1.0, 2.0)
-        if abs(base_pt.t - 1.0) > 1e-9 or abs(base_pt.x - 2.0) > 1e-9:
+        if not isinstance(base, Point) or abs(base.t - 1.0) > 1e-9 or abs(base.x - 2.0) > 1e-9:
             raise DomainError("crease fit must anchor at (1, 2)")
         _, v0 = psi_boundary_extension(0.0)
         xs = np.array([2.0 + d for d in offsets])
@@ -405,8 +404,8 @@ def holder_fit(
         raise DomainError(f"unknown fit target {target}")
 
     slope, coeff, r2 = _fit_power_law(offsets, vals)
-    if r2 < r2_min:
-        raise PoorFit(f"power-law fit r^2 = {r2:.6f} < {r2_min}")
+    if r2 < _R2_MIN:
+        raise PoorFit(f"power-law fit r^2 = {r2:.6f} < {_R2_MIN}")
     return FitReport(
         exponent=slope,
         coefficient=coeff,
@@ -421,12 +420,10 @@ def holder_fit(
 
 @dataclass(frozen=True)
 class AgreementReport:
-    n_omega_a: int
-    n_wedge: int
+    n: int                        # points sampled in each of the two regions
     max_gap_omega_a: float        # max |psi_C - psi_W| where they must agree
     min_wedge_gap: float          # min (psi_W - psi_C) where they must differ
-    phi_gap_at_probe: float       # Phi_W - Phi_C at the wedge probe point
-    probe: Point = WEDGE_PROBE
+    phi_gap_at_probe: float       # Phi_W - Phi_C at WEDGE_PROBE
 
     @property
     def passed(self) -> bool:
@@ -471,8 +468,7 @@ def agreement_disagreement_scan(n: int, seed: int = 0) -> AgreementReport:
     phi_w = phi(WEDGE_PROBE, SolutionVariant.WEAK)
     phi_c = phi(WEDGE_PROBE, SolutionVariant.CLASSICAL)
     return AgreementReport(
-        n_omega_a=n,
-        n_wedge=n,
+        n=n,
         max_gap_omega_a=float(np.max(gap_a)),
         min_wedge_gap=float(np.min(gap_w)),
         phi_gap_at_probe=phi_w - phi_c,
@@ -531,12 +527,8 @@ class Report:
         }
 
 
-def _log_spaced_times(n: int = 50, lo: float = 1.001, hi: float = 100.0) -> np.ndarray:
-    return np.exp(np.linspace(math.log(lo), math.log(hi), n))
-
-
 def _suite_rh(seed: int) -> list[CheckResult]:
-    worst = max(rh_residual(float(t)) for t in _log_spaced_times())
+    worst = max(rh_residual(float(t)) for t in _LOG_TIMES)
     return [CheckResult(
         "rankine_hugoniot", worst <= 1e-11, worst, 1e-11,
         "shock speed equals the mean of the one-sided characteristic speeds",
@@ -545,7 +537,7 @@ def _suite_rh(seed: int) -> list[CheckResult]:
 
 def _suite_lax(seed: int) -> list[CheckResult]:
     dev, min_gap = 0.0, math.inf
-    for t in _log_spaced_times():
+    for t in _LOG_TIMES:
         lower, upper = lax_gaps(float(t))
         x0 = shock_feet(float(t))[1]
         expected = math.atan(x0)
@@ -644,7 +636,7 @@ def _suite_holder(seed: int) -> list[CheckResult]:
 
 
 def _suite_tangency(seed: int) -> list[CheckResult]:
-    worst = max(tangency_residual_B(float(t)) for t in _log_spaced_times())
+    worst = max(tangency_residual_B(float(t)) for t in _LOG_TIMES)
     return [CheckResult(
         "boundary_tangency", worst <= 1e-10, worst, 1e-10,
         "the extended outgoing speed matches the singular-boundary slope",
@@ -706,17 +698,15 @@ def _suite_bubble(seed: int) -> list[CheckResult]:
     for z in (0.25, 0.5, 1.0, 2.0, 4.0):
         apex, _ = psi_boundary_extension(z)
         q = bubble_witness(apex)
-        in_causal = causal_past_contains(PastQuery(apex, q, "Causal"))
-        in_timelike = timelike_past_contains(PastQuery(apex, q, "Timelike"))
+        in_causal = causal_past_contains(apex, q)
+        in_timelike = timelike_past_contains(apex, q)
         ok = ok and in_causal and not in_timelike
     apex = Point(2.0, 5.0 - _HALF_PI)
     target = Point(1.0, 2.1)
-    explicit = causal_past_contains(PastQuery(apex, target)) and not timelike_past_contains(
-        PastQuery(apex, target, "Timelike")
-    )
+    explicit = causal_past_contains(apex, target) and not timelike_past_contains(apex, target)
     sc_ok = True
     val_dev = 0.0
-    for t in _log_spaced_times():
+    for t in _LOG_TIMES:
         right, left = shock_tangent_norms(float(t))
         sc_ok = sc_ok and right > 0.0 and left < 0.0
     t_ref = 4.0 / math.pi

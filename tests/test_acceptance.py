@@ -139,17 +139,16 @@ class TestAcceptance:
         assert ok
 
     def test_c09_causal_bubbles(self):
-        from shocklab.geometry import PastQuery
         ok = True
         for z in (0.25, 0.5, 1.0, 2.0, 4.0):
             apex, _ = sl.psi_boundary_extension(z)
             q = sl.bubble_witness(apex)
-            ok = ok and sl.causal_past_contains(PastQuery(apex, q))
-            ok = ok and not sl.timelike_past_contains(PastQuery(apex, q, "Timelike"))
+            ok = ok and sl.causal_past_contains(apex, q)
+            ok = ok and not sl.timelike_past_contains(apex, q)
         apex = Point(2.0, 5.0 - math.pi / 2)
         target = Point(1.0, 2.1)
-        in_causal = sl.causal_past_contains(PastQuery(apex, target))
-        in_timelike = sl.timelike_past_contains(PastQuery(apex, target, "Timelike"))
+        in_causal = sl.causal_past_contains(apex, target)
+        in_timelike = sl.timelike_past_contains(apex, target)
         ok = ok and in_causal and not in_timelike
         report("C09 causal-bubbles", ok,
                f"witnesses causal-not-timelike at 5 apexes; explicit pair causal={in_causal}, "

@@ -64,6 +64,15 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: classical potential undefined at (2.2, 0.5)\n"
 
+    # on B (foot 1) and at the crease (foot 0) the classical derivative is undefined
+    @pytest.mark.parametrize("t, x", [("2", repr(5.0 - math.pi / 2)), ("1", "2")], ids=["B", "crease"])
+    def test_undefined_derivative_exit_2(self, capsys, t, x):
+        code, out, err = run_cli(
+            capsys, "eval", "--t", t, "--x", x, "--variant", "classical", "--fields", "dpsi_dx",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 1 + t*psi0'(x0) = ")
+
     def test_metric_and_frame_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--t", "0.5", "--x", "1", "--variant", "classical",

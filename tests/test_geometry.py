@@ -10,7 +10,6 @@ from shocklab.burgers import psi_boundary_extension
 from shocklab.characteristics import foot_classical
 from shocklab.geometry import (
     CausalClass,
-    PastQuery,
     backward_L_curves,
     bubble_witness,
     causal_class,
@@ -130,33 +129,29 @@ class TestBoundaryGeometry:
 
 class TestPasts:
     def test_explicit_memberships(self):
-        assert causal_past_contains(PastQuery(APEX, Point(1.0, 2.1))) is True
-        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 2.1), "Timelike")) is False
-        assert causal_past_contains(PastQuery(APEX, Point(0.5, 1.0))) is True  # on the center line
-        assert causal_past_contains(PastQuery(APEX, Point(1.0, 6.0))) is False
-        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 3.0), "Timelike")) is True
-        assert timelike_past_contains(PastQuery(APEX, Point(1.0, 6.0), "Timelike")) is False
+        assert causal_past_contains(APEX, Point(1.0, 2.1)) is True
+        assert timelike_past_contains(APEX, Point(1.0, 2.1)) is False
+        assert causal_past_contains(APEX, Point(0.5, 1.0)) is True  # on the center line
+        assert causal_past_contains(APEX, Point(1.0, 6.0)) is False
+        assert timelike_past_contains(APEX, Point(1.0, 3.0)) is True
+        assert timelike_past_contains(APEX, Point(1.0, 6.0)) is False
 
     def test_right_boundary_is_ingoing_line(self):
         # on the backward ingoing line: causally reachable, not timelike
         t = 1.4
         x = APEX.x + 2.0 * (APEX.t - t)
-        assert causal_past_contains(PastQuery(APEX, Point(t, x))) is True
-        assert timelike_past_contains(PastQuery(APEX, Point(t, x), "Timelike")) is False
+        assert causal_past_contains(APEX, Point(t, x)) is True
+        assert timelike_past_contains(APEX, Point(t, x)) is False
 
     def test_apex_validation(self):
         with pytest.raises(ApexNotOnBoundary):
-            causal_past_contains(PastQuery(Point(2.0, 3.0), Point(1.0, 2.5)))
+            causal_past_contains(Point(2.0, 3.0), Point(1.0, 2.5))
         with pytest.raises(ApexNotOnBoundary):
             bubble_witness(Point(0.5, 1.0))
 
     def test_target_after_apex(self):
         with pytest.raises(DomainError):
-            causal_past_contains(PastQuery(APEX, Point(3.0, 2.0)))
-
-    def test_query_mode_validation(self):
-        with pytest.raises(DomainError):
-            PastQuery(APEX, Point(1.0, 2.0), "Sideways")
+            causal_past_contains(APEX, Point(3.0, 2.0))
 
 
 class TestBubble:
@@ -165,15 +160,15 @@ class TestBubble:
         assert q.t == pytest.approx(1.5, abs=1e-12)
         # interval between the boundary curve and the interior characteristic
         assert 2.7838 < q.x < 2.8220
-        assert causal_past_contains(PastQuery(APEX, q)) is True
-        assert timelike_past_contains(PastQuery(APEX, q, "Timelike")) is False
+        assert causal_past_contains(APEX, q) is True
+        assert timelike_past_contains(APEX, q) is False
 
     @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_witness_along_boundary(self, z):
         apex, _ = psi_boundary_extension(z)
         q = bubble_witness(apex)
-        assert causal_past_contains(PastQuery(apex, q)) is True
-        assert timelike_past_contains(PastQuery(apex, q, "Timelike")) is False
+        assert causal_past_contains(apex, q) is True
+        assert timelike_past_contains(apex, q) is False
 
     def test_bubble_width_shrinks_toward_crease(self):
         widths = []

@@ -64,9 +64,9 @@ class TestState:
         with pytest.raises(DomainError):
             initial_state(100, cfl=1.5)
         with pytest.raises(DomainError):
-            GodunovState(0.0, -1.0, 10, np.zeros(10), 0.0)
+            GodunovState(0.0, -1.0, np.zeros(10), 0.0)
         with pytest.raises(InvariantViolation):
-            GodunovState(-1.0, 1.0, 4, np.array([0.0, 3.0, 0.0, 0.0]), 0.0)
+            GodunovState(-1.0, 1.0, np.array([0.0, 3.0, 0.0, 0.0]), 0.0)
 
     def test_csv_frozen(self):
         assert state_to_csv(initial_state(4)) == (
@@ -80,7 +80,7 @@ class TestState:
 
 class TestStep:
     def test_constant_interior_preserved(self):
-        s = GodunovState(-10.0, 10.0, 64, np.full(64, 0.3), time=0.5)
+        s = GodunovState(-10.0, 10.0, np.full(64, 0.3), time=0.5)
         s2 = step(s)
         # interior cells see equal fluxes on both faces
         assert np.allclose(s2.cell_averages[1:-1], 0.3, atol=1e-15)
@@ -96,7 +96,7 @@ class TestStep:
     def test_equals_exact_riemann_update(self, cells, ghosts, cfl, width, dt_cap):
         # on the invariant range the upwind step is the exact-Riemann step, bit for bit
         u = np.array(cells)
-        s = GodunovState(-width, width, len(u), u, time=0.25, cfl=cfl)
+        s = GodunovState(-width, width, u, time=0.25, cfl=cfl)
         ext = np.concatenate([[ghosts[0]], u, [ghosts[1]]])
         dt = min(cfl * s.h / float(np.max(np.abs(2.0 + ext))), dt_cap)
         f = godunov_flux(ext[:-1], ext[1:])
@@ -180,7 +180,7 @@ class TestChecksKept:
     def test_raises(self, monkeypatch, march, ghosts, message):
         monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
         with pytest.raises(InvariantViolation, match=message):
-            march(GodunovState(-10.0, 10.0, 64, np.full(64, -1.5), 0.0))
+            march(GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0))
 
 
 class TestSolve:

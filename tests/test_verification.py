@@ -183,6 +183,11 @@ class TestHolderFits:
         with pytest.raises(DomainError):
             holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), (1e-3, 1e-3))
 
+    @pytest.mark.parametrize("base", [1.0, Point(1.0, 2.5)])
+    def test_crease_fit_needs_the_crease(self, base):
+        with pytest.raises(DomainError, match="crease fit must anchor at"):
+            holder_fit(HolderTarget.CREASE_SPATIAL, base, dyadic_offsets(1e-3, 5))
+
     def test_samples_recorded(self):
         offs = dyadic_offsets(1e-3, 5)
         fit = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), offs)
