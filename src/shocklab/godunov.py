@@ -84,6 +84,8 @@ class GodunovState:
 
 def initial_state(n_cells: int, x_lo: float = -10.0, x_hi: float = 10.0, cfl: float = 0.9) -> GodunovState:
     """Grid initialized with the initial profile sampled at cell centers."""
+    if n_cells < 2:
+        raise DomainError(f"need at least 2 cells, got {n_cells}")
     h = (x_hi - x_lo) / n_cells
     centers = x_lo + (np.arange(n_cells) + 0.5) * h
     return GodunovState(x_lo=x_lo, x_hi=x_hi, cell_averages=-np.arctan(centers), time=0.0, cfl=cfl)

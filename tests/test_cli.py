@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The benchmark's verdict table: suite -> check name -> status.
+EXPECTED_VERIFY = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json").read_text()
+)
+
+
+def verdicts(out):
+    return {c["name"]: c["status"] for c in json.loads(out)["checks"]}
 
 
 def parse_kv(text):
@@ -254,6 +265,11 @@ class TestGodunovVerb:
         assert text.startswith("x_center,value")
         assert len(text.strip().splitlines()) == 201
 
+    @pytest.mark.parametrize("n_cells", ["0", "1", "-3"])
+    def test_too_few_cells_exit_2(self, capsys, n_cells):
+        code, out, err = run_cli(capsys, "godunov", "--t-end", "0.5", "--n-cells", n_cells)
+        assert (code, out) == (2, "")
+        assert err == f"error: need at least 2 cells, got {n_cells}\n"
 
     def test_wide_domain_compare(self, capsys):
         code, out, err = run_cli(
@@ -289,6 +305,18 @@ class TestVerifyVerb:
         doc = json.loads(out)
         assert doc["policy"] == {"geom_tol": GEOM_TOL}
         assert doc["seed"] == 0
+
+
+class TestVerdictTable:
+    # verify's name -> status map must equal the table the benchmark checks
+    def test_all_suites_seed_7(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")
+        assert verdicts(out) == {k: v for suite in EXPECTED_VERIFY.values() for k, v in suite.items()}
+
+    def test_pde_suite_every_seed(self, capsys):
+        for seed in range(100):
+            _, out, _ = run_cli(capsys, "verify", "--suite", "pde", "--seed", str(seed))
+            assert verdicts(out) == EXPECTED_VERIFY["pde"], f"seed {seed}"
 
 
 class TestRoundTrip:

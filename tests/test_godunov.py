@@ -60,6 +60,11 @@ class TestState:
         assert s.time == 0.0
         assert np.allclose(s.cell_averages, -np.arctan(s.cell_centers))
 
+    @pytest.mark.parametrize("n_cells", [0, 1, -3])
+    def test_too_few_cells(self, n_cells):
+        with pytest.raises(DomainError, match=f"need at least 2 cells, got {n_cells}$"):
+            initial_state(n_cells)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             initial_state(100, cfl=1.5)

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from shocklab import characteristics, verification, wave_potential
-from shocklab.characteristics import BoundaryCurve, RegionTag, boundary_x, classify_array
-from shocklab.core import DomainError, OutsideDomain, Point, SolutionVariant
+from shocklab.burgers import psi_classical_array, psi_weak_array
+from shocklab.characteristics import (
+    BoundaryCurve,
+    RegionTag,
+    _bracket,
+    _solve_feet,
+    boundary_x,
+    classify_array,
+)
+from shocklab.core import DomainError, OutsideDomain, Point, SolutionVariant, gauss_panel, psi0
 from shocklab.verification import (
     HolderTarget,
     TestFunction,
@@ -27,6 +35,96 @@ from shocklab.verification import (
 )
 
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
+CONTROL = TestFunction(Point(2.0, 4.0), (0.4, 0.8))
+
+
+def displaced_weak_array(t, x, delta):
+    """Entropy field with the side selection displaced to x = 2t + delta > 2t.
+
+    Points in the strip 0 < x - 2t < delta take the smooth left-family
+    extension past the shock.
+    """
+    vals = psi_weak_array(t, x)
+    d = x - 2.0 * t
+    strip = (t > 1.0) & (d > 0.0) & (d < delta)
+    ts, ds = t[strip], d[strip]
+    z = np.sqrt(ts - 1.0)
+    reach = ts * np.arctan(z) - z
+    if np.any(ds >= reach):
+        raise DomainError("displacement exceeds the left family's reach")
+    vals[strip] = psi0(_solve_feet(ts, ds, *_bracket(ts, ds, False)))
+    return vals
+
+
+def x_space_weak_form_residual(variant, tf, nt_panels=24, nx_panels=24, shock_shift=0.0):
+    """Reference weak-form residual, integrated in x.
+
+    Per t-node, 15-point x-panels split at the cut 2t + shock_shift, and one
+    field evaluation (a foot solve) per node: about 135k of them.  Its
+    value carries x-space quadrature error at the crease and at the cut,
+    up to 3e-7 on the standard test functions.
+    """
+    t_lo, t_hi, x_lo, x_hi = tf.support
+    t_lo = max(t_lo, 0.0)
+    if t_hi <= 0.0:
+        return 0.0
+    if variant is CL:
+        verification._require_support_classical(tf)
+    gl_n, gl_w = gauss_panel(-1.0, 1.0)
+    panels = []  # per t-panel, its rows: (t, t-weight, x-panel mids, x-panel half-widths)
+    t_edges = np.linspace(t_lo, t_hi, nt_panels + 1)
+    for i in range(nt_panels):
+        t_nodes, t_weights = gauss_panel(t_edges[i], t_edges[i + 1])
+        panel = []
+        for t, wt in zip(t_nodes, t_weights):
+            ks = 2.0 * t + shock_shift
+            cuts = [x_lo, x_hi]
+            if t > 1.0 and x_lo < ks < x_hi:
+                cuts = [x_lo, ks, x_hi]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                n_sub = max(1, math.ceil(nx_panels * (b - a) / (x_hi - x_lo)))
+                edges = np.linspace(a, b, n_sub + 1)
+                mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+                halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
+                panel.append((t, wt, mids, halves))
+        panels.append(panel)
+    rows = [row for panel in panels for row in panel]
+    sizes = [mids.size * gl_n.size for _, _, mids, _ in rows]
+    ts = np.repeat([r[0] for r in rows], sizes)
+    xs = np.concatenate([(mids + halves * gl_n).ravel() for _, _, mids, halves in rows])
+    if variant is CL:
+        ps = psi_classical_array(ts, xs)
+    elif shock_shift != 0.0:
+        ps = displaced_weak_array(ts, xs, shock_shift)
+    else:
+        ps = psi_weak_array(ts, xs)
+    total = 0.0
+    start = 0
+    for panel in panels:
+        row_ends = np.cumsum([mids.size * gl_n.size for _, _, mids, _ in panel])
+        span = slice(start, start + row_ends[-1])
+        tn, xn, pn = ts[span], xs[span], ps[span]
+        integrand = pn * tf.dt(tn, xn) + 0.5 * (2.0 + pn) ** 2 * tf.dx(tn, xn)
+        for (_, wt, _, halves), part in zip(panel, np.split(integrand, row_ends)):
+            total += wt * float(np.dot((halves * gl_w).ravel(), part))
+        start = span.stop
+    if tf.center.t - tf.radii[0] < 0.0:
+        edges = np.linspace(x_lo, x_hi, nx_panels + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            xn, xw = gauss_panel(a, b)
+            total += float(np.dot(xw, psi0(xn) * tf.value(0.0, xn)))
+    return total
+
+
+# The x-space reference on the standard test functions, and on CONTROL with
+# its cut shifted by 0.05 (pinned in TestFrozenBits).
+ORACLE_STANDARD = [
+    -6.399359984086203e-17, -2.728444081505939e-16, 1.3051315502717504e-15,
+    2.410520242614178e-16, 3.29922721087339e-16, 2.885205596081879e-16,
+    2.527317724350326e-07, 6.814959384874654e-16, 3.0031260322964375e-17,
+    -3.940166884282797e-16,
+]
+ORACLE_CONTROL = -0.007356879231779953
 
 
 class TestHalton:
@@ -113,6 +211,42 @@ class TestWeakForm:
         coarse = abs(weak_form_residual(W, tf, nt_panels=1, nx_panels=1))
         fine = abs(weak_form_residual(W, tf, nt_panels=2, nx_panels=2))
         assert fine <= coarse / 4.0 + 1e-13
+
+    def test_matches_x_space_oracle(self):
+        got = [weak_form_residual(W, tf) for tf in standard_test_functions()]
+        got.append(weak_form_residual(W, CONTROL, shock_shift=0.05))
+        assert np.max(np.abs(np.subtract(got, ORACLE_STANDARD + [ORACLE_CONTROL]))) <= 3e-7
+
+    @pytest.mark.parametrize("center, radii", [
+        (Point(1.6, 3.8), (0.3, 0.45)),   # right of B, across the shock line
+        (Point(2.0, -2.0), (0.4, 0.5)),   # left of the horizon
+    ])
+    def test_classical_matches_x_space_oracle(self, center, radii):
+        tf = TestFunction(center, radii)
+        assert abs(weak_form_residual(CL, tf) - x_space_weak_form_residual(CL, tf)) <= 3e-7
+
+    def test_rounding_level(self):
+        assert max(abs(weak_form_residual(W, tf)) for tf in standard_test_functions()) <= 1e-13
+
+    def test_control_converged(self):
+        coarse = weak_form_residual(W, CONTROL, shock_shift=0.05)
+        fine = weak_form_residual(W, CONTROL, nt_panels=32, nx_panels=32, shock_shift=0.05)
+        assert abs(fine - coarse) <= 1e-12
+        assert abs(abs(coarse) - 7.356926030751e-3) <= 1e-12
+
+    def test_negative_shift_extends_the_right_family(self):
+        assert abs(weak_form_residual(W, CONTROL, shock_shift=-0.05)) >= 1e-3
+
+    @pytest.mark.parametrize("panels", [(0, 16), (16, 0)])
+    def test_needs_a_panel_per_axis(self, panels):
+        with pytest.raises(DomainError, match="panel"):
+            weak_form_residual(W, CONTROL, *panels)
+
+    @pytest.mark.parametrize("shift", [0.5, -0.5])
+    def test_cut_beyond_reach(self, shift):
+        # at t = 1.6 a family reaches t*arctan(z) - z = 0.28 past the shock
+        with pytest.raises(DomainError, match="reach"):
+            weak_form_residual(W, CONTROL, shock_shift=shift)
 
     def test_standard_family(self):
         tfs = standard_test_functions()
@@ -243,38 +377,42 @@ def counting(monkeypatch, calls, module, name):
 
 
 class TestFrozenBits:
-    # measured before the weak-form and pde checks became array code; the
-    # array forms must reproduce them exactly
+    # exact values: the x-space reference residuals, and the pde suite at seed 42
     def test_standard_weak_form_residuals(self):
-        assert [weak_form_residual(W, tf) for tf in standard_test_functions()] == [
-            -6.399359984086203e-17, -2.728444081505939e-16, 1.3051315502717504e-15,
-            2.410520242614178e-16, 3.29922721087339e-16, 2.885205596081879e-16,
-            2.527317724350326e-07, 6.814959384874654e-16, 3.0031260322964375e-17,
-            -3.940166884282797e-16,
-        ]
+        got = [x_space_weak_form_residual(W, tf) for tf in standard_test_functions()]
+        assert got == ORACLE_STANDARD
 
     def test_shifted_shock_control(self):
-        tf = TestFunction(Point(2.0, 4.0), (0.4, 0.8))
-        assert weak_form_residual(W, tf, shock_shift=0.05) == -0.007356879231779953
+        assert x_space_weak_form_residual(W, CONTROL, shock_shift=0.05) == ORACLE_CONTROL
 
     def test_pde_suite_seed_42(self):
         measured = {c.name: c.measured for c in run_suite("pde", seed=42).checks}
-        assert measured == {"pde_residual": 8.634380127547914e-09, "pde_fd_order": 1.992960551699347}
+        assert measured == {"pde_residual": 9.063615302729033e-09, "pde_fd_order": 1.992960551699347}
 
 
 class TestCallCounts:
-    @pytest.mark.parametrize("variant, shift, expected", [
-        (CL, 0.0, {"psi_classical_array": 1}),
-        (W, 0.0, {"psi_weak_array": 1}),
-        (W, 0.05, {"_displaced_weak_array": 1, "psi_weak_array": 1}),
-    ])
-    def test_weak_form_one_field_call(self, monkeypatch, variant, shift, expected):
+    @pytest.mark.parametrize("variant, shift", [(CL, 0.0), (W, 0.0), (W, 0.05)],
+                             ids=["classical", "weak", "shifted"])
+    def test_weak_form_one_foot_solve(self, monkeypatch, variant, shift):
         calls = Counter()
-        for name in ("psi_classical_array", "psi_weak_array", "_displaced_weak_array"):
+        for name in ("psi_classical_array", "psi_weak_array", "_solve_feet"):
             counting(monkeypatch, calls, verification, name)
         center = Point(1.6, 3.8) if variant is CL else Point(2.0, 4.0)
         weak_form_residual(variant, TestFunction(center, (0.3, 0.45)), shock_shift=shift)
-        assert calls == expected
+        assert calls == {"_solve_feet": 1}
+
+    def test_weak_form_feet_only_at_interval_ends(self, monkeypatch):
+        # below t = 1 each of the 2 * 15 t-nodes has one interval, so two feet
+        sizes = []
+        solve = verification._solve_feet
+
+        def recording(t, d, lo, hi):
+            sizes.append(t.size)
+            return solve(t, d, lo, hi)
+
+        monkeypatch.setattr(verification, "_solve_feet", recording)
+        weak_form_residual(W, TestFunction(Point(0.5, 0.0), (0.3, 1.0)), nt_panels=2)
+        assert sizes == [60]
 
     def test_pde_suite(self, monkeypatch):
         calls = Counter()
@@ -290,14 +428,14 @@ class TestCallCounts:
 
 
 def keeps_pde_point(t, x, tag):
-    """The pde suite's margins as first written, for one point."""
+    """The pde suite's margins, for one point."""
     if tag not in (RegionTag.OMEGA_A, RegionTag.WEDGE):
         return False
     if math.hypot(t - 1.0, x - 2.0) < 0.05:
         return False
     if tag is RegionTag.WEDGE and x - boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t) < 0.05:
         return False
-    return not (t > 1.0 and x < 2.0 * t and (4.0 - 2.0 * t) - x < 0.05)
+    return not (t > 1.0 and x < 2.0 * t and abs((4.0 - 2.0 * t) - x) < 0.05)
 
 
 def pde_points_per_point_loop(seed):
@@ -323,6 +461,10 @@ class TestSampler:
     def test_pde_sample_matches_per_point_loop(self, seed):
         got = np.stack(_sample(200, (0.1, 2.5, -6.0, 8.0), seed, _pde_margins))
         assert np.array_equal(got, pde_points_per_point_loop(seed))
+
+    def test_pde_sample_holds_wedge_points(self):
+        t, x = _sample(200, (0.1, 2.5, -6.0, 8.0), 0, _pde_margins)
+        assert np.any(classify_array(t, x) == RegionTag.WEDGE)
 
     @pytest.mark.parametrize("box", [(0.1, 2.4, -6.0, 14.0), (0.9, 0.2, 1.9, 0.2)])
     def test_pde_margins_match_per_point_rule(self, box):
