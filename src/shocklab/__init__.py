@@ -89,6 +89,6 @@ from .verification import (
     run_suite,
     weak_form_residual,
 )
-from .godunov import GodunovState, initial_state, l1_error, solve, step
+from .godunov import GodunovState, initial_state, l1_error, solve
 
 __version__ = "0.1.0"

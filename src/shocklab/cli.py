@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -58,8 +59,14 @@ def _fmt(v: float) -> str:
 
 
 def _parse_range(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
+    """(lo, hi) of "lo:hi"; DomainError unless both are finite numbers."""
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"range must be two finite numbers lo:hi, got {text!r}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

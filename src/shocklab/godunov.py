@@ -9,12 +9,13 @@ upwind flux f(u_left) there.  This module marches that conservative
 explicit update with CFL-limited steps on one local array, with Dirichlet
 ghost cells fed by the exact entropy field and both invariant checks on
 every step, and compares the result in L1 against exact per-cell averages
-with the shock cell split.  One march serves several end times: it takes
-only full CFL steps, and each end is reached by its capped final steps on
-a copy, so every state equals that of a march to its end alone.
-Agreement here validates the entropy selection of the exact
-construction; disagreement at the wedge values would expose a wrong
-branch choice.
+with the shock cell split.  `solve_at` is the one march (`solve` is its
+one-end case); it takes only full CFL steps, and each end is reached by
+its capped final steps on a copy, so every state equals that of a march
+to its end alone.  Inputs are checked once, at entry: the ends by
+`solve_at`, the bounds, time and cells by `GodunovState`.  Agreement here
+validates the entropy selection of the exact construction; disagreement
+at the wedge values would expose a wrong branch choice.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .burgers import psi_weak_array
 __all__ = [
     "GodunovState",
     "initial_state",
-    "step",
     "solve",
     "solve_at",
     "l1_error",
@@ -53,16 +53,21 @@ class GodunovState:
     cfl: float = 0.9
 
     def __post_init__(self):
+        # inf or NaN in either bound makes the width non-finite too
+        if not math.isfinite(self.x_hi - self.x_lo):
+            raise DomainError(f"need finite x_lo, x_hi and width, got {self.x_lo}, {self.x_hi}")
         if not (self.x_lo < self.x_hi):
             raise DomainError("empty spatial domain")
+        if np.ndim(self.cell_averages) != 1:
+            raise DomainError(f"cell_averages must be 1-D, got shape {np.shape(self.cell_averages)}")
         if self.n_cells < 2:
             raise DomainError(f"need at least 2 cells, got {self.n_cells}")
         if not (0.0 < self.cfl < 1.0):
             raise DomainError(f"cfl must be in (0, 1), got {self.cfl}")
-        if self.time < 0.0:
-            raise DomainError("time must be >= 0")
-        u = self.cell_averages
-        if np.any(u < -_HALF_PI - _RANGE_SLACK) or np.any(u > _HALF_PI + _RANGE_SLACK):
+        if not 0.0 <= self.time < math.inf:
+            raise DomainError(f"time must be finite and >= 0, got {self.time}")
+        # NaN compares false, so it fails this test
+        if not np.all(np.abs(self.cell_averages) <= _HALF_PI + _RANGE_SLACK):
             raise InvariantViolation("cell averages leave the invariant range [-pi/2, pi/2]")
 
     @property
@@ -126,24 +131,6 @@ def _update(ext: np.ndarray, s: GodunovState, dt: float) -> None:
         raise InvariantViolation("total variation increased in a Godunov step")
 
 
-def step(s: GodunovState, dt_cap: float = math.inf) -> GodunovState:
-    """One conservative explicit update with CFL-limited time step.
-
-    Ghost cells are filled from the exact entropy field at the ghost cell
-    centers (inflow-dominated boundaries).  The interface flux is the
-    upwind value f(u_left): every wave speed 2 + u is positive on the
-    invariant range, so no Riemann fan reaches back across an interface.
-    Raises DomainError unless dt_cap > 0, and InvariantViolation if the
-    maximum principle or total-variation monotonicity breaks.
-    """
-    if not dt_cap > 0.0:
-        raise DomainError(f"dt_cap must be positive, got {dt_cap}")
-    ext = np.concatenate([[0.0], s.cell_averages, [0.0]])
-    dt = min(_fill_ghosts(ext, s, s.time), dt_cap)
-    _update(ext, s, dt)
-    return replace(s, cell_averages=ext[1:-1], time=s.time + dt)
-
-
 def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, ...]:
     """March once from s0 and return the state at each of the nondecreasing t_ends.
 
@@ -151,8 +138,11 @@ def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, .
     only full CFL steps; each end is reached on a copy of the cells with the
     capped steps a march to that end alone takes, starting from the CFL
     step already computed at the point where the march to it leaves.
+    Raises DomainError, before any step, on a non-finite or decreasing end.
     """
     for i, (before, t_end) in enumerate(zip((s0.time, *t_ends), t_ends)):
+        if not math.isfinite(t_end):
+            raise DomainError(f"t_end = {t_end} is not finite")
         if t_end < before:
             what = "the end time before it" if i else "the state time"
             raise DomainError(f"t_end = {t_end} precedes {what} {before}")

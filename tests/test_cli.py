@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -278,6 +279,43 @@ class TestGodunovVerb:
         )
         assert code == 0, err
         assert math.isfinite(float(out.strip().splitlines()[-1].partition("=")[2]))
+
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-inf"])
+    def test_non_finite_end_exit_2(self, capsys, t_end):
+        code, out, err = run_cli(capsys, "godunov", f"--t-end={t_end}")
+        assert (code, out) == (2, "")
+        assert err == f"error: t_end = {t_end} is not finite\n"
+
+    # sha256 of stdout: the march and its L1 comparison, byte for byte
+    @pytest.mark.parametrize("argv, digest", [
+        (("--t-end", "2", "--n-cells", "800"),
+         "6a6898ad615567e4f68450c255bdd4fe8db32a08e6714b53a2a71ee35e9647e9"),
+        (("--t-end", "0.5", "--n-cells", "200", "--x-range=-200:200"),
+         "b145f471ac112802c33368c103ad6a12405fb07e604c5fc01f1641f9d4390a21"),
+    ])
+    def test_compare_output_frozen(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, "godunov", *argv, "--compare")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestRanges:
+    # every verb that takes a range: its argv up to the range flag
+    VERBS = {
+        "grid_t": ("grid", "--x-range=0:1", "--nt", "2", "--nx", "2", "--t-range"),
+        "grid_x": ("grid", "--t-range=0:1", "--nt", "2", "--nx", "2", "--x-range"),
+        "boundary": ("boundary", "--curve", "B", "--n", "3", "--t-range"),
+        "shock": ("shock", "--n", "3", "--t-range"),
+        "godunov": ("godunov", "--t-end", "0.5", "--n-cells", "8", "--x-range"),
+    }
+
+    @pytest.mark.parametrize("text", ["1", "1:2:3", "a:2", "0:nan", "nan:2", "1:inf", "-inf:inf"])
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_not_two_finite_numbers_exit_2(self, capsys, verb, text):
+        *argv, flag = self.VERBS[verb]
+        code, out, err = run_cli(capsys, *argv, f"{flag}={text}")
+        assert (code, out) == (2, "")
+        assert err == f"error: range must be two finite numbers lo:hi, got {text!r}\n"
 
 
 class TestVerifyVerb:

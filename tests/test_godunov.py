@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import shocklab.godunov as fv
 from shocklab.core import DomainError, InvariantViolation, Point
 from shocklab.burgers import psi_classical, psi_weak, psi_weak_array
-from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, state_to_csv, step
+from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, state_to_csv
+from shocklab.verification import run_suite
 
 
 def flux(u):
@@ -73,6 +74,21 @@ class TestState:
         with pytest.raises(InvariantViolation):
             GodunovState(-1.0, 1.0, np.array([0.0, 3.0, 0.0, 0.0]), 0.0)
 
+    # one non-finite or misshapen input per case; the rest is a valid state
+    @pytest.mark.parametrize("changes, error, message", [
+        (dict(x_lo=-math.inf), DomainError, "need finite x_lo, x_hi and width, got -inf, 1.0$"),
+        (dict(x_hi=math.inf), DomainError, "need finite x_lo, x_hi and width, got -1.0, inf$"),
+        (dict(x_lo=-1e308, x_hi=1e308), DomainError, r"width, got -1e\+308, 1e\+308$"),
+        (dict(time=math.nan), DomainError, "time must be finite and >= 0, got nan$"),
+        (dict(cell_averages=np.zeros((2, 4))), DomainError, r"must be 1-D, got shape \(2, 4\)$"),
+        (dict(cell_averages=np.array(0.0)), DomainError, r"must be 1-D, got shape \(\)$"),
+        (dict(cell_averages=np.array([0.0, math.nan, 0.0])), InvariantViolation, "invariant range"),
+    ], ids=["inf_x_lo", "inf_x_hi", "overflowing_width", "nan_time", "2d_cells", "0d_cells", "nan_cell"])
+    def test_entry_rejects(self, changes, error, message):
+        valid = dict(x_lo=-1.0, x_hi=1.0, cell_averages=np.zeros(4), time=0.0)
+        with pytest.raises(error, match=message):
+            GodunovState(**{**valid, **changes})
+
     def test_csv_frozen(self):
         assert state_to_csv(initial_state(4)) == (
             "x_center,value\n"
@@ -83,10 +99,18 @@ class TestState:
         )
 
 
+def one_step(s):
+    """s solved to the end of the first CFL step its march takes: one full update."""
+    h = s.h
+    ghosts = psi_weak_array(s.time, np.array([s.x_lo - 0.5 * h, s.x_hi + 0.5 * h]))
+    ext = np.concatenate([ghosts[:1], s.cell_averages, ghosts[1:]])
+    return solve(s.time + s.cfl * h / float(np.max(np.abs(2.0 + ext))), s)
+
+
 class TestStep:
     def test_constant_interior_preserved(self):
         s = GodunovState(-10.0, 10.0, np.full(64, 0.3), time=0.5)
-        s2 = step(s)
+        s2 = one_step(s)
         # interior cells see equal fluxes on both faces
         assert np.allclose(s2.cell_averages[1:-1], 0.3, atol=1e-15)
 
@@ -96,28 +120,22 @@ class TestStep:
         ghosts=st.tuples(_on_range, _on_range),
         cfl=st.floats(0.05, 0.95),
         width=st.floats(0.5, 50.0),
-        dt_cap=st.floats(1e-6, 10.0),
+        cut=st.floats(1e-6, 10.0),
     )
-    def test_equals_exact_riemann_update(self, cells, ghosts, cfl, width, dt_cap):
-        # on the invariant range the upwind step is the exact-Riemann step, bit for bit
+    def test_equals_exact_riemann_update(self, cells, ghosts, cfl, width, cut):
+        # on the invariant range the upwind step is the exact-Riemann step, bit
+        # for bit; a solve from time 0 that ends within one CFL step takes one step
         u = np.array(cells)
-        s = GodunovState(-width, width, u, time=0.25, cfl=cfl)
+        s = GodunovState(-width, width, u, time=0.0, cfl=cfl)
         ext = np.concatenate([[ghosts[0]], u, [ghosts[1]]])
-        dt = min(cfl * s.h / float(np.max(np.abs(2.0 + ext))), dt_cap)
+        dt = min(cfl * s.h / float(np.max(np.abs(2.0 + ext))), cut)
         f = godunov_flux(ext[:-1], ext[1:])
         expected = u - dt / s.h * (f[1:] - f[:-1])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
-            s2 = step(s, dt_cap)
-        assert s2.time == 0.25 + dt
+            s2 = solve(dt, s)
+        assert s2.time == dt
         assert s2.cell_averages.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dt_cap", [-0.01, 0.0, math.nan])
-    def test_non_positive_dt_cap_rejected(self, dt_cap):
-        # a negative cap used to march backward: 0.5 -> 0.49
-        s = solve(0.5, initial_state(64))
-        with pytest.raises(DomainError, match="dt_cap"):
-            step(s, dt_cap)
 
     def test_mass_conservation(self):
         s = initial_state(256)
@@ -130,13 +148,13 @@ class TestStep:
         f = godunov_flux(ext[:-1], ext[1:])
         dt = 0.9 * h / np.max(np.abs(2.0 + ext))
         expected_change = -dt * (f[-1] - f[0])
-        s2 = step(s)
+        s2 = solve(dt, s)
         change = (np.sum(s2.cell_averages) - np.sum(u)) * h
         assert change == pytest.approx(expected_change, abs=1e-12)
 
     def test_local_truncation(self):
         s = initial_state(512)
-        s2 = step(s)
+        s2 = one_step(s)
         dt = s2.time
         linf = float(np.max(np.abs(s2.cell_averages - s.cell_averages)))
         # |du| <= dt * max|f'| * max|psi0'| + O(h) boundary effects
@@ -150,24 +168,39 @@ class TestStep:
             return psi_weak_array(t, x)
 
         monkeypatch.setattr(fv, "psi_weak_array", counted)
-        s = initial_state(64)
-        s2 = step(step(s))
-        assert calls == [2, 2]
-        assert s2.time > 0.0
+        s = solve(0.2, initial_state(64))
+        # two full CFL steps and a capped one, each after one ghost fill
+        assert calls == [2, 2, 2]
+        assert s.time == 0.2
 
     def test_invariants_over_run(self):
-        # step() enforces the stencil-wise maximum principle and extended
-        # total-variation monotonicity internally; at run level the values
+        # _update enforces the stencil-wise maximum principle and extended
+        # total-variation monotonicity on every step; at run level the values
         # stay inside the invariant range and the interior variation moves
         # only by the (tiny) drift of the Dirichlet inflow values
-        s = initial_state(400)
-        tv0 = s.total_variation
-        for _ in range(20):
-            s = step(s)
+        s0 = initial_state(400)
+        tv0 = s0.total_variation
+        for s in solve_at([0.05 * k for k in range(1, 21)], s0):
             assert s.cell_averages.min() >= -math.pi / 2
             assert s.cell_averages.max() <= math.pi / 2
             # inflow drift is bounded by the ghost-value rate (~0.03/unit time)
             assert s.total_variation <= tv0 + 0.05 * s.time + 1e-9
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("march", [
+        lambda t, s: solve(t, s), lambda t, s: solve_at((0.5, t), s),
+    ], ids=["solve", "solve_at"])
+    def test_non_finite_end_rejected_before_any_step(self, monkeypatch, march, t_end):
+        s0 = initial_state(64)
+
+        def no_step(t, x):
+            raise AssertionError("a ghost fill ran before the end time was checked")
+
+        monkeypatch.setattr(fv, "psi_weak_array", no_step)
+        with pytest.raises(DomainError, match=f"^t_end = {t_end} is not finite$"):
+            march(t_end, s0)
 
 
 class TestChecksKept:
@@ -180,8 +213,8 @@ class TestChecksKept:
     ])
     # solve_at's first end is reached by a capped step on the copy of the cells
     @pytest.mark.parametrize("march", [
-        step, lambda s: solve(1.0, s), lambda s: solve_at((1e-3, 1.0), s),
-    ], ids=["step", "solve", "solve_at"])
+        lambda s: solve(1.0, s), lambda s: solve_at((1e-3, 1.0), s),
+    ], ids=["solve", "solve_at"])
     def test_raises(self, monkeypatch, march, ghosts, message):
         monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
         with pytest.raises(InvariantViolation, match=message):
@@ -305,3 +338,17 @@ class TestSolveAt:
         calls.clear()
         solve_at((1.27, 2.0), s0)
         assert len(calls) <= n_solve + 1
+
+    def test_godunov_suite_field_calls(self, monkeypatch):
+        # one 2-point ghost fill per step of the 4000- and 8000-cell marches,
+        # and the four exact-average calls of the two l1_error comparisons
+        calls = []
+
+        def counted(t, x):
+            calls.append(np.size(x))
+            return psi_weak_array(t, x)
+
+        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        run_suite("godunov")
+        assert len(calls) == 4665
+        assert calls.count(2) == 4661
