@@ -42,6 +42,7 @@ from .burgers import (
     dpsidx_classical,
     expansion_near_B,
     expansion_near_S,
+    psi,
     psi_boundary_extension,
     psi_classical,
     psi_weak,

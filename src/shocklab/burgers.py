@@ -27,6 +27,7 @@ from .core import (
     DomainError,
     NearSingular,
     Point,
+    SolutionVariant,
     psi0,
     psi0_prime,
     psi0_second,
@@ -47,6 +48,7 @@ __all__ = [
     "dpsidx_classical",
     "psi_weak",
     "psi_weak_array",
+    "psi",
     "psi_boundary_extension",
     "shock_trace",
     "expansion_near_B",
@@ -132,6 +134,13 @@ def psi_weak(p: Point) -> float:
 
 def psi_weak_array(t, x) -> np.ndarray:
     return np.asarray(psi0(foot_weak_array(t, x)))
+
+
+def psi(p: Point, variant: SolutionVariant) -> float:
+    """Field value of the requested variant at p: psi_classical or psi_weak."""
+    if variant is SolutionVariant.CLASSICAL:
+        return psi_classical(p)
+    return psi_weak(p)
 
 
 def psi_boundary_extension(z: float) -> tuple[Point, float]:

@@ -16,7 +16,8 @@ focusing time, on each branch |u| >= sqrt(t-1), so every foot map below is
 a bracketed root find.  All of them go through one batched Newton solve
 (_solve_feet) and all region tags through one set of rules
 (_region_codes); a scalar foot map or classify is a size-1 array call, so
-scalar and array answers agree bit for bit.
+scalar and array answers agree bit for bit.  The maps accept the points
+Point accepts (_check_points) and share one shock band (on_shock).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     OnShockError,
     OutsideDomain,
     Point,
+    _raise_at,
     psi0,
 )
 
@@ -49,6 +51,7 @@ __all__ = [
     "shock_feet",
     "boundary_x",
     "boundary_x_deriv",
+    "on_shock",
     "classify",
     "classify_array",
 ]
@@ -137,6 +140,20 @@ def boundary_x_deriv(kind: BoundaryCurve, t: float) -> float:
 # Region classification
 # ---------------------------------------------------------------------------
 
+def _check_points(t: np.ndarray, x: np.ndarray) -> None:
+    """Raise DomainError at the first point that Point would refuse: non-finite or t < 0."""
+    _raise_at(~(np.isfinite(t) & np.isfinite(x)), DomainError, "non-finite point {p}", t, x)
+    _raise_at(t < 0.0, DomainError, "t < 0 at {p}; only t >= 0 is modelled", t, x)
+
+
+def on_shock(t, x):
+    """Whether (t, x) lies in the GEOM_TOL band around the shock K: x = 2t, t > 1.
+
+    The package's one test for "on K"; t and x broadcast.
+    """
+    return (t > 1.0) & (np.abs(x - 2.0 * t) <= GEOM_TOL)
+
+
 # Region tags by precedence: where several rules hold, the first wins.
 _TAG_ORDER = (
     RegionTag.INITIAL_SLICE,
@@ -161,10 +178,7 @@ def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     weak-only left of B and in the wedge right of it: x >= 2t outside
     Omega_A means x == 2t, which the shock band already takes.
     """
-    if not (np.isfinite(t).all() and np.isfinite(x).all()):
-        raise DomainError("non-finite point in a region map")
-    if (t < 0.0).any():
-        raise DomainError("t < 0 in a region map; only t >= 0 is modelled")
+    _check_points(t, x)
     post = t > 1.0
     z = np.sqrt(np.maximum(t - 1.0, 0.0))
     xb = (2.0 - np.arctan(z)) * t + z
@@ -172,7 +186,7 @@ def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = _OMEGA_A
     codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= GEOM_TOL)] = _ON_C
     codes[post & (np.abs(x - xb) <= GEOM_TOL)] = _ON_B
-    codes[post & (np.abs(x - 2.0 * t) <= GEOM_TOL)] = _SHOCK
+    codes[on_shock(t, x)] = _SHOCK
     codes[(np.abs(t - 1.0) <= GEOM_TOL) & (np.abs(x - 2.0) <= GEOM_TOL)] = _CREASE
     codes[t <= GEOM_TOL] = _INITIAL
     return codes
@@ -285,6 +299,7 @@ def _solve_block(t, d, lo, hi):
 def foot_weak_array(t, x) -> np.ndarray:
     """Entropy-solution feet for arrays of points; shock-side chosen by sign(x - 2t)."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    _check_points(t, x)
     d = x - 2.0 * t
     lo, hi = _bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0)))
     return _solve_feet(t, d, lo, hi)
@@ -302,10 +317,7 @@ def foot_classical_array(t, x) -> np.ndarray:
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     codes = _region_codes(t, x)
-    outside = codes == _WEAK_ONLY
-    if outside.any():
-        i = np.flatnonzero(outside)[0]
-        raise OutsideDomain(f"({float(t.flat[i])}, {float(x.flat[i])}) is outside the classical domain")
+    _raise_at(codes == _WEAK_ONLY, OutsideDomain, "{p} is outside the classical domain", t, x)
     d = x - 2.0 * t
     post = t > 1.0
     left = (codes == _ON_C) | ((codes == _OMEGA_A) & (x < 2.0 * t))
@@ -324,7 +336,7 @@ def foot_weak(p: Point) -> float:
     two-sided and an OnShockError is raised.
     """
     t, x = p.t, p.x
-    if t > 1.0 and abs(x - 2.0 * t) <= GEOM_TOL:
+    if on_shock(t, x):
         raise OnShockError(f"({t}, {x}) is on the shock; use shock_trace for the limits")
     return float(foot_weak_array(t, x))
 

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .core import (
-    GEOM_TOL,
     DomainError,
     Point,
     ShockLabError,
@@ -30,13 +29,13 @@ from .characteristics import (
     boundary_x,
     classify,
     classify_array,
+    on_shock,
     outgoing_char,
 )
 from .burgers import (
     dpsidx_classical,
-    psi_classical,
+    psi,
     psi_classical_array,
-    psi_weak,
     psi_weak_array,
     shock_trace,
 )
@@ -83,8 +82,7 @@ def _cmd_eval(args) -> int:
     out = []
     for f in fields:
         if f == "psi":
-            v = psi_classical(p) if variant is SolutionVariant.CLASSICAL else psi_weak(p)
-            out.append(f"psi={_fmt(v)}")
+            out.append(f"psi={_fmt(psi(p, variant))}")
         elif f == "dpsi_dx":
             if variant is not SolutionVariant.CLASSICAL:
                 raise DomainError("dpsi_dx is provided for the classical variant")
@@ -98,14 +96,12 @@ def _cmd_eval(args) -> int:
         elif f == "region":
             out.append(f"region={classify(p).value}")
         elif f == "metric":
-            v = psi_classical(p) if variant is SolutionVariant.CLASSICAL else psi_weak(p)
-            g = metric(v)
+            g = metric(psi(p, variant))
             out.append(f"metric_tt={_fmt(g.gtt)}")
             out.append(f"metric_tx={_fmt(g.gtx)}")
             out.append(f"metric_xx={_fmt(g.gxx)}")
         elif f == "frame":
-            v = psi_classical(p) if variant is SolutionVariant.CLASSICAL else psi_weak(p)
-            fr = null_frame(v)
+            fr = null_frame(psi(p, variant))
             out.append(f"L_t={_fmt(fr.L.dt)}")
             out.append(f"L_x={_fmt(fr.L.dx)}")
             out.append(f"Lbar_t={_fmt(fr.Lbar.dt)}")
@@ -188,7 +184,7 @@ def _grid_cells(ts, xs, field: str, variant: SolutionVariant) -> list[str]:
     if variant is SolutionVariant.CLASSICAL:
         na = classify_array(tt, xx) == RegionTag.WEAK_ONLY
     else:
-        na = (field == "psi") & (tt > 1.0) & (np.abs(xx - 2.0 * tt) <= GEOM_TOL)
+        na = (field == "psi") & on_shock(tt, xx)
     t_def, x_def = tt[~na], xx[~na]
     if field == "phi":
         values = phi_array(t_def, x_def, variant)

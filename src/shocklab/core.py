@@ -92,6 +92,14 @@ class PoorFit(ShockLabError):
     """Power-law fit quality below the acceptance threshold."""
 
 
+def _raise_at(bad, error, message: str, t, x, **at) -> None:
+    """Raise error(message) at the first point p where bad holds, with the values there of at."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        p = f"({float(t.flat[i])}, {float(x.flat[i])})"
+        raise error(message.format(p=p, **{k: v.flat[i] for k, v in at.items()}))
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ every step, and compares the result in L1 against exact per-cell averages
 with the shock cell split.  `solve_at` is the one march (`solve` is its
 one-end case); it takes only full CFL steps, and each end is reached by
 its capped final steps on a copy, so every state equals that of a march
-to its end alone.  Inputs are checked once, at entry: the ends by
-`solve_at`, the bounds, time and cells by `GodunovState`.  Agreement here
-validates the entropy selection of the exact construction; disagreement
-at the wedge values would expose a wrong branch choice.
+to its end alone.  Inputs are checked once, at entry: the ends (finite,
+nondecreasing, at most 1e8 CFL steps away) by `solve_at`, the bounds,
+time and cells by `GodunovState`.  Agreement here validates the entropy
+selection of the exact construction; disagreement at the wedge values
+would expose a wrong branch choice.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ __all__ = [
 
 _RANGE_SLACK = 1e-12
 _HALF_PI = math.pi / 2.0
+# Every wave speed 2 + u on the invariant range is at least 2 - pi/2, so a
+# march over time T takes at least T*(2 - pi/2)/(cfl*h) CFL steps; solve_at
+# refuses one that would take more than _MAX_STEPS.
+_MIN_SPEED = 2.0 - _HALF_PI
+_MAX_STEPS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -88,12 +94,14 @@ class GodunovState:
 
 
 def initial_state(n_cells: int, x_lo: float = -10.0, x_hi: float = 10.0, cfl: float = 0.9) -> GodunovState:
-    """Grid initialized with the initial profile sampled at cell centers."""
+    """Grid initialized with the initial profile sampled at cell centers.
+
+    The grid is checked, on zero cells, before the profile is sampled.
+    """
     if n_cells < 2:
         raise DomainError(f"need at least 2 cells, got {n_cells}")
-    h = (x_hi - x_lo) / n_cells
-    centers = x_lo + (np.arange(n_cells) + 0.5) * h
-    return GodunovState(x_lo=x_lo, x_hi=x_hi, cell_averages=-np.arctan(centers), time=0.0, cfl=cfl)
+    s = GodunovState(x_lo=x_lo, x_hi=x_hi, cell_averages=np.zeros(n_cells), time=0.0, cfl=cfl)
+    return replace(s, cell_averages=-np.arctan(s.cell_centers))
 
 
 def _flux(u):
@@ -138,7 +146,8 @@ def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, .
     only full CFL steps; each end is reached on a copy of the cells with the
     capped steps a march to that end alone takes, starting from the CFL
     step already computed at the point where the march to it leaves.
-    Raises DomainError, before any step, on a non-finite or decreasing end.
+    Raises DomainError, before any step, on a non-finite or decreasing end
+    and on an end that takes more than _MAX_STEPS CFL steps to reach.
     """
     for i, (before, t_end) in enumerate(zip((s0.time, *t_ends), t_ends)):
         if not math.isfinite(t_end):
@@ -146,6 +155,11 @@ def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, .
         if t_end < before:
             what = "the end time before it" if i else "the state time"
             raise DomainError(f"t_end = {t_end} precedes {what} {before}")
+        # a product, not a step count: h may underflow to 0
+        if (t_end - s0.time) * _MIN_SPEED > _MAX_STEPS * s0.cfl * s0.h:
+            raise DomainError(
+                f"t_end = {t_end} takes more than {_MAX_STEPS} CFL steps on cells of width {s0.h!r}"
+            )
     states = []
     ext = np.concatenate([[0.0], s0.cell_averages, [0.0]])
     t, dt = s0.time, None  # dt: CFL step of the ghosts filled at t, None if not filled

@@ -41,22 +41,17 @@ import math
 import numpy as np
 
 from .core import (
-    GEOM_TOL,
     DomainError,
     OnShockError,
     OutsideDomain,
     Point,
     SolutionVariant,
+    _raise_at,
     gauss_panel,
     psi0,
 )
-from .characteristics import RegionTag, classify_array, foot_classical_array, foot_weak_array
-from .burgers import (
-    psi_classical,
-    psi_classical_array,
-    psi_weak,
-    shock_trace,
-)
+from .characteristics import RegionTag, classify_array, foot_classical_array, foot_weak_array, on_shock
+from .burgers import psi, psi_classical_array, shock_trace
 
 __all__ = [
     "phi",
@@ -127,8 +122,8 @@ def phi_array(t, x, variant: SolutionVariant) -> np.ndarray:
     point is weak-only.  Zero on the initial slice.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    c = x + 2.0 * t
     zero = np.zeros(t.shape)
+    # the foot maps check the points before any arithmetic on them
     if variant is SolutionVariant.CLASSICAL:
         u = foot_classical_array(t, x)
         crosses, t_c = np.zeros(t.shape, dtype=bool), zero
@@ -136,6 +131,7 @@ def phi_array(t, x, variant: SolutionVariant) -> np.ndarray:
         u = foot_weak_array(t, x)
         crosses, t_c = _shock_crossing(t, x)
         t_c = np.where(crosses, t_c, 0.0)
+    c = x + 2.0 * t
     x0 = np.where(crosses, foot_weak_array(t_c, 2.0 * t_c), c) if crosses.any() else c
     # [u, -x0] and [x0, c] where the path crosses the shock at time t_c,
     # [u, c] and the empty [c, c] elsewhere
@@ -158,12 +154,6 @@ def phi(p: Point, variant: SolutionVariant) -> float:
         raise OutsideDomain(f"classical potential undefined at ({p.t}, {p.x})") from None
 
 
-def _field_value(p: Point, variant: SolutionVariant) -> float:
-    if variant is SolutionVariant.CLASSICAL:
-        return psi_classical(p)
-    return psi_weak(p)
-
-
 def dphidx_closed(p: Point, variant: SolutionVariant) -> float:
     """Closed-form spatial derivative of the potential (see module docstring).
 
@@ -171,7 +161,7 @@ def dphidx_closed(p: Point, variant: SolutionVariant) -> float:
     OnShockError is raised; the classical variant is smooth there.
     """
     t, x = p.t, p.x
-    psi_here = _field_value(p, variant)
+    psi_here = psi(p, variant)
     value = math.log((4.0 + float(psi0(x + 2.0 * t))) / (4.0 + psi_here))
     if variant is SolutionVariant.WEAK:
         crosses, t_cross = _shock_crossing(t, x)
@@ -184,15 +174,7 @@ def dphidx_closed(p: Point, variant: SolutionVariant) -> float:
 
 def dphidt_closed(p: Point, variant: SolutionVariant) -> float:
     """Time derivative via the exact ingoing identity d_t Phi = psi + 2 d_x Phi."""
-    return _field_value(p, variant) + 2.0 * dphidx_closed(p, variant)
-
-
-def _raise_at(bad, error, message: str, t, x, **at) -> None:
-    """Raise error(message) at the first point p where bad holds, with the values there of at."""
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        p = f"({float(t.flat[i])}, {float(x.flat[i])})"
-        raise error(message.format(p=p, **{k: v.flat[i] for k, v in at.items()}))
+    return psi(p, variant) + 2.0 * dphidx_closed(p, variant)
 
 
 def lbar_derivative(t, x, variant: SolutionVariant, h=None) -> np.ndarray:
@@ -207,7 +189,7 @@ def lbar_derivative(t, x, variant: SolutionVariant, h=None) -> np.ndarray:
     t, x, h = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, h)))
     _raise_at(t - h < 0.0, DomainError, "stencil leaves t >= 0 at {p} with step {h}", t, x, h=h)
     if variant is SolutionVariant.WEAK:
-        _raise_at((t > 1.0) & (np.abs(x - 2.0 * t) <= GEOM_TOL), OnShockError, "{p} is on the shock", t, x)
+        _raise_at(on_shock(t, x), OnShockError, "{p} is on the shock", t, x)
     up, dn = phi_array(np.stack([t + h, t - h]), np.stack([x - 2.0 * h, x + 2.0 * h]), variant)
     return (up - dn) / (2.0 * h)
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from shocklab.burgers import psi_classical, psi_weak
-from shocklab.characteristics import classify
+from shocklab.characteristics import RegionTag, classify, classify_array, foot_weak
 from shocklab.cli import main
 from shocklab.core import GEOM_TOL, OnShockError, OutsideDomain, Point, SolutionVariant
-from shocklab.wave_potential import phi
+from shocklab.wave_potential import lbar_derivative, phi
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +100,33 @@ class TestEval:
         # the ingoing identity ties the three potential fields to psi
         lbar = float(kv["dphi_dt"]) - 2.0 * float(kv["dphi_dx"])
         assert lbar == pytest.approx(float(kv["psi"]) if "psi" in kv else 0.0, abs=1e-9)
+
+    # sha256 of stdout for every field at once, in the wedge and, for the weak
+    # variant, in the weak-only region; the weak variant has no dpsi_dx
+    ALL_FIELDS = "psi,dpsi_dx,phi,dphi_dx,dphi_dt,region,metric,frame"
+    NO_DPSI = "psi,phi,dphi_dx,dphi_dt,region,metric,frame"
+
+    @pytest.mark.parametrize("t, x, variant, fields, digest", [
+        ("2", "3.7", "classical", ALL_FIELDS,
+         "1ccf57bee2e4b1d5e92ce2c88c2225bdcffdc83bccbe00ffc3cd123197b9b75c"),
+        ("0", "0.3", "classical", ALL_FIELDS,
+         "19a0e3a41f7e907cb3bb49fded3de79d31c2e38e3162d5ca6f3ff7289d505558"),
+        ("2", "3.7", "weak", NO_DPSI,
+         "ae12ef75fb137e3a4a16769e81e7426a5cbee972413a104b5b2cf10f27e51eca"),
+        ("2", "1.0", "weak", NO_DPSI,
+         "e893cfe8a1dabcafd146199be2a11f4b2cdb6e976ad0c271a5bb79bcee55d89b"),
+    ])
+    def test_all_fields_frozen(self, capsys, t, x, variant, fields, digest):
+        code, out, err = run_cli(capsys, "eval", "--t", t, "--x", x, "--variant", variant, "--fields", fields)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_all_fields_weak_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--t", "2", "--x", "3.7", "--variant", "weak", "--fields", self.ALL_FIELDS,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: dpsi_dx is provided for the classical variant\n"
 
     def test_unknown_field_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--t", "1", "--x", "1", "--fields", "bogus")
@@ -241,6 +268,39 @@ class TestGridEquivalence:
         assert all(-1.0 * math.pi / 2 < v / t < 0.0 for v, t in zip(values, (0.5, 0.5, 1.0, 1.0)))
 
 
+class TestShockBand:
+    # one band for "on K": the weak foot, the weak potential's ingoing
+    # derivative, the NA cells of a weak psi grid and the region map agree
+    # just inside and just outside its edges, also next to the crease
+    @pytest.mark.parametrize("t", [1.0 - 1e-6, 1.0 + 1e-9, 1.0 + 1e-6, 1.5, 4.0])
+    @pytest.mark.parametrize("offset", [
+        s * GEOM_TOL * f for s in (-1.0, 1.0) for f in (1.0 - 1e-3, 1.0 + 1e-3)
+    ] + [0.0])
+    def test_members_agree(self, capsys, t, offset):
+        x = 2.0 * t + offset
+        inside = t > 1.0 and abs(offset) < GEOM_TOL
+        try:
+            foot_weak(Point(t, x))
+            foot_raises = False
+        except OnShockError:
+            foot_raises = True
+        try:
+            lbar_derivative(t, x, SolutionVariant.WEAK)
+            lbar_raises = False
+        except OnShockError:
+            lbar_raises = True
+        # the grid's first cell is (t, x) exactly: linspace keeps its ends
+        code, out, _ = run_cli(
+            capsys, "grid", f"--t-range={t!r}:{t + 1.0!r}", f"--x-range={x!r}:{x + 1.0!r}",
+            "--nt", "2", "--nx", "2", "--field", "psi", "--variant", "weak",
+        )
+        assert code == 0
+        first = out.splitlines()[1].split(",")
+        assert (float(first[0]), float(first[1])) == (t, x)
+        tagged = classify_array(t, x) == RegionTag.ON_SHOCK
+        assert (foot_raises, lbar_raises, first[2] == "NA", bool(tagged)) == (inside,) * 4
+
+
 class TestShockVerb:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "shock", "--t-range", "1.2:2", "--n", "3")
@@ -298,6 +358,12 @@ class TestGodunovVerb:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_step_bound_exit_2(self, capsys):
+        # cells 2.5e-321 wide: a march of ~1e320 CFL steps is refused before it starts
+        code, out, err = run_cli(capsys, "godunov", "--x-range=0:1e-320", "--t-end", "0.1", "--n-cells", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: t_end = 0.1 takes more than 100000000 CFL steps on cells of width 2.5e-321\n"
+
 
 class TestRanges:
     # every verb that takes a range: its argv up to the range flag
@@ -350,6 +416,10 @@ class TestVerdictTable:
     def test_all_suites_seed_7(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")
         assert verdicts(out) == {k: v for suite in EXPECTED_VERIFY.values() for k, v in suite.items()}
+        # and every value of the report, byte for byte
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "56fd1e41b2b33f6e78f01b20e7607ac84a322c26610e898906f4e8478d1e844e"
+        )
 
     def test_pde_suite_every_seed(self, capsys):
         for seed in range(100):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ class TestState:
         assert s.n_cells == 100
         assert s.time == 0.0
         assert np.allclose(s.cell_averages, -np.arctan(s.cell_centers))
+
+    @pytest.mark.parametrize("n_cells", [2, 200, 4000, 8000])
+    def test_initial_cells_sample_the_centers(self, n_cells):
+        s = initial_state(n_cells, -3.3, 7.1)
+        assert s.cell_averages.tobytes() == (-np.arctan(s.cell_centers)).tobytes()
+
+    @pytest.mark.parametrize("x_lo", [-math.inf, math.nan])
+    def test_bounds_checked_before_sampling(self, x_lo):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^need finite x_lo, x_hi and width"):
+                initial_state(8, x_lo)
 
     @pytest.mark.parametrize("n_cells", [0, 1, -3])
     def test_too_few_cells(self, n_cells):
@@ -201,6 +214,39 @@ class TestEntryChecks:
         monkeypatch.setattr(fv, "psi_weak_array", no_step)
         with pytest.raises(DomainError, match=f"^t_end = {t_end} is not finite$"):
             march(t_end, s0)
+
+    # a cell width of 2.5e-321 and one that underflows to 0
+    @pytest.mark.parametrize("x_hi", [1e-320, 5e-324])
+    @pytest.mark.parametrize("march", [
+        lambda t, s: solve(t, s), lambda t, s: solve_at((0.0, t), s),
+    ], ids=["solve", "solve_at"])
+    def test_end_beyond_step_bound_rejected_before_any_step(self, monkeypatch, march, x_hi):
+        s0 = initial_state(4, 0.0, x_hi)
+
+        def no_step(t, x):
+            raise AssertionError("a ghost fill ran before the step bound was checked")
+
+        monkeypatch.setattr(fv, "psi_weak_array", no_step)
+        with pytest.raises(DomainError, match=f"^t_end = 0.1 takes more than 100000000 CFL steps "
+                                              f"on cells of width {s0.h!r}$"):
+            march(0.1, s0)
+
+    def test_step_bound_edge(self, monkeypatch):
+        # every speed is at least 2 - pi/2: the bound is 1e8 steps of cfl*h/(2 - pi/2)
+        s0 = initial_state(4, 0.0, 4.0)
+        edge = 1e8 * s0.cfl * s0.h / (2.0 - math.pi / 2)
+
+        class Marched(Exception):
+            pass
+
+        def first_step(t, x):
+            raise Marched
+
+        monkeypatch.setattr(fv, "psi_weak_array", first_step)
+        with pytest.raises(Marched):
+            solve(edge * (1.0 - 1e-9), s0)
+        with pytest.raises(DomainError, match="takes more than 100000000 CFL steps"):
+            solve(edge * (1.0 + 1e-9), s0)
 
 
 class TestChecksKept:

@@ -18,7 +18,7 @@ from shocklab.characteristics import (
     foot_weak,
     foot_weak_array,
 )
-from shocklab.core import GEOM_TOL, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.core import GEOM_TOL, DomainError, OnShockError, OutsideDomain, Point, SolutionVariant
 from shocklab.wave_potential import phi, phi_array
 
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
@@ -149,3 +149,44 @@ def test_scalar_and_array_agree_near_curves(points):
 def test_classify_array_equals_classify(points):
     t, x = arrays(points)
     assert classify_array(t, x).tolist() == [classify(Point(a, b)) for a, b in points]
+
+
+# Every array map takes the points Point takes: finite, with t >= 0 (-0.0
+# included).  The classical maps refuse weak-only points besides.
+ARRAY_MAPS = {
+    "foot_weak_array": foot_weak_array,
+    "psi_weak_array": psi_weak_array,
+    "phi_array weak": lambda t, x: phi_array(t, x, W),
+    "classify_array": classify_array,
+    "foot_classical_array": foot_classical_array,
+    "psi_classical_array": psi_classical_array,
+    "phi_array classical": lambda t, x: phi_array(t, x, CL),
+}
+CLASSICAL_MAPS = {"foot_classical_array", "psi_classical_array", "phi_array classical"}
+EDGES = st.sampled_from([0.0, -0.0, -5e-324, -1.0, math.nan, math.inf, -math.inf])
+
+
+@settings(deadline=None)
+@given(st.lists(
+    st.tuples(st.one_of(st.floats(min_value=-3.0, max_value=30.0), EDGES), st.one_of(NEAR, EDGES)),
+    min_size=1, max_size=6,
+))
+def test_array_maps_refuse_what_point_refuses(points):
+    t, x = arrays(points)
+    refused = []
+    for a, b in points:
+        try:
+            Point(a, b)
+        except DomainError:
+            refused.append(f"({a}, {b})")
+    weak_only = not refused and bool((classify_array(t, x) == RegionTag.WEAK_ONLY).any())
+    for name, f in ARRAY_MAPS.items():
+        try:
+            f(t, x)
+        except OutsideDomain:
+            assert name in CLASSICAL_MAPS and weak_only, name
+        except DomainError as exc:
+            # the message names one of the refused points
+            assert any(p in str(exc) for p in refused), (name, str(exc))
+        else:
+            assert not refused and not (name in CLASSICAL_MAPS and weak_only), name
