@@ -17,7 +17,7 @@ a bracketed root find.  All of them go through one batched Newton solve
 (_solve_feet) and all region tags through one set of rules
 (_region_codes); a scalar foot map or classify is a size-1 array call, so
 scalar and array answers agree bit for bit.  The maps accept the points
-Point accepts (_check_points) and share one shock band (on_shock).
+Point accepts (core._check_points) and share one shock band (on_shock).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import (
     OnShockError,
     OutsideDomain,
     Point,
+    _check_points,
     _raise_at,
     psi0,
 )
@@ -140,12 +141,6 @@ def boundary_x_deriv(kind: BoundaryCurve, t: float) -> float:
 # Region classification
 # ---------------------------------------------------------------------------
 
-def _check_points(t: np.ndarray, x: np.ndarray) -> None:
-    """Raise DomainError at the first point that Point would refuse: non-finite or t < 0."""
-    _raise_at(~(np.isfinite(t) & np.isfinite(x)), DomainError, "non-finite point {p}", t, x)
-    _raise_at(t < 0.0, DomainError, "t < 0 at {p}; only t >= 0 is modelled", t, x)
-
-
 def on_shock(t, x):
     """Whether (t, x) lies in the GEOM_TOL band around the shock K: x = 2t, t > 1.
 
@@ -251,12 +246,12 @@ def _solve_feet(t, d, lo, hi):
     vanish or stop shrinking, or once its step is at most
     _STEP_TOL*(1 + |u|); it keeps the iterate with the smaller residual and
     leaves the active set.  Large inputs are solved in blocks of _BLOCK
-    points; points with lo == hi are returned as given.
+    points; points with lo == hi are returned as given.  t, d, lo and hi
+    are float arrays of one shape: the callers have broadcast them.
 
     Raises MaxIterExceeded after _MAX_SWEEPS sweeps, naming the active point
     (t, d) with the largest residual, its iterate, residual and bracket.
     """
-    t, d, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, d, lo, hi)))
     shape = lo.shape
     t, d, lo, hi = t.ravel(), d.ravel(), lo.ravel(), hi.ravel()
     out = np.empty(lo.size)

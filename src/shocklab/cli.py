@@ -149,8 +149,8 @@ def _cmd_grid(args) -> int:
     variant = SolutionVariant(args.variant)
     ts = np.linspace(t_min, t_max, args.nt)
     xs = np.linspace(x_min, x_max, args.nx)
-    print("t,x,value")
     cells = _grid_cells(ts, xs, args.field, variant)
+    print("t,x,value")
     x_txt = [_fmt(x) for x in xs]
     nx = len(xs)
     print("\n".join(

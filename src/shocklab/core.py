@@ -10,7 +10,7 @@ equation u - t*arctan(u) = x - 2t (in characteristics) and the 15-point
 Gauss-Legendre panel rule, which lives here.
 
 All computation is 64-bit floating point; the artifact is restricted to
-times t >= 0.
+times 0 <= t <= 1e150 and |x| <= 1e150 (_check_points).
 """
 
 from __future__ import annotations
@@ -100,22 +100,42 @@ def _raise_at(bad, error, message: str, t, x, **at) -> None:
         raise error(message.format(p=p, **{k: v.flat[i] for k, v in at.items()}))
 
 
+# Largest |x| and t modelled.  The foot solve squares its iterate u, and
+# |u| <= |x - 2t| + t*pi/2, so beyond about 1e153 the arithmetic overflows.
+_MODELLED_RANGE = 1e150
+
+
+def _check_points(t: np.ndarray, x: np.ndarray) -> None:
+    """Raise DomainError at the first point outside the model: non-finite,
+    t < 0, or t or |x| beyond _MODELLED_RANGE.
+
+    The one point rule: Point is its size-1 case, and every map of arrays
+    of points applies it first.
+    """
+    # NaN fails every comparison, so one mask holds every accepted point
+    if ((t >= 0.0) & (t <= _MODELLED_RANGE) & (np.abs(x) <= _MODELLED_RANGE)).all():
+        return
+    _raise_at(~(np.isfinite(t) & np.isfinite(x)), DomainError, "non-finite point {p}", t, x)
+    _raise_at(t < 0.0, DomainError, "t < 0 at {p}; only t >= 0 is modelled", t, x)
+    _raise_at(
+        (t > _MODELLED_RANGE) | (np.abs(x) > _MODELLED_RANGE), DomainError,
+        f"{{p}} is beyond the modelled range t, |x| <= {_MODELLED_RANGE:g}", t, x,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Point:
-    """Spacetime event (t, x); the artifact restricts to t >= 0."""
+    """Spacetime event (t, x) that _check_points accepts."""
 
     t: float
     x: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise DomainError(f"non-finite point ({self.t}, {self.x})")
-        if self.t < 0.0:
-            raise DomainError(f"t = {self.t} < 0; only t >= 0 is modelled")
+        _check_points(np.asarray(self.t), np.asarray(self.x))
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,10 @@ def _fill_ghosts(ext: np.ndarray, s: GodunovState, t: float) -> float:
     """
     h = s.h
     ext[[0, -1]] = psi_weak_array(t, np.array([s.x_lo - 0.5 * h, s.x_hi + 0.5 * h]))
-    # CFL over the extended array: ghost speeds bound the boundary-cell waves
-    return s.cfl * h / float(np.max(np.abs(2.0 + ext)))
+    # CFL over the extended array: ghost speeds bound the boundary-cell waves.
+    # Every speed 2 + u is positive and rounds monotonically in u, so the
+    # fastest is 2 + max(ext).
+    return s.cfl * h / (2.0 + float(np.max(ext)))
 
 
 def _update(ext: np.ndarray, s: GodunovState, dt: float) -> None:
@@ -211,7 +213,7 @@ def l1_error(s: GodunovState) -> float:
     if t > 1.0 and edges[0] < shock_x < edges[-1]:
         shock_cell = int(np.floor((shock_x - s.x_lo) / h))
 
-    vals = psi_weak_array(np.full(cell_nodes.shape, t), cell_nodes)
+    vals = psi_weak_array(t, cell_nodes)
     exact_avg = np.sum(cell_weights * vals, axis=1) / h
     if shock_cell is not None and 0 <= shock_cell < s.n_cells:
         a, b = edges[shock_cell], edges[shock_cell + 1]
@@ -219,7 +221,7 @@ def l1_error(s: GodunovState) -> float:
         for p, q in ((a, shock_x), (shock_x, b)):
             if q > p:
                 xn, xw = gauss_panel(p, q)
-                avg += float(np.dot(xw, psi_weak_array(np.full(xn.shape, t), xn)))
+                avg += float(np.dot(xw, psi_weak_array(t, xn)))
         exact_avg[shock_cell] = avg / h
     return float(np.sum(np.abs(s.cell_averages - exact_avg)) * h)
 

@@ -218,8 +218,6 @@ def weak_form_residual(
         raise DomainError("need at least one panel per axis")
     t_lo, t_hi, x_lo, x_hi = tf.support
     t_lo = max(t_lo, 0.0)
-    if t_hi <= 0.0:
-        return 0.0
     classical = variant is SolutionVariant.CLASSICAL
     if classical:
         _require_support_classical(tf)
@@ -300,7 +298,7 @@ def oleinik_scan(t: float, x_range: tuple[float, float], n: int) -> OleinikRepor
     if t <= 0.0:
         raise DomainError("scan time must be positive")
     xs = np.linspace(x_range[0], x_range[1], n + 1)
-    vals = psi_weak_array(np.full(xs.shape, t), xs)
+    vals = psi_weak_array(t, xs)
     quot = np.diff(vals) / np.diff(xs)
     return OleinikReport(t=t, max_quotient=float(np.max(quot)), n_pairs=n)
 
@@ -364,11 +362,11 @@ def _fit_power_law(offsets, values) -> tuple[float, float, float]:
 def holder_fit(target: HolderTarget, base, offsets) -> FitReport:
     """Fitted power law of a boundary degeneracy.
 
-    CREASE_SPATIAL: field drop right of the crease (1, 2), which `base`
-    must be (cube root expected).
     SINGULAR_BOUNDARY_SPATIAL: field drop right of the boundary at fixed
-    time `base` (square root expected).  HORIZON_JUMP: the potential
-    derivative probe above the horizon at fixed x = `base`.
+    time `base` (square root expected).  CREASE_SPATIAL: the same drop at
+    B's t = 1 end, the crease (1, 2), which `base` must be (cube root
+    expected).  HORIZON_JUMP: the potential derivative probe above the
+    horizon at fixed x = `base`.
 
     Offsets must be strictly decreasing inside the validated window
     [1e-8, 1e-2]; raises PoorFit when r^2 falls below 0.999.
@@ -379,25 +377,24 @@ def holder_fit(target: HolderTarget, base, offsets) -> FitReport:
     if offsets[0] > 1e-2 + 1e-15 or offsets[-1] < 1e-8 - 1e-22:
         raise DomainError("offsets outside the validated window [1e-8, 1e-2]")
 
-    if target is HolderTarget.CREASE_SPATIAL:
-        if not isinstance(base, Point) or abs(base.t - 1.0) > 1e-9 or abs(base.x - 2.0) > 1e-9:
-            raise DomainError("crease fit must anchor at (1, 2)")
-        _, v0 = psi_boundary_extension(0.0)
-        xs = np.array([2.0 + d for d in offsets])
-        vals = np.abs(psi_classical_array(np.ones_like(xs), xs) - v0)
-    elif target is HolderTarget.SINGULAR_BOUNDARY_SPATIAL:
-        t_bar = float(base)
-        if t_bar <= 1.0:
-            raise DomainError("boundary fit needs t > 1")
+    if target is HolderTarget.HORIZON_JUMP:
+        x = float(base)
+        vals = np.array([abs(horizon_jump_probe(x, d)) for d in offsets])
+    else:
+        if target is HolderTarget.CREASE_SPATIAL:
+            if not isinstance(base, Point) or abs(base.t - 1.0) > 1e-9 or abs(base.x - 2.0) > 1e-9:
+                raise DomainError("crease fit must anchor at (1, 2)")
+            t_bar = 1.0  # the crease is the t = 1 end of B
+        elif target is HolderTarget.SINGULAR_BOUNDARY_SPATIAL:
+            t_bar = float(base)
+            if t_bar <= 1.0:
+                raise DomainError("boundary fit needs t > 1")
+        else:
+            raise DomainError(f"unknown fit target {target}")
         x_bar = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t_bar)
         _, v0 = psi_boundary_extension(math.sqrt(t_bar - 1.0))
         xs = np.array([x_bar + d for d in offsets])
-        vals = np.abs(psi_classical_array(np.full_like(xs, t_bar), xs) - v0)
-    elif target is HolderTarget.HORIZON_JUMP:
-        x = float(base)
-        vals = np.array([abs(horizon_jump_probe(x, d)) for d in offsets])
-    else:  # pragma: no cover
-        raise DomainError(f"unknown fit target {target}")
+        vals = np.abs(psi_classical_array(t_bar, xs) - v0)
 
     slope, coeff, r2 = _fit_power_law(offsets, vals)
     if r2 < _R2_MIN:
@@ -442,7 +439,7 @@ def _sample(n: int, box, skip: int, keep) -> tuple[np.ndarray, np.ndarray]:
         ts, xs = np.append(ts, cand_t[hits]), np.append(xs, cand_x[hits])
         if len(ts) >= n:
             return ts[:n], xs[:n]
-    raise DomainError(f"could not collect {n} sample points in the box {box}")  # pragma: no cover
+    raise DomainError(f"could not collect {n} sample points in the box {box}")
 
 
 def agreement_disagreement_scan(n: int, seed: int = 0) -> AgreementReport:

@@ -46,11 +46,13 @@ from .core import (
     OutsideDomain,
     Point,
     SolutionVariant,
+    _check_points,
     _raise_at,
     gauss_panel,
     psi0,
 )
 from .characteristics import RegionTag, classify_array, foot_classical_array, foot_weak_array, on_shock
+from .characteristics import _bracket, _solve_feet
 from .burgers import psi, psi_classical_array, shock_trace
 
 __all__ = [
@@ -132,7 +134,9 @@ def phi_array(t, x, variant: SolutionVariant) -> np.ndarray:
         crosses, t_c = _shock_crossing(t, x)
         t_c = np.where(crosses, t_c, 0.0)
     c = x + 2.0 * t
-    x0 = np.where(crosses, foot_weak_array(t_c, 2.0 * t_c), c) if crosses.any() else c
+    # x0: the right-family foot of the crossing point (t_c, 2 t_c), solved
+    # directly, as that point may lie past the modelled |x| range
+    x0 = np.where(crosses, _solve_feet(t_c, zero, *_bracket(t_c, zero, crosses)), c) if crosses.any() else c
     # [u, -x0] and [x0, c] where the path crosses the shock at time t_c,
     # [u, c] and the empty [c, c] elsewhere
     parts = _foot_integral(
@@ -184,9 +188,11 @@ def lbar_derivative(t, x, variant: SolutionVariant, h=None) -> np.ndarray:
     Contract: equals the field value off the shock up to the
     finite-difference error and the rounding of phi divided by h.
     """
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    _check_points(t, x)
     if h is None:
         h = 1e-5 * np.maximum(np.maximum(1.0, np.abs(t)), np.abs(x))
-    t, x, h = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, h)))
+    t, x, h = np.broadcast_arrays(t, x, np.asarray(h, dtype=float))
     _raise_at(t - h < 0.0, DomainError, "stencil leaves t >= 0 at {p} with step {h}", t, x, h=h)
     if variant is SolutionVariant.WEAK:
         _raise_at(on_shock(t, x), OnShockError, "{p} is on the shock", t, x)
@@ -220,6 +226,7 @@ def pde_residual_classical(t, x, h) -> np.ndarray:
     domain.  Expected size O(h^2) plus the rounding of phi divided by h.
     """
     t, x, h = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, h)))
+    _check_points(t, x)
     _raise_at(h <= 0.0, DomainError, "step must be positive, got {h} at {p}", t, x, h=h)
     _raise_at(t - h < 0.0, DomainError, "stencil leaves t >= 0 at {p} with step {h}", t, x, h=h)
     tags = classify_array(t, x)

@@ -6,6 +6,7 @@ import pytest
 from shocklab.core import DomainError, NearSingular, OnShockError, Point, psi0
 from shocklab.characteristics import RegionTag, classify, outgoing_char
 from shocklab.burgers import (
+    ExpansionPrediction,
     dpsidx_classical,
     expansion_near_B,
     expansion_near_S,
@@ -191,6 +192,10 @@ class TestExpansions:
         assert e2.base_point.x == pytest.approx(5.0 - math.pi / 2, abs=1e-14)
         e5 = expansion_near_B(5.0)
         assert e5.leading_coefficient == pytest.approx(-0.2 * math.sqrt(2.5), abs=1e-14)
+
+    def test_unsupported_exponent(self):
+        with pytest.raises(DomainError, match="unsupported expansion exponent 0.7"):
+            ExpansionPrediction(1.0, 0.7, Point(2.0, 3.0))
 
     def test_near_B_rejects_crease(self):
         with pytest.raises(DomainError):

@@ -113,6 +113,10 @@ class TestBoundaryCurves:
             fd = (boundary_x(B, t + h) - boundary_x(B, t - h)) / (2 * h)
             assert fd == pytest.approx(boundary_x_deriv(B, t), abs=1e-9)
 
+    def test_deriv_domain_error(self):
+        with pytest.raises(DomainError, match="t >= 1, got t = 0.5"):
+            boundary_x_deriv(B, 0.5)
+
 
 TAG_CASES = [
     (0.5, 7.0, RegionTag.OMEGA_A),

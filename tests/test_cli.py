@@ -8,8 +8,9 @@ import pytest
 
 from shocklab.burgers import psi_classical, psi_weak
 from shocklab.characteristics import RegionTag, classify, classify_array, foot_weak
+from shocklab import cli
 from shocklab.cli import main
-from shocklab.core import GEOM_TOL, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.core import GEOM_TOL, InvariantViolation, OnShockError, OutsideDomain, Point, SolutionVariant
 from shocklab.wave_potential import lbar_derivative, phi
 
 
@@ -140,6 +141,31 @@ class TestClassifyVerb:
         assert code == 0
         assert out.strip() == "region=WeakOnly"
 
+    def test_internal_error_exit_1(self, capsys, monkeypatch):
+        def broken(p):
+            raise InvariantViolation("broken invariant")
+        monkeypatch.setattr(cli, "classify", broken)
+        code, out, err = run_cli(capsys, "classify", "--t", "1.5", "--x", "1.2")
+        assert (code, out, err) == (1, "", "internal error: broken invariant\n")
+
+
+class TestPointRule:
+    # the CLI refuses what Point refuses, with the shared message
+    @pytest.mark.parametrize("verb", ["eval", "classify"])
+    def test_negative_time_exit_2(self, capsys, verb):
+        code, out, err = run_cli(capsys, verb, "--t", "-1", "--x", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: t < 0 at (-1.0, 0.0); only t >= 0 is modelled\n"
+
+    @pytest.mark.parametrize("argv, point", [
+        (("eval", "--t", "1e200", "--x", "0"), "(1e+200, 0.0)"),
+        (("grid", "--t-range", "0:1", "--x-range=-1e200:1e200", "--nt", "2", "--nx", "3"), "(0.0, -1e+200)"),
+    ], ids=["eval", "grid"])
+    def test_beyond_the_modelled_range_exit_2(self, capsys, argv, point):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {point} is beyond the modelled range t, |x| <= 1e+150\n"
+
 
 class TestBoundary:
     def test_singular_boundary(self, capsys):
@@ -229,6 +255,14 @@ def reference_grid(t_range, x_range, nt, nx, field, variant):
     return rows
 
 
+class TestGridCounts:
+    def test_one_time_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "grid", "--t-range", "0:1", "--x-range", "0:1", "--nt", "1", "--nx", "3",
+        )
+        assert (code, out, err) == (2, "", "error: invalid grid ranges or counts\n")
+
+
 class TestGridEquivalence:
     # boxes through the crease, B, C and K; the second puts grid rows on
     # t = 1 and t = 2 and a cell on the crease and on the shock
@@ -302,6 +336,10 @@ class TestShockBand:
 
 
 class TestShockVerb:
+    def test_before_the_crease_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "shock", "--t-range", "0.5:3", "--n", "5")
+        assert (code, out, err) == (2, "", "error: need 1 < t_min < t_max and n >= 2\n")
+
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "shock", "--t-range", "1.2:2", "--n", "3")
         assert code == 0

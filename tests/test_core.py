@@ -8,6 +8,7 @@ from shocklab.core import (
     DomainError,
     Point,
     Vec2,
+    _check_points,
     psi0,
     psi0_prime,
     psi0_second,
@@ -65,6 +66,24 @@ class TestDomainTypes:
             Point(math.nan, 0.0)
         with pytest.raises(DomainError):
             Point(1.0, math.inf)
+
+    @pytest.mark.parametrize("t, x, message", [
+        (-1.0, 0.0, "t < 0 at (-1.0, 0.0); only t >= 0 is modelled"),
+        (math.nan, 0.0, "non-finite point (nan, 0.0)"),
+        (1e151, 0.0, "(1e+151, 0.0) is beyond the modelled range t, |x| <= 1e+150"),
+        (0.0, -1e300, "(0.0, -1e+300) is beyond the modelled range t, |x| <= 1e+150"),
+    ])
+    def test_point_is_the_size_1_point_check(self, t, x, message):
+        with pytest.raises(DomainError) as err:
+            Point(t, x)
+        assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            _check_points(np.array([2.0, t]), np.array([1.0, x]))
+        assert str(err.value) == message
+
+    def test_point_at_the_edge_of_the_range(self):
+        p = Point(1e150, -1e150)
+        assert (p.t, p.x) == (1e150, -1e150)
 
     def test_vec2(self):
         assert Vec2(1.0, -2.0).is_zero is False

@@ -6,9 +6,10 @@ import pytest
 
 from shocklab.core import DomainError, Point, Vec2
 from shocklab.core import DegenerateMetric, ZeroVector, ApexNotOnBoundary
-from shocklab.burgers import psi_boundary_extension
+from shocklab.burgers import psi_boundary_extension, shock_trace
 from shocklab.characteristics import foot_classical
 from shocklab.geometry import (
+    SHOCK_TANGENT,
     CausalClass,
     backward_L_curves,
     bubble_witness,
@@ -23,6 +24,7 @@ from shocklab.geometry import (
     tangency_residual_B,
     timelike_past_contains,
 )
+from shocklab.verification import _LOG_TIMES
 
 APEX = Point(2.0, 5.0 - math.pi / 2)  # boundary point with foot 1
 
@@ -110,6 +112,10 @@ class TestBoundaryGeometry:
         for t in (1.5, 3.0, 12.0):
             assert horizon_null_check(t) <= 1e-13
 
+    def test_horizon_null_domain(self):
+        with pytest.raises(DomainError, match="needs t > 1, got 1.0"):
+            horizon_null_check(1.0)
+
     def test_shock_character(self):
         for t in (1.1, 4.0 / math.pi, 2.0, 10.0):
             right_cls, left_cls = shock_character(t)
@@ -125,6 +131,16 @@ class TestBoundaryGeometry:
     def test_shock_norms_degenerate_at_crease(self):
         right, left = shock_tangent_norms(1.0 + 1e-9)
         assert abs(right) < 1e-4 and abs(left) < 1e-4
+
+    # the suite's 50 times and the first double past the crease, whose
+    # norms +-2.6e-8 still lie outside the null band
+    @pytest.mark.parametrize("t", [*map(float, _LOG_TIMES), 1.0 + 2.0 ** -52])
+    def test_shock_character_classifies_the_tangent_norms(self, t):
+        trace = shock_trace(t)
+        assert shock_character(t) == (
+            causal_class(trace.right_value, SHOCK_TANGENT),
+            causal_class(trace.left_value, SHOCK_TANGENT),
+        )
 
 
 class TestPasts:
@@ -152,6 +168,8 @@ class TestPasts:
     def test_target_after_apex(self):
         with pytest.raises(DomainError):
             causal_past_contains(APEX, Point(3.0, 2.0))
+        with pytest.raises(DomainError, match="after the apex"):
+            timelike_past_contains(APEX, Point(3.0, 2.0))
 
 
 class TestBubble:
@@ -208,6 +226,12 @@ class TestBackwardCurves:
     def test_duration_guard(self):
         with pytest.raises(DomainError):
             backward_L_curves(APEX, 1.5, 100)
+        with pytest.raises(DomainError, match="duration must be positive"):
+            backward_L_curves(APEX, 0.0, 100)
+
+    def test_steps_guard(self):
+        with pytest.raises(DomainError, match="at least 2 steps"):
+            backward_L_curves(APEX, 0.5, 1)
 
     def test_extrinsically_spacelike(self):
         # backward characteristics from interior points approaching the apex

@@ -80,6 +80,8 @@ class TestState:
             initial_state(n_cells)
 
     def test_validation(self):
+        with pytest.raises(DomainError, match="need at least 2 cells, got 1$"):
+            GodunovState(-1.0, 1.0, np.zeros(1), 0.0)
         with pytest.raises(DomainError):
             initial_state(100, cfl=1.5)
         with pytest.raises(DomainError):
@@ -358,6 +360,17 @@ class TestSolveAt:
         for a, t in zip(solve_at(t_ends, s0), t_ends):
             b = solve(t, s0)
             assert (a.time, a.cell_averages.tobytes()) == (b.time, b.cell_averages.tobytes())
+
+    def test_second_capped_step(self, monkeypatch):
+        # one CFL step spans the march, but t0 + (t_end - t0) rounds below
+        # t_end, so a second capped step lands on t_end exactly
+        t0, t_end = 0.25405573465904935, 0.7571879348098128
+        assert t0 + (t_end - t0) < t_end
+        fills = []
+        fill = fv._fill_ghosts
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
+        s = solve_at((t_end,), replace(initial_state(4), time=t0))[0]
+        assert len(fills) == 2 and s.time == t_end
 
     def test_start_time_returns_the_state(self):
         s0 = initial_state(64)

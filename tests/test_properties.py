@@ -1,8 +1,10 @@
-"""Property tests over wide ranges: |x| up to 1e6 and t up to 1e3."""
+"""Property tests over wide ranges: |x| up to 1e6 and t up to 1e3, and the
+array maps up to the modelled range 1e150."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,7 +165,7 @@ ARRAY_MAPS = {
     "phi_array classical": lambda t, x: phi_array(t, x, CL),
 }
 CLASSICAL_MAPS = {"foot_classical_array", "psi_classical_array", "phi_array classical"}
-EDGES = st.sampled_from([0.0, -0.0, -5e-324, -1.0, math.nan, math.inf, -math.inf])
+EDGES = st.sampled_from([0.0, -0.0, -5e-324, -1.0, 1e151, 1e300, -1e300, math.nan, math.inf, -math.inf])
 
 
 @settings(deadline=None)
@@ -177,8 +179,13 @@ def test_array_maps_refuse_what_point_refuses(points):
     for a, b in points:
         try:
             Point(a, b)
-        except DomainError:
+        except DomainError as exc:
             refused.append(f"({a}, {b})")
+            # alone, the point is refused by every map with Point's message
+            for name, f in ARRAY_MAPS.items():
+                with pytest.raises(DomainError) as err:
+                    f(np.array([a]), np.array([b]))
+                assert str(err.value) == str(exc), name
     weak_only = not refused and bool((classify_array(t, x) == RegionTag.WEAK_ONLY).any())
     for name, f in ARRAY_MAPS.items():
         try:
@@ -190,3 +197,28 @@ def test_array_maps_refuse_what_point_refuses(points):
             assert any(p in str(exc) for p in refused), (name, str(exc))
         else:
             assert not refused and not (name in CLASSICAL_MAPS and weak_only), name
+
+
+def magnitudes():
+    """0 and magnitudes log-uniform from 1e-10 to the modelled range 1e150."""
+    return st.just(0.0) | st.floats(min_value=-10.0, max_value=150.0).map(lambda e: min(10.0 ** e, 1e150))
+
+
+SIGNED = st.tuples(magnitudes(), st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None)
+@given(st.lists(st.tuples(magnitudes(), SIGNED), min_size=1, max_size=6))
+def test_array_maps_finite_up_to_the_modelled_range(points):
+    # no overflow inside the range Point accepts: a map returns finite
+    # values, or a classical map refuses weak-only points
+    t, x = arrays(points)
+    for name, f in ARRAY_MAPS.items():
+        try:
+            values = f(t, x)
+        except OutsideDomain:
+            assert name in CLASSICAL_MAPS, name
+            continue
+        if name != "classify_array":
+            assert np.all(np.isfinite(values)), name

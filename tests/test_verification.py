@@ -15,7 +15,7 @@ from shocklab.characteristics import (
     boundary_x,
     classify_array,
 )
-from shocklab.core import DomainError, OutsideDomain, Point, SolutionVariant, gauss_panel, psi0
+from shocklab.core import DomainError, OutsideDomain, Point, PoorFit, SolutionVariant, gauss_panel, psi0
 from shocklab.verification import (
     HolderTarget,
     TestFunction,
@@ -201,6 +201,11 @@ class TestWeakForm:
         tf = TestFunction(Point(1.6, 3.8), (0.3, 0.45))
         assert abs(weak_form_residual(CL, tf)) <= 1e-6
 
+    def test_classical_support_before_the_crease(self):
+        # a support ending before t = 1 cannot reach the weak-only region
+        tf = TestFunction(Point(0.5, 3.0), (0.3, 1.0))
+        assert abs(weak_form_residual(CL, tf)) <= 1e-6
+
     def test_classical_support_guard(self):
         tf = TestFunction(Point(2.0, 1.0), (0.4, 1.0))  # pokes past the horizon
         with pytest.raises(OutsideDomain):
@@ -274,6 +279,8 @@ class TestScans:
     def test_oleinik_validation(self):
         with pytest.raises(DomainError):
             oleinik_scan(2.0, (-1.0, 1.0), 1)
+        with pytest.raises(DomainError, match="scan time must be positive"):
+            oleinik_scan(0.0, (-1.0, 1.0), 10)
 
     def test_rh_residual(self):
         for t in (1.01, 4.0 / math.pi, 2.0, 10.0):
@@ -321,6 +328,34 @@ class TestHolderFits:
     def test_crease_fit_needs_the_crease(self, base):
         with pytest.raises(DomainError, match="crease fit must anchor at"):
             holder_fit(HolderTarget.CREASE_SPATIAL, base, dyadic_offsets(1e-3, 5))
+
+    def test_boundary_fit_needs_t_past_the_crease(self):
+        with pytest.raises(DomainError, match="boundary fit needs t > 1"):
+            holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 1.0, dyadic_offsets(1e-4, 5))
+
+    def test_unknown_target(self):
+        with pytest.raises(DomainError, match="unknown fit target CreaseSpatial"):
+            holder_fit("CreaseSpatial", Point(1.0, 2.0), dyadic_offsets(1e-3, 5))
+
+    def test_poor_fit(self):
+        # offsets up to 1e-2 from B just past the crease bend the log-log line
+        with pytest.raises(PoorFit, match=r"r\^2 = 0.998444 < 0.999"):
+            holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 1.001, dyadic_offsets(1e-2, 11))
+
+    # float.hex of (exponent, coefficient, r_squared)
+    @pytest.mark.parametrize("target, base, start, expected", [
+        (HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), 1e-3,
+         ("0x1.54ff3764e90c7p-2", "0x1.6fb6004179de1p+0", "0x1.fffff49fab407p-1")),
+        (HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 1.5, 1e-4,
+         ("0x1.ff462160095bdp-2", "0x1.ebd76667eb032p-1", "0x1.fffff1c6c90e7p-1")),
+        (HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 2.0, 1e-4,
+         ("0x1.ff66b380ac1d2p-2", "0x1.66d9e9d8380c0p-1", "0x1.fffff65095a21p-1")),
+        (HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 5.0, 1e-4,
+         ("0x1.ff908af299e58p-2", "0x1.41bdf2409445ep-2", "0x1.fffffae14dbf3p-1")),
+    ], ids=["crease", "B_1.5", "B_2", "B_5"])
+    def test_frozen_fits(self, target, base, start, expected):
+        fit = holder_fit(target, base, dyadic_offsets(start, 11))
+        assert tuple(v.hex() for v in (fit.exponent, fit.coefficient, fit.r_squared)) == expected
 
     def test_samples_recorded(self):
         offs = dyadic_offsets(1e-3, 5)
@@ -461,6 +496,10 @@ class TestSampler:
     def test_pde_sample_matches_per_point_loop(self, seed):
         got = np.stack(_sample(200, (0.1, 2.5, -6.0, 8.0), seed, _pde_margins))
         assert np.array_equal(got, pde_points_per_point_loop(seed))
+
+    def test_mask_that_never_holds(self):
+        with pytest.raises(DomainError, match="could not collect 1 sample points"):
+            _sample(1, (0.0, 1.0, 0.0, 1.0), 0, lambda t, x, tags: np.zeros(t.shape, dtype=bool))
 
     def test_pde_sample_holds_wedge_points(self):
         t, x = _sample(200, (0.1, 2.5, -6.0, 8.0), 0, _pde_margins)

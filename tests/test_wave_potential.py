@@ -171,6 +171,18 @@ class TestLbarDerivative:
             lbar_derivative(1e-7, 0.0, W)
 
 
+# the input point is checked before any step or stencil is formed from it
+@pytest.mark.parametrize("call, message", [
+    (lambda: lbar_derivative(math.inf, 0.0, W), "non-finite point (inf, 0.0)"),
+    (lambda: lbar_derivative(math.nan, 0.0, W), "non-finite point (nan, 0.0)"),
+    (lambda: pde_residual_classical(math.inf, 0.0, math.inf), "non-finite point (inf, 0.0)"),
+], ids=["lbar_inf", "lbar_nan", "pde_inf"])
+def test_stencil_maps_check_the_input_point(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestHorizonProbe:
     def test_domain_guards(self):
         with pytest.raises(DomainError):
