@@ -34,6 +34,7 @@ from .core import (
     OnShockError,
     OutsideDomain,
     Point,
+    _MODELLED_RANGE,
     _check_points,
     _raise_at,
     psi0,
@@ -349,9 +350,16 @@ def shock_feet(t: float) -> tuple[float, float]:
     """Feet (-x0, +x0) of the two characteristics meeting the shock at time t > 1.
 
     x0 > 0 solves x0 = t*arctan(x0): it is the right-family foot of the
-    shock point (t, 2t), bracketed by sqrt(t-1) and t*pi/2.
+    shock point (t, 2t), bracketed by sqrt(t-1) and t*pi/2.  Only t is
+    checked (finite, 1 < t <= 1e150, the modelled range): 2t may lie past
+    the range when t does not.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"non-finite shock time t = {t}")
     if t <= 1.0:
         raise DomainError(f"the shock exists for t > 1, got t = {t}")
-    x0 = float(foot_weak_array(t, 2.0 * t))
+    if t > _MODELLED_RANGE:
+        raise DomainError(f"shock time t = {t} is beyond the modelled range t <= {_MODELLED_RANGE:g}")
+    ts, d = np.full(1, t), np.zeros(1)
+    x0 = float(_solve_feet(ts, d, *_bracket(ts, d, True))[0])
     return -x0, x0

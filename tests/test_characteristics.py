@@ -280,6 +280,33 @@ class TestShockFeet:
         with pytest.raises(DomainError):
             shock_feet(1.0)
 
+    # pinned before shock_feet checked t alone: the same bracket and solve
+    @pytest.mark.parametrize("t, expected", [
+        (1.0 + 2.0 ** -52, "0x1.c4691f556693cp-26"),
+        (1.5, "0x1.737b8c8789642p+0"),
+        (7.25, "0x1.56d5191bff311p+3"),
+        (1e10, "0x1.d4223fc1a7fafp+33"),
+        (5e149, "0x1.eb62974385ea8p+497"),
+    ])
+    def test_frozen(self, t, expected):
+        neg, pos = shock_feet(t)
+        assert (neg.hex(), pos.hex()) == ("-" + expected, expected)
+
+    def test_shock_point_past_the_range(self):
+        # (t, 2t) lies past the modelled range; t does not
+        _, pos = shock_feet(1e150)
+        assert pos.hex() == "0x1.eb62974385ea8p+498"
+
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "non-finite shock time t = nan$"),
+        (math.inf, "non-finite shock time t = inf$"),
+        (0.5, "the shock exists for t > 1, got t = 0.5$"),
+        (1e151, r"shock time t = 1e\+151 is beyond the modelled range t <= 1e\+150$"),
+    ])
+    def test_refused_times(self, t, message):
+        with pytest.raises(DomainError, match=message):
+            shock_feet(t)
+
 
 class TestArrayFootMaps:
     def test_weak_matches_scalar(self):

@@ -166,6 +166,11 @@ class TestPointRule:
         assert (code, out) == (2, "")
         assert err == f"error: {point} is beyond the modelled range t, |x| <= 1e+150\n"
 
+    def test_shock_crossing_past_the_range(self, capsys):
+        # the path's shock crossing (5e149, 1e150) rounds past the range; the point does not
+        code, out, err = run_cli(capsys, "eval", "--t", "1e150", "--x", "1e135", "--fields", "dphi_dx")
+        assert (code, out, err) == (0, "dphi_dx=-0.7853981633974482\n", "")
+
 
 class TestBoundary:
     def test_singular_boundary(self, capsys):

@@ -37,6 +37,58 @@ def godunov_flux(u_left, u_right):
 _on_range = st.floats(-math.pi / 2, math.pi / 2)
 
 
+def reference_solve_at(t_ends, s0, field=psi_weak_array):
+    """The march as it stood before it carried state between steps: the oracle of TestReferenceMarch.
+
+    Every step fills both ghosts from field, takes the CFL step from
+    np.max of the extended array and recomputes both invariant checks from
+    the whole array.  solve_at's entry checks are left out.
+    """
+    h = s0.h
+
+    def fill(ext, t):
+        ext[[0, -1]] = field(t, np.array([s0.x_lo - 0.5 * h, s0.x_hi + 0.5 * h]))
+        return s0.cfl * h / (2.0 + float(np.max(ext)))
+
+    def update(ext, dt):
+        f = flux(ext[:-1])
+        u_new = ext[1:-1] - dt / h * (f[1:] - f[:-1])
+        lo_bound = float(np.min(ext)) - 1e-12
+        hi_bound = float(np.max(ext)) + 1e-12
+        if np.any(u_new < lo_bound) or np.any(u_new > hi_bound):
+            raise InvariantViolation("maximum principle violated in a Godunov step")
+        tv_old = float(np.sum(np.abs(np.diff(ext))))
+        ext[1:-1] = u_new
+        if float(np.sum(np.abs(np.diff(ext)))) > tv_old + 1e-10 * (1.0 + tv_old):
+            raise InvariantViolation("total variation increased in a Godunov step")
+
+    states = []
+    ext = np.concatenate([[0.0], s0.cell_averages, [0.0]])
+    t, dt = s0.time, None
+    for t_end in t_ends:
+        if t_end == s0.time:
+            states.append(s0)
+            continue
+        while t < t_end:
+            if dt is None:
+                dt = fill(ext, t)
+            if dt > t_end - t:
+                break
+            update(ext, dt)
+            t, dt = t + dt, None
+        cells, t_cut, dt_cut = ext.copy(), t, dt
+        while t_cut < t_end:
+            if dt_cut is None:
+                dt_cut = fill(cells, t_cut)
+            dt_cut = min(dt_cut, t_end - t_cut)
+            update(cells, dt_cut)
+            t_cut, dt_cut = t_cut + dt_cut, None
+        states.append(replace(s0, cell_averages=cells[1:-1], time=t_cut))
+    return tuple(states)
+
+
+
+
 class TestFlux:
     def test_constant(self):
         assert godunov_flux(0.0, 0.0) == 2.0
@@ -267,6 +319,120 @@ class TestChecksKept:
         monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
         with pytest.raises(InvariantViolation, match=message):
             march(GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0))
+
+    # the ghosts stay on the range until tau, so the check fires on a march that
+    # carried |diff(ext)| and the cell range through three full steps; "capped":
+    # the first end lies inside the first step past tau, so the shared march
+    # fills the ghosts and hands them, with what it carries, to the copy
+    @pytest.mark.parametrize("ghosts, message", [
+        ((-3.9, -1.5), "maximum principle violated"),
+        ((-6.0, 6.0), "total variation increased"),
+    ])
+    @pytest.mark.parametrize("where", ["shared", "capped"])
+    def test_raises_after_valid_steps(self, monkeypatch, ghosts, message, where):
+        tau = 1.2
+        fills = []
+
+        def field(t, x):
+            fills.append(t)
+            return np.array((-1.5, -1.5) if t < tau else ghosts)
+
+        s0 = GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0)
+        with pytest.raises(InvariantViolation, match=message):
+            reference_solve_at((5.0,), s0, field)
+        t_bad = fills[-1]
+        assert len(fills) == 4 and t_bad > tau
+        dt_bad = s0.cfl * s0.h / (2.0 + max(-1.5, *ghosts))
+        t_ends = (5.0,) if where == "shared" else (t_bad + 0.5 * dt_bad, 5.0)
+        with pytest.raises(InvariantViolation) as want:
+            reference_solve_at(t_ends, s0, field)
+        steps = []
+        update = fv._update
+        monkeypatch.setattr(fv, "_update", lambda m, s, dt: steps.append(dt) or update(m, s, dt))
+        monkeypatch.setattr(fv, "psi_weak_array", field)
+        with pytest.raises(InvariantViolation, match=message) as got:
+            solve_at(t_ends, s0)
+        assert str(got.value) == str(want.value)
+        assert len(steps) == 4
+        assert steps[-1] == (dt_bad if where == "shared" else t_ends[0] - t_bad)
+
+
+def outcome(march):
+    """(time, cell bytes) of each state, or the type and message of the error raised."""
+    try:
+        return [(float(s.time).hex(), s.cell_averages.tobytes()) for s in march()]
+    except (DomainError, InvariantViolation) as e:
+        return type(e), str(e)
+
+
+class TestReferenceMarch:
+    # solve_at carries |diff(ext)| and the cell range between steps; the
+    # reference recomputes both from the whole array on every step
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_cells=st.integers(2, 400),
+        x_lo=st.floats(-1e3, 1e3),
+        width=st.floats(1e-3, 1e3),
+        cfl=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        t0=st.floats(0.0, 5.0),
+        cells=st.none() | st.integers(0, 2 ** 32 - 1),
+        steps=st.lists(st.just(0.0) | st.floats(0.0, 20.0), min_size=1, max_size=3),
+    )
+    def test_equals_reference(self, n_cells, x_lo, width, cfl, t0, cells, steps):
+        # cells: the initial profile, or uniform on the invariant range from a seed;
+        # ends: cumulative offsets in units of the shortest CFL step, so nondecreasing
+        s0 = replace(initial_state(n_cells, x_lo, x_lo + width, cfl), time=t0)
+        if cells is not None:
+            rng = np.random.default_rng(cells)
+            s0 = replace(s0, cell_averages=rng.uniform(-math.pi / 2, math.pi / 2, n_cells))
+        unit = cfl * s0.h / (2.0 + math.pi / 2)
+        t_ends = [t0 + unit * k for k in np.cumsum(steps)]
+        assert outcome(lambda: solve_at(t_ends, s0)) == outcome(lambda: reference_solve_at(t_ends, s0))
+
+    @pytest.mark.parametrize("ghosts", [None, (math.nan, -1.5), (-1.5, math.nan)])
+    def test_carried_state_equals_whole_array_reductions(self, monkeypatch, ghosts):
+        # before every update, in the shared march and in each capped copy;
+        # ghosts: the exact field throughout, or that field until t = 1 and NaN after
+        def same(a, b):
+            return a == b or (math.isnan(a) and math.isnan(b))
+
+        def field(t, x):
+            return psi_weak_array(t, x) if ghosts is None or t < 1.0 else np.array(ghosts)
+
+        steps = []
+        update = fv._update
+
+        def checked(m, s, dt):
+            ext = m.ext
+            assert m.adiff.tobytes() == np.abs(np.diff(ext)).tobytes()
+            assert same(m.ext_lo, np.min(ext)) and same(m.ext_hi, np.max(ext))
+            assert same(m.lo, np.min(ext[1:-1])) and same(m.hi, np.max(ext[1:-1]))
+            steps.append(dt)
+            update(m, s, dt)
+
+        monkeypatch.setattr(fv, "_update", checked)
+        monkeypatch.setattr(fv, "psi_weak_array", field)
+        with np.errstate(invalid="ignore"):
+            outcome(lambda: solve_at((0.3, 1.27, 2.0), initial_state(201)))
+        assert len(steps) >= (60 if ghosts is None else 10)
+
+    # non-finite ghosts: NaN must reach the CFL step and the bounds as np.max
+    # and np.min of the whole array would carry it (a NaN step or time ends
+    # the march with an invalid state); -inf breaks the maximum principle
+    @pytest.mark.parametrize("ghosts", [
+        (math.nan, -1.5), (-1.5, math.nan), (math.inf, -1.5), (-math.inf, -1.5), (-math.inf, math.nan),
+    ])
+    @pytest.mark.parametrize("tau", [0.0, 1.2])
+    def test_non_finite_ghosts(self, monkeypatch, ghosts, tau):
+        def field(t, x):
+            return np.array((-1.0, -1.2) if t < tau else ghosts)
+
+        s0 = GodunovState(-10.0, 10.0, np.linspace(-1.0, -1.2, 64), 0.0)
+        with np.errstate(invalid="ignore"):
+            want = outcome(lambda: reference_solve_at((3.0, 5.0), s0, field))
+            monkeypatch.setattr(fv, "psi_weak_array", field)
+            assert outcome(lambda: solve_at((3.0, 5.0), s0)) == want
+        assert isinstance(want, tuple)
 
 
 class TestSolve:

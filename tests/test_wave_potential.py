@@ -122,6 +122,14 @@ class TestClosedFormDerivative:
         with pytest.raises(OnShockError):
             dphidx_closed(Point(2.0, 4.0), W)
 
+    def test_shock_crossing_past_the_range(self):
+        # the path's shock crossing t_c = t/2 + x/4 gives the shock point
+        # (t_c, 2t_c) = (5.000000000000003e149, 1.0000000000000005e150), past the
+        # range; the derivatives check only the point given, as phi does
+        p = Point(1e150, 1e135)
+        assert math.isfinite(phi(p, W))
+        assert math.isfinite(dphidx_closed(p, W)) and math.isfinite(dphidt_closed(p, W))
+
     def test_c1_matching_from_below_horizon(self):
         # approaching the horizon from below, both potential derivatives
         # converge to their boundary values (first-order matching)
