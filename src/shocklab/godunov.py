@@ -6,21 +6,29 @@ characteristic construction.  Every wave speed 2 + u is positive on the
 invariant range [-pi/2, pi/2], which the maximum-principle check keeps the
 cells in, so the exact-Riemann flux of the convex flux (2+u)^2/2 is the
 upwind flux f(u_left) there.  This module marches that conservative
-explicit update with CFL-limited steps on one local array, with Dirichlet
-ghost cells fed by the exact entropy field and both invariant checks on
-every step, and compares the result in L1 against exact per-cell averages
-with the shock cell split.  `solve_at` is the one march (`solve` is its
-one-end case); it takes only full CFL steps, and each end is reached by
-its capped final steps on a copy, so every state equals that of a march
-to its end alone.  Between steps the march carries |diff| of its
-extended array and the min and max of its cells (`_March`): a step's
-invariant checks then read the old total variation and the
-maximum-principle bounds without a pass over the cells, so a step makes
-13 passes over them instead of 21.  The ghost fill refreshes only what
-the two new ghosts touch, and the capped steps run on a copy of the
-carried state.  Inputs are checked once, at entry: the ends (finite,
-nondecreasing, at most 1e8 CFL steps away) by `solve_at`, the bounds,
-time and cells by `GodunovState`.  Agreement here validates the entropy
+explicit update with CFL-limited steps on one local array per grid, with
+Dirichlet ghost cells fed by the exact entropy field and both invariant
+checks on every step, and compares the result in L1 against exact
+per-cell averages with the shock cell split.  `solve_many` is the one
+march: it marches several grids in lockstep, and each round makes one
+field call holding the two ghost cell centers of every grid that waits on
+a fill, each at that grid's own time.  The foot solve is elementwise, so
+every grid's states equal those of a march of that grid alone, bit for
+bit; `solve_at` and `solve` are its one-grid cases.  A grid's march
+(`_march`) takes only full CFL steps, and each end is reached by its
+capped final steps on a copy, so every state equals that of a march to
+its end alone.  Between steps the march carries |diff| of its extended
+array and the min and max of its cells (`_March`): a step's invariant
+checks then read the old total variation and the maximum-principle
+bounds without a pass over the cells, so a step makes 13 passes over
+them instead of 21.  The ghost fill refreshes only what the two new
+ghosts touch, and the capped steps run on a copy of the carried state.
+Inputs are checked once, at entry and for every grid before any step:
+the ends (finite, nondecreasing, at most 1e8 CFL steps away) by
+`solve_many`, the bounds, time and cells by `GodunovState`.  A step that
+leaves the time where it stands (a CFL step at most half an ulp of t,
+so t + dt rounds back to t) raises where it is taken: a march of such
+steps never reaches its end.  Agreement here validates the entropy
 selection of the exact construction; disagreement at the wedge values
 would expose a wrong branch choice.
 """
@@ -28,7 +36,7 @@ would expose a wrong branch choice.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +49,7 @@ __all__ = [
     "initial_state",
     "solve",
     "solve_at",
+    "solve_many",
     "l1_error",
     "state_to_csv",
 ]
@@ -48,7 +57,7 @@ __all__ = [
 _RANGE_SLACK = 1e-12
 _HALF_PI = math.pi / 2.0
 # Every wave speed 2 + u on the invariant range is at least 2 - pi/2, so a
-# march over time T takes at least T*(2 - pi/2)/(cfl*h) CFL steps; solve_at
+# march over time T takes at least T*(2 - pi/2)/(cfl*h) CFL steps; solve_many
 # refuses one that would take more than _MAX_STEPS.
 _MIN_SPEED = 2.0 - _HALF_PI
 _MAX_STEPS = 10 ** 8
@@ -137,15 +146,14 @@ class _March:
         return replace(self, ext=self.ext.copy(), adiff=self.adiff.copy())
 
 
-def _fill_ghosts(m: _March, s: GodunovState, t: float) -> float:
-    """Fill the ghost cells of march m on grid s at time t; return the CFL step.
+def _fill_ghosts(m: _March, s: GodunovState, ghosts: Sequence[float]) -> float:
+    """Set the ghost cells of march m on grid s to ghosts; return the CFL step.
 
-    The ghost values are the exact entropy field at the ghost cell centers,
-    from one 2-point field call.
+    ghosts holds the exact entropy field at the two ghost cell centers, at
+    the time of the fill.
     """
-    h = s.h
     ext = m.ext
-    g0, g1 = psi_weak_array(t, np.array([s.x_lo - 0.5 * h, s.x_hi + 0.5 * h])).tolist()
+    g0, g1 = ghosts
     ext[0], ext[-1] = g0, g1
     m.adiff[0], m.adiff[-1] = abs(ext[1] - g0), abs(g1 - ext[-2])
     # np.minimum and np.maximum propagate NaN from either side; min() and max() do not
@@ -154,7 +162,7 @@ def _fill_ghosts(m: _March, s: GodunovState, t: float) -> float:
     # CFL over the extended array: ghost speeds bound the boundary-cell waves.
     # Every speed 2 + u is positive and rounds monotonically in u, so the
     # fastest is 2 + max(ext).
-    return s.cfl * h / (2.0 + float(m.ext_hi))
+    return s.cfl * s.h / (2.0 + float(m.ext_hi))
 
 
 def _update(m: _March, s: GodunovState, dt: float) -> None:
@@ -185,17 +193,9 @@ def _update(m: _March, s: GodunovState, dt: float) -> None:
         raise InvariantViolation("total variation increased in a Godunov step")
 
 
-def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, ...]:
-    """March once from s0 and return the state at each of the nondecreasing t_ends.
-
-    Each state equals solve(t_end, s0) bit for bit.  The shared march takes
-    only full CFL steps; each end is reached on a copy of the march (cells,
-    ghosts and carried state) with the capped steps a march to that end
-    alone takes, starting from the CFL step already computed at the point
-    where the march to it leaves.
-    Raises DomainError, before any step, on a non-finite or decreasing end
-    and on an end that takes more than _MAX_STEPS CFL steps to reach.
-    """
+def _check_ends(t_ends: tuple[float, ...], s0: GodunovState) -> None:
+    """Raise DomainError on a non-finite or decreasing end of a march from s0
+    and on one that takes more than _MAX_STEPS CFL steps to reach."""
     for i, (before, t_end) in enumerate(zip((s0.time, *t_ends), t_ends)):
         if not math.isfinite(t_end):
             raise DomainError(f"t_end = {t_end} is not finite")
@@ -207,6 +207,33 @@ def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, .
             raise DomainError(
                 f"t_end = {t_end} takes more than {_MAX_STEPS} CFL steps on cells of width {s0.h!r}"
             )
+
+
+def _advance(t: float, dt: float, t_end: float) -> float:
+    """The time after a step of dt from t, on the march to t_end.
+
+    Raises DomainError if t + dt rounds back to t: the cells took the step
+    and the time did not, and a march whose steps are all that short never
+    reaches t_end.
+    """
+    t_next = t + dt
+    if t_next == t:
+        raise DomainError(f"t_end = {t_end} is out of reach: a CFL step of {dt!r} leaves t = {t!r} unchanged")
+    return t_next
+
+
+def _march(
+    t_ends: tuple[float, ...], s0: GodunovState,
+) -> Generator[float, Sequence[float], tuple[GodunovState, ...]]:
+    """The march of grid s0 to its checked ends, as a generator of ghost fills.
+
+    Yields the time of each ghost fill, takes back the two ghost values and
+    returns the state at each end.  The shared march takes only full CFL
+    steps; each end is reached on a copy of the march (cells, ghosts and
+    carried state) with the capped steps a march to that end alone takes,
+    starting from the CFL step already computed at the point where the
+    march to it leaves.
+    """
     states = []
     march = _March.start(s0.cell_averages)
     t, dt = s0.time, None  # dt: CFL step of the ghosts filled at t, None if not filled
@@ -216,21 +243,72 @@ def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, .
             continue
         while t < t_end:
             if dt is None:
-                dt = _fill_ghosts(march, s0, t)
+                dt = _fill_ghosts(march, s0, (yield t))
             if dt > t_end - t:
                 break
             _update(march, s0, dt)
-            t, dt = t + dt, None
+            t, dt = _advance(t, dt, t_end), None
         # the march to t_end alone leaves the shared one here
         cut, t_cut, dt_cut = march.copy(), t, dt
         while t_cut < t_end:
             if dt_cut is None:
-                dt_cut = _fill_ghosts(cut, s0, t_cut)
+                dt_cut = _fill_ghosts(cut, s0, (yield t_cut))
             dt_cut = min(dt_cut, t_end - t_cut)
             _update(cut, s0, dt_cut)
-            t_cut, dt_cut = t_cut + dt_cut, None
+            t_cut, dt_cut = _advance(t_cut, dt_cut, t_end), None
         states.append(replace(s0, cell_averages=cut.ext[1:-1], time=t_cut))
     return tuple(states)
+
+
+def solve_many(
+    jobs: Sequence[tuple[Sequence[float], GodunovState]],
+) -> tuple[tuple[GodunovState, ...], ...]:
+    """March every (t_ends, s0) job in lockstep; return each job's states at its ends.
+
+    Each round makes one psi_weak_array call holding the two ghost cell
+    centers of every grid that waits on a fill, each at that grid's time;
+    then each grid takes its own step.  Every job's states equal
+    solve_at(t_ends, s0) of that job alone, bit for bit.
+    Raises DomainError, before any step of any grid, on a non-finite or
+    decreasing end and on an end that takes more than _MAX_STEPS CFL steps
+    to reach; and where it is taken, on a step that leaves a grid's time
+    unchanged.
+    """
+    jobs = [(tuple(t_ends), s0) for t_ends, s0 in jobs]
+    for t_ends, s0 in jobs:
+        _check_ends(t_ends, s0)
+    ghost_x = [(s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h) for _, s0 in jobs]
+    states = [()] * len(jobs)
+    waiting = []  # (job, its march, the time of the fill it waits on)
+
+    def resume(job, march, ghosts):
+        try:
+            waiting.append((job, march, march.send(ghosts)))
+        except StopIteration as done:
+            states[job] = done.value
+
+    for job, (t_ends, s0) in enumerate(jobs):
+        resume(job, _march(t_ends, s0), None)
+    while waiting:
+        fills = waiting.copy()
+        waiting.clear()
+        t, x = [], []
+        for job, _, t_fill in fills:
+            t += (t_fill, t_fill)
+            x += ghost_x[job]
+        ghosts = psi_weak_array(np.array(t), np.array(x)).tolist()
+        for k, (job, march, _) in enumerate(fills):
+            resume(job, march, ghosts[2 * k:2 * k + 2])
+    return tuple(states)
+
+
+def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, ...]:
+    """March once from s0 and return the state at each of the nondecreasing t_ends.
+
+    The one-grid case of solve_many: each state equals solve(t_end, s0)
+    bit for bit.
+    """
+    return solve_many([(t_ends, s0)])[0]
 
 
 def solve(t_end: float, s0: GodunovState) -> GodunovState:

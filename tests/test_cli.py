@@ -355,6 +355,15 @@ class TestShockVerb:
         assert float(last[4]) == 2.0
         assert float(last[5]) == pytest.approx(float(last[6]), abs=1e-10)
 
+    def test_table_to_the_end_of_the_range(self, capsys):
+        code, out, err = run_cli(capsys, "shock", "--t-range", "2:1e150", "--n", "2")
+        assert (code, err) == (0, "")
+        rows = out.strip().splitlines()
+        assert len(rows) == 3
+        last = rows[-1].split(",")
+        assert float(last[0]) == 1e150
+        assert float(last[5]) == float(last[6]) == math.pi / 2
+
 
 class TestGodunovVerb:
     def test_run_with_compare(self, capsys, tmp_path):

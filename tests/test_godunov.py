@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import shocklab.godunov as fv
 from shocklab.core import DomainError, InvariantViolation, Point
 from shocklab.burgers import psi_classical, psi_weak, psi_weak_array
-from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, state_to_csv
+from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, solve_many, state_to_csv
 from shocklab.verification import run_suite
 
 
@@ -37,14 +37,27 @@ def godunov_flux(u_left, u_right):
 _on_range = st.floats(-math.pi / 2, math.pi / 2)
 
 
+def fill_time(t):
+    """The time of a one-grid ghost fill: a float from the reference march,
+    the time of each ghost cell center from solve_many."""
+    return float(np.max(t))
+
+
 def reference_solve_at(t_ends, s0, field=psi_weak_array):
     """The march as it stood before it carried state between steps: the oracle of TestReferenceMarch.
 
     Every step fills both ghosts from field, takes the CFL step from
     np.max of the extended array and recomputes both invariant checks from
-    the whole array.  solve_at's entry checks are left out.
+    the whole array.  solve_at's entry checks are left out.  A step that
+    leaves the time unchanged raises, as in solve_at; without that the
+    march would take it forever.
     """
     h = s0.h
+
+    def advance(t, dt, t_end):
+        if t + dt == t:
+            raise DomainError(f"t_end = {t_end} is out of reach: a CFL step of {dt!r} leaves t = {t!r} unchanged")
+        return t + dt
 
     def fill(ext, t):
         ext[[0, -1]] = field(t, np.array([s0.x_lo - 0.5 * h, s0.x_hi + 0.5 * h]))
@@ -75,18 +88,42 @@ def reference_solve_at(t_ends, s0, field=psi_weak_array):
             if dt > t_end - t:
                 break
             update(ext, dt)
-            t, dt = t + dt, None
+            t, dt = advance(t, dt, t_end), None
         cells, t_cut, dt_cut = ext.copy(), t, dt
         while t_cut < t_end:
             if dt_cut is None:
                 dt_cut = fill(cells, t_cut)
             dt_cut = min(dt_cut, t_end - t_cut)
             update(cells, dt_cut)
-            t_cut, dt_cut = t_cut + dt_cut, None
+            t_cut, dt_cut = advance(t_cut, dt_cut, t_end), None
         states.append(replace(s0, cell_averages=cells[1:-1], time=t_cut))
     return tuple(states)
 
 
+# the grid arguments of grid_job: n_cells, x_lo, width, cfl, t0, seed
+_grid = st.tuples(
+    st.integers(2, 400),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 5.0),
+    st.none() | st.integers(0, 2 ** 32 - 1),
+)
+
+
+def grid_job(n_cells, x_lo, width, cfl, t0, seed, steps):
+    """A state with the initial profile, or cells uniform on the invariant range
+    from a seed, and its ends: cumulative offsets in units of the shortest CFL
+    step, so nondecreasing and, at an offset of 0, equal to the start time."""
+    s0 = replace(initial_state(n_cells, x_lo, x_lo + width, cfl), time=t0)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        s0 = replace(s0, cell_averages=rng.uniform(-math.pi / 2, math.pi / 2, n_cells))
+    unit = cfl * s0.h / (2.0 + math.pi / 2)
+    return [t0 + unit * k for k in np.cumsum(steps)], s0
+
+
+_steps = st.lists(st.just(0.0) | st.floats(0.0, 20.0), min_size=1, max_size=3)
 
 
 class TestFlux:
@@ -303,6 +340,41 @@ class TestEntryChecks:
             solve(edge * (1.0 + 1e-9), s0)
 
 
+class TestStepAdvances:
+    @pytest.mark.parametrize("march", [
+        lambda t, s: solve(t, s), lambda t, s: solve_at((s.time, t), s),
+    ], ids=["solve", "solve_at"])
+    def test_step_that_leaves_the_time_unchanged_raises(self, monkeypatch, march):
+        # every CFL step, about 1.4e-16, is below half an ulp of 5 (4.4e-16):
+        # t + dt == t, and the march would never reach an end past 5
+        s0 = replace(initial_state(2, 0.0, 1e-3, cfl=1e-12), time=5.0)
+        calls = []
+
+        def counted(t, x):
+            calls.append(np.size(x))
+            return psi_weak_array(t, x)
+
+        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        t_end = math.nextafter(5.0, 6.0)
+        message = f"^t_end = {t_end!r} is out of reach: a CFL step of [-+.e0-9]+ leaves t = 5.0 unchanged$"
+        with pytest.raises(DomainError, match=message):
+            march(t_end, s0)
+        assert calls == [2]
+        assert outcome(lambda: reference_solve_at((t_end,), s0))[0] is DomainError
+        # an end at the start time takes no step
+        assert solve(5.0, s0) is s0
+
+    def test_steps_of_about_half_an_ulp_march(self):
+        # the shortest step the invariant range allows, cfl*h/(2 + pi/2), is
+        # half an ulp of 5; the cells' speeds make every step a little longer,
+        # so each one advances the time, by one ulp
+        t_end = 5.0 + 20 * math.ulp(5.0)
+        s0 = replace(initial_state(4, 0.0, 4.0, cfl=0.5 * math.ulp(5.0) * (2.0 + math.pi / 2)), time=5.0)
+        got = outcome(lambda: solve_at((t_end,), s0))
+        assert got == outcome(lambda: reference_solve_at((t_end,), s0))
+        assert got[0][0] == t_end.hex()
+
+
 class TestChecksKept:
     # ghost values off the invariant range: the upwind flux is then not the
     # exact-Riemann flux, and the per-step checks must stop the march
@@ -334,8 +406,8 @@ class TestChecksKept:
         fills = []
 
         def field(t, x):
-            fills.append(t)
-            return np.array((-1.5, -1.5) if t < tau else ghosts)
+            fills.append(fill_time(t))
+            return np.array((-1.5, -1.5) if fills[-1] < tau else ghosts)
 
         s0 = GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0)
         with pytest.raises(InvariantViolation, match=message):
@@ -369,24 +441,9 @@ class TestReferenceMarch:
     # solve_at carries |diff(ext)| and the cell range between steps; the
     # reference recomputes both from the whole array on every step
     @settings(max_examples=40, deadline=None)
-    @given(
-        n_cells=st.integers(2, 400),
-        x_lo=st.floats(-1e3, 1e3),
-        width=st.floats(1e-3, 1e3),
-        cfl=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        t0=st.floats(0.0, 5.0),
-        cells=st.none() | st.integers(0, 2 ** 32 - 1),
-        steps=st.lists(st.just(0.0) | st.floats(0.0, 20.0), min_size=1, max_size=3),
-    )
-    def test_equals_reference(self, n_cells, x_lo, width, cfl, t0, cells, steps):
-        # cells: the initial profile, or uniform on the invariant range from a seed;
-        # ends: cumulative offsets in units of the shortest CFL step, so nondecreasing
-        s0 = replace(initial_state(n_cells, x_lo, x_lo + width, cfl), time=t0)
-        if cells is not None:
-            rng = np.random.default_rng(cells)
-            s0 = replace(s0, cell_averages=rng.uniform(-math.pi / 2, math.pi / 2, n_cells))
-        unit = cfl * s0.h / (2.0 + math.pi / 2)
-        t_ends = [t0 + unit * k for k in np.cumsum(steps)]
+    @given(grid=_grid, steps=_steps)
+    def test_equals_reference(self, grid, steps):
+        t_ends, s0 = grid_job(*grid, steps)
         assert outcome(lambda: solve_at(t_ends, s0)) == outcome(lambda: reference_solve_at(t_ends, s0))
 
     @pytest.mark.parametrize("ghosts", [None, (math.nan, -1.5), (-1.5, math.nan)])
@@ -397,7 +454,7 @@ class TestReferenceMarch:
             return a == b or (math.isnan(a) and math.isnan(b))
 
         def field(t, x):
-            return psi_weak_array(t, x) if ghosts is None or t < 1.0 else np.array(ghosts)
+            return psi_weak_array(t, x) if ghosts is None or fill_time(t) < 1.0 else np.array(ghosts)
 
         steps = []
         update = fv._update
@@ -425,7 +482,7 @@ class TestReferenceMarch:
     @pytest.mark.parametrize("tau", [0.0, 1.2])
     def test_non_finite_ghosts(self, monkeypatch, ghosts, tau):
         def field(t, x):
-            return np.array((-1.0, -1.2) if t < tau else ghosts)
+            return np.array((-1.0, -1.2) if fill_time(t) < tau else ghosts)
 
         s0 = GodunovState(-10.0, 10.0, np.linspace(-1.0, -1.2, 64), 0.0)
         with np.errstate(invalid="ignore"):
@@ -565,8 +622,10 @@ class TestSolveAt:
         assert len(calls) <= n_solve + 1
 
     def test_godunov_suite_field_calls(self, monkeypatch):
-        # one 2-point ghost fill per step of the 4000- and 8000-cell marches,
-        # and the four exact-average calls of the two l1_error comparisons
+        # the 4000- and 8000-cell marches in lockstep: one 4-point ghost fill
+        # per round while both march, a 2-point one per step of the 8000-cell
+        # march after the 4000-cell one ends, and the four exact-average calls
+        # of the two l1_error comparisons
         calls = []
 
         def counted(t, x):
@@ -575,5 +634,102 @@ class TestSolveAt:
 
         monkeypatch.setattr(fv, "psi_weak_array", counted)
         run_suite("godunov")
-        assert len(calls) == 4665
-        assert calls.count(2) == 4661
+        assert len(calls) == 3111
+        assert calls.count(4) == 1554
+        assert calls.count(2) == 1553
+        assert len([n for n in calls if n > 4]) == 4
+
+
+class TestSolveMany:
+    @settings(max_examples=40, deadline=None)
+    @given(grids=st.lists(st.tuples(_grid, _steps), min_size=1, max_size=3))
+    def test_equals_each_grid_marched_alone(self, grids):
+        jobs = [grid_job(*grid, steps) for grid, steps in grids]
+        alone = [outcome(lambda: reference_solve_at(t_ends, s0)) for t_ends, s0 in jobs]
+        together = outcome(lambda: [s for states in solve_many(jobs) for s in states])
+        errors = [o for o in alone if isinstance(o, tuple)]
+        if errors:
+            # the grid that fails in the earliest round stops every march
+            assert together in errors
+        else:
+            assert together == sum(alone, [])
+
+    def test_one_field_call_per_round(self, monkeypatch):
+        # round k fills the k-th ghosts of every grid that is still marching,
+        # each pair at the time its grid's march alone fills them
+        calls = []
+
+        def counted(t, x):
+            calls.append((np.broadcast_to(t, np.shape(x)).tolist(), x.tolist()))
+            return psi_weak_array(t, x)
+
+        jobs = [((0.3,), initial_state(40)), ((0.1, 0.3), initial_state(80, -5.0, 5.0))]
+        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        solo = []
+        for t_ends, s0 in jobs:
+            calls.clear()
+            solve_at(t_ends, s0)
+            solo.append(list(calls))
+        calls.clear()
+        solve_many(jobs)
+        want = []
+        for k in range(max(map(len, solo))):
+            fills = [fill[k] for fill in solo if k < len(fill)]
+            want.append(tuple(sum(part, []) for part in zip(*fills)))
+        assert len(solo[0]) != len(solo[1])
+        assert calls == want
+
+    @pytest.mark.parametrize("bad, message", [
+        (((0.5, math.nan), initial_state(64)), "^t_end = nan is not finite$"),
+        (((0.5, 0.2), initial_state(64)), "^t_end = 0.2 precedes the end time before it 0.5$"),
+        (((0.1,), initial_state(4, 0.0, 1e-320)),
+         "^t_end = 0.1 takes more than 100000000 CFL steps on cells of width 2.5e-321$"),
+    ], ids=["nan_end", "decreasing_end", "step_bound"])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_bad_job_rejected_before_any_field_call(self, monkeypatch, bad, message, where):
+        calls = []
+
+        def counted(t, x):
+            calls.append(np.size(x))
+            return psi_weak_array(t, x)
+
+        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        good = [((0.5,), initial_state(32)), ((0.2, 0.4), initial_state(48))]
+        with pytest.raises(DomainError, match=message):
+            solve_at(*bad)
+        with pytest.raises(DomainError, match=message):
+            solve_many([*good[:where], bad, *good[where:]])
+        assert calls == []
+
+    @pytest.mark.parametrize("ghosts, message", [
+        ((-3.9, -1.5), "maximum principle violated"),
+        ((-6.0, 6.0), "total variation increased"),
+    ])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_invariant_violation_in_one_grid(self, monkeypatch, ghosts, message, first):
+        # the fake field breaks the invariants on the 30-unit grid's ghosts only
+        def field(t, x):
+            out = np.full(np.size(x), -1.5)
+            bad = np.abs(x) > 12.0
+            out[bad] = np.resize(ghosts, np.count_nonzero(bad))
+            return out
+
+        good = ((1.0,), GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0))
+        bad = ((1.0,), GodunovState(-15.0, 15.0, np.full(64, -1.5), 0.0))
+        monkeypatch.setattr(fv, "psi_weak_array", field)
+        with pytest.raises(InvariantViolation) as want:
+            solve_at(*bad)
+        with pytest.raises(InvariantViolation, match=message) as got:
+            solve_many([bad, good] if first else [good, bad])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_step_that_leaves_the_time_unchanged_in_one_grid(self, first):
+        # every CFL step of the 2-cell grid rounds away at t = 5
+        stuck = ((math.nextafter(5.0, 6.0),), replace(initial_state(2, 0.0, 1e-3, cfl=1e-12), time=5.0))
+        good = ((5.5,), replace(initial_state(32), time=5.0))
+        with pytest.raises(DomainError) as want:
+            solve_at(*stuck)
+        with pytest.raises(DomainError, match="leaves t = 5.0 unchanged") as got:
+            solve_many([stuck, good] if first else [good, stuck])
+        assert str(got.value) == str(want.value)

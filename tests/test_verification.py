@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shocklab import characteristics, verification, wave_potential
-from shocklab.burgers import psi_classical_array, psi_weak_array
+from shocklab.burgers import psi_classical, psi_classical_array, psi_weak_array, shock_trace
 from shocklab.characteristics import (
     BoundaryCurve,
     RegionTag,
@@ -14,6 +14,7 @@ from shocklab.characteristics import (
     _solve_feet,
     boundary_x,
     classify_array,
+    shock_feet,
 )
 from shocklab.core import DomainError, OutsideDomain, Point, PoorFit, SolutionVariant, gauss_panel, psi0
 from shocklab.verification import (
@@ -293,6 +294,25 @@ class TestScans:
         lo2, up2 = lax_gaps(2.0)
         assert lo2 == pytest.approx(up2, abs=1e-11)
         assert lo2 == pytest.approx(1.1655611852072114, abs=1e-10)
+
+    def test_lax_gaps_at_the_end_of_the_range(self):
+        # 2t = 2e150 lies past the modelled range; the shock time does not
+        lo, up = lax_gaps(1e150)
+        assert lo == up > 0.0
+
+    def test_lax_gaps_next_to_the_crease(self):
+        # both gaps are arctan(x0), x0 ~ sqrt(3e-11), up to the rounding of
+        # 2 - arctan(x0) and 2 + arctan(x0): an ulp of 2, not a factor 1/sqrt(3)
+        lo, up = lax_gaps(1.0 + 1e-11)
+        assert lo > 0.0 and up > 0.0
+        assert lo == pytest.approx(up, rel=0.0, abs=2.0 ** -51)
+        assert lo == pytest.approx(math.atan(shock_feet(1.0 + 1e-11)[1]), rel=0.0, abs=2.0 ** -51)
+
+    @pytest.mark.parametrize("t", [1.001, 1.0 + 1e-6, 2.0, 100.0, 5e149])
+    def test_lax_gaps_right_value_is_the_classical_value(self, t):
+        # where the point (t, 2t) is in range and off the crease band the
+        # classical field right of the shock is the trace's right value, bit for bit
+        assert shock_trace(t).right_value == psi_classical(Point(t, 2.0 * t))
 
 
 class TestHolderFits:
