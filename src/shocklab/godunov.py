@@ -8,29 +8,35 @@ cells in, so the exact-Riemann flux of the convex flux (2+u)^2/2 is the
 upwind flux f(u_left) there.  This module marches that conservative
 explicit update with CFL-limited steps on one local array per grid, with
 Dirichlet ghost cells fed by the exact entropy field and both invariant
-checks on every step, and compares the result in L1 against exact
-per-cell averages with the shock cell split.  `solve_many` is the one
-march: it marches several grids in lockstep, and each round makes one
-field call holding the two ghost cell centers of every grid that waits on
-a fill, each at that grid's own time.  The foot solve is elementwise, so
-every grid's states equal those of a march of that grid alone, bit for
-bit; `solve_at` and `solve` are its one-grid cases.  A grid's march
-(`_march`) takes only full CFL steps, and each end is reached by its
-capped final steps on a copy, so every state equals that of a march to
-its end alone.  Between steps the march carries |diff| of its extended
-array and the min and max of its cells (`_March`): a step's invariant
-checks then read the old total variation and the maximum-principle
-bounds without a pass over the cells, so a step makes 13 passes over
-them instead of 21.  The ghost fill refreshes only what the two new
-ghosts touch, and the capped steps run on a copy of the carried state.
-Inputs are checked once, at entry and for every grid before any step:
-the ends (finite, nondecreasing, at most 1e8 CFL steps away) by
+checks on every step, and compares the result in L1 against exact per-cell
+averages with the shock cell split.  `solve_many` is the one march: it
+marches several grids in lockstep and solves their ghost fills ahead. Each
+grid's fills are served from a table of ghost pairs solved at a window of
+up to 256 predicted fill times.  It predicts them by the march's own CFL
+rule, with the larger ghost as the largest state, and solves the window
+again until its times stop changing; each such sweep is one field call
+holding the windows of every grid that waits on a fill.  A fill is served
+only when its time matches a solved time bit for bit; a miss starts the
+grid's next window at the missed time, and no window holds a time the
+march could not ask for.  The foot solve is elementwise, so every grid's
+states equal those of a march of that grid alone, bit for bit, and a wrong
+prediction costs only a miss; `solve_at` and `solve` are its one-grid
+cases.  A grid's march (`_march`) takes only full CFL steps, and each end
+is reached by its capped final steps on a copy, so every state equals that
+of a march to its end alone.  Between steps the march carries |diff| of
+its extended array and the min and max of its cells (`_March`): a step's
+invariant checks then read the old total variation and the
+maximum-principle bounds without a pass over the cells, so a step makes 13
+passes over them instead of 21.  The ghost fill refreshes only what the
+two new ghosts touch, and the capped steps run on a copy of the carried
+state.  Inputs are checked once, at entry and for every grid before any
+step: the ends (finite, nondecreasing, at most 1e8 CFL steps away) by
 `solve_many`, the bounds, time and cells by `GodunovState`.  A step that
-leaves the time where it stands (a CFL step at most half an ulp of t,
-so t + dt rounds back to t) raises where it is taken: a march of such
-steps never reaches its end.  Agreement here validates the entropy
-selection of the exact construction; disagreement at the wedge values
-would expose a wrong branch choice.
+leaves the time where it stands (a CFL step at most half an ulp of t, so
+t+dt rounds back to t) raises where it is taken: a march of such steps
+never reaches its end.  Agreement here validates the entropy selection of
+the exact construction; disagreement at the wedge values would expose a
+wrong branch choice.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DomainError, InvariantViolation, gauss_panel
+from .core import _MODELLED_RANGE, DomainError, InvariantViolation, gauss_panel
 from .burgers import psi_weak_array
 
 __all__ = [
@@ -159,10 +165,17 @@ def _fill_ghosts(m: _March, s: GodunovState, ghosts: Sequence[float]) -> float:
     # np.minimum and np.maximum propagate NaN from either side; min() and max() do not
     m.ext_lo = np.minimum(np.minimum(m.lo, g0), g1)
     m.ext_hi = np.maximum(np.maximum(m.hi, g0), g1)
-    # CFL over the extended array: ghost speeds bound the boundary-cell waves.
-    # Every speed 2 + u is positive and rounds monotonically in u, so the
-    # fastest is 2 + max(ext).
-    return s.cfl * s.h / (2.0 + float(m.ext_hi))
+    # CFL over the extended array: ghost speeds bound the boundary-cell waves
+    return _cfl_step(s, float(m.ext_hi))
+
+
+def _cfl_step(s: GodunovState, u_max):
+    """The CFL step on grid s where u_max (a float, or an array of them) is the largest state.
+
+    Every speed 2 + u is positive and rounds monotonically in u, so the
+    fastest is 2 + u_max.
+    """
+    return s.cfl * s.h / (2.0 + u_max)
 
 
 def _update(m: _March, s: GodunovState, dt: float) -> None:
@@ -260,15 +273,81 @@ def _march(
     return tuple(states)
 
 
+# Fill times a grid's ghosts are solved ahead for, and fixed-point sweeps per window.
+_WINDOW = 256
+_SWEEPS = 8
+
+
+def _window(t_miss: float, steps: np.ndarray, t_last: float) -> np.ndarray:
+    """Fill times of a march from its fill at t_miss that takes the given CFL steps.
+
+    At most _WINDOW times: t_miss, then each time plus its step, added as
+    the march adds them.  The window stops before the first time the march
+    could not ask the field for: one that does not exceed the time before
+    it (NaN fails every comparison), one at or past the march's last end
+    t_last, or one beyond the modelled range, which the field refuses.
+    """
+    times = np.cumsum(np.concatenate([[t_miss], steps[:_WINDOW - 1]]))
+    ok = (times[1:] > times[:-1]) & (times[1:] < t_last) & (times[1:] <= _MODELLED_RANGE)
+    return times[:1 + (ok.size if ok.all() else int(ok.argmin()))]
+
+
+def _prefetch(misses: list[tuple[GodunovState, float, float]]) -> list[dict[float, list[float]]]:
+    """Ghost tables of the grids whose marches missed, one per (s0, last end, missed fill time).
+
+    Each grid's window starts at its missed time and first guesses the
+    shortest CFL step the invariant range allows.  Each sweep makes one
+    psi_weak_array call holding the two ghost cell centers of every
+    unsettled window at each of its times, then predicts the window again
+    from the new ghosts by the march's own rule (_cfl_step), with the
+    larger ghost as the largest state.  A window settles when its times
+    stop changing, or after _SWEEPS sweeps.  Each table maps every time of
+    the grid's last solved window to the ghost pair solved at exactly that
+    time.
+    """
+    ghost_x = [(s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h) for s0, _, _ in misses]
+    windows = [_window(t, np.full(_WINDOW - 1, _cfl_step(s0, _HALF_PI)), t_last) for s0, t_last, t in misses]
+    solved = [None] * len(misses)
+    todo = list(range(len(misses)))
+    for _ in range(_SWEEPS):
+        t = np.concatenate([np.repeat(windows[i], 2) for i in todo])
+        x = np.concatenate([np.tile(ghost_x[i], windows[i].size) for i in todo])
+        ghosts = psi_weak_array(t, x).reshape(-1, 2)
+        unsettled, first = [], 0
+        for i in todo:
+            s0, t_last, t_miss = misses[i]
+            times = windows[i]
+            pairs = ghosts[first:first + times.size]
+            first += times.size
+            solved[i] = times, pairs
+            # a ghost of -2, which only a fake field gives, predicts an infinite step
+            with np.errstate(divide="ignore"):
+                steps = _cfl_step(s0, pairs.max(axis=1))
+            windows[i] = _window(t_miss, steps, t_last)
+            if not np.array_equal(windows[i], times):
+                unsettled.append(i)
+        todo = unsettled
+        if not todo:
+            break
+    return [dict(zip(times.tolist(), pairs.tolist())) for times, pairs in solved]
+
+
 def solve_many(
     jobs: Sequence[tuple[Sequence[float], GodunovState]],
 ) -> tuple[tuple[GodunovState, ...], ...]:
     """March every (t_ends, s0) job in lockstep; return each job's states at its ends.
 
-    Each round makes one psi_weak_array call holding the two ghost cell
-    centers of every grid that waits on a fill, each at that grid's time;
-    then each grid takes its own step.  Every job's states equal
-    solve_at(t_ends, s0) of that job alone, bit for bit.
+    Each grid keeps a table of ghost pairs solved ahead, keyed by fill
+    time.  A fill whose time is in the table, bit for bit, is served from
+    it with no field call; a grid whose fill misses waits.  Each round
+    solves a new window of predicted fill times for every waiting grid,
+    starting at its missed time (_prefetch: one psi_weak_array call per
+    sweep, holding every waiting grid's window), and the window replaces
+    the grid's table.  The foot solve is elementwise, so a served pair
+    equals a solve at that one time, and every job's states equal
+    solve_at(t_ends, s0) of that job alone, bit for bit; a wrong
+    prediction costs only a miss.  No window holds a time the march could
+    not ask the field for.
     Raises DomainError, before any step of any grid, on a non-finite or
     decreasing end and on an end that takes more than _MAX_STEPS CFL steps
     to reach; and where it is taken, on a step that leaves a grid's time
@@ -277,28 +356,30 @@ def solve_many(
     jobs = [(tuple(t_ends), s0) for t_ends, s0 in jobs]
     for t_ends, s0 in jobs:
         _check_ends(t_ends, s0)
-    ghost_x = [(s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h) for _, s0 in jobs]
     states = [()] * len(jobs)
-    waiting = []  # (job, its march, the time of the fill it waits on)
+    tables = [{} for _ in jobs]
+    waiting = []  # (job, its march, the time of the fill it missed)
 
     def resume(job, march, ghosts):
+        table = tables[job]
         try:
-            waiting.append((job, march, march.send(ghosts)))
+            t = march.send(ghosts)
+            while (ghosts := table.get(t)) is not None:
+                t = march.send(ghosts)
         except StopIteration as done:
             states[job] = done.value
+        else:
+            waiting.append((job, march, t))
 
     for job, (t_ends, s0) in enumerate(jobs):
         resume(job, _march(t_ends, s0), None)
     while waiting:
-        fills = waiting.copy()
+        misses = waiting.copy()
         waiting.clear()
-        t, x = [], []
-        for job, _, t_fill in fills:
-            t += (t_fill, t_fill)
-            x += ghost_x[job]
-        ghosts = psi_weak_array(np.array(t), np.array(x)).tolist()
-        for k, (job, march, _) in enumerate(fills):
-            resume(job, march, ghosts[2 * k:2 * k + 2])
+        fetched = _prefetch([(jobs[job][1], jobs[job][0][-1], t) for job, _, t in misses])
+        for (job, march, t), table in zip(misses, fetched):
+            tables[job] = table
+            resume(job, march, table[t])
     return tuple(states)
 
 

@@ -37,10 +37,19 @@ def godunov_flux(u_left, u_right):
 _on_range = st.floats(-math.pi / 2, math.pi / 2)
 
 
-def fill_time(t):
-    """The time of a one-grid ghost fill: a float from the reference march,
-    the time of each ghost cell center from solve_many."""
-    return float(np.max(t))
+def pairs(ghosts, x):
+    """The ghost pair ghosts at every pair of ghost cell centers in x: a fake
+    field's answer, one value per requested point."""
+    return np.resize(np.asarray(ghosts, dtype=float), np.shape(x))
+
+
+def switch_field(tau, before, after):
+    """A fake field, elementwise: the pair before (the exact field if None) at
+    times below tau, and the pair after from tau on."""
+    def field(t, x):
+        first = psi_weak_array(t, x) if before is None else pairs(before, x)
+        return np.where(np.broadcast_to(t, np.shape(x)) < tau, first, pairs(after, x))
+    return field
 
 
 def reference_solve_at(t_ends, s0, field=psi_weak_array):
@@ -124,6 +133,24 @@ def grid_job(n_cells, x_lo, width, cfl, t0, seed, steps):
 
 
 _steps = st.lists(st.just(0.0) | st.floats(0.0, 20.0), min_size=1, max_size=3)
+
+
+def within_reach(jobs):
+    """The exact field, as a fake that fails the test on a point no march of
+    jobs could ask for: a time that is non-finite, below its grid's start, or
+    at or past its grid's last end (each grid known by its ghost cell centers)."""
+    reach = [((s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h), s0.time, t_ends[-1])
+             for t_ends, s0 in jobs if t_ends]
+
+    def field(t, x):
+        t = np.broadcast_to(t, np.shape(x))
+        inside = np.zeros(np.shape(x), dtype=bool)
+        for ghost_x, start, last in reach:
+            # NaN fails both comparisons
+            inside |= np.isin(x, ghost_x) & (t >= start) & (t < last)
+        assert inside.all(), f"a field call outside the marches' reach: (t, x) = {t[~inside][0]!r}, {x[~inside][0]!r}"
+        return psi_weak_array(t, x)
+    return field
 
 
 class TestFlux:
@@ -236,7 +263,7 @@ class TestStep:
         f = godunov_flux(ext[:-1], ext[1:])
         expected = u - dt / s.h * (f[1:] - f[:-1])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
+            mp.setattr(fv, "psi_weak_array", lambda t, x: pairs(ghosts, x))
             s2 = solve(dt, s)
         assert s2.time == dt
         assert s2.cell_averages.tobytes() == expected.tobytes()
@@ -265,17 +292,28 @@ class TestStep:
         assert linf <= dt * (2.0 + math.pi / 2) * 1.0 + s.h
 
     def test_both_ghost_cells_from_one_field_call(self, monkeypatch):
-        calls = []
+        calls, fill_times = [], []
 
         def counted(t, x):
-            calls.append(np.size(x))
+            calls.append((np.broadcast_to(t, np.shape(x)).tolist(), x.tolist()))
             return psi_weak_array(t, x)
 
+        def recorded(t, x):
+            fill_times.append(t)
+            return psi_weak_array(t, x)
+
+        s0 = initial_state(64)
+        reference_solve_at((0.2,), s0, recorded)
         monkeypatch.setattr(fv, "psi_weak_array", counted)
-        s = solve(0.2, initial_state(64))
-        # two full CFL steps and a capped one, each after one ghost fill
-        assert calls == [2, 2, 2]
-        assert s.time == 0.2
+        s = solve(0.2, s0)
+        # two full CFL steps and a capped one, each after one ghost fill; the
+        # three fill times are one window, and each sweep's call holds both
+        # ghost cell centers at each of its times until the times settle
+        assert len(fill_times) == 3 and s.time == 0.2
+        assert len(calls) == 3
+        for t, x in calls:
+            assert x == [s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h] * 3
+        assert calls[-1][0] == np.repeat(fill_times, 2).tolist()
 
     def test_invariants_over_run(self):
         # _update enforces the stencil-wise maximum principle and extended
@@ -388,7 +426,7 @@ class TestChecksKept:
         lambda s: solve(1.0, s), lambda s: solve_at((1e-3, 1.0), s),
     ], ids=["solve", "solve_at"])
     def test_raises(self, monkeypatch, march, ghosts, message):
-        monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: np.array(ghosts))
+        monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: pairs(ghosts, x))
         with pytest.raises(InvariantViolation, match=message):
             march(GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0))
 
@@ -404,10 +442,11 @@ class TestChecksKept:
     def test_raises_after_valid_steps(self, monkeypatch, ghosts, message, where):
         tau = 1.2
         fills = []
+        switched = switch_field(tau, (-1.5, -1.5), ghosts)
 
         def field(t, x):
-            fills.append(fill_time(t))
-            return np.array((-1.5, -1.5) if fills[-1] < tau else ghosts)
+            fills.append(np.max(t))  # the reference's fill times
+            return switched(t, x)
 
         s0 = GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0)
         with pytest.raises(InvariantViolation, match=message):
@@ -439,12 +478,31 @@ def outcome(march):
 
 class TestReferenceMarch:
     # solve_at carries |diff(ext)| and the cell range between steps; the
-    # reference recomputes both from the whole array on every step
+    # reference recomputes both from the whole array on every step.  solve_at
+    # asks the field only for points its march could ask for
     @settings(max_examples=40, deadline=None)
     @given(grid=_grid, steps=_steps)
     def test_equals_reference(self, grid, steps):
         t_ends, s0 = grid_job(*grid, steps)
-        assert outcome(lambda: solve_at(t_ends, s0)) == outcome(lambda: reference_solve_at(t_ends, s0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fv, "psi_weak_array", within_reach([(t_ends, s0)]))
+            got = outcome(lambda: solve_at(t_ends, s0))
+        assert got == outcome(lambda: reference_solve_at(t_ends, s0))
+
+    def test_wrong_predictions_only_miss(self, monkeypatch):
+        # the cells' max, 1.5, exceeds both ghosts throughout, so every fill
+        # time solve_many predicts from the ghosts alone is wrong: each fill
+        # misses and starts a window of its own, and the states still equal
+        # the reference's
+        s0 = GodunovState(-10.0, 10.0, np.full(64, 1.5), 0.0)
+        t_ends = (0.5, 1.0)
+        fills, misses = [], []
+        fill, prefetch = fv._fill_ghosts, fv._prefetch
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
+        monkeypatch.setattr(fv, "_prefetch", lambda m: misses.extend(m) or prefetch(m))
+        got = outcome(lambda: solve_at(t_ends, s0))
+        assert got == outcome(lambda: reference_solve_at(t_ends, s0))
+        assert len(misses) == len(fills) >= 10
 
     @pytest.mark.parametrize("ghosts", [None, (math.nan, -1.5), (-1.5, math.nan)])
     def test_carried_state_equals_whole_array_reductions(self, monkeypatch, ghosts):
@@ -453,9 +511,7 @@ class TestReferenceMarch:
         def same(a, b):
             return a == b or (math.isnan(a) and math.isnan(b))
 
-        def field(t, x):
-            return psi_weak_array(t, x) if ghosts is None or fill_time(t) < 1.0 else np.array(ghosts)
-
+        field = psi_weak_array if ghosts is None else switch_field(1.0, None, ghosts)
         steps = []
         update = fv._update
 
@@ -481,9 +537,7 @@ class TestReferenceMarch:
     ])
     @pytest.mark.parametrize("tau", [0.0, 1.2])
     def test_non_finite_ghosts(self, monkeypatch, ghosts, tau):
-        def field(t, x):
-            return np.array((-1.0, -1.2) if fill_time(t) < tau else ghosts)
-
+        field = switch_field(tau, (-1.0, -1.2), ghosts)
         s0 = GodunovState(-10.0, 10.0, np.linspace(-1.0, -1.2, 64), 0.0)
         with np.errstate(invalid="ignore"):
             want = outcome(lambda: reference_solve_at((3.0, 5.0), s0, field))
@@ -607,46 +661,49 @@ class TestSolveAt:
             solve_at(t_ends, initial_state(64))
 
     def test_one_march_for_both_ends(self, monkeypatch):
-        calls = []
-
-        def counted(t, x):
-            calls.append(t)
-            return psi_weak_array(t, x)
-
-        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        # the second end costs at most the fill of a second capped step
+        fills = []
+        fill = fv._fill_ghosts
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
         s0 = initial_state(400)
         solve(2.0, s0)
-        n_solve = len(calls)
-        calls.clear()
+        n_solve = len(fills)
+        fills.clear()
         solve_at((1.27, 2.0), s0)
-        assert len(calls) <= n_solve + 1
+        assert len(fills) <= n_solve + 1
 
     def test_godunov_suite_field_calls(self, monkeypatch):
-        # the 4000- and 8000-cell marches in lockstep: one 4-point ghost fill
-        # per round while both march, a 2-point one per step of the 8000-cell
-        # march after the 4000-cell one ends, and the four exact-average calls
-        # of the two l1_error comparisons
-        calls = []
+        # the 4000- and 8000-cell marches in lockstep: 4,661 ghost fills, as
+        # at one field call per fill (1,554 rounds of both grids, 1,553 of
+        # the 8000-cell grid alone), served from 20 windows in 13 rounds of
+        # 4 to 6 fixed-point sweeps, one field call each; and the four
+        # exact-average calls (at one time each) of the two l1_error comparisons
+        calls, fills, rounds = [], [], []
 
         def counted(t, x):
-            calls.append(np.size(x))
+            calls.append(np.ndim(t))
             return psi_weak_array(t, x)
 
+        fill, prefetch = fv._fill_ghosts, fv._prefetch
         monkeypatch.setattr(fv, "psi_weak_array", counted)
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
+        monkeypatch.setattr(fv, "_prefetch", lambda misses: rounds.append(len(misses)) or prefetch(misses))
         run_suite("godunov")
-        assert len(calls) == 3111
-        assert calls.count(4) == 1554
-        assert calls.count(2) == 1553
-        assert len([n for n in calls if n > 4]) == 4
+        assert len(fills) == 4661
+        assert (len(rounds), sum(rounds)) == (13, 20)
+        assert (calls.count(1), calls.count(0)) == (68, 4)
 
 
 class TestSolveMany:
+    # solve_many asks the field only for points the marches could ask for too
     @settings(max_examples=40, deadline=None)
     @given(grids=st.lists(st.tuples(_grid, _steps), min_size=1, max_size=3))
     def test_equals_each_grid_marched_alone(self, grids):
         jobs = [grid_job(*grid, steps) for grid, steps in grids]
         alone = [outcome(lambda: reference_solve_at(t_ends, s0)) for t_ends, s0 in jobs]
-        together = outcome(lambda: [s for states in solve_many(jobs) for s in states])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fv, "psi_weak_array", within_reach(jobs))
+            together = outcome(lambda: [s for states in solve_many(jobs) for s in states])
         errors = [o for o in alone if isinstance(o, tuple)]
         if errors:
             # the grid that fails in the earliest round stops every march
@@ -655,8 +712,9 @@ class TestSolveMany:
             assert together == sum(alone, [])
 
     def test_one_field_call_per_round(self, monkeypatch):
-        # round k fills the k-th ghosts of every grid that is still marching,
-        # each pair at the time its grid's march alone fills them
+        # each grid's march misses once, at its start, so the one round's
+        # sweep k solves the k-th window of every grid whose window has not
+        # settled, each as its grid's march alone solves it
         calls = []
 
         def counted(t, x):

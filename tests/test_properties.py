@@ -222,3 +222,41 @@ def test_array_maps_finite_up_to_the_modelled_range(points):
             continue
         if name != "classify_array":
             assert np.all(np.isfinite(values)), name
+
+
+def assert_batch_equals_size_one_calls(t, x, where=None):
+    """psi_weak_array of the batch (t, x) equals, bit for bit, its size-1 call
+    at every position (or at each position in where)."""
+    batch = psi_weak_array(t, x)
+    for k in range(t.size) if where is None else where:
+        one = psi_weak_array(t[k:k + 1], x[k:k + 1])
+        assert batch[k:k + 1].tobytes() == one.tobytes(), (t[k], x[k])
+
+
+# godunov.solve_many solves a window of predicted ghost fills in one call
+# and serves each fill from it, which rests on the foot solve being
+# elementwise.  A ghost-like batch: both ghost cell centers, interleaved as
+# solve_many asks for them, at increasing times across t = 1; 256 times is
+# a full window.
+@settings(max_examples=15, deadline=None)
+@given(
+    ghost_x=st.tuples(st.one_of(X, NEAR), st.one_of(X, NEAR)),
+    t_lo=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    t_hi=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
+    n=st.sampled_from([2, 3, 17, 256]),
+)
+def test_ghost_batch_equals_size_one_calls(ghost_x, t_lo, t_hi, n):
+    t = np.linspace(t_lo, t_hi, n)
+    assert_batch_equals_size_one_calls(np.repeat(t, 2), np.tile(ghost_x, n))
+
+
+def test_batch_across_blocks_equals_size_one_calls():
+    # the solve splits a batch into blocks of 8192 points: every point within
+    # 64 of the first block edge, and every 16th point besides
+    from shocklab.characteristics import _BLOCK
+    rng = np.random.default_rng(0)
+    n = _BLOCK + 200
+    t = rng.uniform(0.0, 3.0, n)
+    x = rng.uniform(-20.0, 20.0, n)
+    where = sorted({*range(_BLOCK - 64, _BLOCK + 64), *range(0, n, 16)})
+    assert_batch_equals_size_one_calls(t, x, where)
