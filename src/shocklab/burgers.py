@@ -156,15 +156,18 @@ def psi_boundary_extension(z: float) -> tuple[Point, float]:
     return Point(t, x), float(psi0(z))
 
 
-def shock_trace(t: float) -> ShockTrace:
+def shock_trace(t) -> ShockTrace:
     """One-sided limits and speed of the shock at time t > 1.
 
     The Rankine-Hugoniot identity speed = mean of the one-sided
-    characteristic speeds holds exactly by the +/-x0 pairing of feet.
+    characteristic speeds holds exactly by the +/-x0 pairing of feet.  An
+    array of times gives a trace whose values are arrays of its shape, from
+    one batched foot solve (shock_feet); a float time is its size-1 case.
     """
     neg, pos = shock_feet(t)
-    left = float(psi0(neg))
-    right = float(psi0(pos))
+    left, right = psi0(neg), psi0(pos)
+    if np.ndim(t) == 0:
+        left, right = float(left), float(right)
     return ShockTrace(t=t, left_value=left, right_value=right)
 
 

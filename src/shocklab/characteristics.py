@@ -271,11 +271,13 @@ def _solve_block(t, d, lo, hi):
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         for sweep in range(_MAX_SWEEPS + 1):
             if done.any():
-                out[pos[done]] = best[done]
-                live = ~done
-                pos, t, d, u, r, lo, hi = pos[live], t[live], d[live], u[live], r[live], lo[live], hi[live]
-            if pos.size == 0:
-                return out
+                # compact by index: one flatnonzero and a take per array beats boolean gathers
+                stop = np.flatnonzero(done)
+                out[pos.take(stop)] = best.take(stop)
+                if stop.size == pos.size:
+                    return out
+                live = np.flatnonzero(~done)
+                pos, t, d, u, r, lo, hi = (a.take(live) for a in (pos, t, d, u, r, lo, hi))
             if sweep == _MAX_SWEEPS:
                 break
             un = np.minimum(np.maximum(u - r / (1.0 - t / (1.0 + u * u)), lo), hi)
@@ -346,20 +348,26 @@ def foot_classical(p: Point) -> float:
     return float(foot_classical_array(p.t, p.x))
 
 
-def shock_feet(t: float) -> tuple[float, float]:
+def shock_feet(t):
     """Feet (-x0, +x0) of the two characteristics meeting the shock at time t > 1.
 
     x0 > 0 solves x0 = t*arctan(x0): it is the right-family foot of the
-    shock point (t, 2t), bracketed by sqrt(t-1) and t*pi/2.  Only t is
-    checked (finite, 1 < t <= 1e150, the modelled range): 2t may lie past
-    the range when t does not.
+    shock point (t, 2t), bracketed by sqrt(t-1) and t*pi/2.  t is a float,
+    which gives two floats, or an array of times, which gives two arrays of
+    its shape from one batched solve; a float is its size-1 case.  Only t
+    is checked (finite, 1 < t <= 1e150, the modelled range), at its first
+    bad time: 2t may lie past the range when t does not.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"non-finite shock time t = {t}")
-    if t <= 1.0:
-        raise DomainError(f"the shock exists for t > 1, got t = {t}")
-    if t > _MODELLED_RANGE:
-        raise DomainError(f"shock time t = {t} is beyond the modelled range t <= {_MODELLED_RANGE:g}")
-    ts, d = np.full(1, t), np.zeros(1)
-    x0 = float(_solve_feet(ts, d, *_bracket(ts, d, True))[0])
+    ts = np.asarray(t, dtype=float)
+    for bad, message in (
+        (~np.isfinite(ts), "non-finite shock time t = {}"),
+        (ts <= 1.0, "the shock exists for t > 1, got t = {}"),
+        (ts > _MODELLED_RANGE, f"shock time t = {{}} is beyond the modelled range t <= {_MODELLED_RANGE:g}"),
+    ):
+        if bad.any():
+            raise DomainError(message.format(t if ts.ndim == 0 else float(ts[bad][0])))
+    d = np.zeros(ts.shape)
+    x0 = _solve_feet(ts, d, *_bracket(ts, d, True))
+    if x0.ndim == 0:
+        x0 = float(x0)
     return -x0, x0

@@ -158,10 +158,16 @@ def tangency_residual_B(t: float) -> float:
     return abs(slope - (2.0 + psi_ext))
 
 
-def shock_tangent_norms(t: float) -> tuple[float, float]:
+def shock_tangent_norms(t):
     """g(T, T) for the shock tangent T = (1, 2), against the pre-shock
     (right/classical) and post-shock (left) fields; equals
-    -16 psi / (4 + psi)^2 at the one-sided values."""
+    -16 psi / (4 + psi)^2 at the one-sided values.
+
+    An array of times gives two arrays, from one batched foot solve.  The
+    metric squares 4 + psi with **, which numpy rounds as a product and a
+    float as pow(), so an array's norms can differ from those of float
+    calls in the last bit.
+    """
     trace = shock_trace(t)
     right = metric(trace.right_value).norm_sq(SHOCK_TANGENT)
     left = metric(trace.left_value).norm_sq(SHOCK_TANGENT)

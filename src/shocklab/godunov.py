@@ -12,10 +12,11 @@ checks on every step, and compares the result in L1 against exact per-cell
 averages with the shock cell split.  `solve_many` is the one march: it
 marches several grids in lockstep and solves their ghost fills ahead. Each
 grid's fills are served from a table of ghost pairs solved at a window of
-up to 256 predicted fill times.  It predicts them by the march's own CFL
-rule, with the larger ghost as the largest state, and solves the window
-again until its times stop changing; each such sweep is one field call
-holding the windows of every grid that waits on a fill.  A fill is served
+up to 256 predicted fill times (after the first window, up to twice the
+fills the grid's last window served).  It predicts them by the march's
+own CFL rule, with the larger ghost as the largest state, and solves the
+window again until its times stop changing; each such sweep is one field
+call holding the windows of every grid that waits on a fill.  A fill is served
 only when its time matches a solved time bit for bit; a miss starts the
 grid's next window at the missed time, and no window holds a time the
 march could not ask for.  The foot solve is elementwise, so every grid's
@@ -26,17 +27,19 @@ is reached by its capped final steps on a copy, so every state equals that
 of a march to its end alone.  Between steps the march carries |diff| of
 its extended array and the min and max of its cells (`_March`): a step's
 invariant checks then read the old total variation and the
-maximum-principle bounds without a pass over the cells, so a step makes 13
-passes over them instead of 21.  The ghost fill refreshes only what the
-two new ghosts touch, and the capped steps run on a copy of the carried
-state.  Inputs are checked once, at entry and for every grid before any
-step: the ends (finite, nondecreasing, at most 1e8 CFL steps away) by
-`solve_many`, the bounds, time and cells by `GodunovState`.  A step that
-leaves the time where it stands (a CFL step at most half an ulp of t, so
-t+dt rounds back to t) raises where it is taken: a march of such steps
-never reaches its end.  Agreement here validates the entropy selection of
-the exact construction; disagreement at the wedge values would expose a
-wrong branch choice.
+maximum-principle bounds without a pass over the cells.  A step writes
+the new cells in place through two preallocated scratch buffers and folds
+the flux's half into the step factor, so it makes 11 passes over the
+cells.  The ghost fill refreshes only what the two new ghosts touch, and
+the capped steps run on a copy of the carried state.  Inputs are checked
+once, at entry and for every grid before any step: the ends (finite,
+nondecreasing, at most 1e8 CFL steps away) by `solve_many`, the bounds,
+time and cells by `GodunovState`.  A step that leaves the time where it
+stands (a CFL step at most half an ulp of t, so t+dt rounds back to t)
+raises where it is taken: a march of such steps never reaches its end.
+Agreement here validates the entropy selection of the exact
+construction; disagreement at the wedge values would expose a wrong
+branch choice.
 """
 
 from __future__ import annotations
@@ -133,27 +136,46 @@ class _March:
     rewrites it whole and the fill its two ghost-adjacent entries.  lo and
     hi are the min and max of the cells ext[1:-1]; each fill sets ext_lo and
     ext_hi, those of ext.  Each equals what np.abs(np.diff(ext)), np.min or
-    np.max would give, NaN included.
+    np.max would give, NaN included.  h is the cell width and reach the CFL
+    numerator cfl*h of the grid.  flux and jump are the update's scratch
+    buffers, which a copy shares: no step reads what an earlier one left.
     """
 
     ext: np.ndarray
     adiff: np.ndarray
+    flux: np.ndarray
+    jump: np.ndarray
+    h: float
+    reach: float
     lo: float
     hi: float
     ext_lo: float = math.nan
     ext_hi: float = math.nan
 
     @classmethod
-    def start(cls, cells: np.ndarray) -> _March:
+    def start(cls, s0: GodunovState) -> _March:
+        cells = s0.cell_averages
         ext = np.concatenate([[0.0], cells, [0.0]])
-        return cls(ext, np.abs(np.diff(ext)), cells.min(), cells.max())
+        lo, hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
+        n = cells.size
+        return cls(ext, np.abs(np.diff(ext)), np.empty(n + 1), np.empty(n), s0.h, s0.cfl * s0.h, lo, hi)
 
     def copy(self) -> _March:
         return replace(self, ext=self.ext.copy(), adiff=self.adiff.copy())
 
 
-def _fill_ghosts(m: _March, s: GodunovState, ghosts: Sequence[float]) -> float:
-    """Set the ghost cells of march m on grid s to ghosts; return the CFL step.
+def _min(a: float, b: float) -> float:
+    """The smaller of a and b, NaN if either is, as np.minimum gives it."""
+    return a if a <= b or a != a else b
+
+
+def _max(a: float, b: float) -> float:
+    """The larger of a and b, NaN if either is, as np.maximum gives it."""
+    return a if a >= b or a != a else b
+
+
+def _fill_ghosts(m: _March, ghosts: Sequence[float]) -> float:
+    """Set the ghost cells of march m to ghosts; return the CFL step.
 
     ghosts holds the exact entropy field at the two ghost cell centers, at
     the time of the fill.
@@ -162,47 +184,50 @@ def _fill_ghosts(m: _March, s: GodunovState, ghosts: Sequence[float]) -> float:
     g0, g1 = ghosts
     ext[0], ext[-1] = g0, g1
     m.adiff[0], m.adiff[-1] = abs(ext[1] - g0), abs(g1 - ext[-2])
-    # np.minimum and np.maximum propagate NaN from either side; min() and max() do not
-    m.ext_lo = np.minimum(np.minimum(m.lo, g0), g1)
-    m.ext_hi = np.maximum(np.maximum(m.hi, g0), g1)
+    m.ext_lo = _min(_min(m.lo, g0), g1)
+    m.ext_hi = _max(_max(m.hi, g0), g1)
     # CFL over the extended array: ghost speeds bound the boundary-cell waves
-    return _cfl_step(s, float(m.ext_hi))
+    return _cfl_step(m.reach, m.ext_hi)
 
 
-def _cfl_step(s: GodunovState, u_max):
-    """The CFL step on grid s where u_max (a float, or an array of them) is the largest state.
+def _cfl_step(reach: float, u_max):
+    """The CFL step on a grid of CFL numerator reach = cfl*h where u_max (a
+    float, or an array of them) is the largest state.
 
     Every speed 2 + u is positive and rounds monotonically in u, so the
     fastest is 2 + u_max.
     """
-    return s.cfl * s.h / (2.0 + u_max)
+    return reach / (2.0 + u_max)
 
 
-def _update(m: _March, s: GodunovState, dt: float) -> None:
-    """Advance the cells of the filled march m on grid s in place by the upwind flux over dt.
+def _update(m: _March, dt: float) -> None:
+    """Advance the cells of the filled march m in place by the upwind flux over dt.
 
+    11 passes over the cells.  The flux (2 + u)^2 / 2 is never formed: its
+    half goes into the step factor, as jump = diff((2 + u)^2) * ((dt/h) * 0.5).
+    Every (2 + u)^2 on the invariant range is at least (2 - pi/2)^2, so no
+    difference or product is subnormal and the halving is exact either way.
     Raises InvariantViolation if the maximum principle or total-variation
     monotonicity breaks; m is then left part-way through the step.
     """
-    ext = m.ext
-    flux = np.add(ext[:-1], 2.0)  # (2 + u)^2 / 2
+    ext, flux, jump = m.ext, m.flux, m.jump
+    cells = ext[1:-1]
+    np.add(ext[:-1], 2.0, out=flux)
     np.square(flux, out=flux)
-    np.multiply(flux, 0.5, out=flux)
-    u_new = np.subtract(flux[1:], flux[:-1])
-    np.multiply(u_new, dt / s.h, out=u_new)
-    np.subtract(ext[1:-1], u_new, out=u_new)
-    lo_bound = float(m.ext_lo) - _RANGE_SLACK
-    hi_bound = float(m.ext_hi) + _RANGE_SLACK
-    m.lo, m.hi = u_new.min(), u_new.max()
+    np.subtract(flux[1:], flux[:-1], out=jump)
+    np.multiply(jump, dt / m.h * 0.5, out=jump)
+    cells -= jump
+    lo_bound = m.ext_lo - _RANGE_SLACK
+    hi_bound = m.ext_hi + _RANGE_SLACK
+    m.lo, m.hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
     # a NaN cell makes both reductions NaN: then, as on a breach, compare cell by cell
     if not (m.lo >= lo_bound and m.hi <= hi_bound):
-        if np.any(u_new < lo_bound) or np.any(u_new > hi_bound):
+        if np.any(cells < lo_bound) or np.any(cells > hi_bound):
             raise InvariantViolation("maximum principle violated in a Godunov step")
-    tv_old = float(m.adiff.sum())
-    ext[1:-1] = u_new
+    tv_old = float(np.add.reduce(m.adiff))
     np.subtract(ext[1:], ext[:-1], out=m.adiff)
     np.abs(m.adiff, out=m.adiff)
-    if float(m.adiff.sum()) > tv_old + 1e-10 * (1.0 + tv_old):
+    if float(np.add.reduce(m.adiff)) > tv_old + 1e-10 * (1.0 + tv_old):
         raise InvariantViolation("total variation increased in a Godunov step")
 
 
@@ -248,7 +273,7 @@ def _march(
     march to it leaves.
     """
     states = []
-    march = _March.start(s0.cell_averages)
+    march = _March.start(s0)
     t, dt = s0.time, None  # dt: CFL step of the ghosts filled at t, None if not filled
     for t_end in t_ends:
         if t_end == s0.time:
@@ -256,24 +281,24 @@ def _march(
             continue
         while t < t_end:
             if dt is None:
-                dt = _fill_ghosts(march, s0, (yield t))
+                dt = _fill_ghosts(march, (yield t))
             if dt > t_end - t:
                 break
-            _update(march, s0, dt)
+            _update(march, dt)
             t, dt = _advance(t, dt, t_end), None
         # the march to t_end alone leaves the shared one here
         cut, t_cut, dt_cut = march.copy(), t, dt
         while t_cut < t_end:
             if dt_cut is None:
-                dt_cut = _fill_ghosts(cut, s0, (yield t_cut))
+                dt_cut = _fill_ghosts(cut, (yield t_cut))
             dt_cut = min(dt_cut, t_end - t_cut)
-            _update(cut, s0, dt_cut)
+            _update(cut, dt_cut)
             t_cut, dt_cut = _advance(t_cut, dt_cut, t_end), None
         states.append(replace(s0, cell_averages=cut.ext[1:-1], time=t_cut))
     return tuple(states)
 
 
-# Fill times a grid's ghosts are solved ahead for, and fixed-point sweeps per window.
+# Most fill times a grid's ghosts are solved ahead for, and fixed-point sweeps per window.
 _WINDOW = 256
 _SWEEPS = 8
 
@@ -281,32 +306,38 @@ _SWEEPS = 8
 def _window(t_miss: float, steps: np.ndarray, t_last: float) -> np.ndarray:
     """Fill times of a march from its fill at t_miss that takes the given CFL steps.
 
-    At most _WINDOW times: t_miss, then each time plus its step, added as
-    the march adds them.  The window stops before the first time the march
-    could not ask the field for: one that does not exceed the time before
-    it (NaN fails every comparison), one at or past the march's last end
-    t_last, or one beyond the modelled range, which the field refuses.
+    t_miss, then each time plus its step, added as the march adds them:
+    at most one time more than there are steps.  The window stops before
+    the first time the march could not ask the field for: one that does
+    not exceed the time before it (NaN fails every comparison), one at or
+    past the march's last end t_last, or one beyond the modelled range,
+    which the field refuses.
     """
-    times = np.cumsum(np.concatenate([[t_miss], steps[:_WINDOW - 1]]))
+    times = np.cumsum(np.concatenate([[t_miss], steps]))
     ok = (times[1:] > times[:-1]) & (times[1:] < t_last) & (times[1:] <= _MODELLED_RANGE)
     return times[:1 + (ok.size if ok.all() else int(ok.argmin()))]
 
 
-def _prefetch(misses: list[tuple[GodunovState, float, float]]) -> list[dict[float, list[float]]]:
-    """Ghost tables of the grids whose marches missed, one per (s0, last end, missed fill time).
+def _prefetch(misses: list[tuple[GodunovState, float, float, int]]) -> list[dict[float, list[float]]]:
+    """Ghost tables of the grids whose marches missed, one per (s0, last end,
+    missed fill time, window length).
 
-    Each grid's window starts at its missed time and first guesses the
-    shortest CFL step the invariant range allows.  Each sweep makes one
-    psi_weak_array call holding the two ghost cell centers of every
-    unsettled window at each of its times, then predicts the window again
-    from the new ghosts by the march's own rule (_cfl_step), with the
-    larger ghost as the largest state.  A window settles when its times
+    Each grid's window starts at its missed time, holds at most its window
+    length of times, and first guesses the shortest CFL step the invariant
+    range allows.  Each sweep makes one psi_weak_array call holding the
+    two ghost cell centers of every unsettled window at each of its times,
+    then predicts the window again from the new ghosts by the march's own
+    rule (_cfl_step), with the larger ghost as the largest state.  A window settles when its times
     stop changing, or after _SWEEPS sweeps.  Each table maps every time of
     the grid's last solved window to the ghost pair solved at exactly that
     time.
     """
-    ghost_x = [(s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h) for s0, _, _ in misses]
-    windows = [_window(t, np.full(_WINDOW - 1, _cfl_step(s0, _HALF_PI)), t_last) for s0, t_last, t in misses]
+    ghost_x = [(s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h) for s0, *_ in misses]
+    reach = [s0.cfl * s0.h for s0, *_ in misses]
+    windows = [
+        _window(t, np.full(size - 1, _cfl_step(r, _HALF_PI)), t_last)
+        for (_, t_last, t, size), r in zip(misses, reach)
+    ]
     solved = [None] * len(misses)
     todo = list(range(len(misses)))
     for _ in range(_SWEEPS):
@@ -315,15 +346,15 @@ def _prefetch(misses: list[tuple[GodunovState, float, float]]) -> list[dict[floa
         ghosts = psi_weak_array(t, x).reshape(-1, 2)
         unsettled, first = [], 0
         for i in todo:
-            s0, t_last, t_miss = misses[i]
+            _, t_last, t_miss, size = misses[i]
             times = windows[i]
             pairs = ghosts[first:first + times.size]
             first += times.size
             solved[i] = times, pairs
             # a ghost of -2, which only a fake field gives, predicts an infinite step
             with np.errstate(divide="ignore"):
-                steps = _cfl_step(s0, pairs.max(axis=1))
-            windows[i] = _window(t_miss, steps, t_last)
+                steps = _cfl_step(reach[i], pairs.max(axis=1))
+            windows[i] = _window(t_miss, steps[:size - 1], t_last)
             if not np.array_equal(windows[i], times):
                 unsettled.append(i)
         todo = unsettled
@@ -343,10 +374,12 @@ def solve_many(
     solves a new window of predicted fill times for every waiting grid,
     starting at its missed time (_prefetch: one psi_weak_array call per
     sweep, holding every waiting grid's window), and the window replaces
-    the grid's table.  The foot solve is elementwise, so a served pair
-    equals a solve at that one time, and every job's states equal
-    solve_at(t_ends, s0) of that job alone, bit for bit; a wrong
-    prediction costs only a miss.  No window holds a time the march could
+    the grid's table.  A grid's first window holds up to _WINDOW times;
+    each later one up to twice the fills the last window served, so a grid
+    whose predictions keep missing solves short windows.  The foot solve
+    is elementwise, so a served pair equals a solve at that one time, and
+    every job's states equal solve_at(t_ends, s0) of that job alone, bit
+    for bit; a wrong prediction costs only a miss.  No window holds a time the march could
     not ask the field for.
     Raises DomainError, before any step of any grid, on a non-finite or
     decreasing end and on an end that takes more than _MAX_STEPS CFL steps
@@ -358,26 +391,30 @@ def solve_many(
         _check_ends(t_ends, s0)
     states = [()] * len(jobs)
     tables = [{} for _ in jobs]
-    waiting = []  # (job, its march, the time of the fill it missed)
+    waiting = []  # (job, its march, the time of the fill it missed, its next window length)
 
     def resume(job, march, ghosts):
-        table = tables[job]
+        # ghosts answers, from the new table, the fill that missed (None starts
+        # the march); served counts the fills the table answers
+        table, served = tables[job], 1
         try:
             t = march.send(ghosts)
             while (ghosts := table.get(t)) is not None:
+                served += 1
                 t = march.send(ghosts)
         except StopIteration as done:
             states[job] = done.value
         else:
-            waiting.append((job, march, t))
+            # the first window is whole, a later one twice the fills the last one served
+            waiting.append((job, march, t, min(_WINDOW, 2 * served) if table else _WINDOW))
 
     for job, (t_ends, s0) in enumerate(jobs):
         resume(job, _march(t_ends, s0), None)
     while waiting:
         misses = waiting.copy()
         waiting.clear()
-        fetched = _prefetch([(jobs[job][1], jobs[job][0][-1], t) for job, _, t in misses])
-        for (job, march, t), table in zip(misses, fetched):
+        fetched = _prefetch([(jobs[job][1], jobs[job][0][-1], t, size) for job, _, t, size in misses])
+        for (job, march, t, _), table in zip(misses, fetched):
             tables[job] = table
             resume(job, march, table[t])
     return tuple(states)

@@ -303,14 +303,17 @@ def oleinik_scan(t: float, x_range: tuple[float, float], n: int) -> OleinikRepor
     return OleinikReport(t=t, max_quotient=float(np.max(quot)), n_pairs=n)
 
 
-def rh_residual(t: float) -> float:
-    """|shock speed - mean of one-sided characteristic speeds| at time t > 1."""
+def rh_residual(t):
+    """|shock speed - mean of one-sided characteristic speeds| at time t > 1.
+
+    An array of times gives an array, from one batched foot solve.
+    """
     trace = shock_trace(t)
     mean_speed = 0.5 * ((2.0 + trace.left_value) + (2.0 + trace.right_value))
     return abs(trace.speed - mean_speed)
 
 
-def lax_gaps(t: float) -> tuple[float, float]:
+def lax_gaps(t):
     """Admissibility gaps (speed - right characteristic, left characteristic - speed).
 
     Both are strictly positive for t > 1 and both equal arctan of the
@@ -318,6 +321,7 @@ def lax_gaps(t: float) -> tuple[float, float]:
     degenerating to zero at the crease.  The classical value right of the
     shock is the trace's right value, the field at the positive foot: it is
     defined for every shock time in the modelled range, where 2t may not be.
+    An array of times gives two arrays, from one batched foot solve.
     """
     trace = shock_trace(t)
     lower = trace.speed - (2.0 + trace.right_value)
@@ -523,7 +527,7 @@ class Report:
 
 
 def _suite_rh(seed: int) -> list[CheckResult]:
-    worst = max(rh_residual(float(t)) for t in _LOG_TIMES)
+    worst = float(np.max(rh_residual(_LOG_TIMES)))
     return [CheckResult(
         "rankine_hugoniot", worst <= 1e-11, worst, 1e-11,
         "shock speed equals the mean of the one-sided characteristic speeds",
@@ -531,14 +535,14 @@ def _suite_rh(seed: int) -> list[CheckResult]:
 
 
 def _suite_lax(seed: int) -> list[CheckResult]:
-    dev, min_gap = 0.0, math.inf
-    for t in _LOG_TIMES:
-        lower, upper = lax_gaps(float(t))
-        x0 = shock_feet(float(t))[1]
-        expected = math.atan(x0)
-        dev = max(dev, abs(lower - expected), abs(upper - expected))
-        min_gap = min(min_gap, lower, upper)
-    near = max(lax_gaps(1.0 + 1e-6))
+    # the 50 times and, last, one just past the crease, in one batch
+    lower, upper = lax_gaps(np.append(_LOG_TIMES, 1.0 + 1e-6))
+    near = float(max(lower[-1], upper[-1]))
+    lower, upper = lower[:-1], upper[:-1]
+    # math.atan: np.arctan may round differently
+    expected = np.array([math.atan(x0) for x0 in shock_feet(_LOG_TIMES)[1].tolist()])
+    dev = float(np.max(np.maximum(np.abs(lower - expected), np.abs(upper - expected))))
+    min_gap = float(min(lower.min(), upper.min()))
     results = [
         CheckResult(
             "lax_gaps_match_feet", dev <= 1e-10 and min_gap > 0.0, dev, 1e-10,
@@ -699,13 +703,11 @@ def _suite_bubble(seed: int) -> list[CheckResult]:
     apex = Point(2.0, 5.0 - _HALF_PI)
     target = Point(1.0, 2.1)
     explicit = causal_past_contains(apex, target) and not timelike_past_contains(apex, target)
-    sc_ok = True
-    val_dev = 0.0
-    for t in _LOG_TIMES:
-        right, left = shock_tangent_norms(float(t))
-        sc_ok = sc_ok and right > 0.0 and left < 0.0
-    t_ref = 4.0 / math.pi
-    right, left = shock_tangent_norms(t_ref)
+    # the 50 times and, last, the reference time 4/pi (whose norms equal a
+    # float call's bit for bit), in one batch
+    right, left = shock_tangent_norms(np.append(_LOG_TIMES, 4.0 / math.pi))
+    sc_ok = bool(np.all(right[:-1] > 0.0) and np.all(left[:-1] < 0.0))
+    right, left = float(right[-1]), float(left[-1])
     exp_right = -16.0 * (-math.pi / 4.0) / (4.0 - math.pi / 4.0) ** 2
     exp_left = -16.0 * (math.pi / 4.0) / (4.0 + math.pi / 4.0) ** 2
     val_dev = max(abs(right - exp_right), abs(left - exp_left))

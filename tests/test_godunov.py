@@ -459,7 +459,7 @@ class TestChecksKept:
             reference_solve_at(t_ends, s0, field)
         steps = []
         update = fv._update
-        monkeypatch.setattr(fv, "_update", lambda m, s, dt: steps.append(dt) or update(m, s, dt))
+        monkeypatch.setattr(fv, "_update", lambda m, dt: steps.append(dt) or update(m, dt))
         monkeypatch.setattr(fv, "psi_weak_array", field)
         with pytest.raises(InvariantViolation, match=message) as got:
             solve_at(t_ends, s0)
@@ -498,11 +498,39 @@ class TestReferenceMarch:
         t_ends = (0.5, 1.0)
         fills, misses = [], []
         fill, prefetch = fv._fill_ghosts, fv._prefetch
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
         monkeypatch.setattr(fv, "_prefetch", lambda m: misses.extend(m) or prefetch(m))
         got = outcome(lambda: solve_at(t_ends, s0))
         assert got == outcome(lambda: reference_solve_at(t_ends, s0))
         assert len(misses) == len(fills) >= 10
+
+    def test_always_missing_grid_solves_short_windows(self, monkeypatch):
+        # as above, on 400 cells to t = 1: every fill misses.  The first
+        # window is whole; each later one holds twice the fills its last
+        # window served, here two times settled in two sweeps: at most 2
+        # field calls and 8 ghost points per fill after the first
+        s0 = GodunovState(-10.0, 10.0, np.full(400, 1.5), 0.0)
+        points, fills, rounds = [], [], []
+
+        def counted(t, x):
+            points.append(np.size(x))
+            return psi_weak_array(t, x)
+
+        def prefetched(misses):
+            first = len(points)
+            tables = prefetch(misses)
+            rounds.append((len(points) - first, sum(points[first:])))
+            return tables
+
+        fill, prefetch = fv._fill_ghosts, fv._prefetch
+        monkeypatch.setattr(fv, "psi_weak_array", counted)
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
+        monkeypatch.setattr(fv, "_prefetch", prefetched)
+        got = outcome(lambda: solve_at((1.0,), s0))
+        monkeypatch.undo()
+        assert got == outcome(lambda: reference_solve_at((1.0,), s0))
+        assert len(rounds) == len(fills) >= 70
+        assert all(calls <= 2 and n <= 8 for calls, n in rounds[1:])
 
     @pytest.mark.parametrize("ghosts", [None, (math.nan, -1.5), (-1.5, math.nan)])
     def test_carried_state_equals_whole_array_reductions(self, monkeypatch, ghosts):
@@ -515,13 +543,13 @@ class TestReferenceMarch:
         steps = []
         update = fv._update
 
-        def checked(m, s, dt):
+        def checked(m, dt):
             ext = m.ext
             assert m.adiff.tobytes() == np.abs(np.diff(ext)).tobytes()
             assert same(m.ext_lo, np.min(ext)) and same(m.ext_hi, np.max(ext))
             assert same(m.lo, np.min(ext[1:-1])) and same(m.hi, np.max(ext[1:-1]))
             steps.append(dt)
-            update(m, s, dt)
+            update(m, dt)
 
         monkeypatch.setattr(fv, "_update", checked)
         monkeypatch.setattr(fv, "psi_weak_array", field)
@@ -645,7 +673,7 @@ class TestSolveAt:
         assert t0 + (t_end - t0) < t_end
         fills = []
         fill = fv._fill_ghosts
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
         s = solve_at((t_end,), replace(initial_state(4), time=t0))[0]
         assert len(fills) == 2 and s.time == t_end
 
@@ -664,7 +692,7 @@ class TestSolveAt:
         # the second end costs at most the fill of a second capped step
         fills = []
         fill = fv._fill_ghosts
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
         s0 = initial_state(400)
         solve(2.0, s0)
         n_solve = len(fills)
@@ -686,7 +714,7 @@ class TestSolveAt:
 
         fill, prefetch = fv._fill_ghosts, fv._prefetch
         monkeypatch.setattr(fv, "psi_weak_array", counted)
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[2]) or fill(*a))
+        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
         monkeypatch.setattr(fv, "_prefetch", lambda misses: rounds.append(len(misses)) or prefetch(misses))
         run_suite("godunov")
         assert len(fills) == 4661

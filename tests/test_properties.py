@@ -19,6 +19,7 @@ from shocklab.characteristics import (
     foot_classical_array,
     foot_weak,
     foot_weak_array,
+    shock_feet,
 )
 from shocklab.core import GEOM_TOL, DomainError, OnShockError, OutsideDomain, Point, SolutionVariant
 from shocklab.wave_potential import phi, phi_array
@@ -260,3 +261,20 @@ def test_batch_across_blocks_equals_size_one_calls():
     x = rng.uniform(-20.0, 20.0, n)
     where = sorted({*range(_BLOCK - 64, _BLOCK + 64), *range(0, n, 16)})
     assert_batch_equals_size_one_calls(t, x, where)
+
+
+# The rh, lax and bubble suites solve their shock feet in one batch, and a
+# float time is the size-1 case.  Times out to 1e6 and just past the
+# crease, where the feet close on 0 and the bracket shrinks to sqrt(t-1).
+SHOCK_T = st.one_of(
+    st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    st.floats(min_value=1e-12, max_value=1e-3).map(lambda e: 1.0 + e),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(SHOCK_T, min_size=1, max_size=60))
+def test_shock_feet_batch_equals_float_calls(times):
+    neg, pos = shock_feet(np.array(times))
+    for k, t in enumerate(times):
+        assert (neg[k].hex(), pos[k].hex()) == tuple(u.hex() for u in shock_feet(t)), t
