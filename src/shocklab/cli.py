@@ -130,12 +130,14 @@ def _cmd_shock(args) -> int:
     t_min, t_max = _parse_range(args.t_range)
     if not (1.0 < t_min < t_max) or args.n < 2:
         raise DomainError("need 1 < t_min < t_max and n >= 2")
+    ts = np.linspace(t_min, t_max, args.n)
+    # one batched foot solve each; a row equals its size-1 calls bit for bit
+    tr = shock_trace(ts)
+    lower, upper = lax_gaps(ts)
     print("t,x,left_value,right_value,speed,lax_lower,lax_upper")
-    for t in np.linspace(t_min, t_max, args.n):
-        tr = shock_trace(float(t))
-        lo, up = lax_gaps(float(t))
+    for t, left, right, lo, up in zip(ts, tr.left_value, tr.right_value, lower, upper):
         print(
-            f"{_fmt(t)},{_fmt(2.0 * t)},{_fmt(tr.left_value)},{_fmt(tr.right_value)},"
+            f"{_fmt(t)},{_fmt(2.0 * t)},{_fmt(left)},{_fmt(right)},"
             f"{_fmt(tr.speed)},{_fmt(lo)},{_fmt(up)}"
         )
     return 0

@@ -9,34 +9,33 @@ upwind flux f(u_left) there.  This module marches that conservative
 explicit update with CFL-limited steps on one local array per grid, with
 Dirichlet ghost cells fed by the exact entropy field and both invariant
 checks on every step, and compares the result in L1 against exact per-cell
-averages with the shock cell split.  `solve_many` is the one march: it
-marches several grids in lockstep and solves their ghost fills ahead. Each
-grid's fills are served from a table of ghost pairs solved at a window of
-up to 256 predicted fill times (after the first window, up to twice the
-fills the grid's last window served).  It predicts them by the march's
-own CFL rule, with the larger ghost as the largest state, and solves the
-window again until its times stop changing; each such sweep is one field
-call holding the windows of every grid that waits on a fill.  A fill is served
-only when its time matches a solved time bit for bit; a miss starts the
-grid's next window at the missed time, and no window holds a time the
-march could not ask for.  The foot solve is elementwise, so every grid's
-states equal those of a march of that grid alone, bit for bit, and a wrong
-prediction costs only a miss; `solve_at` and `solve` are its one-grid
-cases.  A grid's march (`_march`) takes only full CFL steps, and each end
-is reached by its capped final steps on a copy, so every state equals that
-of a march to its end alone.  Between steps the march carries |diff| of
-its extended array and the min and max of its cells (`_March`): a step's
-invariant checks then read the old total variation and the
-maximum-principle bounds without a pass over the cells.  A step writes
-the new cells in place through two preallocated scratch buffers and folds
-the flux's half into the step factor, so it makes 11 passes over the
-cells.  The ghost fill refreshes only what the two new ghosts touch, and
-the capped steps run on a copy of the carried state.  Inputs are checked
-once, at entry and for every grid before any step: the ends (finite,
-nondecreasing, at most 1e8 CFL steps away) by `solve_many`, the bounds,
-time and cells by `GodunovState`.  A step that leaves the time where it
-stands (a CFL step at most half an ulp of t, so t+dt rounds back to t)
-raises where it is taken: a march of such steps never reaches its end.
+averages with the shock cell split.  `solve_at` is the one march, and
+`solve` its one-end case.  A march solves its own ghost fills ahead: its
+fills are served from a table of ghost pairs solved at a window of up to
+1024 predicted fill times (after the first window, up to twice the fills
+the last window served).  It predicts them by the march's own CFL rule,
+with the larger ghost as the largest state, and solves the window again
+until its times stop changing, one field call per sweep.  A fill is
+served only when its time matches a solved time bit for bit; a miss
+starts the next window at the missed time, and no window holds a time
+the march could not ask for.  The foot solve is elementwise, so every
+state equals that of a march that asks the field at each fill, bit for
+bit, and a wrong prediction costs only a miss.  The march (`_march`)
+takes only full CFL steps, and each end is reached by its capped final
+steps on a copy, so every state equals that of a march to its end
+alone.  Between steps the march carries |diff| of its extended array and
+the min and max of its cells (`_March`): a step's invariant checks then
+read the old total variation and the maximum-principle bounds without a
+pass over the cells.  A step writes the new cells in place through two
+preallocated scratch buffers and folds the flux's half into the step
+factor, so it makes 11 passes over the cells.  The ghost fill refreshes
+only what the two new ghosts touch, and the capped steps run on a copy
+of the carried state.  Inputs are checked once, at entry and before any
+step: the ends (finite, nondecreasing, at most 1e8 CFL steps away) by
+`solve_at`, the bounds, time and cells by `GodunovState`.  A step that
+leaves the time where it stands (a CFL step at most half an ulp of t, so
+t+dt rounds back to t) raises where it is taken: a march of such steps
+never reaches its end.
 Agreement here validates the entropy selection of the exact
 construction; disagreement at the wedge values would expose a wrong
 branch choice.
@@ -45,7 +44,7 @@ branch choice.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,7 +57,6 @@ __all__ = [
     "initial_state",
     "solve",
     "solve_at",
-    "solve_many",
     "l1_error",
     "state_to_csv",
 ]
@@ -66,7 +64,7 @@ __all__ = [
 _RANGE_SLACK = 1e-12
 _HALF_PI = math.pi / 2.0
 # Every wave speed 2 + u on the invariant range is at least 2 - pi/2, so a
-# march over time T takes at least T*(2 - pi/2)/(cfl*h) CFL steps; solve_many
+# march over time T takes at least T*(2 - pi/2)/(cfl*h) CFL steps; solve_at
 # refuses one that would take more than _MAX_STEPS.
 _MIN_SPEED = 2.0 - _HALF_PI
 _MAX_STEPS = 10 ** 8
@@ -260,18 +258,18 @@ def _advance(t: float, dt: float, t_end: float) -> float:
     return t_next
 
 
-def _march(
-    t_ends: tuple[float, ...], s0: GodunovState,
-) -> Generator[float, Sequence[float], tuple[GodunovState, ...]]:
-    """The march of grid s0 to its checked ends, as a generator of ghost fills.
+def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, ...]:
+    """The states of grid s0 at its checked ends, from one march.
 
-    Yields the time of each ghost fill, takes back the two ghost values and
-    returns the state at each end.  The shared march takes only full CFL
-    steps; each end is reached on a copy of the march (cells, ghosts and
-    carried state) with the capped steps a march to that end alone takes,
-    starting from the CFL step already computed at the point where the
-    march to it leaves.
+    Each fill's ghost pair comes from the grid's ghost table (_ghost_table).
+    The shared march takes only full CFL steps; each end is reached on a
+    copy of the march (cells, ghosts and carried state) with the capped
+    steps a march to that end alone takes, starting from the CFL step
+    already computed at the point where the march to it leaves.
     """
+    if not t_ends:
+        return ()
+    fill = _ghost_table(s0, t_ends[-1])
     states = []
     march = _March.start(s0)
     t, dt = s0.time, None  # dt: CFL step of the ghosts filled at t, None if not filled
@@ -281,7 +279,7 @@ def _march(
             continue
         while t < t_end:
             if dt is None:
-                dt = _fill_ghosts(march, (yield t))
+                dt = _fill_ghosts(march, fill(t))
             if dt > t_end - t:
                 break
             _update(march, dt)
@@ -290,7 +288,7 @@ def _march(
         cut, t_cut, dt_cut = march.copy(), t, dt
         while t_cut < t_end:
             if dt_cut is None:
-                dt_cut = _fill_ghosts(cut, (yield t_cut))
+                dt_cut = _fill_ghosts(cut, fill(t_cut))
             dt_cut = min(dt_cut, t_end - t_cut)
             _update(cut, dt_cut)
             t_cut, dt_cut = _advance(t_cut, dt_cut, t_end), None
@@ -299,7 +297,7 @@ def _march(
 
 
 # Most fill times a grid's ghosts are solved ahead for, and fixed-point sweeps per window.
-_WINDOW = 256
+_WINDOW = 1024
 _SWEEPS = 8
 
 
@@ -318,115 +316,70 @@ def _window(t_miss: float, steps: np.ndarray, t_last: float) -> np.ndarray:
     return times[:1 + (ok.size if ok.all() else int(ok.argmin()))]
 
 
-def _prefetch(misses: list[tuple[GodunovState, float, float, int]]) -> list[dict[float, list[float]]]:
-    """Ghost tables of the grids whose marches missed, one per (s0, last end,
-    missed fill time, window length).
+def _prefetch(s0: GodunovState, t_last: float, t_miss: float, size: int) -> dict[float, list[float]]:
+    """Ghost table of grid s0, on its march to t_last, for a window of at
+    most size fill times from the missed fill time t_miss.
 
-    Each grid's window starts at its missed time, holds at most its window
-    length of times, and first guesses the shortest CFL step the invariant
-    range allows.  Each sweep makes one psi_weak_array call holding the
-    two ghost cell centers of every unsettled window at each of its times,
-    then predicts the window again from the new ghosts by the march's own
-    rule (_cfl_step), with the larger ghost as the largest state.  A window settles when its times
-    stop changing, or after _SWEEPS sweeps.  Each table maps every time of
-    the grid's last solved window to the ghost pair solved at exactly that
-    time.
+    The window first guesses the shortest CFL step the invariant range
+    allows.  Each sweep makes one psi_weak_array call holding the two
+    ghost cell centers at each time of the window, then predicts the
+    window again from the new ghosts by the march's own rule (_cfl_step),
+    with the larger ghost as the largest state.  The window settles when
+    its times stop changing, or after _SWEEPS sweeps.  The table maps
+    every time of the last solved window to the ghost pair solved at
+    exactly that time.
     """
-    ghost_x = [(s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h) for s0, *_ in misses]
-    reach = [s0.cfl * s0.h for s0, *_ in misses]
-    windows = [
-        _window(t, np.full(size - 1, _cfl_step(r, _HALF_PI)), t_last)
-        for (_, t_last, t, size), r in zip(misses, reach)
-    ]
-    solved = [None] * len(misses)
-    todo = list(range(len(misses)))
+    ghost_x = (s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h)
+    reach = s0.cfl * s0.h
+    window = _window(t_miss, np.full(size - 1, _cfl_step(reach, _HALF_PI)), t_last)
     for _ in range(_SWEEPS):
-        t = np.concatenate([np.repeat(windows[i], 2) for i in todo])
-        x = np.concatenate([np.tile(ghost_x[i], windows[i].size) for i in todo])
-        ghosts = psi_weak_array(t, x).reshape(-1, 2)
-        unsettled, first = [], 0
-        for i in todo:
-            _, t_last, t_miss, size = misses[i]
-            times = windows[i]
-            pairs = ghosts[first:first + times.size]
-            first += times.size
-            solved[i] = times, pairs
-            # a ghost of -2, which only a fake field gives, predicts an infinite step
-            with np.errstate(divide="ignore"):
-                steps = _cfl_step(reach[i], pairs.max(axis=1))
-            windows[i] = _window(t_miss, steps[:size - 1], t_last)
-            if not np.array_equal(windows[i], times):
-                unsettled.append(i)
-        todo = unsettled
-        if not todo:
+        times = window
+        pairs = psi_weak_array(np.repeat(times, 2), np.tile(ghost_x, times.size)).reshape(-1, 2)
+        # a ghost of -2, which only a fake field gives, predicts an infinite step
+        with np.errstate(divide="ignore"):
+            window = _window(t_miss, _cfl_step(reach, pairs.max(axis=1))[:size - 1], t_last)
+        if np.array_equal(window, times):
             break
-    return [dict(zip(times.tolist(), pairs.tolist())) for times, pairs in solved]
+    return dict(zip(times.tolist(), pairs.tolist()))
 
 
-def solve_many(
-    jobs: Sequence[tuple[Sequence[float], GodunovState]],
-) -> tuple[tuple[GodunovState, ...], ...]:
-    """March every (t_ends, s0) job in lockstep; return each job's states at its ends.
+def _ghost_table(s0: GodunovState, t_last: float) -> Callable[[float], list[float]]:
+    """fill(t): the ghost pair of grid s0 at fill time t, on its march to t_last.
 
-    Each grid keeps a table of ghost pairs solved ahead, keyed by fill
-    time.  A fill whose time is in the table, bit for bit, is served from
-    it with no field call; a grid whose fill misses waits.  Each round
-    solves a new window of predicted fill times for every waiting grid,
-    starting at its missed time (_prefetch: one psi_weak_array call per
-    sweep, holding every waiting grid's window), and the window replaces
-    the grid's table.  A grid's first window holds up to _WINDOW times;
-    each later one up to twice the fills the last window served, so a grid
-    whose predictions keep missing solves short windows.  The foot solve
-    is elementwise, so a served pair equals a solve at that one time, and
-    every job's states equal solve_at(t_ends, s0) of that job alone, bit
-    for bit; a wrong prediction costs only a miss.  No window holds a time the march could
-    not ask the field for.
-    Raises DomainError, before any step of any grid, on a non-finite or
-    decreasing end and on an end that takes more than _MAX_STEPS CFL steps
-    to reach; and where it is taken, on a step that leaves a grid's time
-    unchanged.
+    A fill whose time is in the table, bit for bit, is served from it with
+    no field call.  A miss replaces the table with a new window starting
+    at the missed time (_prefetch).  The first window holds up to _WINDOW
+    times; each later one up to twice the fills the last window served,
+    so a grid whose predictions keep missing solves short windows.
     """
-    jobs = [(tuple(t_ends), s0) for t_ends, s0 in jobs]
-    for t_ends, s0 in jobs:
-        _check_ends(t_ends, s0)
-    states = [()] * len(jobs)
-    tables = [{} for _ in jobs]
-    waiting = []  # (job, its march, the time of the fill it missed, its next window length)
+    table, served = {}, 0
 
-    def resume(job, march, ghosts):
-        # ghosts answers, from the new table, the fill that missed (None starts
-        # the march); served counts the fills the table answers
-        table, served = tables[job], 1
-        try:
-            t = march.send(ghosts)
-            while (ghosts := table.get(t)) is not None:
-                served += 1
-                t = march.send(ghosts)
-        except StopIteration as done:
-            states[job] = done.value
-        else:
-            # the first window is whole, a later one twice the fills the last one served
-            waiting.append((job, march, t, min(_WINDOW, 2 * served) if table else _WINDOW))
+    def fill(t: float) -> list[float]:
+        nonlocal table, served
+        if t not in table:
+            size = min(_WINDOW, 2 * served) if table else _WINDOW
+            table, served = _prefetch(s0, t_last, t, size), 0
+        served += 1
+        return table[t]
 
-    for job, (t_ends, s0) in enumerate(jobs):
-        resume(job, _march(t_ends, s0), None)
-    while waiting:
-        misses = waiting.copy()
-        waiting.clear()
-        fetched = _prefetch([(jobs[job][1], jobs[job][0][-1], t, size) for job, _, t, size in misses])
-        for (job, march, t, _), table in zip(misses, fetched):
-            tables[job] = table
-            resume(job, march, table[t])
-    return tuple(states)
+    return fill
 
 
 def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, ...]:
     """March once from s0 and return the state at each of the nondecreasing t_ends.
 
-    The one-grid case of solve_many: each state equals solve(t_end, s0)
-    bit for bit.
+    Each state equals solve(t_end, s0) bit for bit.  The ghost fills are
+    solved ahead in windows of predicted fill times; the foot solve is
+    elementwise, so a served pair equals a solve at that one time, and a
+    wrong prediction costs only a miss.  No window holds a time the march
+    could not ask the field for.  Raises DomainError, before any step, on
+    a non-finite or decreasing end and on an end that takes more than
+    _MAX_STEPS CFL steps to reach; and where it is taken, on a step that
+    leaves the time unchanged.
     """
-    return solve_many([(t_ends, s0)])[0]
+    t_ends = tuple(t_ends)
+    _check_ends(t_ends, s0)
+    return _march(t_ends, s0)
 
 
 def solve(t_end: float, s0: GodunovState) -> GodunovState:

@@ -364,6 +364,31 @@ class TestShockVerb:
         assert float(last[0]) == 1e150
         assert float(last[5]) == float(last[6]) == math.pi / 2
 
+    def test_one_batched_solve_equals_the_rows(self, capsys, monkeypatch):
+        # one shock_trace and one lax_gaps call on the whole linspace; each
+        # row equals its size-1 calls
+        import shocklab.characteristics as ch
+        from shocklab.burgers import shock_trace
+        from shocklab.verification import lax_gaps
+
+        rows = ["t,x,left_value,right_value,speed,lax_lower,lax_upper"]
+        for t in np.linspace(1.1, 3.0, 200):
+            tr = shock_trace(float(t))
+            lo, up = lax_gaps(float(t))
+            rows.append(",".join(map(cli._fmt, (t, 2.0 * t, tr.left_value, tr.right_value, tr.speed, lo, up))))
+        solves = []
+        solve_feet = ch._solve_feet
+        monkeypatch.setattr(ch, "_solve_feet", lambda *a: solves.append(a) or solve_feet(*a))
+        code, out, err = run_cli(capsys, "shock", "--t-range", "1.1:3", "--n", "200")
+        assert (code, err) == (0, "")
+        assert out == "\n".join(rows) + "\n"
+        assert len(solves) <= 2
+
+    def test_past_the_range_prints_no_rows(self, capsys):
+        code, out, err = run_cli(capsys, "shock", "--t-range", "2:1e151", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: shock time t = 5e+150 is beyond the modelled range t <= 1e+150\n"
+
 
 class TestGodunovVerb:
     def test_run_with_compare(self, capsys, tmp_path):

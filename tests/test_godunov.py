@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import shocklab.godunov as fv
 from shocklab.core import DomainError, InvariantViolation, Point
 from shocklab.burgers import psi_classical, psi_weak, psi_weak_array
-from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, solve_many, state_to_csv
+from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, state_to_csv
 from shocklab.verification import run_suite
 
 
@@ -135,20 +135,17 @@ def grid_job(n_cells, x_lo, width, cfl, t0, seed, steps):
 _steps = st.lists(st.just(0.0) | st.floats(0.0, 20.0), min_size=1, max_size=3)
 
 
-def within_reach(jobs):
-    """The exact field, as a fake that fails the test on a point no march of
-    jobs could ask for: a time that is non-finite, below its grid's start, or
-    at or past its grid's last end (each grid known by its ghost cell centers)."""
-    reach = [((s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h), s0.time, t_ends[-1])
-             for t_ends, s0 in jobs if t_ends]
+def within_reach(t_ends, s0):
+    """The exact field, as a fake that fails the test on a point the march of
+    s0 to t_ends could not ask for: one off its ghost cell centers, or at a
+    time that is non-finite, below the start or at or past the last end."""
+    ghost_x = (s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h)
 
     def field(t, x):
         t = np.broadcast_to(t, np.shape(x))
-        inside = np.zeros(np.shape(x), dtype=bool)
-        for ghost_x, start, last in reach:
-            # NaN fails both comparisons
-            inside |= np.isin(x, ghost_x) & (t >= start) & (t < last)
-        assert inside.all(), f"a field call outside the marches' reach: (t, x) = {t[~inside][0]!r}, {x[~inside][0]!r}"
+        # NaN fails both comparisons
+        inside = np.isin(x, ghost_x) & (t >= s0.time) & (t < t_ends[-1])
+        assert inside.all(), f"a field call outside the march's reach: (t, x) = {t[~inside][0]!r}, {x[~inside][0]!r}"
         return psi_weak_array(t, x)
     return field
 
@@ -485,13 +482,13 @@ class TestReferenceMarch:
     def test_equals_reference(self, grid, steps):
         t_ends, s0 = grid_job(*grid, steps)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fv, "psi_weak_array", within_reach([(t_ends, s0)]))
+            mp.setattr(fv, "psi_weak_array", within_reach(t_ends, s0))
             got = outcome(lambda: solve_at(t_ends, s0))
         assert got == outcome(lambda: reference_solve_at(t_ends, s0))
 
     def test_wrong_predictions_only_miss(self, monkeypatch):
         # the cells' max, 1.5, exceeds both ghosts throughout, so every fill
-        # time solve_many predicts from the ghosts alone is wrong: each fill
+        # time the march predicts from the ghosts alone is wrong: each fill
         # misses and starts a window of its own, and the states still equal
         # the reference's
         s0 = GodunovState(-10.0, 10.0, np.full(64, 1.5), 0.0)
@@ -499,7 +496,7 @@ class TestReferenceMarch:
         fills, misses = [], []
         fill, prefetch = fv._fill_ghosts, fv._prefetch
         monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
-        monkeypatch.setattr(fv, "_prefetch", lambda m: misses.extend(m) or prefetch(m))
+        monkeypatch.setattr(fv, "_prefetch", lambda *a: misses.append(a) or prefetch(*a))
         got = outcome(lambda: solve_at(t_ends, s0))
         assert got == outcome(lambda: reference_solve_at(t_ends, s0))
         assert len(misses) == len(fills) >= 10
@@ -516,11 +513,11 @@ class TestReferenceMarch:
             points.append(np.size(x))
             return psi_weak_array(t, x)
 
-        def prefetched(misses):
+        def prefetched(*args):
             first = len(points)
-            tables = prefetch(misses)
+            table = prefetch(*args)
             rounds.append((len(points) - first, sum(points[first:])))
-            return tables
+            return table
 
         fill, prefetch = fv._fill_ghosts, fv._prefetch
         monkeypatch.setattr(fv, "psi_weak_array", counted)
@@ -701,12 +698,11 @@ class TestSolveAt:
         assert len(fills) <= n_solve + 1
 
     def test_godunov_suite_field_calls(self, monkeypatch):
-        # the 4000- and 8000-cell marches in lockstep: 4,661 ghost fills, as
-        # at one field call per fill (1,554 rounds of both grids, 1,553 of
-        # the 8000-cell grid alone), served from 20 windows in 13 rounds of
-        # 4 to 6 fixed-point sweeps, one field call each; and the four
+        # the 4000- and 8000-cell marches: 4,661 ghost fills, as at one field
+        # call per fill (1,554 and 3,107), served from 6 windows (2 and 4) of
+        # 4 to 7 fixed-point sweeps, one field call each; and the four
         # exact-average calls (at one time each) of the two l1_error comparisons
-        calls, fills, rounds = [], [], []
+        calls, fills, windows = [], [], []
 
         def counted(t, x):
             calls.append(np.ndim(t))
@@ -715,107 +711,8 @@ class TestSolveAt:
         fill, prefetch = fv._fill_ghosts, fv._prefetch
         monkeypatch.setattr(fv, "psi_weak_array", counted)
         monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
-        monkeypatch.setattr(fv, "_prefetch", lambda misses: rounds.append(len(misses)) or prefetch(misses))
+        monkeypatch.setattr(fv, "_prefetch", lambda s0, *a: windows.append(s0.n_cells) or prefetch(s0, *a))
         run_suite("godunov")
         assert len(fills) == 4661
-        assert (len(rounds), sum(rounds)) == (13, 20)
-        assert (calls.count(1), calls.count(0)) == (68, 4)
-
-
-class TestSolveMany:
-    # solve_many asks the field only for points the marches could ask for too
-    @settings(max_examples=40, deadline=None)
-    @given(grids=st.lists(st.tuples(_grid, _steps), min_size=1, max_size=3))
-    def test_equals_each_grid_marched_alone(self, grids):
-        jobs = [grid_job(*grid, steps) for grid, steps in grids]
-        alone = [outcome(lambda: reference_solve_at(t_ends, s0)) for t_ends, s0 in jobs]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fv, "psi_weak_array", within_reach(jobs))
-            together = outcome(lambda: [s for states in solve_many(jobs) for s in states])
-        errors = [o for o in alone if isinstance(o, tuple)]
-        if errors:
-            # the grid that fails in the earliest round stops every march
-            assert together in errors
-        else:
-            assert together == sum(alone, [])
-
-    def test_one_field_call_per_round(self, monkeypatch):
-        # each grid's march misses once, at its start, so the one round's
-        # sweep k solves the k-th window of every grid whose window has not
-        # settled, each as its grid's march alone solves it
-        calls = []
-
-        def counted(t, x):
-            calls.append((np.broadcast_to(t, np.shape(x)).tolist(), x.tolist()))
-            return psi_weak_array(t, x)
-
-        jobs = [((0.3,), initial_state(40)), ((0.1, 0.3), initial_state(80, -5.0, 5.0))]
-        monkeypatch.setattr(fv, "psi_weak_array", counted)
-        solo = []
-        for t_ends, s0 in jobs:
-            calls.clear()
-            solve_at(t_ends, s0)
-            solo.append(list(calls))
-        calls.clear()
-        solve_many(jobs)
-        want = []
-        for k in range(max(map(len, solo))):
-            fills = [fill[k] for fill in solo if k < len(fill)]
-            want.append(tuple(sum(part, []) for part in zip(*fills)))
-        assert len(solo[0]) != len(solo[1])
-        assert calls == want
-
-    @pytest.mark.parametrize("bad, message", [
-        (((0.5, math.nan), initial_state(64)), "^t_end = nan is not finite$"),
-        (((0.5, 0.2), initial_state(64)), "^t_end = 0.2 precedes the end time before it 0.5$"),
-        (((0.1,), initial_state(4, 0.0, 1e-320)),
-         "^t_end = 0.1 takes more than 100000000 CFL steps on cells of width 2.5e-321$"),
-    ], ids=["nan_end", "decreasing_end", "step_bound"])
-    @pytest.mark.parametrize("where", [0, 1, 2])
-    def test_bad_job_rejected_before_any_field_call(self, monkeypatch, bad, message, where):
-        calls = []
-
-        def counted(t, x):
-            calls.append(np.size(x))
-            return psi_weak_array(t, x)
-
-        monkeypatch.setattr(fv, "psi_weak_array", counted)
-        good = [((0.5,), initial_state(32)), ((0.2, 0.4), initial_state(48))]
-        with pytest.raises(DomainError, match=message):
-            solve_at(*bad)
-        with pytest.raises(DomainError, match=message):
-            solve_many([*good[:where], bad, *good[where:]])
-        assert calls == []
-
-    @pytest.mark.parametrize("ghosts, message", [
-        ((-3.9, -1.5), "maximum principle violated"),
-        ((-6.0, 6.0), "total variation increased"),
-    ])
-    @pytest.mark.parametrize("first", [True, False])
-    def test_invariant_violation_in_one_grid(self, monkeypatch, ghosts, message, first):
-        # the fake field breaks the invariants on the 30-unit grid's ghosts only
-        def field(t, x):
-            out = np.full(np.size(x), -1.5)
-            bad = np.abs(x) > 12.0
-            out[bad] = np.resize(ghosts, np.count_nonzero(bad))
-            return out
-
-        good = ((1.0,), GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0))
-        bad = ((1.0,), GodunovState(-15.0, 15.0, np.full(64, -1.5), 0.0))
-        monkeypatch.setattr(fv, "psi_weak_array", field)
-        with pytest.raises(InvariantViolation) as want:
-            solve_at(*bad)
-        with pytest.raises(InvariantViolation, match=message) as got:
-            solve_many([bad, good] if first else [good, bad])
-        assert str(got.value) == str(want.value)
-
-    @pytest.mark.parametrize("first", [True, False])
-    def test_step_that_leaves_the_time_unchanged_in_one_grid(self, first):
-        # every CFL step of the 2-cell grid rounds away at t = 5
-        stuck = ((math.nextafter(5.0, 6.0),), replace(initial_state(2, 0.0, 1e-3, cfl=1e-12), time=5.0))
-        good = ((5.5,), replace(initial_state(32), time=5.0))
-        with pytest.raises(DomainError) as want:
-            solve_at(*stuck)
-        with pytest.raises(DomainError, match="leaves t = 5.0 unchanged") as got:
-            solve_many([stuck, good] if first else [good, stuck])
-        assert str(got.value) == str(want.value)
+        assert (windows.count(4000), windows.count(8000)) == (2, 4)
+        assert (calls.count(1), calls.count(0)) == (36, 4)

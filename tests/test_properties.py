@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shocklab.godunov as fv
 from shocklab.burgers import psi_classical, psi_classical_array, psi_weak, psi_weak_array
 from shocklab.characteristics import (
     BoundaryCurve,
@@ -234,17 +235,17 @@ def assert_batch_equals_size_one_calls(t, x, where=None):
         assert batch[k:k + 1].tobytes() == one.tobytes(), (t[k], x[k])
 
 
-# godunov.solve_many solves a window of predicted ghost fills in one call
-# and serves each fill from it, which rests on the foot solve being
+# A Godunov march solves a window of predicted ghost fills in one call and
+# serves each fill from it, which rests on the foot solve being
 # elementwise.  A ghost-like batch: both ghost cell centers, interleaved as
-# solve_many asks for them, at increasing times across t = 1; 256 times is
-# a full window.
+# the window solve asks for them, at increasing times across t = 1, up to
+# a full window of fv._WINDOW times.
 @settings(max_examples=15, deadline=None)
 @given(
     ghost_x=st.tuples(st.one_of(X, NEAR), st.one_of(X, NEAR)),
     t_lo=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     t_hi=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
-    n=st.sampled_from([2, 3, 17, 256]),
+    n=st.sampled_from([2, 3, 17, fv._WINDOW]),
 )
 def test_ghost_batch_equals_size_one_calls(ghost_x, t_lo, t_hi, n):
     t = np.linspace(t_lo, t_hi, n)
