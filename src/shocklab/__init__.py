@@ -77,13 +77,13 @@ from .verification import (
     AgreementReport,
     CheckResult,
     FitReport,
-    HolderTarget,
     OleinikReport,
     Report,
     TestFunction,
     agreement_disagreement_scan,
+    boundary_fit,
     dyadic_offsets,
-    holder_fit,
+    horizon_fit,
     lax_gaps,
     oleinik_scan,
     rh_residual,

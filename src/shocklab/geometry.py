@@ -116,7 +116,8 @@ def _check_regular(psi: float | np.ndarray) -> None:
 def metric(psi: float | np.ndarray) -> Metric2:
     """Covariant acoustic metric at field value psi (a float or an array of them)."""
     _check_regular(psi)
-    s = (4.0 + psi) ** 2
+    q = 4.0 + psi
+    s = q * q  # a product, so that a float and an array round alike
     return Metric2(gtt=-8.0 * (2.0 + psi) / s, gtx=-2.0 * psi / s, gxx=4.0 / s)
 
 
@@ -163,10 +164,7 @@ def shock_tangent_norms(t):
     (right/classical) and post-shock (left) fields; equals
     -16 psi / (4 + psi)^2 at the one-sided values.
 
-    An array of times gives two arrays, from one batched foot solve.  The
-    metric squares 4 + psi with **, which numpy rounds as a product and a
-    float as pow(), so an array's norms can differ from those of float
-    calls in the last bit.
+    An array of times gives two arrays, from one batched foot solve.
     """
     trace = shock_trace(t)
     right = metric(trace.right_value).norm_sq(SHOCK_TANGENT)

@@ -20,7 +20,6 @@ bit-for-bit for a fixed seed.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -75,7 +74,6 @@ __all__ = [
     "FitReport",
     "OleinikReport",
     "AgreementReport",
-    "HolderTarget",
     "CheckResult",
     "Report",
     "halton",
@@ -83,7 +81,8 @@ __all__ = [
     "oleinik_scan",
     "rh_residual",
     "lax_gaps",
-    "holder_fit",
+    "boundary_fit",
+    "horizon_fit",
     "dyadic_offsets",
     "agreement_disagreement_scan",
     "SUITE_NAMES",
@@ -292,14 +291,21 @@ def oleinik_scan(t: float, x_range: tuple[float, float], n: int) -> OleinikRepor
     The entropy field is nonincreasing in x at fixed t, so the maximum is
     <= 0 up to root-solver noise: strictly stronger than the one-sided
     bound C (1 + 1/t) for any C > 0 (bound() reports it for C = 1).
+    Either end may come first; a range whose n steps are not all nonzero
+    is refused.
     """
     if n < 2:
         raise DomainError("need at least 2 sample pairs")
     if t <= 0.0:
         raise DomainError("scan time must be positive")
+    for x in x_range:  # each end a modelled point, so that the width is finite
+        Point(t, x)
     xs = np.linspace(x_range[0], x_range[1], n + 1)
+    dx = np.diff(xs)
+    if not dx.all():
+        raise DomainError(f"scan range {x_range} is too narrow for {n} distinct steps")
     vals = psi_weak_array(t, xs)
-    quot = np.diff(vals) / np.diff(xs)
+    quot = np.diff(vals) / dx
     return OleinikReport(t=t, max_quotient=float(np.max(quot)), n_pairs=n)
 
 
@@ -333,12 +339,6 @@ def lax_gaps(t):
 # Power-law fits of the boundary degeneracies
 # ---------------------------------------------------------------------------
 
-class HolderTarget(enum.Enum):
-    CREASE_SPATIAL = "CreaseSpatial"
-    SINGULAR_BOUNDARY_SPATIAL = "SingularBoundarySpatial"
-    HORIZON_JUMP = "HorizonJump"
-
-
 @dataclass(frozen=True)
 class FitReport:
     """Log-log least-squares fit value ~ coefficient * offset**exponent."""
@@ -354,25 +354,8 @@ def dyadic_offsets(start: float, count: int) -> tuple[float, ...]:
     return tuple(start * 2.0 ** -k for k in range(count))
 
 
-def _fit_power_law(offsets, values) -> tuple[float, float, float]:
-    lx = np.log(np.asarray(offsets, dtype=float))
-    ly = np.log(np.asarray(values, dtype=float))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    (slope, intercept), res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    ss_res = float(res[0]) if len(res) else float(np.sum((ly - A @ [slope, intercept]) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(math.exp(intercept)), r2
-
-
-def holder_fit(target: HolderTarget, base, offsets) -> FitReport:
-    """Fitted power law of a boundary degeneracy.
-
-    SINGULAR_BOUNDARY_SPATIAL: field drop right of the boundary at fixed
-    time `base` (square root expected).  CREASE_SPATIAL: the same drop at
-    B's t = 1 end, the crease (1, 2), which `base` must be (cube root
-    expected).  HORIZON_JUMP: the potential derivative probe above the
-    horizon at fixed x = `base`.
+def _fit(offsets, values_at) -> FitReport:
+    """Power law of values_at(offsets) against the offsets.
 
     Offsets must be strictly decreasing inside the validated window
     [1e-8, 1e-2]; raises PoorFit when r^2 falls below 0.999.
@@ -382,35 +365,37 @@ def holder_fit(target: HolderTarget, base, offsets) -> FitReport:
         raise DomainError("offsets must be strictly decreasing")
     if offsets[0] > 1e-2 + 1e-15 or offsets[-1] < 1e-8 - 1e-22:
         raise DomainError("offsets outside the validated window [1e-8, 1e-2]")
-
-    if target is HolderTarget.HORIZON_JUMP:
-        x = float(base)
-        vals = np.array([abs(horizon_jump_probe(x, d)) for d in offsets])
-    else:
-        if target is HolderTarget.CREASE_SPATIAL:
-            if not isinstance(base, Point) or abs(base.t - 1.0) > 1e-9 or abs(base.x - 2.0) > 1e-9:
-                raise DomainError("crease fit must anchor at (1, 2)")
-            t_bar = 1.0  # the crease is the t = 1 end of B
-        elif target is HolderTarget.SINGULAR_BOUNDARY_SPATIAL:
-            t_bar = float(base)
-            if t_bar <= 1.0:
-                raise DomainError("boundary fit needs t > 1")
-        else:
-            raise DomainError(f"unknown fit target {target}")
-        x_bar = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t_bar)
-        _, v0 = psi_boundary_extension(math.sqrt(t_bar - 1.0))
-        xs = np.array([x_bar + d for d in offsets])
-        vals = np.abs(psi_classical_array(t_bar, xs) - v0)
-
-    slope, coeff, r2 = _fit_power_law(offsets, vals)
+    vals = values_at(offsets)
+    lx, ly = np.log(np.array(offsets)), np.log(vals)
+    A = np.vstack([lx, np.ones_like(lx)]).T
+    (slope, intercept), res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    ss_res = float(res[0]) if len(res) else float(np.sum((ly - A @ [slope, intercept]) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if r2 < _R2_MIN:
         raise PoorFit(f"power-law fit r^2 = {r2:.6f} < {_R2_MIN}")
     return FitReport(
-        exponent=slope,
-        coefficient=coeff,
+        exponent=float(slope),
+        coefficient=math.exp(intercept),
         r_squared=r2,
         samples=tuple(zip(offsets, (float(v) for v in vals))),
     )
+
+
+def boundary_fit(t_bar: float, offsets) -> FitReport:
+    """Fitted power law of the field drop right of the singular boundary at fixed time t_bar >= 1.
+
+    A square root is expected for t_bar > 1; t_bar = 1 is B's end at the
+    crease (1, 2), where a cube root is expected.
+    """
+    x_bar = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t_bar)
+    _, v0 = psi_boundary_extension(math.sqrt(t_bar - 1.0))
+    return _fit(offsets, lambda d: np.abs(psi_classical_array(t_bar, x_bar + np.array(d)) - v0))
+
+
+def horizon_fit(x: float, offsets) -> FitReport:
+    """Fitted power law of the potential-derivative probe at fixed x, the offsets above the Cauchy horizon."""
+    return _fit(offsets, lambda d: np.array([abs(horizon_jump_probe(x, e)) for e in d]))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +476,17 @@ class CheckResult:
         return f"{status} {self.name}: measured={self.measured:.6e} threshold={self.threshold:.6e} ({self.claim})"
 
 
+def _at_most(name: str, measured: float, threshold: float, claim: str) -> CheckResult:
+    """The check that measured <= threshold."""
+    return CheckResult(name, measured <= threshold, measured, threshold, claim)
+
+
+def _power_law(name: str, fit: FitReport, exponent: float, coefficient: float, claim: str) -> CheckResult:
+    """The check that a fit's exponent is within 0.02 of `exponent` and its coefficient within 5 %."""
+    ok = abs(fit.exponent - exponent) <= 0.02 and abs(fit.coefficient / coefficient - 1.0) <= 0.05
+    return CheckResult(name, ok, fit.exponent, exponent, claim)
+
+
 @dataclass
 class Report:
     seed: int
@@ -528,9 +524,8 @@ class Report:
 
 def _suite_rh(seed: int) -> list[CheckResult]:
     worst = float(np.max(rh_residual(_LOG_TIMES)))
-    return [CheckResult(
-        "rankine_hugoniot", worst <= 1e-11, worst, 1e-11,
-        "shock speed equals the mean of the one-sided characteristic speeds",
+    return [_at_most(
+        "rankine_hugoniot", worst, 1e-11, "shock speed equals the mean of the one-sided characteristic speeds",
     )]
 
 
@@ -560,9 +555,8 @@ def _suite_oleinik(seed: int) -> list[CheckResult]:
     worst = max(
         oleinik_scan(t, (-10.0, 10.0), 400).max_quotient for t in (0.5, 1.0, 2.0, 5.0)
     )
-    return [CheckResult(
-        "oleinik_one_sided", worst <= 1e-10, worst, 1e-10,
-        "forward difference quotients of the entropy field are nonpositive",
+    return [_at_most(
+        "oleinik_one_sided", worst, 1e-10, "forward difference quotients of the entropy field are nonpositive",
     )]
 
 
@@ -592,8 +586,8 @@ def _suite_weakform(seed: int) -> list[CheckResult]:
         SolutionVariant.WEAK, TestFunction(Point(2.0, 4.0), (0.4, 0.8)), shock_shift=0.05,
     ))
     return [
-        CheckResult(
-            "weak_form_identity", worst <= 1e-6, worst, 1e-6,
+        _at_most(
+            "weak_form_identity", worst, 1e-6,
             "the entropy field satisfies the divergence-form equation distributionally",
         ),
         CheckResult(
@@ -604,28 +598,19 @@ def _suite_weakform(seed: int) -> list[CheckResult]:
 
 
 def _suite_holder(seed: int) -> list[CheckResult]:
-    out = []
-    crease = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11))
-    c_ok = abs(crease.exponent - 1.0 / 3.0) <= 0.02 and abs(
-        crease.coefficient / 3.0 ** (1.0 / 3.0) - 1.0
-    ) <= 0.05
-    out.append(CheckResult(
-        "holder_crease", c_ok, crease.exponent, 1.0 / 3.0,
+    out = [_power_law(
+        "holder_crease", boundary_fit(1.0, dyadic_offsets(1e-3, 11)), 1.0 / 3.0, 3.0 ** (1.0 / 3.0),
         "cube-root field profile at the crease with coefficient 3^(1/3)",
-    ))
+    )]
     for t_bar in (1.5, 2.0, 5.0):
-        fit = holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, t_bar, dyadic_offsets(1e-4, 11))
-        pred = abs(expansion_near_B(t_bar).leading_coefficient)
-        ok = abs(fit.exponent - 0.5) <= 0.02 and abs(fit.coefficient / pred - 1.0) <= 0.05
-        out.append(CheckResult(
-            f"holder_singular_boundary_t{t_bar}", ok, fit.exponent, 0.5,
+        out.append(_power_law(
+            f"holder_singular_boundary_t{t_bar}", boundary_fit(t_bar, dyadic_offsets(1e-4, 11)),
+            0.5, abs(expansion_near_B(t_bar).leading_coefficient),
             "square-root field profile transverse to the singular boundary",
         ))
     for x in (-2.0, 0.0, 1.0):
-        fit = holder_fit(HolderTarget.HORIZON_JUMP, x, dyadic_offsets(1e-2, 11))
-        ok = abs(fit.exponent - 0.5) <= 0.02 and abs(fit.coefficient / math.sqrt(6.0) - 1.0) <= 0.05
-        out.append(CheckResult(
-            f"holder_horizon_x{x}", ok, fit.exponent, 0.5,
+        out.append(_power_law(
+            f"holder_horizon_x{x}", horizon_fit(x, dyadic_offsets(1e-2, 11)), 0.5, math.sqrt(6.0),
             "potential-derivative probe above the Cauchy horizon: sqrt profile with "
             "coefficient sqrt(6); expected to fail, since the oracle-verified "
             "derivative is differentiable there and the probe decays linearly "
@@ -636,9 +621,8 @@ def _suite_holder(seed: int) -> list[CheckResult]:
 
 def _suite_tangency(seed: int) -> list[CheckResult]:
     worst = max(tangency_residual_B(float(t)) for t in _LOG_TIMES)
-    return [CheckResult(
-        "boundary_tangency", worst <= 1e-10, worst, 1e-10,
-        "the extended outgoing speed matches the singular-boundary slope",
+    return [_at_most(
+        "boundary_tangency", worst, 1e-10, "the extended outgoing speed matches the singular-boundary slope",
     )]
 
 
@@ -669,25 +653,17 @@ def _suite_nullness(seed: int) -> list[CheckResult]:
     worst_dec = float(np.max(np.abs(dec)))
     horizon = max(horizon_null_check(float(t)) for t in (1.5, 3.0, 10.0))
     return [
-        CheckResult(
-            "frame_nullness", worst_null <= 1e-13, worst_null, 1e-13,
-            "both frame directions are null for every field value",
-        ),
+        _at_most("frame_nullness", worst_null, 1e-13, "both frame directions are null for every field value"),
         CheckResult(
             "lorentzian_signature", worst_det < 0.0, worst_det, 0.0,
             "the metric determinant is negative on the field range",
         ),
-        CheckResult(
-            "inverse_metric_identity", worst_inv <= 1e-13, worst_inv, 1e-13,
-            "metric times inverse metric is the identity",
+        _at_most("inverse_metric_identity", worst_inv, 1e-13, "metric times inverse metric is the identity"),
+        _at_most(
+            "inverse_metric_decomposition", worst_dec, 1e-13, "the inverse metric equals -(L@Lbar + Lbar@L)/2",
         ),
-        CheckResult(
-            "inverse_metric_decomposition", worst_dec <= 1e-13, worst_dec, 1e-13,
-            "the inverse metric equals -(L@Lbar + Lbar@L)/2",
-        ),
-        CheckResult(
-            "horizon_nullness", horizon <= 1e-13, horizon, 1e-13,
-            "the Cauchy horizon tangent is null for the extended metric",
+        _at_most(
+            "horizon_nullness", horizon, 1e-13, "the Cauchy horizon tangent is null for the extended metric",
         ),
     ]
 
@@ -703,8 +679,7 @@ def _suite_bubble(seed: int) -> list[CheckResult]:
     apex = Point(2.0, 5.0 - _HALF_PI)
     target = Point(1.0, 2.1)
     explicit = causal_past_contains(apex, target) and not timelike_past_contains(apex, target)
-    # the 50 times and, last, the reference time 4/pi (whose norms equal a
-    # float call's bit for bit), in one batch
+    # the 50 times and, last, the reference time 4/pi, in one batch
     right, left = shock_tangent_norms(np.append(_LOG_TIMES, 4.0 / math.pi))
     sc_ok = bool(np.all(right[:-1] > 0.0) and np.all(left[:-1] < 0.0))
     right, left = float(right[-1]), float(left[-1])
@@ -743,8 +718,8 @@ def _suite_pde(seed: int) -> list[CheckResult]:
     r_coarse, r_fine = pde_residual_classical(0.7, 1.1 + 0.08 * np.arange(10), np.array([[4e-3], [2e-3]]))
     min_order = min(map(math.log2, r_coarse[r_fine > 0] / r_fine[r_fine > 0]))
     return [
-        CheckResult(
-            "pde_residual", worst <= 1e-6, worst, 1e-6,
+        _at_most(
+            "pde_residual", worst, 1e-6,
             "the classical pair satisfies the first-order system to finite-difference accuracy",
         ),
         CheckResult(
@@ -757,8 +732,8 @@ def _suite_pde(seed: int) -> list[CheckResult]:
 def _suite_agreement(seed: int) -> list[CheckResult]:
     rep = agreement_disagreement_scan(1000, seed)
     return [
-        CheckResult(
-            "agreement_region", rep.max_gap_omega_a <= 1e-11, rep.max_gap_omega_a, 1e-11,
+        _at_most(
+            "agreement_region", rep.max_gap_omega_a, 1e-11,
             "classical and entropy fields agree below the shock and horizon",
         ),
         CheckResult(
@@ -785,14 +760,8 @@ def _suite_godunov(seed: int) -> list[CheckResult]:
     pc = psi_classical(WEDGE_PROBE)
     entropy_ok = abs(u - pw) <= 0.05 and abs(u - pc) >= 0.5
     return [
-        CheckResult(
-            "godunov_l1", e4 <= 1e-2, e4, 1e-2,
-            "the monotone scheme converges to the entropy field in L1",
-        ),
-        CheckResult(
-            "godunov_l1_ratio", e8 / e4 <= 0.75, e8 / e4, 0.75,
-            "the L1 error keeps decreasing under refinement",
-        ),
+        _at_most("godunov_l1", e4, 1e-2, "the monotone scheme converges to the entropy field in L1"),
+        _at_most("godunov_l1_ratio", e8 / e4, 0.75, "the L1 error keeps decreasing under refinement"),
         CheckResult(
             "godunov_entropy_selection", entropy_ok, abs(u - pw), 0.05,
             "the scheme selects the entropy branch, not the classical one, in the wedge",
@@ -824,6 +793,9 @@ def run_suite(suite: str = "all", seed: int = 0) -> Report:
         names = (suite,)
     else:
         raise DomainError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
+    # the sampler reads Halton indices up to about seed + 2**18, which must fit in int64
+    if not 0 <= seed <= 2**62:
+        raise DomainError(f"seed must lie in [0, 2**62], got {seed}")
     report = Report(seed=seed)
     for name in names:
         report.checks.extend(_SUITES[name](seed))

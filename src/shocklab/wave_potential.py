@@ -52,7 +52,7 @@ from .core import (
     psi0,
 )
 from .characteristics import RegionTag, classify_array, foot_classical_array, foot_weak_array, on_shock
-from .characteristics import _bracket, _solve_feet
+from .characteristics import shock_feet
 from .burgers import psi, psi_classical_array, shock_trace
 
 __all__ = [
@@ -134,9 +134,11 @@ def phi_array(t, x, variant: SolutionVariant) -> np.ndarray:
         crosses, t_c = _shock_crossing(t, x)
         t_c = np.where(crosses, t_c, 0.0)
     c = x + 2.0 * t
-    # x0: the right-family foot of the crossing point (t_c, 2 t_c), solved
-    # directly, as that point may lie past the modelled |x| range
-    x0 = np.where(crosses, _solve_feet(t_c, zero, *_bracket(t_c, zero, crosses)), c) if crosses.any() else c
+    # x0: the positive shock foot at the crossing time t_c; c is a numpy scalar on a size-1 call
+    x0 = c
+    if crosses.any():
+        x0 = np.array(c)
+        x0[crosses] = shock_feet(t_c[crosses])[1]
     # [u, -x0] and [x0, c] where the path crosses the shock at time t_c,
     # [u, c] and the empty [c, c] elsewhere
     parts = _foot_integral(

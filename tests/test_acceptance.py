@@ -16,7 +16,6 @@ import pytest
 import shocklab as sl
 from shocklab import Point, SolutionVariant
 from shocklab.characteristics import BoundaryCurve
-from shocklab.verification import HolderTarget
 
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
 
@@ -69,14 +68,12 @@ class TestAcceptance:
         assert ok
 
     def test_c05_holder_crease_and_boundary(self):
-        crease = sl.holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0),
-                               sl.dyadic_offsets(1e-3, 11))
+        crease = sl.boundary_fit(1.0, sl.dyadic_offsets(1e-3, 11))
         ok = abs(crease.exponent - 1.0 / 3.0) <= 0.02
         ok = ok and abs(crease.coefficient / 3.0 ** (1.0 / 3.0) - 1.0) <= 0.05
         detail = [f"crease ({crease.exponent:.4f}, {crease.coefficient:.4f})"]
         for t_bar in (1.5, 2.0, 5.0):
-            fit = sl.holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, t_bar,
-                                sl.dyadic_offsets(1e-4, 11))
+            fit = sl.boundary_fit(t_bar, sl.dyadic_offsets(1e-4, 11))
             pred = abs(sl.expansion_near_B(t_bar).leading_coefficient)
             ok = ok and abs(fit.exponent - 0.5) <= 0.02
             ok = ok and abs(fit.coefficient / pred - 1.0) <= 0.05
@@ -94,7 +91,7 @@ class TestAcceptance:
     def test_c06_horizon_roughness(self):
         oks, details = [], []
         for x in (-2.0, 0.0, 1.0):
-            fit = sl.holder_fit(HolderTarget.HORIZON_JUMP, x, sl.dyadic_offsets(1e-2, 11))
+            fit = sl.horizon_fit(x, sl.dyadic_offsets(1e-2, 11))
             ok = abs(fit.exponent - 0.5) <= 0.02
             ok = ok and abs(fit.coefficient / math.sqrt(6.0) - 1.0) <= 0.05
             oks.append(ok)

@@ -481,6 +481,12 @@ class TestVerifyVerb:
         failing = [c["name"] for c in doc["checks"] if c["status"] == "fail"]
         assert failing and all(name.startswith("holder_horizon") for name in failing)
 
+    @pytest.mark.parametrize("suite", ["pde", "all"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**62 + 1), "99999999999999999999"])
+    def test_seed_outside_the_sampler_range_exit_2(self, capsys, suite, seed):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
+        assert (code, out, err) == (2, "", f"error: seed must lie in [0, 2**62], got {seed}\n")
+
     def test_policy_echo(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--suite", "rh")
         doc = json.loads(out)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shocklab.godunov as fv
@@ -23,6 +23,7 @@ from shocklab.characteristics import (
     shock_feet,
 )
 from shocklab.core import GEOM_TOL, DomainError, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.geometry import metric, shock_tangent_norms
 from shocklab.wave_potential import phi, phi_array
 
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
@@ -279,3 +280,28 @@ def test_shock_feet_batch_equals_float_calls(times):
     neg, pos = shock_feet(np.array(times))
     for k, t in enumerate(times):
         assert (neg[k].hex(), pos[k].hex()) == tuple(u.hex() for u in shock_feet(t)), t
+
+
+# The metric squares 4 + psi as a product, so a float call rounds like an
+# array element; the examples are values where a float's pow() and numpy's
+# square differ in the last bit.
+@settings(deadline=None)
+@given(st.lists(
+    st.floats(min_value=-math.pi / 2, max_value=math.pi / 2, exclude_min=True, exclude_max=True),
+    min_size=1, max_size=60,
+))
+@example([-0.10090671945790652, -0.44502275830928384, -1.3665747651698346])
+def test_metric_array_equals_float_calls(psis):
+    g = metric(np.array(psis))
+    for k, p in enumerate(psis):
+        h = metric(p)
+        assert (g.gtt[k].hex(), g.gtx[k].hex(), g.gxx[k].hex()) == (h.gtt.hex(), h.gtx.hex(), h.gxx.hex()), p
+
+
+@settings(deadline=None)
+@given(st.lists(SHOCK_T, min_size=1, max_size=60))
+@example([1.8266749114598961, 58.460865836035644, 53.868699901970295])
+def test_shock_tangent_norms_batch_equals_float_calls(times):
+    right, left = shock_tangent_norms(np.array(times))
+    for k, t in enumerate(times):
+        assert (right[k].hex(), left[k].hex()) == tuple(q.hex() for q in shock_tangent_norms(t)), t

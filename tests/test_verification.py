@@ -18,15 +18,15 @@ from shocklab.characteristics import (
 )
 from shocklab.core import DomainError, OutsideDomain, Point, PoorFit, SolutionVariant, gauss_panel, psi0
 from shocklab.verification import (
-    HolderTarget,
     TestFunction,
     _pde_margins,
     _sample,
     _suite_pde,
     agreement_disagreement_scan,
+    boundary_fit,
     dyadic_offsets,
     halton,
-    holder_fit,
+    horizon_fit,
     lax_gaps,
     oleinik_scan,
     rh_residual,
@@ -283,6 +283,22 @@ class TestScans:
         with pytest.raises(DomainError, match="scan time must be positive"):
             oleinik_scan(0.0, (-1.0, 1.0), 10)
 
+    @pytest.mark.parametrize("x_range, message", [
+        ((0.0, 0.0), "too narrow for 10 distinct steps"),
+        ((0.0, 5e-324), "too narrow for 10 distinct steps"),
+        ((1e10, 1e10 + 1e-5), "too narrow for 10 distinct steps"),
+        ((-math.inf, 1.0), "non-finite point"),
+        ((-1e308, 1e308), "beyond the modelled range"),
+    ])
+    def test_oleinik_refuses_a_degenerate_range(self, x_range, message):
+        with pytest.raises(DomainError, match=message):
+            oleinik_scan(2.0, x_range, 10)
+
+    def test_oleinik_reversed_range(self):
+        # the same pairs, in the other order: the same quotients up to rounding
+        rep = oleinik_scan(2.0, (10.0, -10.0), 400)
+        assert rep.max_quotient == pytest.approx(oleinik_scan(2.0, (-10.0, 10.0), 400).max_quotient, rel=1e-12)
+
     def test_rh_residual(self):
         for t in (1.01, 4.0 / math.pi, 2.0, 10.0):
             assert rh_residual(t) <= 1e-11
@@ -317,69 +333,57 @@ class TestScans:
 
 class TestHolderFits:
     def test_crease(self):
-        fit = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11))
+        fit = boundary_fit(1.0, dyadic_offsets(1e-3, 11))
         assert fit.exponent == pytest.approx(1.0 / 3.0, abs=0.02)
         assert fit.coefficient == pytest.approx(3.0 ** (1.0 / 3.0), rel=0.05)
         assert fit.r_squared > 0.9999
 
     def test_singular_boundary(self):
         from shocklab.burgers import expansion_near_B
-        fit = holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 2.0, dyadic_offsets(1e-4, 11))
+        fit = boundary_fit(2.0, dyadic_offsets(1e-4, 11))
         assert fit.exponent == pytest.approx(0.5, abs=0.02)
         assert fit.coefficient == pytest.approx(abs(expansion_near_B(2.0).leading_coefficient), rel=0.05)
 
     def test_exponent_stable_under_window_halving(self):
-        f1 = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(1e-3, 11))
-        f2 = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), dyadic_offsets(5e-4, 11))
+        f1 = boundary_fit(1.0, dyadic_offsets(1e-3, 11))
+        f2 = boundary_fit(1.0, dyadic_offsets(5e-4, 11))
         assert abs(f1.exponent - f2.exponent) <= 0.005
 
     def test_horizon_probe_decays_linearly(self):
         # the sqrt-order terms cancel in the verified closed form
-        fit = holder_fit(HolderTarget.HORIZON_JUMP, 0.0, dyadic_offsets(1e-2, 11))
+        fit = horizon_fit(0.0, dyadic_offsets(1e-2, 11))
         assert fit.exponent == pytest.approx(1.0, abs=0.05)
 
     def test_offset_window_validation(self):
         with pytest.raises(DomainError):
-            holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), (1e-1, 1e-2))
+            boundary_fit(1.0, (1e-1, 1e-2))
         with pytest.raises(DomainError):
-            holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), (1e-3, 1e-3))
-
-    @pytest.mark.parametrize("base", [1.0, Point(1.0, 2.5)])
-    def test_crease_fit_needs_the_crease(self, base):
-        with pytest.raises(DomainError, match="crease fit must anchor at"):
-            holder_fit(HolderTarget.CREASE_SPATIAL, base, dyadic_offsets(1e-3, 5))
+            boundary_fit(1.0, (1e-3, 1e-3))
 
     def test_boundary_fit_needs_t_past_the_crease(self):
-        with pytest.raises(DomainError, match="boundary fit needs t > 1"):
-            holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 1.0, dyadic_offsets(1e-4, 5))
-
-    def test_unknown_target(self):
-        with pytest.raises(DomainError, match="unknown fit target CreaseSpatial"):
-            holder_fit("CreaseSpatial", Point(1.0, 2.0), dyadic_offsets(1e-3, 5))
+        # t = 1 is the crease, B's first point; before it B does not exist
+        with pytest.raises(DomainError, match="boundary curves are defined for t >= 1"):
+            boundary_fit(0.999, dyadic_offsets(1e-4, 5))
 
     def test_poor_fit(self):
         # offsets up to 1e-2 from B just past the crease bend the log-log line
         with pytest.raises(PoorFit, match=r"r\^2 = 0.998444 < 0.999"):
-            holder_fit(HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 1.001, dyadic_offsets(1e-2, 11))
+            boundary_fit(1.001, dyadic_offsets(1e-2, 11))
 
     # float.hex of (exponent, coefficient, r_squared)
-    @pytest.mark.parametrize("target, base, start, expected", [
-        (HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), 1e-3,
-         ("0x1.54ff3764e90c7p-2", "0x1.6fb6004179de1p+0", "0x1.fffff49fab407p-1")),
-        (HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 1.5, 1e-4,
-         ("0x1.ff462160095bdp-2", "0x1.ebd76667eb032p-1", "0x1.fffff1c6c90e7p-1")),
-        (HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 2.0, 1e-4,
-         ("0x1.ff66b380ac1d2p-2", "0x1.66d9e9d8380c0p-1", "0x1.fffff65095a21p-1")),
-        (HolderTarget.SINGULAR_BOUNDARY_SPATIAL, 5.0, 1e-4,
-         ("0x1.ff908af299e58p-2", "0x1.41bdf2409445ep-2", "0x1.fffffae14dbf3p-1")),
+    @pytest.mark.parametrize("t_bar, start, expected", [
+        (1.0, 1e-3, ("0x1.54ff3764e90c7p-2", "0x1.6fb6004179de1p+0", "0x1.fffff49fab407p-1")),
+        (1.5, 1e-4, ("0x1.ff462160095bdp-2", "0x1.ebd76667eb032p-1", "0x1.fffff1c6c90e7p-1")),
+        (2.0, 1e-4, ("0x1.ff66b380ac1d2p-2", "0x1.66d9e9d8380c0p-1", "0x1.fffff65095a21p-1")),
+        (5.0, 1e-4, ("0x1.ff908af299e58p-2", "0x1.41bdf2409445ep-2", "0x1.fffffae14dbf3p-1")),
     ], ids=["crease", "B_1.5", "B_2", "B_5"])
-    def test_frozen_fits(self, target, base, start, expected):
-        fit = holder_fit(target, base, dyadic_offsets(start, 11))
+    def test_frozen_fits(self, t_bar, start, expected):
+        fit = boundary_fit(t_bar, dyadic_offsets(start, 11))
         assert tuple(v.hex() for v in (fit.exponent, fit.coefficient, fit.r_squared)) == expected
 
     def test_samples_recorded(self):
         offs = dyadic_offsets(1e-3, 5)
-        fit = holder_fit(HolderTarget.CREASE_SPATIAL, Point(1.0, 2.0), offs)
+        fit = boundary_fit(1.0, offs)
         assert tuple(s[0] for s in fit.samples) == offs
 
 
@@ -405,6 +409,11 @@ class TestSuiteRunner:
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
             run_suite("nonsense")
+
+    def test_largest_seed(self):
+        # every Halton index the pde and agreement samples read fits in int64
+        assert run_suite("pde", 2**62).all_passed
+        assert run_suite("agreement", 2**62).all_passed
 
     def test_deterministic_reports(self):
         a = json.dumps(run_suite("lax", seed=42).to_dict(), sort_keys=True)
