@@ -28,6 +28,8 @@ from .core import (
     NearSingular,
     Point,
     SolutionVariant,
+    _float_call,
+    _raise_at,
     psi0,
     psi0_prime,
     psi0_second,
@@ -37,6 +39,7 @@ from .characteristics import (
     foot_classical_array,
     foot_weak,
     foot_weak_array,
+    outgoing_char,
     shock_feet,
 )
 
@@ -143,17 +146,15 @@ def psi(p: Point, variant: SolutionVariant) -> float:
     return psi_weak(p)
 
 
-def psi_boundary_extension(z: float) -> tuple[Point, float]:
+def psi_boundary_extension(z) -> tuple[Point, float]:
     """Boundary point S(z) = (1 + z^2, (2 - arctan z)(1 + z^2) + z) and field value there.
 
     z = 0 is the crease (1, 2) with value 0; z > 0 walks up the singular
-    boundary carrying the continuously extended value psi0(z).
-    """
-    if z < 0.0:
-        raise DomainError(f"boundary parameter must be >= 0, got {z}")
-    t = 1.0 + z * z
-    x = (2.0 - math.atan(z)) * t + z
-    return Point(t, x), float(psi0(z))
+    boundary carrying the continuously extended value psi0(z).  An array of
+    z gives a Point of arrays and an array of values (a float, the size-1 case)."""
+    zs = np.asarray(z, dtype=float)
+    _raise_at(zs < 0.0, DomainError, "boundary parameter must be >= 0, got {z}", zs, zs, z=zs)
+    return outgoing_char(z, 1.0 + z * z), _float_call(psi0(zs))
 
 
 def shock_trace(t) -> ShockTrace:

@@ -1,11 +1,13 @@
 """Outgoing characteristics, foot maps, boundary curves, and the region map.
 
 Straight characteristics emanate from the initial slice: the curve with
-foot x0 is (t, x0 + t*(2 + psi0(x0))).  Characteristics from x0 > 0 focus
-and blow up at t = 1 + x0^2 along the singular boundary B, those from
-x0 <= 0 run into the null line C: x = 4 - 2t (the Cauchy horizon), and in
-the entropy solution the ones from +x0 and -x0 annihilate pairwise on the
-shock K: x = 2t.  All three curves meet at the crease (1, 2).
+foot x0 is (t, x0 + t*(2 + psi0(x0))), written once (_char_x).
+Characteristics from x0 > 0 focus and blow up at t = 1 + x0^2 along the
+singular boundary B, x_B(t) = _char_x(sqrt(t-1), t), those from x0 <= 0
+run into the null line C: x = 4 - 2t (the Cauchy horizon), and in the
+entropy solution the ones from +x0 and -x0 annihilate pairwise on the
+shock K: x = 2t.  All three curves meet at the crease (1, 2).  The curve
+maps take a float or an array of times; the float call is the size-1 case.
 
 Inverting a characteristic through a point (t, x) means solving
 
@@ -34,10 +36,10 @@ from .core import (
     OnShockError,
     OutsideDomain,
     Point,
-    _MODELLED_RANGE,
     _check_points,
+    _check_times,
+    _float_call,
     _raise_at,
-    psi0,
 )
 
 __all__ = [
@@ -84,9 +86,21 @@ class BoundaryCurve(enum.Enum):
 # Forward map and termination times
 # ---------------------------------------------------------------------------
 
-def outgoing_char(x0: float, t: float) -> Point:
-    """Point reached at time t by the characteristic with foot x0."""
-    return Point(t, x0 + t * (2.0 + float(psi0(x0))))
+def _char_x(x0, t):
+    """x at time t of the characteristic with foot x0, x0 + t*(2 + psi0(x0)):
+    the package's one form of it, for floats or broadcast arrays."""
+    return x0 + t * (2.0 - np.arctan(x0))
+
+
+def _x_B(t):
+    """x of B at times t >= 1, where the characteristic from sqrt(t-1) focuses; 2t before."""
+    return _char_x(np.sqrt(np.maximum(t - 1.0, 0.0)), t)
+
+
+def outgoing_char(x0, t) -> Point:
+    """Point reached at time t by the characteristic with foot x0; x0 and t
+    broadcast, and floats (the size-1 case) give a Point of floats."""
+    return Point(*(_float_call(a) for a in np.broadcast_arrays(t, _char_x(x0, t))))
 
 
 def blowup_time(x0: float) -> float:
@@ -115,27 +129,28 @@ def shock_arrival_time(x0: float) -> float:
 # Boundary curves
 # ---------------------------------------------------------------------------
 
-def boundary_x(kind: BoundaryCurve, t: float) -> float:
-    """Space coordinate of the boundary curve `kind` at time t >= 1."""
-    if t < 1.0:
-        raise DomainError(f"boundary curves are defined for t >= 1, got t = {t}")
-    if kind is BoundaryCurve.CAUCHY_HORIZON:
-        return 4.0 - 2.0 * t
-    if kind is BoundaryCurve.SHOCK:
-        return 2.0 * t
-    z = math.sqrt(t - 1.0)
-    return (2.0 - math.atan(z)) * t + z
+def _boundary_times(t) -> np.ndarray:
+    return _check_times(t, "boundary", lambda ts: ts < 1.0, "boundary curves are defined for t >= 1, got t = {t}")
 
 
-def boundary_x_deriv(kind: BoundaryCurve, t: float) -> float:
-    """Analytic slope dx/dt of the boundary curve at time t > 1."""
-    if t < 1.0:
-        raise DomainError(f"boundary curves are defined for t >= 1, got t = {t}")
-    if kind is BoundaryCurve.CAUCHY_HORIZON:
-        return -2.0
-    if kind is BoundaryCurve.SHOCK:
-        return 2.0
-    return 2.0 - math.atan(math.sqrt(t - 1.0))
+def boundary_x(kind: BoundaryCurve, t):
+    """Space coordinate of the boundary curve `kind` at times 1 <= t <= 1e150.
+
+    t is a float or an array of times, the float call the size-1 case; the
+    first non-finite time, or one outside the range, raises DomainError.
+    """
+    ts = _boundary_times(t)
+    if kind is BoundaryCurve.SINGULAR_BOUNDARY:
+        return _float_call(_x_B(ts))
+    return _float_call(4.0 - 2.0 * ts if kind is BoundaryCurve.CAUCHY_HORIZON else 2.0 * ts)
+
+
+def boundary_x_deriv(kind: BoundaryCurve, t):
+    """Analytic slope dx/dt of the boundary curve at times t, refused as by boundary_x."""
+    ts = _boundary_times(t)
+    if kind is BoundaryCurve.SINGULAR_BOUNDARY:
+        return _float_call(2.0 - np.arctan(np.sqrt(ts - 1.0)))
+    return _float_call(np.full(ts.shape, -2.0 if kind is BoundaryCurve.CAUCHY_HORIZON else 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +191,7 @@ def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     _check_points(t, x)
     post = t > 1.0
-    z = np.sqrt(np.maximum(t - 1.0, 0.0))
-    xb = (2.0 - np.arctan(z)) * t + z
+    xb = _x_B(t)
     codes = np.where(x < xb, _WEAK_ONLY, _WEDGE)
     codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = _OMEGA_A
     codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= GEOM_TOL)] = _ON_C
@@ -358,16 +372,7 @@ def shock_feet(t):
     is checked (finite, 1 < t <= 1e150, the modelled range), at its first
     bad time: 2t may lie past the range when t does not.
     """
-    ts = np.asarray(t, dtype=float)
-    for bad, message in (
-        (~np.isfinite(ts), "non-finite shock time t = {}"),
-        (ts <= 1.0, "the shock exists for t > 1, got t = {}"),
-        (ts > _MODELLED_RANGE, f"shock time t = {{}} is beyond the modelled range t <= {_MODELLED_RANGE:g}"),
-    ):
-        if bad.any():
-            raise DomainError(message.format(t if ts.ndim == 0 else float(ts[bad][0])))
+    ts = _check_times(t, "shock", lambda ts: ts <= 1.0, "the shock exists for t > 1, got t = {t}")
     d = np.zeros(ts.shape)
-    x0 = _solve_feet(ts, d, *_bracket(ts, d, True))
-    if x0.ndim == 0:
-        x0 = float(x0)
+    x0 = _float_call(_solve_feet(ts, d, *_bracket(ts, d, True)))
     return -x0, x0

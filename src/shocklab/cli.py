@@ -119,10 +119,10 @@ def _cmd_boundary(args) -> int:
     t_min, t_max = _parse_range(args.t_range)
     if not (1.0 <= t_min < t_max) or args.n < 2:
         raise DomainError("need 1 <= t_min < t_max and n >= 2")
-    curve = _CURVES[args.curve]
+    ts = np.linspace(t_min, t_max, args.n)
+    xs = boundary_x(_CURVES[args.curve], ts)
     print("t,x")
-    for t in np.linspace(t_min, t_max, args.n):
-        print(f"{_fmt(t)},{_fmt(boundary_x(curve, float(t)))}")
+    print("\n".join(f"{t!r},{x!r}" for t, x in zip(ts.tolist(), xs.tolist())))
     return 0
 
 
@@ -153,23 +153,20 @@ def _cmd_grid(args) -> int:
     xs = np.linspace(x_min, x_max, args.nx)
     cells = _grid_cells(ts, xs, args.field, variant)
     print("t,x,value")
-    x_txt = [_fmt(x) for x in xs]
+    t_txt, x_txt = [_fmt(t) for t in ts], [_fmt(x) for x in xs]
     nx = len(xs)
     print("\n".join(
-        f"{t_txt},{x},{cell}"
-        for i, t_txt in enumerate(_fmt(t) for t in ts)
-        for x, cell in zip(x_txt, cells[i * nx:(i + 1) * nx])
+        f"{t},{x},{cell}" for i, t in enumerate(t_txt) for x, cell in zip(x_txt, cells[i * nx:(i + 1) * nx])
     ))
     if args.characteristics > 0:
+        feet = np.linspace(x_min, x_max, args.characteristics)[:, None]
+        # per foot the outgoing line, then the ingoing one of slope -2 through (t_min, x0)
+        lines = np.stack([outgoing_char(feet, ts).x, feet - 2.0 * (ts - t_min)], axis=1).tolist()
         print("curve,foot,t,x")
-        feet = np.linspace(x_min, x_max, args.characteristics)
-        for x0 in feet:
-            for t in ts:
-                p = outgoing_char(float(x0), float(t))
-                print(f"outgoing,{_fmt(x0)},{_fmt(p.t)},{_fmt(p.x)}")
-            for t in ts:
-                # ingoing lines have fixed slope -2 through (t_min, x0)
-                print(f"ingoing,{_fmt(x0)},{_fmt(t)},{_fmt(x0 - 2.0 * (t - t_min))}")
+        print("\n".join(
+            f"{curve},{_fmt(x0)},{t},{x!r}" for x0, pair in zip(feet[:, 0], lines)
+            for curve, row in zip(("outgoing", "ingoing"), pair) for t, x in zip(t_txt, row)
+        ))
     return 0
 
 

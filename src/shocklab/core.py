@@ -92,10 +92,18 @@ class PoorFit(ShockLabError):
     """Power-law fit quality below the acceptance threshold."""
 
 
-def _raise_at(bad, error, message: str, t, x, **at) -> None:
+def _raise_at(bad, error, message: str, t, x, /, **at) -> None:
     """Raise error(message) at the first point p where bad holds, with the values there of at."""
+    _raise_first(((bad, error, message),), t, x, **at)
+
+
+def _raise_first(rules, t, x, /, **at) -> None:
+    """Raise at the first point p where a rule (bad, error, message) holds the first
+    rule's error(message) that holds there: where its size-1 calls first refuse."""
+    bad = np.logical_or.reduce([rule[0] for rule in rules])
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
+        _, error, message = next(rule for rule in rules if rule[0].flat[i])
         p = f"({float(t.flat[i])}, {float(x.flat[i])})"
         raise error(message.format(p=p, **{k: v.flat[i] for k, v in at.items()}))
 
@@ -103,6 +111,23 @@ def _raise_at(bad, error, message: str, t, x, **at) -> None:
 # Largest |x| and t modelled.  The foot solve squares its iterate u, and
 # |u| <= |x - 2t| + t*pi/2, so beyond about 1e153 the arithmetic overflows.
 _MODELLED_RANGE = 1e150
+
+
+def _float_call(a):
+    """a as a Python scalar when it is 0-d (the result of a float call), else a itself."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
+def _check_times(t, what: str, early, early_message: str, last: float = _MODELLED_RANGE) -> np.ndarray:
+    """Times t as a float array, refused with DomainError at the first one that is
+    non-finite, early (a mask of them; early_message names it {t}) or past last."""
+    ts = np.asarray(t, dtype=float)
+    _raise_first((
+        (~np.isfinite(ts), DomainError, f"non-finite {what} time t = {{t}}"),
+        (early(ts), DomainError, early_message),
+        (ts > last, DomainError, f"{what} time t = {{t}} is beyond the modelled range t <= {last:g}"),
+    ), ts, ts, t=ts)
+    return ts
 
 
 def _check_points(t: np.ndarray, x: np.ndarray) -> None:
@@ -115,12 +140,12 @@ def _check_points(t: np.ndarray, x: np.ndarray) -> None:
     # NaN fails every comparison, so one mask holds every accepted point
     if ((t >= 0.0) & (t <= _MODELLED_RANGE) & (np.abs(x) <= _MODELLED_RANGE)).all():
         return
-    _raise_at(~(np.isfinite(t) & np.isfinite(x)), DomainError, "non-finite point {p}", t, x)
-    _raise_at(t < 0.0, DomainError, "t < 0 at {p}; only t >= 0 is modelled", t, x)
-    _raise_at(
-        (t > _MODELLED_RANGE) | (np.abs(x) > _MODELLED_RANGE), DomainError,
-        f"{{p}} is beyond the modelled range t, |x| <= {_MODELLED_RANGE:g}", t, x,
-    )
+    _raise_first((
+        (~(np.isfinite(t) & np.isfinite(x)), DomainError, "non-finite point {p}"),
+        (t < 0.0, DomainError, "t < 0 at {p}; only t >= 0 is modelled"),
+        ((t > _MODELLED_RANGE) | (np.abs(x) > _MODELLED_RANGE), DomainError,
+         f"{{p}} is beyond the modelled range t, |x| <= {_MODELLED_RANGE:g}"),
+    ), t, x)
 
 
 # ---------------------------------------------------------------------------

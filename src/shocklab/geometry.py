@@ -21,12 +21,15 @@ to every boundary point.  The shock is spacelike for the pre-shock field
 and timelike for the post-shock field (both measured against the fixed
 tangent (1, 2)), and the Cauchy horizon x = 4 - 2t is a null line of the
 extended metric with tangent exactly Lbar.
+
+The metric, the boundary checks and the causal pasts are array-first: they
+take floats or arrays (apexes and targets as Points of arrays), and the
+float call is the size-1 case.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +42,13 @@ from .core import (
     Point,
     Vec2,
     ZeroVector,
+    _MODELLED_RANGE,
+    _check_times,
+    _float_call,
+    _raise_first,
 )
-from .characteristics import BoundaryCurve, boundary_x, boundary_x_deriv
-from .burgers import psi_boundary_extension, psi_classical_array, psi_weak, shock_trace
+from .characteristics import BoundaryCurve, _char_x, _x_B, boundary_x, boundary_x_deriv
+from .burgers import psi_boundary_extension, psi_classical_array, psi_weak_array, shock_trace
 
 __all__ = [
     "Metric2",
@@ -149,14 +156,13 @@ def causal_class(psi: float, v: Vec2) -> CausalClass:
 # Boundary tangency and shock causal character
 # ---------------------------------------------------------------------------
 
-def tangency_residual_B(t: float) -> float:
-    """|x_B'(t) - (2 + psi_ext)| on the singular boundary: the extended
-    outgoing speed matches the boundary slope identically."""
-    if t <= 1.0:
-        raise DomainError(f"singular boundary needs t > 1, got {t}")
-    slope = boundary_x_deriv(BoundaryCurve.SINGULAR_BOUNDARY, t)
-    _, psi_ext = psi_boundary_extension(math.sqrt(t - 1.0))
-    return abs(slope - (2.0 + psi_ext))
+def tangency_residual_B(t):
+    """|x_B'(t) - (2 + psi_ext)| on the singular boundary at times t > 1: the
+    extended outgoing speed matches the boundary slope identically."""
+    ts = _check_times(t, "boundary", lambda ts: ts <= 1.0, "singular boundary needs t > 1, got {t}")
+    slope = boundary_x_deriv(BoundaryCurve.SINGULAR_BOUNDARY, ts)
+    _, psi_ext = psi_boundary_extension(np.sqrt(ts - 1.0))
+    return _float_call(np.abs(slope - (2.0 + psi_ext)))
 
 
 def shock_tangent_norms(t):
@@ -183,97 +189,71 @@ def shock_character(t: float) -> tuple[CausalClass, CausalClass]:
     return _class_of_norm(right), _class_of_norm(left)
 
 
-def horizon_null_check(t: float) -> float:
-    """|g(Lbar, Lbar)| on the Cauchy horizon with the extended field value.
+def horizon_null_check(t):
+    """|g(Lbar, Lbar)| on the Cauchy horizon at times t > 1 with the extended field value.
 
     The horizon x = 4 - 2t has tangent exactly Lbar = (1, -2), so this is
     the norm of its tangent: the horizon is a straight null line.
     """
-    if t <= 1.0:
-        raise DomainError(f"the Cauchy horizon needs t > 1, got {t}")
-    x = boundary_x(BoundaryCurve.CAUCHY_HORIZON, t)
-    psi_ext = psi_weak(Point(t, x))  # smooth across the horizon
-    return abs(metric(psi_ext).norm_sq(Vec2(1.0, -2.0)))
+    # up to t = 5e149, where x = 4 - 2t reaches the end -1e150 of the modelled range
+    needs = "the Cauchy horizon needs t > 1, got {t}"
+    ts = _check_times(t, "horizon", lambda ts: ts <= 1.0, needs, last=0.5 * _MODELLED_RANGE)
+    x = boundary_x(BoundaryCurve.CAUCHY_HORIZON, ts)
+    psi_ext = psi_weak_array(ts, x)  # smooth across the horizon, which meets the shock only at t = 1
+    return _float_call(np.abs(metric(psi_ext).norm_sq(Vec2(1.0, -2.0))))
 
 
 # ---------------------------------------------------------------------------
 # Causal and timelike pasts on the closed classical domain
 # ---------------------------------------------------------------------------
 
-def _require_apex_on_B(apex: Point) -> float:
-    """Validate the apex and return its boundary foot sqrt(t - 1)."""
-    if apex.t <= 1.0:
-        raise ApexNotOnBoundary(f"apex time {apex.t} is not past the crease")
-    xb = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, apex.t)
-    scale = max(1.0, abs(apex.x))
-    if abs(apex.x - xb) > 100.0 * GEOM_TOL * scale:
-        raise ApexNotOnBoundary(
-            f"apex ({apex.t}, {apex.x}) off the singular boundary by {abs(apex.x - xb):.3e}"
-        )
-    return math.sqrt(apex.t - 1.0)
+def _past_edges(apex: Point, t):
+    """(causal_left, timelike_left, right) edges at times t of the past of an apex on
+    B, broadcast: B, continued by x = 2t below the crease (a null curve riding B); the
+    interior characteristic focusing at the apex (timelike curves cannot ride B); the
+    backward ingoing line.  Refused at the first entry whose apex is not past the crease
+    and on B to 100*GEOM_TOL*max(1, |x|) (ApexNotOnBoundary) or whose t is after it."""
+    at, ax, t = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (apex.t, apex.x, t)))
+    off = np.abs(ax - _x_B(at))
+    _raise_first((
+        (at <= 1.0, ApexNotOnBoundary, "apex time {apex_t} is not past the crease"),
+        (off > 100.0 * GEOM_TOL * np.maximum(1.0, np.abs(ax)), ApexNotOnBoundary,
+         "apex {p} off the singular boundary by {off:.3e}"),
+        (t > at, DomainError, "target must not lie after the apex"),
+    ), at, ax, apex_t=at, off=off)
+    return _x_B(t), _char_x(np.sqrt(at - 1.0), t), ax + 2.0 * (at - t)
 
 
-def _past_left_causal(t: float) -> float:
-    """Left boundary of the causal past: down the singular boundary to the
-    crease, then the center characteristic x = 2t."""
-    if t >= 1.0:
-        return boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t)
-    return 2.0 * t
+def _in_past(apex: Point, target: Point):
+    causal_left, timelike_left, right = _past_edges(apex, target.t)
+    x = np.asarray(target.x, dtype=float)
+    tol = GEOM_TOL * np.maximum(1.0, np.abs(x))
+    return (causal_left - tol <= x) & (x <= right + tol), (timelike_left + tol < x) & (x < right - tol)
 
 
-def _past_right(apex: Point, t: float) -> float:
-    """Right boundary: the backward ingoing line through the apex."""
-    return apex.x + 2.0 * (apex.t - t)
+def causal_past_contains(apex: Point, target: Point):
+    """Whether target can be reached from a singular-boundary apex by a past
+    causal curve: weak membership (edges included, to GEOM_TOL times
+    max(1, |x|)) in the past bounded by _past_edges.  Points of arrays give
+    an array; Points of floats, the size-1 case, a bool."""
+    return _float_call(_in_past(apex, target)[0])
 
 
-def causal_past_contains(apex: Point, target: Point) -> bool:
-    """Whether target can be reached from apex by a past causal curve.
-
-    The apex must lie on the singular boundary (to within 100*GEOM_TOL
-    times max(1, |x|)) and the target at or before the apex time.  The
-    past of a singular-boundary point is bounded on the left by the
-    boundary itself continued by the center characteristic below the
-    crease (a null curve that rides the boundary), and on the right by
-    the backward ingoing line; membership is weak (boundaries included).
-    """
-    _require_apex_on_B(apex)
-    t = target.t
-    if t > apex.t:
-        raise DomainError("target must not lie after the apex")
-    tol = GEOM_TOL * max(1.0, abs(target.x))
-    return _past_left_causal(t) - tol <= target.x <= _past_right(apex, t) + tol
-
-
-def timelike_past_contains(apex: Point, target: Point) -> bool:
-    """Whether target is in the strictly timelike past of apex.
-
-    The apex must lie on the singular boundary (to within 100*GEOM_TOL
-    times max(1, |x|)) and the target at or before the apex time.
-    Timelike curves cannot ride the null singular boundary, so the left
-    boundary tightens to the interior characteristic that focuses at the
-    apex; membership is strict.
-    """
-    z = _require_apex_on_B(apex)
-    t = target.t
-    if t > apex.t:
-        raise DomainError("target must not lie after the apex")
-    left = z + t * (2.0 - math.atan(z))
-    tol = GEOM_TOL * max(1.0, abs(target.x))
-    return left + tol < target.x < _past_right(apex, t) - tol
+def timelike_past_contains(apex: Point, target: Point):
+    """Whether target is in the strictly timelike past of a singular-boundary
+    apex: strict membership, with the band of causal_past_contains, between
+    the interior characteristic and the ingoing line.  Takes Points of
+    arrays as causal_past_contains does."""
+    return _float_call(_in_past(apex, target)[1])
 
 
 def bubble_witness(apex: Point) -> Point:
-    """A point in the causal-but-not-timelike past of a boundary apex.
-
-    Taken halfway up to the apex in time, midway between the two left
-    boundaries (the singular boundary and the interior characteristic);
-    the gap is nonempty for every apex strictly past the crease.
-    """
-    z = _require_apex_on_B(apex)
-    t_mid = 0.5 * (1.0 + apex.t)
-    lo = _past_left_causal(t_mid)
-    hi = z + t_mid * (2.0 - math.atan(z))
-    return Point(t_mid, 0.5 * (lo + hi))
+    """A point in the causal-but-not-timelike past of a boundary apex (or a Point of
+    arrays of them): halfway up to the apex in time, midway between the two left
+    edges, whose gap is nonempty for every apex strictly past the crease."""
+    t_mid = 0.5 * (1.0 + np.asarray(apex.t, dtype=float))
+    lo, hi, _ = _past_edges(apex, t_mid)
+    return Point(*(_float_call(a) for a in np.broadcast_arrays(t_mid, 0.5 * (lo + hi))))
 
 
 def backward_L_curves(
@@ -288,7 +268,7 @@ def backward_L_curves(
     central-difference defects |dx/ds - (2 + psi)| with psi from the
     boundary extension and from the classical field respectively.
     """
-    z = _require_apex_on_B(apex)
+    _past_edges(apex, apex.t)  # the apex before the other arguments
     if steps < 2:
         raise DomainError("need at least 2 steps")
     if duration <= 0.0:
@@ -296,17 +276,12 @@ def backward_L_curves(
     if apex.t - duration < 1.0:
         raise DomainError("boundary curve leaves t >= 1; shorten the duration")
     ts = apex.t + np.linspace(-duration, 0.0, steps + 1)
-    zs = np.sqrt(ts - 1.0)
-    xb = (2.0 - np.arctan(zs)) * ts + zs
-    gamma_boundary = np.column_stack([ts, xb])
-    x_int = z + ts * (2.0 - math.atan(z))
-    gamma_interior = np.column_stack([ts, x_int])
-
+    xb, x_int, _ = _past_edges(apex, ts)
     ds = ts[1] - ts[0]
     fd_b = (xb[2:] - xb[:-2]) / (2.0 * ds)
     fd_i = (x_int[2:] - x_int[:-2]) / (2.0 * ds)
-    speed_b = 2.0 - np.arctan(zs[1:-1])  # 2 + extended field on the boundary
+    _, psi_b = psi_boundary_extension(np.sqrt(ts[1:-1] - 1.0))
     psi_int = psi_classical_array(ts[1:-1], x_int[1:-1])
-    res_b = float(np.max(np.abs(fd_b - speed_b)))
+    res_b = float(np.max(np.abs(fd_b - (2.0 + psi_b))))
     res_i = float(np.max(np.abs(fd_i - (2.0 + psi_int))))
-    return gamma_boundary, gamma_interior, (res_b, res_i)
+    return np.column_stack([ts, xb]), np.column_stack([ts, x_int]), (res_b, res_i)

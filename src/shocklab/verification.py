@@ -40,6 +40,7 @@ from .characteristics import (
     RegionTag,
     _bracket,
     _solve_feet,
+    _x_B,
     boundary_x,
     classify_array,
     shock_feet,
@@ -395,7 +396,7 @@ def boundary_fit(t_bar: float, offsets) -> FitReport:
 
 def horizon_fit(x: float, offsets) -> FitReport:
     """Fitted power law of the potential-derivative probe at fixed x, the offsets above the Cauchy horizon."""
-    return _fit(offsets, lambda d: np.array([abs(horizon_jump_probe(x, e)) for e in d]))
+    return _fit(offsets, lambda d: np.abs(horizon_jump_probe(x, np.array(d))))
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +409,6 @@ class AgreementReport:
     max_gap_omega_a: float        # max |psi_C - psi_W| where they must agree
     min_wedge_gap: float          # min (psi_W - psi_C) where they must differ
     phi_gap_at_probe: float       # Phi_W - Phi_C at WEDGE_PROBE
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_gap_omega_a <= 1e-11
-            and self.min_wedge_gap > 0.0
-            and abs(self.phi_gap_at_probe) >= 1e-4
-        )
 
 
 def _sample(n: int, box, skip: int, keep) -> tuple[np.ndarray, np.ndarray]:
@@ -620,7 +613,7 @@ def _suite_holder(seed: int) -> list[CheckResult]:
 
 
 def _suite_tangency(seed: int) -> list[CheckResult]:
-    worst = max(tangency_residual_B(float(t)) for t in _LOG_TIMES)
+    worst = float(np.max(tangency_residual_B(_LOG_TIMES)))
     return [_at_most(
         "boundary_tangency", worst, 1e-10, "the extended outgoing speed matches the singular-boundary slope",
     )]
@@ -651,7 +644,7 @@ def _suite_nullness(seed: int) -> list[CheckResult]:
         ixx + (2.0 + p) * (-2.0),
     ])
     worst_dec = float(np.max(np.abs(dec)))
-    horizon = max(horizon_null_check(float(t)) for t in (1.5, 3.0, 10.0))
+    horizon = float(np.max(horizon_null_check(np.array([1.5, 3.0, 10.0]))))
     return [
         _at_most("frame_nullness", worst_null, 1e-13, "both frame directions are null for every field value"),
         CheckResult(
@@ -669,16 +662,12 @@ def _suite_nullness(seed: int) -> list[CheckResult]:
 
 
 def _suite_bubble(seed: int) -> list[CheckResult]:
-    ok = True
-    for z in (0.25, 0.5, 1.0, 2.0, 4.0):
-        apex, _ = psi_boundary_extension(z)
-        q = bubble_witness(apex)
-        in_causal = causal_past_contains(apex, q)
-        in_timelike = timelike_past_contains(apex, q)
-        ok = ok and in_causal and not in_timelike
-    apex = Point(2.0, 5.0 - _HALF_PI)
-    target = Point(1.0, 2.1)
-    explicit = causal_past_contains(apex, target) and not timelike_past_contains(apex, target)
+    # witnesses of five apexes up B, and (1, 2.1) below the apex (2, 5 - pi/2): one array call each
+    apex, _ = psi_boundary_extension(np.array([0.25, 0.5, 1.0, 2.0, 4.0]))
+    q = bubble_witness(apex)
+    apex = Point(np.append(apex.t, 2.0), np.append(apex.x, 5.0 - _HALF_PI))
+    q = Point(np.append(q.t, 1.0), np.append(q.x, 2.1))
+    ok = bool(np.all(causal_past_contains(apex, q) & ~timelike_past_contains(apex, q)))
     # the 50 times and, last, the reference time 4/pi, in one batch
     right, left = shock_tangent_norms(np.append(_LOG_TIMES, 4.0 / math.pi))
     sc_ok = bool(np.all(right[:-1] > 0.0) and np.all(left[:-1] < 0.0))
@@ -688,7 +677,7 @@ def _suite_bubble(seed: int) -> list[CheckResult]:
     val_dev = max(abs(right - exp_right), abs(left - exp_left))
     return [
         CheckResult(
-            "causal_bubbles", ok and explicit, 1.0 if (ok and explicit) else 0.0, 1.0,
+            "causal_bubbles", ok, 1.0 if ok else 0.0, 1.0,
             "every singular-boundary point has a causal-but-not-timelike past region",
         ),
         CheckResult(
@@ -701,8 +690,7 @@ def _suite_bubble(seed: int) -> list[CheckResult]:
 
 def _pde_margins(t, x, tags) -> np.ndarray:
     """Interior points 0.05 off the crease, (wedge) B and, left of the shock past t = 1, C."""
-    z = np.sqrt(np.maximum(t - 1.0, 0.0))
-    x_b = (2.0 - np.arctan(z)) * t + z
+    x_b = _x_B(t)
     return (
         ((tags == RegionTag.OMEGA_A) | ((tags == RegionTag.WEDGE) & (x - x_b >= 0.05)))
         & (np.hypot(t - 1.0, x - 2.0) >= 0.05)

@@ -30,13 +30,12 @@ with the one-sided shock values taken at the crossing time.  Both terms of
 the bracket vanish like sqrt of the height above the Cauchy horizon and
 cancel at that order, so d_x(Phi) of the weak potential is differentiable
 across the horizon; the formula is verified against finite differences of
-the quadrature in the test suite.
-
+the quadrature in the test suite.  It is evaluated on arrays of points
+(dphidx_closed_array, and the horizon probe on arrays of offsets); the
+float call dphidx_closed is its size-1 case.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -46,19 +45,23 @@ from .core import (
     OutsideDomain,
     Point,
     SolutionVariant,
+    _MODELLED_RANGE,
     _check_points,
+    _float_call,
     _raise_at,
+    _raise_first,
     gauss_panel,
     psi0,
 )
 from .characteristics import RegionTag, classify_array, foot_classical_array, foot_weak_array, on_shock
 from .characteristics import shock_feet
-from .burgers import psi, psi_classical_array, shock_trace
+from .burgers import psi, psi_classical_array, psi_weak_array
 
 __all__ = [
     "phi",
     "phi_array",
     "dphidx_closed",
+    "dphidx_closed_array",
     "dphidt_closed",
     "lbar_derivative",
     "horizon_jump_probe",
@@ -160,22 +163,28 @@ def phi(p: Point, variant: SolutionVariant) -> float:
         raise OutsideDomain(f"classical potential undefined at ({p.t}, {p.x})") from None
 
 
-def dphidx_closed(p: Point, variant: SolutionVariant) -> float:
-    """Closed-form spatial derivative of the potential (see module docstring).
-
-    For the weak variant on the shock the field value is two-sided and an
-    OnShockError is raised; the classical variant is smooth there.
-    """
-    t, x = p.t, p.x
-    psi_here = psi(p, variant)
-    value = math.log((4.0 + float(psi0(x + 2.0 * t))) / (4.0 + psi_here))
-    if variant is SolutionVariant.WEAK:
-        crosses, t_cross = _shock_crossing(t, x)
-        if crosses:
-            trace = shock_trace(t_cross)
-            value += math.log((4.0 + trace.left_value) / (4.0 + trace.right_value))
-            value -= 0.25 * (trace.left_value - trace.right_value)
+def dphidx_closed_array(t, x, variant: SolutionVariant) -> np.ndarray:
+    """Closed-form spatial derivative of the potential (module docstring) at broadcast
+    arrays of points; refused at the first point where the field is: on the shock
+    (two-sided) for the weak variant, weak-only for the classical one."""
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    weak = variant is SolutionVariant.WEAK
+    if weak:
+        _check_points(t, x)
+        _raise_at(on_shock(t, x), OnShockError, "{p} is on the shock; use shock_trace for the limits", t, x)
+    value = np.log((4.0 + psi0(x + 2.0 * t)) / (4.0 + (psi_weak_array if weak else psi_classical_array)(t, x)))
+    crosses, t_c = _shock_crossing(t, x)
+    if weak and crosses.any():
+        left, right = (psi0(u) for u in shock_feet(t_c[crosses]))
+        value = np.array(value)  # writable, also on a size-1 call
+        # (v + log) - jump/4: the jump terms added one after the other
+        value[crosses] = value[crosses] + np.log((4.0 + left) / (4.0 + right)) - 0.25 * (left - right)
     return value
+
+
+def dphidx_closed(p: Point, variant: SolutionVariant) -> float:
+    """Closed-form spatial derivative of the potential at p: a size-1 dphidx_closed_array call."""
+    return float(dphidx_closed_array(p.t, p.x, variant))
 
 
 def dphidt_closed(p: Point, variant: SolutionVariant) -> float:
@@ -202,21 +211,21 @@ def lbar_derivative(t, x, variant: SolutionVariant, h=None) -> np.ndarray:
     return (up - dn) / (2.0 * h)
 
 
-def horizon_jump_probe(x: float, eps: float) -> float:
-    """Change of the weak d_x(Phi) a height eps above the Cauchy horizon at fixed x < 2.
+def horizon_jump_probe(x, eps):
+    """Change of the weak d_x(Phi) a height eps in (0, 0.05] above the Cauchy horizon at x < 2.
 
     The shock-crossing terms individually scale like sqrt(eps) but cancel
     at that order, so the probe decays linearly in eps (continuity and
-    differentiability of d_x(Phi) across the horizon).
-    """
-    if not (x < 2.0):
-        raise DomainError(f"horizon probe requires x < 2, got {x}")
-    if not (0.0 < eps <= 0.05):
-        raise DomainError(f"probe offset must lie in (0, 0.05], got {eps}")
-    t0 = 2.0 - 0.5 * x
-    above = dphidx_closed(Point(t0 + eps, x), SolutionVariant.WEAK)
-    base = dphidx_closed(Point(t0, x), SolutionVariant.WEAK)
-    return above - base
+    differentiability of d_x(Phi) across the horizon).  x and eps broadcast
+    (two dphidx_closed_array calls); floats are the size-1 case."""
+    x, eps = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
+    _raise_first((  # from x = -1e150 on, the probe points (2 - x/2 + eps, x) are modelled
+        (~((-_MODELLED_RANGE <= x) & (x < 2.0)), DomainError,
+         f"horizon probe requires {-_MODELLED_RANGE:g} <= x < 2, got {{x}}"),
+        (~((0.0 < eps) & (eps <= 0.05)), DomainError, "probe offset must lie in (0, 0.05], got {eps}"),
+    ), x, eps, x=x, eps=eps)
+    t0, weak = 2.0 - 0.5 * x, SolutionVariant.WEAK
+    return _float_call(dphidx_closed_array(t0 + eps, x, weak) - dphidx_closed_array(t0, x, weak))
 
 
 def pde_residual_classical(t, x, h) -> np.ndarray:

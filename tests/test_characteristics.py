@@ -117,6 +117,30 @@ class TestBoundaryCurves:
         with pytest.raises(DomainError, match="t >= 1, got t = 0.5"):
             boundary_x_deriv(B, 0.5)
 
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "non-finite boundary time t = nan$"),
+        (math.inf, "non-finite boundary time t = inf$"),
+        (-math.inf, "non-finite boundary time t = -inf$"),
+        (1e151, r"boundary time t = 1e\+151 is beyond the modelled range t <= 1e\+150$"),
+        (1e200, r"boundary time t = 1e\+200 is beyond the modelled range t <= 1e\+150$"),
+    ])
+    @pytest.mark.parametrize("kind", [B, C, K])
+    def test_refused_times(self, kind, t, message):
+        # a NaN time gave NaN, an infinite one -inf or inf, 1e200 a number
+        for f in (boundary_x, boundary_x_deriv):
+            with pytest.raises(DomainError, match=message):
+                f(kind, t)
+
+    def test_largest_time(self):
+        assert boundary_x(C, 1e150) == -2e150
+        assert boundary_x(B, 1e150) == pytest.approx((2.0 - math.pi / 2) * 1e150, rel=1e-12)
+
+    def test_array_refused_at_first_bad_time(self):
+        with pytest.raises(DomainError, match=r"t = 1e\+200 is beyond"):
+            boundary_x(B, np.array([2.0, 1e200, math.nan, 0.5]))
+        with pytest.raises(DomainError, match="t >= 1, got t = 0.5$"):
+            boundary_x_deriv(K, np.array([[2.0, 0.5], [math.nan, 3.0]]))
+
 
 TAG_CASES = [
     (0.5, 7.0, RegionTag.OMEGA_A),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shocklab.burgers import psi_classical, psi_weak
-from shocklab.characteristics import RegionTag, classify, classify_array, foot_weak
+from shocklab.characteristics import RegionTag, boundary_x, classify, classify_array, foot_weak, outgoing_char
 from shocklab import cli
 from shocklab.cli import main
 from shocklab.core import GEOM_TOL, InvariantViolation, OnShockError, OutsideDomain, Point, SolutionVariant
@@ -198,6 +198,20 @@ class TestBoundary:
         code, _, err = run_cli(capsys, "boundary", "--curve", "B", "--t-range", "0.5:2", "--n", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("curve", ["B", "C", "K"])
+    def test_past_the_range_prints_no_rows(self, capsys, curve):
+        code, out, err = run_cli(capsys, "boundary", "--curve", curve, "--t-range", "1:1e200", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: boundary time t = 5e+199 is beyond the modelled range t <= 1e+150\n"
+
+    @pytest.mark.parametrize("curve", ["B", "C", "K"])
+    def test_rows_are_float_calls(self, capsys, curve):
+        # one array call; each row equals the float call at its time
+        code, out, err = run_cli(capsys, "boundary", "--curve", curve, "--t-range", "1:100", "--n", "1000")
+        assert (code, err) == (0, "")
+        rows = [f"{t!r},{boundary_x(cli._CURVES[curve], t)!r}" for t in np.linspace(1.0, 100.0, 1000).tolist()]
+        assert out == "t,x\n" + "\n".join(rows) + "\n"
+
 
 class TestGrid:
     def test_region_grid(self, capsys):
@@ -237,6 +251,19 @@ class TestGrid:
         assert "curve,foot,t,x" in lines
         assert any(line.startswith("outgoing,") for line in lines)
         assert any(line.startswith("ingoing,") for line in lines)
+
+    def test_characteristic_rows_are_float_calls(self, capsys):
+        # one array call per family; each row equals its float call
+        code, out, err = run_cli(
+            capsys, "grid", "--t-range", "0.5:3", "--x-range=-3:5",
+            "--nt", "7", "--nx", "2", "--field", "region", "--characteristics", "4",
+        )
+        assert (code, err) == (0, "")
+        ts, rows = np.linspace(0.5, 3.0, 7).tolist(), []
+        for x0 in np.linspace(-3.0, 5.0, 4).tolist():
+            rows += [f"outgoing,{x0!r},{t!r},{outgoing_char(x0, t).x!r}" for t in ts]
+            rows += [f"ingoing,{x0!r},{t!r},{x0 - 2.0 * (t - 0.5)!r}" for t in ts]
+        assert out.split("curve,foot,t,x\n")[1] == "\n".join(rows) + "\n"
 
 
 def reference_grid(t_range, x_range, nt, nx, field, variant):

@@ -9,22 +9,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shocklab.godunov as fv
-from shocklab.burgers import psi_classical, psi_classical_array, psi_weak, psi_weak_array
+from shocklab.burgers import psi_boundary_extension, psi_classical, psi_classical_array, psi_weak, psi_weak_array
 from shocklab.characteristics import (
     BoundaryCurve,
     RegionTag,
     boundary_x,
+    boundary_x_deriv,
     classify,
     classify_array,
     foot_classical,
     foot_classical_array,
     foot_weak,
     foot_weak_array,
+    outgoing_char,
     shock_feet,
 )
 from shocklab.core import GEOM_TOL, DomainError, OnShockError, OutsideDomain, Point, SolutionVariant
-from shocklab.geometry import metric, shock_tangent_norms
-from shocklab.wave_potential import phi, phi_array
+from shocklab.geometry import (
+    bubble_witness,
+    causal_past_contains,
+    horizon_null_check,
+    metric,
+    shock_tangent_norms,
+    tangency_residual_B,
+    timelike_past_contains,
+)
+from shocklab.wave_potential import dphidx_closed, dphidx_closed_array, horizon_jump_probe, phi, phi_array
 
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
 EPS = np.finfo(float).eps
@@ -305,3 +315,126 @@ def test_shock_tangent_norms_batch_equals_float_calls(times):
     right, left = shock_tangent_norms(np.array(times))
     for k, t in enumerate(times):
         assert (right[k].hex(), left[k].hex()) == tuple(q.hex() for q in shock_tangent_norms(t)), t
+
+
+# Array forms of the closed-form maps: an array call equals its float calls
+# bit for bit, and refuses where the first of them refuses, with the same
+# error type and message.
+
+def bits(v):
+    """The exact identity of a value: a float by its hex form, a Point by its parts."""
+    if isinstance(v, Point):
+        return bits(v.t), bits(v.x)
+    return v if isinstance(v, bool) else float(v).hex()
+
+
+def assert_array_call_is_float_calls(array_call, float_calls):
+    """array_call() gives the list of the float calls' values, or refuses as the first refusing one does."""
+    values = []
+    for call in float_calls:
+        try:
+            values.append(call())
+        except DomainError as exc:
+            with pytest.raises(DomainError) as err:
+                array_call()
+            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+            return
+    assert list(map(bits, array_call())) == list(map(bits, values))
+
+
+CURVES = list(BoundaryCurve)
+# times across the domain of the boundary maps and past each of its ends
+BOUNDARY_T = st.one_of(
+    st.floats(min_value=1.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1e-6).map(lambda e: 1.0 + e),
+    st.floats(min_value=1e6, max_value=1e150),
+    st.sampled_from([1.0, 1e150, 0.5, 1.0 - 2.0 ** -53, 1e151, 1e300, math.nan, math.inf, -math.inf]),
+)
+
+
+# The examples are times where math.atan and np.arctan round B differently.
+@settings(deadline=None)
+@given(st.sampled_from(CURVES), st.lists(BOUNDARY_T, min_size=1, max_size=30))
+@example(BoundaryCurve.SINGULAR_BOUNDARY, [12.198019801980198, 13.14851485148515])
+def test_boundary_maps_array_equals_float_calls(kind, times):
+    for f in (boundary_x, boundary_x_deriv):
+        assert_array_call_is_float_calls(
+            lambda: f(kind, np.array(times)).tolist(), [lambda t=t: f(kind, t) for t in times])
+
+
+@settings(deadline=None)
+@given(st.lists(BOUNDARY_T, min_size=1, max_size=30))
+def test_tangency_and_horizon_checks_array_equals_float_calls(times):
+    for f in (tangency_residual_B, horizon_null_check):
+        assert_array_call_is_float_calls(lambda: f(np.array(times)).tolist(), [lambda t=t: f(t) for t in times])
+
+
+@settings(deadline=None)
+@given(st.sampled_from([W, CL]), st.lists(near_curves(), min_size=1, max_size=20))
+@example(W, [(2.0, 3.0), (1.8704692666125013, 7.855810818692998), (3.0, 6.0)])
+def test_dphidx_closed_array_equals_float_calls(variant, points):
+    t, x = arrays(points)
+    assert_array_call_is_float_calls(
+        lambda: dphidx_closed_array(t, x, variant).tolist(),
+        [lambda p=p: dphidx_closed(Point(*p), variant) for p in points],
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.floats(min_value=-50.0, max_value=2.0, exclude_max=True),
+              st.sampled_from([2.0, 5.0, -3e150, -1e151, math.nan])),
+    st.lists(st.one_of(st.floats(min_value=1e-9, max_value=0.05),
+                       st.sampled_from([0.0, -1e-3, 0.0500001, math.nan])), min_size=1, max_size=20),
+)
+def test_horizon_probe_offsets_equal_float_calls(x, offsets):
+    assert_array_call_is_float_calls(
+        lambda: horizon_jump_probe(x, np.array(offsets)).tolist(),
+        [lambda e=e: horizon_jump_probe(x, e) for e in offsets],
+    )
+
+
+@st.composite
+def apex_and_target(draw):
+    """An apex on B (now and then off it, or before the crease) and a target at
+    or below its time (now and then after it)."""
+    kind = draw(st.sampled_from(["on"] * 8 + ["off", "early", "after"]))
+    apex, _ = psi_boundary_extension(draw(st.floats(min_value=1e-3, max_value=50.0)))
+    if kind == "off":
+        apex = Point(apex.t, apex.x + 1e-3)
+    if kind == "early":
+        apex = Point(0.9, 1.8)
+    t = draw(st.floats(min_value=0.0, max_value=1.0)) * apex.t
+    if kind == "after":
+        t = apex.t * 1.5
+    return apex, Point(t, 2.0 * t + draw(st.floats(min_value=-1.0, max_value=3.0)) * apex.t)
+
+
+@settings(deadline=None)
+@given(st.lists(apex_and_target(), min_size=1, max_size=20))
+def test_causal_pasts_array_equals_float_calls(pairs):
+    apexes = Point(np.array([a.t for a, _ in pairs]), np.array([a.x for a, _ in pairs]))
+    targets = Point(np.array([q.t for _, q in pairs]), np.array([q.x for _, q in pairs]))
+    for f in (causal_past_contains, timelike_past_contains):
+        assert_array_call_is_float_calls(
+            lambda: f(apexes, targets).tolist(), [lambda a=a, q=q: f(a, q) for a, q in pairs])
+
+    def witnesses():
+        w = bubble_witness(apexes)
+        return [Point(t, x) for t, x in zip(w.t.tolist(), w.x.tolist())]
+
+    assert_array_call_is_float_calls(witnesses, [lambda a=a: bubble_witness(a) for a, _ in pairs])
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e75))
+@example(math.sqrt(12.198019801980198 - 1.0))
+def test_one_formula_for_B_and_the_characteristics(z):
+    # B at t is the characteristic from sqrt(t-1), and S(z) the one from z
+    p, _ = psi_boundary_extension(z)
+    assert bits(p) == bits(outgoing_char(z, p.t))
+    for t in (p.t, 1.0 + z):
+        if t <= 1e150:
+            assert bits(boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t)) == bits(outgoing_char(math.sqrt(t - 1.0), t).x)
+    if p.t <= 1e150 and math.sqrt(p.t - 1.0) == z:
+        assert bits(p.x) == bits(boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, p.t))

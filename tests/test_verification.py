@@ -393,7 +393,11 @@ class TestAgreementScan:
         assert rep.max_gap_omega_a <= 1e-11
         assert rep.min_wedge_gap > 0.0
         assert abs(rep.phi_gap_at_probe) >= 1e-4
-        assert rep.passed
+        # the suite states the same three thresholds and passes them
+        checks = {c.name: c for c in run_suite("agreement").checks}
+        assert {name: c.threshold for name, c in checks.items()} == {
+            "agreement_region": 1e-11, "wedge_disagreement": 0.0, "potential_disagreement": 1e-4}
+        assert all(c.passed for c in checks.values())
 
     def test_requires_minimum_n(self):
         with pytest.raises(DomainError):
@@ -489,6 +493,20 @@ class TestCallCounts:
         _suite_pde(seed=0)
         # two residual calls: 200 sample points, then 10 points at two steps
         assert calls == {"phi_array": 2, "psi_classical_array": 4}
+
+    def test_holder_suite_closed_form_calls(self, monkeypatch):
+        # each horizon fit probes its 11 offsets at once: one array of points
+        # above the horizon and one on it, so 6 closed-form d_x Phi calls of
+        # 11 points where 33 float probes made 66 size-1 calls
+        sizes, calls = [], Counter()
+        array_call = wave_potential.dphidx_closed_array
+        monkeypatch.setattr(wave_potential, "dphidx_closed_array",
+                            lambda t, x, v: sizes.append(np.size(t)) or array_call(t, x, v))
+        counting(monkeypatch, calls, wave_potential, "dphidx_closed")
+        counting(monkeypatch, calls, verification, "horizon_jump_probe")
+        run_suite("holder")
+        assert sizes == [11] * 6
+        assert calls == {"horizon_jump_probe": 3}
 
 
 def keeps_pde_point(t, x, tag):
