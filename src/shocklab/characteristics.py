@@ -16,7 +16,7 @@ Inverting a characteristic through a point (t, x) means solving
 for the foot u.  The residual is monotone on each half-axis and, past the
 focusing time, on each branch |u| >= sqrt(t-1), so every foot map below is
 a bracketed root find.  All of them go through one batched Newton solve
-(_solve_feet) and all region tags through one set of rules
+(_solve_block, per block) and all region tags through one set of rules
 (_region_codes); a scalar foot map or classify is a size-1 array call, so
 scalar and array answers agree bit for bit.  The maps accept the points
 Point accepts (core._check_points) and share one shock band (on_shock).
@@ -181,15 +181,14 @@ _INITIAL, _CREASE, _SHOCK, _ON_B, _ON_C, _OMEGA_A, _WEDGE, _WEAK_ONLY = range(le
 
 
 def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index into _TAG_ORDER of each point's tag: the region rules of
-    classify, classify_array and the classical foot map.
+    """Index into _TAG_ORDER of each (checked) point's tag: the region rules
+    of classify, classify_array and the classical foot map.
 
     Rules are applied from the last to the first, so the first that holds
     wins.  Past the crease a point off the curves and outside Omega_A is
     weak-only left of B and in the wedge right of it: x >= 2t outside
     Omega_A means x == 2t, which the shock band already takes.
     """
-    _check_points(t, x)
     post = t > 1.0
     xb = _x_B(t)
     codes = np.where(x < xb, _WEAK_ONLY, _WEDGE)
@@ -214,6 +213,7 @@ def classify_array(t, x) -> np.ndarray:
     broadcast arrays t and x at once; classify is its size-1 case.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    _check_points(t, x)
     codes = _region_codes(t, x)
     # index the flat codes: a 0-d index would return a bare RegionTag
     return _TAG_OBJECTS[codes.ravel()].reshape(codes.shape)
@@ -241,12 +241,21 @@ def _bracket(t, d, right):
     return lo, hi
 
 
-# Points per block of the batched solve, which bounds its working arrays.
+# Points per block of the batched maps, which keeps their working arrays in cache.
 _BLOCK = 8192
 # Relative step below which a Newton iterate counts as converged: a few ulp.
 _STEP_TOL = 1e-14
 # Newton sweeps before a block gives up with MaxIterExceeded.
 _MAX_SWEEPS = 160
+
+
+def _blocked(block, *arrays):
+    """block on each run of _BLOCK points of the float arrays (of one shape), its results in that shape."""
+    flat = [a.reshape(-1) for a in arrays]
+    out = np.empty(flat[0].size)
+    for i in range(0, out.size, _BLOCK):
+        out[i:i + _BLOCK] = block(*(a[i:i + _BLOCK] for a in flat))
+    return out.reshape(arrays[0].shape)
 
 
 def _solve_feet(t, d, lo, hi):
@@ -260,20 +269,13 @@ def _solve_feet(t, d, lo, hi):
     bracket.  A point stops once rounding makes its residual change sign,
     vanish or stop shrinking, or once its step is at most
     _STEP_TOL*(1 + |u|); it keeps the iterate with the smaller residual and
-    leaves the active set.  Large inputs are solved in blocks of _BLOCK
-    points; points with lo == hi are returned as given.  t, d, lo and hi
-    are float arrays of one shape: the callers have broadcast them.
+    leaves the active set.  Points with lo == hi are returned as given.
+    t, d, lo and hi are float arrays of one shape, solved per block (_blocked).
 
     Raises MaxIterExceeded after _MAX_SWEEPS sweeps, naming the active point
     (t, d) with the largest residual, its iterate, residual and bracket.
     """
-    shape = lo.shape
-    t, d, lo, hi = t.ravel(), d.ravel(), lo.ravel(), hi.ravel()
-    out = np.empty(lo.size)
-    for first in range(0, lo.size, _BLOCK):
-        blk = slice(first, first + _BLOCK)
-        out[blk] = _solve_block(t[blk], d[blk], lo[blk], hi[blk])
-    return out.reshape(shape)
+    return _blocked(_solve_block, t, d, lo, hi)
 
 
 def _solve_block(t, d, lo, hi):
@@ -309,12 +311,16 @@ def _solve_block(t, d, lo, hi):
 
 
 def foot_weak_array(t, x) -> np.ndarray:
-    """Entropy-solution feet for arrays of points; shock-side chosen by sign(x - 2t)."""
+    """Entropy-solution feet for arrays of points; shock-side chosen by sign(x - 2t).
+    After one check of the batch the whole map runs per block (_blocked)."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     _check_points(t, x)
+    return _blocked(_weak_feet, t, x)
+
+
+def _weak_feet(t, x):
     d = x - 2.0 * t
-    lo, hi = _bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0)))
-    return _solve_feet(t, d, lo, hi)
+    return _solve_block(t, d, *_bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0))))
 
 
 def foot_classical_array(t, x) -> np.ndarray:
@@ -325,9 +331,15 @@ def foot_classical_array(t, x) -> np.ndarray:
     serves points on the Cauchy horizon and in Omega_A left of the shock,
     the right family the rest.  Right-family points at or left of the
     singular boundary, to within the rounding of x - 2t, get the branch
-    point sqrt(t-1) exactly instead of a solve at its double root.
+    point sqrt(t-1) exactly instead of a solve at its double root.  After
+    one check of the batch the whole map runs per block (_blocked).
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    _check_points(t, x)
+    return _blocked(_classical_feet, t, x)
+
+
+def _classical_feet(t, x):
     codes = _region_codes(t, x)
     _raise_at(codes == _WEAK_ONLY, OutsideDomain, "{p} is outside the classical domain", t, x)
     d = x - 2.0 * t
@@ -337,7 +349,15 @@ def foot_classical_array(t, x) -> np.ndarray:
     lo, hi = _bracket(t, d, right)
     z = np.sqrt(np.maximum(t - 1.0, 0.0))
     snap = post & right & (z - t * np.arctan(z) - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
-    return _solve_feet(t, d, np.where(snap, z, lo), np.where(snap, z, hi))
+    return _solve_block(t, d, np.where(snap, z, lo), np.where(snap, z, hi))
+
+
+_ON_SHOCK = "{p} is on the shock; use shock_trace for the limits"
+
+
+def _refuse_on_shock(t, x) -> None:
+    """Raise OnShockError at the first point of the arrays t, x on the shock, where psi_W is two-sided."""
+    _raise_at(on_shock(t, x), OnShockError, _ON_SHOCK, t, x)
 
 
 def foot_weak(p: Point) -> float:
@@ -347,10 +367,8 @@ def foot_weak(p: Point) -> float:
     negative iff left of it; on the shock itself (t > 1) the value is
     two-sided and an OnShockError is raised.
     """
-    t, x = p.t, p.x
-    if on_shock(t, x):
-        raise OnShockError(f"({t}, {x}) is on the shock; use shock_trace for the limits")
-    return float(foot_weak_array(t, x))
+    _refuse_on_shock(np.asarray(p.t), np.asarray(p.x))
+    return float(foot_weak_array(p.t, p.x))
 
 
 def foot_classical(p: Point) -> float:

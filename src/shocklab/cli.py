@@ -50,6 +50,8 @@ _CURVES = {
     "K": BoundaryCurve.SHOCK,
 }
 
+# A dict lookup per grid cell is cheaper than reading the Enum's value.
+_TAG_TEXT = {tag: tag.value for tag in RegionTag}
 _EVAL_FIELDS = ("psi", "dpsi_dx", "phi", "dphi_dx", "dphi_dt", "region", "metric", "frame")
 
 
@@ -154,10 +156,8 @@ def _cmd_grid(args) -> int:
     cells = _grid_cells(ts, xs, args.field, variant)
     print("t,x,value")
     t_txt, x_txt = [_fmt(t) for t in ts], [_fmt(x) for x in xs]
-    nx = len(xs)
-    print("\n".join(
-        f"{t},{x},{cell}" for i, t in enumerate(t_txt) for x, cell in zip(x_txt, cells[i * nx:(i + 1) * nx])
-    ))
+    cell = iter(cells)  # row-major: t outer, x inner
+    print("\n".join(f"{t},{x},{next(cell)}" for t in t_txt for x in x_txt))
     if args.characteristics > 0:
         feet = np.linspace(x_min, x_max, args.characteristics)[:, None]
         # per foot the outgoing line, then the ingoing one of slope -2 through (t_min, x0)
@@ -179,7 +179,7 @@ def _grid_cells(ts, xs, field: str, variant: SolutionVariant) -> list[str]:
     """
     tt, xx = (a.ravel() for a in np.meshgrid(ts, xs, indexing="ij"))
     if field == "region":
-        return [tag.value for tag in classify_array(tt, xx)]
+        return list(map(_TAG_TEXT.__getitem__, classify_array(tt, xx).tolist()))
     if variant is SolutionVariant.CLASSICAL:
         na = classify_array(tt, xx) == RegionTag.WEAK_ONLY
     else:
@@ -191,9 +191,8 @@ def _grid_cells(ts, xs, field: str, variant: SolutionVariant) -> list[str]:
         values = psi_classical_array(t_def, x_def)
     else:
         values = psi_weak_array(t_def, x_def)
-    cells = np.full(tt.size, "NA", dtype=object)
-    cells[~na] = list(map(repr, values.tolist()))  # Python floats: repr is _fmt
-    return cells.tolist()
+    text = map(repr, values.tolist())  # Python floats: repr is _fmt
+    return ["NA" if undefined else next(text) for undefined in na.tolist()]
 
 
 def _cmd_godunov(args) -> int:
@@ -276,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()  # built once: parsing leaves it as built
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

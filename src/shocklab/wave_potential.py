@@ -54,7 +54,7 @@ from .core import (
     psi0,
 )
 from .characteristics import RegionTag, classify_array, foot_classical_array, foot_weak_array, on_shock
-from .characteristics import shock_feet
+from .characteristics import _ON_SHOCK, _refuse_on_shock, shock_feet
 from .burgers import psi, psi_classical_array, psi_weak_array
 
 __all__ = [
@@ -171,7 +171,7 @@ def dphidx_closed_array(t, x, variant: SolutionVariant) -> np.ndarray:
     weak = variant is SolutionVariant.WEAK
     if weak:
         _check_points(t, x)
-        _raise_at(on_shock(t, x), OnShockError, "{p} is on the shock; use shock_trace for the limits", t, x)
+        _refuse_on_shock(t, x)
     value = np.log((4.0 + psi0(x + 2.0 * t)) / (4.0 + (psi_weak_array if weak else psi_classical_array)(t, x)))
     crosses, t_c = _shock_crossing(t, x)
     if weak and crosses.any():
@@ -206,7 +206,7 @@ def lbar_derivative(t, x, variant: SolutionVariant, h=None) -> np.ndarray:
     t, x, h = np.broadcast_arrays(t, x, np.asarray(h, dtype=float))
     _raise_at(t - h < 0.0, DomainError, "stencil leaves t >= 0 at {p} with step {h}", t, x, h=h)
     if variant is SolutionVariant.WEAK:
-        _raise_at(on_shock(t, x), OnShockError, "{p} is on the shock", t, x)
+        _refuse_on_shock(t, x)
     up, dn = phi_array(np.stack([t + h, t - h]), np.stack([x - 2.0 * h, x + 2.0 * h]), variant)
     return (up - dn) / (2.0 * h)
 
@@ -219,13 +219,19 @@ def horizon_jump_probe(x, eps):
     differentiability of d_x(Phi) across the horizon).  x and eps broadcast
     (two dphidx_closed_array calls); floats are the size-1 case."""
     x, eps = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
-    _raise_first((  # from x = -1e150 on, the probe points (2 - x/2 + eps, x) are modelled
+    t0, weak = 2.0 - 0.5 * x, SolutionVariant.WEAK
+    with np.errstate(invalid="ignore"):  # inf - inf only where x and eps are refused
+        t1 = t0 + eps
+    _raise_first((  # from x = -1e150 on, the probe points (t1, x) and (t0, x) are modelled
         (~((-_MODELLED_RANGE <= x) & (x < 2.0)), DomainError,
          f"horizon probe requires {-_MODELLED_RANGE:g} <= x < 2, got {{x}}"),
         (~((0.0 < eps) & (eps <= 0.05)), DomainError, "probe offset must lie in (0, 0.05], got {eps}"),
-    ), x, eps, x=x, eps=eps)
-    t0, weak = 2.0 - 0.5 * x, SolutionVariant.WEAK
-    return _float_call(dphidx_closed_array(t0 + eps, x, weak) - dphidx_closed_array(t0, x, weak))
+        # within GEOM_TOL/2 of x = 2 the probe points touch the shock; the two
+        # dphidx_closed_array calls below refuse them in this order
+        (on_shock(t1, x), OnShockError, _ON_SHOCK.format(p="({t1}, {x})")),
+        (on_shock(t0, x), OnShockError, _ON_SHOCK.format(p="({t0}, {x})")),
+    ), x, eps, x=x, eps=eps, t0=t0, t1=t1)
+    return _float_call(dphidx_closed_array(t1, x, weak) - dphidx_closed_array(t0, x, weak))
 
 
 def pde_residual_classical(t, x, h) -> np.ndarray:

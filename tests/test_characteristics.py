@@ -14,6 +14,7 @@ from shocklab.core import (
     Point,
 )
 from shocklab import characteristics
+from shocklab.burgers import psi_classical_array
 from shocklab.characteristics import (
     _solve_feet,
     BoundaryCurve,
@@ -354,6 +355,28 @@ class TestArrayFootMaps:
         with pytest.raises(OutsideDomain):
             foot_classical_array(np.array([2.2]), np.array([0.5]))
 
+    # the maps run per block of characteristics._BLOCK points after one
+    # check of the whole batch: a bad point refuses before any WeakOnly one
+    # and the first WeakOnly point is refused, in whichever block they lie
+    @pytest.mark.parametrize("f", [foot_classical_array, psi_classical_array])
+    def test_non_finite_point_refused_before_weak_only(self, f):
+        n = characteristics._BLOCK
+        t, x = np.full(3 * n, 0.5), np.zeros(3 * n)
+        t[5], x[5] = 2.2, 0.5                  # WeakOnly, block 0
+        t[2 * n + 7] = math.nan                # block 2
+        with pytest.raises(DomainError) as err:
+            f(t, x)
+        assert (type(err.value), str(err.value)) == (DomainError, "non-finite point (nan, 0.0)")
+
+    @pytest.mark.parametrize("f", [foot_classical_array, psi_classical_array])
+    def test_weak_only_point_refused_in_a_later_block(self, f):
+        n = characteristics._BLOCK
+        t, x = np.full(3 * n, 0.5), np.zeros(3 * n)
+        t[2 * n + 7], x[2 * n + 7] = 2.2, 0.5   # WeakOnly, block 2
+        with pytest.raises(OutsideDomain) as err:
+            f(t, x)
+        assert str(err.value) == "(2.2, 0.5) is outside the classical domain"
+
 
 R = RegionTag
 # Offsets across a curve, in units of its band half-width
@@ -495,3 +518,12 @@ class TestFrozenFeet:
         x = np.linspace(-30.0, 40.0, 10007)[::-1]
         digest = hashlib.sha256(foot_weak_array(t, x).tobytes()).hexdigest()
         assert digest == "174b654e7649bd9b775d6c39138d0e92ecba31730f56544630b61fee961fda6d"
+
+    def test_classical_batch_across_blocks(self):
+        # 28221 classical-domain points on a line through every region: more than three blocks
+        t = np.linspace(0.0, 4.0, 30011)
+        x = np.linspace(-30.0, 40.0, 30011)[::-1]
+        keep = classify_array(t, x) != RegionTag.WEAK_ONLY
+        assert keep.sum() == 28221
+        digest = hashlib.sha256(foot_classical_array(t[keep], x[keep]).tobytes()).hexdigest()
+        assert digest == "0ee356c012461707b958accce4124e5e6037050863f38215dcce4945d6481a4e"

@@ -556,3 +556,34 @@ class TestRoundTrip:
             assert o1 == o2
             checked += 1
         assert checked >= 5
+
+
+class TestParserBuiltOnce:
+    # main parses with one parser built at import: each call gives the same
+    # stdout, stderr and exit code as on a freshly built parser, whatever ran
+    # before it, a usage error included
+    CALLS = (
+        ("grid", "--t-range", "0:3", "--x-range=-6:8", "--nt", "5", "--nx", "7",
+         "--field", "psi", "--variant", "classical"),
+        ("grid", "--t-range", "0:3"),
+        ("eval", "--t", "2.0", "--x", "4.5", "--variant", "classical"),
+        ("verify", "--suite", "rh"),
+    )
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_carry_no_state(self, capsys, monkeypatch):
+        sequence = [self.outcome(capsys, argv) for argv in self.CALLS * 2]
+        first = []
+        for argv in self.CALLS:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            first.append(self.outcome(capsys, argv))
+        assert [code for code, _, _ in first] == [0, 2, 0, 0]
+        assert sequence == first * 2

@@ -237,12 +237,12 @@ def test_array_maps_finite_up_to_the_modelled_range(points):
             assert np.all(np.isfinite(values)), name
 
 
-def assert_batch_equals_size_one_calls(t, x, where=None):
-    """psi_weak_array of the batch (t, x) equals, bit for bit, its size-1 call
-    at every position (or at each position in where)."""
-    batch = psi_weak_array(t, x)
+def assert_batch_equals_size_one_calls(t, x, where=None, f=psi_weak_array):
+    """f (psi_weak_array by default) of the batch (t, x) equals, bit for bit,
+    its size-1 call at every position (or at each position in where)."""
+    batch = f(t, x)
     for k in range(t.size) if where is None else where:
-        one = psi_weak_array(t[k:k + 1], x[k:k + 1])
+        one = f(t[k:k + 1], x[k:k + 1])
         assert batch[k:k + 1].tobytes() == one.tobytes(), (t[k], x[k])
 
 
@@ -273,6 +273,27 @@ def test_batch_across_blocks_equals_size_one_calls():
     x = rng.uniform(-20.0, 20.0, n)
     where = sorted({*range(_BLOCK - 64, _BLOCK + 64), *range(0, n, 16)})
     assert_batch_equals_size_one_calls(t, x, where)
+
+
+@pytest.mark.parametrize("f", [psi_classical_array, foot_classical_array])
+def test_classical_batch_across_blocks_equals_size_one_calls(f):
+    # as above with classical-domain points; a WeakOnly point put in the
+    # second block is refused as by its size-1 call
+    from shocklab.characteristics import _BLOCK
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, 3.0, 2 * _BLOCK)
+    x = rng.uniform(-20.0, 20.0, 2 * _BLOCK)
+    keep = classify_array(t, x) != RegionTag.WEAK_ONLY
+    n = _BLOCK + 200
+    t, x = t[keep][:n], x[keep][:n]
+    where = sorted({*range(_BLOCK - 64, _BLOCK + 64), *range(0, n, 16)})
+    assert_batch_equals_size_one_calls(t, x, where, f)
+    t[_BLOCK + 100], x[_BLOCK + 100] = 2.2, 0.5
+    with pytest.raises(OutsideDomain) as one:
+        f(t[_BLOCK + 100:_BLOCK + 101], x[_BLOCK + 100:_BLOCK + 101])
+    with pytest.raises(OutsideDomain) as batch:
+        f(t, x)
+    assert str(batch.value) == str(one.value)
 
 
 # The rh, lax and bubble suites solve their shock feet in one batch, and a
@@ -387,6 +408,8 @@ def test_dphidx_closed_array_equals_float_calls(variant, points):
     st.lists(st.one_of(st.floats(min_value=1e-9, max_value=0.05),
                        st.sampled_from([0.0, -1e-3, 0.0500001, math.nan])), min_size=1, max_size=20),
 )
+@example(1.9999999999999996, [0.03125, 0.0])  # the first offset's (t0, x) is on the shock
+@example(1.999999999999, [1e-12, 0.01])  # the first offset's (t0 + eps, x) is on the shock
 def test_horizon_probe_offsets_equal_float_calls(x, offsets):
     assert_array_call_is_float_calls(
         lambda: horizon_jump_probe(x, np.array(offsets)).tolist(),

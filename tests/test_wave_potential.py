@@ -16,10 +16,11 @@ from shocklab.core import (
     SolutionVariant,
 )
 from shocklab.burgers import psi_weak
-from shocklab.characteristics import RegionTag, classify_array
+from shocklab.characteristics import RegionTag, classify_array, foot_weak
 from shocklab.wave_potential import (
     dphidt_closed,
     dphidx_closed,
+    dphidx_closed_array,
     horizon_jump_probe,
     lbar_derivative,
     pde_residual_classical,
@@ -177,6 +178,19 @@ class TestLbarDerivative:
     def test_small_time_guard(self):
         with pytest.raises(DomainError):
             lbar_derivative(1e-7, 0.0, W)
+
+
+# the weak foot, the weak potential's closed-form d_x and its ingoing
+# difference refuse a point on the shock with one message
+@pytest.mark.parametrize("call", [
+    lambda: foot_weak(Point(2.0, 4.0)),
+    lambda: dphidx_closed_array(np.array([1.5, 2.0]), np.array([0.0, 4.0]), W),
+    lambda: lbar_derivative(2.0, 4.0, W),
+], ids=["foot_weak", "dphidx_closed_array", "lbar_derivative"])
+def test_one_on_shock_refusal(call):
+    with pytest.raises(OnShockError) as err:
+        call()
+    assert str(err.value) == "(2.0, 4.0) is on the shock; use shock_trace for the limits"
 
 
 # the input point is checked before any step or stencil is formed from it
