@@ -50,8 +50,6 @@ _CURVES = {
     "K": BoundaryCurve.SHOCK,
 }
 
-# A dict lookup per grid cell is cheaper than reading the Enum's value.
-_TAG_TEXT = {tag: tag.value for tag in RegionTag}
 _EVAL_FIELDS = ("psi", "dpsi_dx", "phi", "dphi_dx", "dphi_dt", "region", "metric", "frame")
 
 
@@ -179,7 +177,8 @@ def _grid_cells(ts, xs, field: str, variant: SolutionVariant) -> list[str]:
     """
     tt, xx = (a.ravel() for a in np.meshgrid(ts, xs, indexing="ij"))
     if field == "region":
-        return list(map(_TAG_TEXT.__getitem__, classify_array(tt, xx).tolist()))
+        # _value_, Enum's own attribute, skips the .value property per cell
+        return [tag._value_ for tag in classify_array(tt, xx).tolist()]
     if variant is SolutionVariant.CLASSICAL:
         na = classify_array(tt, xx) == RegionTag.WEAK_ONLY
     else:

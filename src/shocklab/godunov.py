@@ -5,37 +5,39 @@ finite-volume scheme converges to it without any knowledge of the
 characteristic construction.  Every wave speed 2 + u is positive on the
 invariant range [-pi/2, pi/2], which the maximum-principle check keeps the
 cells in, so the exact-Riemann flux of the convex flux (2+u)^2/2 is the
-upwind flux f(u_left) there.  This module marches that conservative
-explicit update with CFL-limited steps on one local array per grid, with
-Dirichlet ghost cells fed by the exact entropy field and both invariant
-checks on every step, and compares the result in L1 against exact per-cell
-averages with the shock cell split.  `solve_at` is the one march, and
-`solve` its one-end case.  A march solves its own ghost fills ahead: its
-fills are served from a table of ghost pairs solved at a window of up to
-1024 predicted fill times (after the first window, up to twice the fills
-the last window served).  It predicts them by the march's own CFL rule,
-with the larger ghost as the largest state, and solves the window again
-until its times stop changing, one field call per sweep.  A fill is
-served only when its time matches a solved time bit for bit; a miss
-starts the next window at the missed time, and no window holds a time
-the march could not ask for.  The foot solve is elementwise, so every
-state equals that of a march that asks the field at each fill, bit for
-bit, and a wrong prediction costs only a miss.  The march (`_march`)
-takes only full CFL steps, and each end is reached by its capped final
-steps on a copy, so every state equals that of a march to its end
-alone.  Between steps the march carries |diff| of its extended array and
-the min and max of its cells (`_March`): a step's invariant checks then
-read the old total variation and the maximum-principle bounds without a
-pass over the cells.  A step writes the new cells in place through two
-preallocated scratch buffers and folds the flux's half into the step
-factor, so it makes 11 passes over the cells.  The ghost fill refreshes
-only what the two new ghosts touch, and the capped steps run on a copy
-of the carried state.  Inputs are checked once, at entry and before any
-step: the ends (finite, nondecreasing, at most 1e8 CFL steps away) by
-`solve_at`, the bounds, time and cells by `GodunovState`.  A step that
-leaves the time where it stands (a CFL step at most half an ulp of t, so
-t+dt rounds back to t) raises where it is taken: a march of such steps
-never reaches its end.
+upwind flux f(u_left) there.  The update then reads one inflow ghost left
+of the cells and nothing right of them: an outflow boundary of an upwind
+scheme needs no data.  This module marches that conservative explicit
+update with CFL-limited steps on one local array per grid, with a
+Dirichlet inflow ghost fed by the exact entropy field and both invariant
+checks on every step, each taken over the ghost and the cells the update
+reads, and compares the result in L1 against exact per-cell averages with
+the shock cell split.  `solve_at` is the one march, and `solve` its
+one-end case.  A march solves its own ghost fills ahead: its fills are
+served from a table of ghosts solved at a window of up to 1024 predicted
+fill times (after the first window, up to twice the fills the last window
+served).  It predicts them by the march's own CFL rule, with the ghost as
+the largest state, and solves the window again until its times stop
+changing, one field call per sweep.  A fill is served only when its time
+matches a solved time bit for bit; a miss starts the next window at the
+missed time, and no window holds a time the march could not ask for.  The
+foot solve is elementwise, so every state equals that of a march that
+asks the field at each fill, bit for bit, and a wrong prediction costs
+only a miss.  The march (`_march`) takes only full CFL steps, and each
+end is reached by its capped final steps on a copy, so every state equals
+that of a march to its end alone.  Between steps the march carries |diff|
+of its extended array and the min and max of its cells (`_March`): a
+step's invariant checks then read the old total variation and the
+maximum-principle bounds without a pass over the cells.  A step writes
+the new cells in place through two preallocated scratch buffers and folds
+the flux's half into the step factor, so it makes 11 passes over the
+cells.  The ghost fill refreshes only what the new ghost touches, and the
+capped steps run on a copy of the carried state.  Inputs are checked
+once, at entry and before any step: the ends (finite, nondecreasing, at
+most 1e8 CFL steps away) by `solve_at`, the bounds, time and cells by
+`GodunovState`.  A step that leaves the time where it stands (a CFL step
+at most half an ulp of t, so t+dt rounds back to t) raises where it is
+taken: a march of such steps never reaches its end.
 Agreement here validates the entropy selection of the exact
 construction; disagreement at the wedge values would expose a wrong
 branch choice.
@@ -128,15 +130,16 @@ def initial_state(n_cells: int, x_lo: float = -10.0, x_hi: float = 10.0, cfl: fl
 
 @dataclass
 class _March:
-    """The cells of a march between two ghosts, and what it carries between steps.
+    """The cells of a march behind their inflow ghost, and what it carries between steps.
 
-    ext holds ghost, cells, ghost.  adiff holds |diff(ext)|: the update
-    rewrites it whole and the fill its two ghost-adjacent entries.  lo and
-    hi are the min and max of the cells ext[1:-1]; each fill sets ext_lo and
-    ext_hi, those of ext.  Each equals what np.abs(np.diff(ext)), np.min or
-    np.max would give, NaN included.  h is the cell width and reach the CFL
-    numerator cfl*h of the grid.  flux and jump are the update's scratch
-    buffers, which a copy shares: no step reads what an earlier one left.
+    ext holds the ghost, then the cells: every value the update reads.
+    adiff holds |diff(ext)|: the update rewrites it whole and the fill its
+    first entry.  lo and hi are the min and max of the cells ext[1:]; each
+    fill sets ext_lo and ext_hi, those of ext.  Each equals what
+    np.abs(np.diff(ext)), np.min or np.max would give, NaN included.  h is
+    the cell width and reach the CFL numerator cfl*h of the grid.  flux and
+    jump are the update's scratch buffers, which a copy shares: no step
+    reads what an earlier one left.
     """
 
     ext: np.ndarray
@@ -153,10 +156,9 @@ class _March:
     @classmethod
     def start(cls, s0: GodunovState) -> _March:
         cells = s0.cell_averages
-        ext = np.concatenate([[0.0], cells, [0.0]])
+        ext = np.concatenate([[0.0], cells])
         lo, hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
-        n = cells.size
-        return cls(ext, np.abs(np.diff(ext)), np.empty(n + 1), np.empty(n), s0.h, s0.cfl * s0.h, lo, hi)
+        return cls(ext, np.abs(np.diff(ext)), np.empty(ext.size), np.empty(cells.size), s0.h, s0.cfl * s0.h, lo, hi)
 
     def copy(self) -> _March:
         return replace(self, ext=self.ext.copy(), adiff=self.adiff.copy())
@@ -172,19 +174,13 @@ def _max(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _fill_ghosts(m: _March, ghosts: Sequence[float]) -> float:
-    """Set the ghost cells of march m to ghosts; return the CFL step.
-
-    ghosts holds the exact entropy field at the two ghost cell centers, at
-    the time of the fill.
-    """
-    ext = m.ext
-    g0, g1 = ghosts
-    ext[0], ext[-1] = g0, g1
-    m.adiff[0], m.adiff[-1] = abs(ext[1] - g0), abs(g1 - ext[-2])
-    m.ext_lo = _min(_min(m.lo, g0), g1)
-    m.ext_hi = _max(_max(m.hi, g0), g1)
-    # CFL over the extended array: ghost speeds bound the boundary-cell waves
+def _fill_ghost(m: _March, ghost: float) -> float:
+    """Set the inflow ghost of march m to ghost, the exact entropy field at
+    its center at the time of the fill; return the CFL step."""
+    m.ext[0] = ghost
+    m.adiff[0] = abs(m.ext[1] - ghost)
+    m.ext_lo, m.ext_hi = _min(m.lo, ghost), _max(m.hi, ghost)
+    # CFL over the extended array: the ghost's speed bounds the inflow wave
     return _cfl_step(m.reach, m.ext_hi)
 
 
@@ -209,8 +205,8 @@ def _update(m: _March, dt: float) -> None:
     monotonicity breaks; m is then left part-way through the step.
     """
     ext, flux, jump = m.ext, m.flux, m.jump
-    cells = ext[1:-1]
-    np.add(ext[:-1], 2.0, out=flux)
+    cells = ext[1:]
+    np.add(ext, 2.0, out=flux)
     np.square(flux, out=flux)
     np.subtract(flux[1:], flux[:-1], out=jump)
     np.multiply(jump, dt / m.h * 0.5, out=jump)
@@ -261,9 +257,9 @@ def _advance(t: float, dt: float, t_end: float) -> float:
 def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, ...]:
     """The states of grid s0 at its checked ends, from one march.
 
-    Each fill's ghost pair comes from the grid's ghost table (_ghost_table).
+    Each fill's ghost comes from the grid's ghost table (_ghost_table).
     The shared march takes only full CFL steps; each end is reached on a
-    copy of the march (cells, ghosts and carried state) with the capped
+    copy of the march (cells, ghost and carried state) with the capped
     steps a march to that end alone takes, starting from the CFL step
     already computed at the point where the march to it leaves.
     """
@@ -279,7 +275,7 @@ def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, .
             continue
         while t < t_end:
             if dt is None:
-                dt = _fill_ghosts(march, fill(t))
+                dt = _fill_ghost(march, fill(t))
             if dt > t_end - t:
                 break
             _update(march, dt)
@@ -288,15 +284,15 @@ def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, .
         cut, t_cut, dt_cut = march.copy(), t, dt
         while t_cut < t_end:
             if dt_cut is None:
-                dt_cut = _fill_ghosts(cut, fill(t_cut))
+                dt_cut = _fill_ghost(cut, fill(t_cut))
             dt_cut = min(dt_cut, t_end - t_cut)
             _update(cut, dt_cut)
             t_cut, dt_cut = _advance(t_cut, dt_cut, t_end), None
-        states.append(replace(s0, cell_averages=cut.ext[1:-1], time=t_cut))
+        states.append(replace(s0, cell_averages=cut.ext[1:], time=t_cut))
     return tuple(states)
 
 
-# Most fill times a grid's ghosts are solved ahead for, and fixed-point sweeps per window.
+# Most fill times a grid's ghost is solved ahead for, and fixed-point sweeps per window.
 _WINDOW = 1024
 _SWEEPS = 8
 
@@ -316,35 +312,33 @@ def _window(t_miss: float, steps: np.ndarray, t_last: float) -> np.ndarray:
     return times[:1 + (ok.size if ok.all() else int(ok.argmin()))]
 
 
-def _prefetch(s0: GodunovState, t_last: float, t_miss: float, size: int) -> dict[float, list[float]]:
+def _prefetch(s0: GodunovState, t_last: float, t_miss: float, size: int) -> dict[float, float]:
     """Ghost table of grid s0, on its march to t_last, for a window of at
     most size fill times from the missed fill time t_miss.
 
     The window first guesses the shortest CFL step the invariant range
-    allows.  Each sweep makes one psi_weak_array call holding the two
-    ghost cell centers at each time of the window, then predicts the
-    window again from the new ghosts by the march's own rule (_cfl_step),
-    with the larger ghost as the largest state.  The window settles when
-    its times stop changing, or after _SWEEPS sweeps.  The table maps
-    every time of the last solved window to the ghost pair solved at
-    exactly that time.
+    allows.  Each sweep makes one psi_weak_array call at the inflow ghost
+    center and every time of the window, then predicts the window again
+    from the new ghosts by the march's own rule (_cfl_step), with the
+    ghost as the largest state.  The window settles when its times stop
+    changing, or after _SWEEPS sweeps.  The table maps every time of the
+    last solved window to the ghost solved at exactly that time.
     """
-    ghost_x = (s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h)
     reach = s0.cfl * s0.h
     window = _window(t_miss, np.full(size - 1, _cfl_step(reach, _HALF_PI)), t_last)
     for _ in range(_SWEEPS):
         times = window
-        pairs = psi_weak_array(np.repeat(times, 2), np.tile(ghost_x, times.size)).reshape(-1, 2)
+        ghosts = psi_weak_array(times, s0.x_lo - 0.5 * s0.h)
         # a ghost of -2, which only a fake field gives, predicts an infinite step
         with np.errstate(divide="ignore"):
-            window = _window(t_miss, _cfl_step(reach, pairs.max(axis=1))[:size - 1], t_last)
+            window = _window(t_miss, _cfl_step(reach, ghosts)[:size - 1], t_last)
         if np.array_equal(window, times):
             break
-    return dict(zip(times.tolist(), pairs.tolist()))
+    return dict(zip(times.tolist(), ghosts.tolist()))
 
 
-def _ghost_table(s0: GodunovState, t_last: float) -> Callable[[float], list[float]]:
-    """fill(t): the ghost pair of grid s0 at fill time t, on its march to t_last.
+def _ghost_table(s0: GodunovState, t_last: float) -> Callable[[float], float]:
+    """fill(t): the inflow ghost of grid s0 at fill time t, on its march to t_last.
 
     A fill whose time is in the table, bit for bit, is served from it with
     no field call.  A miss replaces the table with a new window starting
@@ -354,7 +348,7 @@ def _ghost_table(s0: GodunovState, t_last: float) -> Callable[[float], list[floa
     """
     table, served = {}, 0
 
-    def fill(t: float) -> list[float]:
+    def fill(t: float) -> float:
         nonlocal table, served
         if t not in table:
             size = min(_WINDOW, 2 * served) if table else _WINDOW
@@ -370,7 +364,7 @@ def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, .
 
     Each state equals solve(t_end, s0) bit for bit.  The ghost fills are
     solved ahead in windows of predicted fill times; the foot solve is
-    elementwise, so a served pair equals a solve at that one time, and a
+    elementwise, so a served ghost equals a solve at that one time, and a
     wrong prediction costs only a miss.  No window holds a time the march
     could not ask the field for.  Raises DomainError, before any step, on
     a non-finite or decreasing end and on an end that takes more than

@@ -462,6 +462,23 @@ class TestGodunovVerb:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_outflow_edge_at_the_modelled_range(self, capsys):
+        # the march reads the field only at its inflow ghost, x_lo - h/2, so
+        # the right edge may reach |x| = 1e150; the left ghost may not pass it
+        code, out, err = run_cli(capsys, "godunov", "--t-end", "1e140", "--n-cells", "2",
+                                 "--x-range", "0:1e150", "--compare")
+        assert (code, err) == (0, "")
+        assert out == (
+            "x_center,value\n"
+            "2.5e+149,-1.5707963255382595\n"
+            "7.499999999999999e+149,-1.5707963267948966\n"
+            "l1_error=2.220446049250313e+134\n"
+        )
+        code, out, err = run_cli(capsys, "godunov", "--t-end", "1e140", "--n-cells", "2",
+                                 "--x-range=-1e150:0")
+        assert (code, out) == (2, "")
+        assert err == "error: (0.0, -1.25e+150) is beyond the modelled range t, |x| <= 1e+150\n"
+
     def test_step_bound_exit_2(self, capsys):
         # cells 2.5e-321 wide: a march of ~1e320 CFL steps is refused before it starts
         code, out, err = run_cli(capsys, "godunov", "--x-range=0:1e-320", "--t-end", "0.1", "--n-cells", "4")

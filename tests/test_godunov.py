@@ -37,31 +37,38 @@ def godunov_flux(u_left, u_right):
 _on_range = st.floats(-math.pi / 2, math.pi / 2)
 
 
-def pairs(ghosts, x):
-    """The ghost pair ghosts at every pair of ghost cell centers in x: a fake
-    field's answer, one value per requested point."""
-    return np.resize(np.asarray(ghosts, dtype=float), np.shape(x))
+def inflow(ghost):
+    """A fake field that gives ghost at every requested point: one value per
+    point of the broadcast (t, x)."""
+    return lambda t, x: np.full(np.broadcast_shapes(np.shape(t), np.shape(x)), ghost)
 
 
 def switch_field(tau, before, after):
-    """A fake field, elementwise: the pair before (the exact field if None) at
-    times below tau, and the pair after from tau on."""
+    """A fake field, elementwise: before (the exact field if None) at times
+    below tau, and after from tau on."""
     def field(t, x):
-        first = psi_weak_array(t, x) if before is None else pairs(before, x)
-        return np.where(np.broadcast_to(t, np.shape(x)) < tau, first, pairs(after, x))
+        t = np.broadcast_to(t, np.broadcast_shapes(np.shape(t), np.shape(x)))
+        first = psi_weak_array(t, x) if before is None else inflow(before)(t, x)
+        return np.where(t < tau, first, after)
     return field
 
 
-def reference_solve_at(t_ends, s0, field=psi_weak_array):
+def reference_solve_at(t_ends, s0, field=psi_weak_array, right_ghost=False, steps=None):
     """The march as it stood before it carried state between steps: the oracle of TestReferenceMarch.
 
-    Every step fills both ghosts from field, takes the CFL step from
+    Every step fills the inflow ghost from field, takes the CFL step from
     np.max of the extended array and recomputes both invariant checks from
-    the whole array.  solve_at's entry checks are left out.  A step that
-    leaves the time unchanged raises, as in solve_at; without that the
+    the whole array.  With right_ghost, the march as it stood before it
+    dropped its outflow ghost: the extended array also ends in a ghost at
+    x_hi + h/2, which the update never reads but the CFL step and both
+    checks do; use it only with the exact field.  steps, if a list, gets
+    the dt of every update.  solve_at's entry checks are left out.  A step
+    that leaves the time unchanged raises, as in solve_at; without that the
     march would take it forever.
     """
-    h = s0.h
+    h, n = s0.h, s0.n_cells
+    ghost_at = [0, -1] if right_ghost else [0]
+    ghost_x = np.array([s0.x_lo - 0.5 * h, s0.x_hi + 0.5 * h][:len(ghost_at)])
 
     def advance(t, dt, t_end):
         if t + dt == t:
@@ -69,23 +76,25 @@ def reference_solve_at(t_ends, s0, field=psi_weak_array):
         return t + dt
 
     def fill(ext, t):
-        ext[[0, -1]] = field(t, np.array([s0.x_lo - 0.5 * h, s0.x_hi + 0.5 * h]))
+        ext[ghost_at] = field(t, ghost_x)
         return s0.cfl * h / (2.0 + float(np.max(ext)))
 
     def update(ext, dt):
-        f = flux(ext[:-1])
-        u_new = ext[1:-1] - dt / h * (f[1:] - f[:-1])
+        if steps is not None:
+            steps.append(dt)
+        f = flux(ext[:n + 1])
+        u_new = ext[1:n + 1] - dt / h * (f[1:] - f[:-1])
         lo_bound = float(np.min(ext)) - 1e-12
         hi_bound = float(np.max(ext)) + 1e-12
         if np.any(u_new < lo_bound) or np.any(u_new > hi_bound):
             raise InvariantViolation("maximum principle violated in a Godunov step")
         tv_old = float(np.sum(np.abs(np.diff(ext))))
-        ext[1:-1] = u_new
+        ext[1:n + 1] = u_new
         if float(np.sum(np.abs(np.diff(ext)))) > tv_old + 1e-10 * (1.0 + tv_old):
             raise InvariantViolation("total variation increased in a Godunov step")
 
     states = []
-    ext = np.concatenate([[0.0], s0.cell_averages, [0.0]])
+    ext = np.concatenate([[0.0], s0.cell_averages, [0.0] * right_ghost])
     t, dt = s0.time, None
     for t_end in t_ends:
         if t_end == s0.time:
@@ -105,7 +114,7 @@ def reference_solve_at(t_ends, s0, field=psi_weak_array):
             dt_cut = min(dt_cut, t_end - t_cut)
             update(cells, dt_cut)
             t_cut, dt_cut = advance(t_cut, dt_cut, t_end), None
-        states.append(replace(s0, cell_averages=cells[1:-1], time=t_cut))
+        states.append(replace(s0, cell_averages=cells[1:n + 1], time=t_cut))
     return tuple(states)
 
 
@@ -137,14 +146,14 @@ _steps = st.lists(st.just(0.0) | st.floats(0.0, 20.0), min_size=1, max_size=3)
 
 def within_reach(t_ends, s0):
     """The exact field, as a fake that fails the test on a point the march of
-    s0 to t_ends could not ask for: one off its ghost cell centers, or at a
+    s0 to t_ends could not ask for: one off its inflow ghost center, or at a
     time that is non-finite, below the start or at or past the last end."""
-    ghost_x = (s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h)
+    ghost_x = s0.x_lo - 0.5 * s0.h
 
     def field(t, x):
-        t = np.broadcast_to(t, np.shape(x))
+        t, x = np.broadcast_arrays(t, x)
         # NaN fails both comparisons
-        inside = np.isin(x, ghost_x) & (t >= s0.time) & (t < t_ends[-1])
+        inside = (x == ghost_x) & (t >= s0.time) & (t < t_ends[-1])
         assert inside.all(), f"a field call outside the march's reach: (t, x) = {t[~inside][0]!r}, {x[~inside][0]!r}"
         return psi_weak_array(t, x)
     return field
@@ -229,10 +238,9 @@ class TestState:
 
 def one_step(s):
     """s solved to the end of the first CFL step its march takes: one full update."""
-    h = s.h
-    ghosts = psi_weak_array(s.time, np.array([s.x_lo - 0.5 * h, s.x_hi + 0.5 * h]))
-    ext = np.concatenate([ghosts[:1], s.cell_averages, ghosts[1:]])
-    return solve(s.time + s.cfl * h / float(np.max(np.abs(2.0 + ext))), s)
+    ghost = psi_weak_array(s.time, np.array([s.x_lo - 0.5 * s.h]))
+    ext = np.concatenate([ghost, s.cell_averages])
+    return solve(s.time + s.cfl * s.h / float(np.max(np.abs(2.0 + ext))), s)
 
 
 class TestStep:
@@ -245,34 +253,35 @@ class TestStep:
     @settings(max_examples=200, deadline=None)
     @given(
         cells=st.lists(_on_range, min_size=2, max_size=40),
-        ghosts=st.tuples(_on_range, _on_range),
+        ghost=_on_range,
         cfl=st.floats(0.05, 0.95),
         width=st.floats(0.5, 50.0),
         cut=st.floats(1e-6, 10.0),
     )
-    def test_equals_exact_riemann_update(self, cells, ghosts, cfl, width, cut):
+    def test_equals_exact_riemann_update(self, cells, ghost, cfl, width, cut):
         # on the invariant range the upwind step is the exact-Riemann step, bit
-        # for bit; a solve from time 0 that ends within one CFL step takes one step
+        # for bit; a solve from time 0 that ends within one CFL step takes one
+        # step.  The outflow face sees the last cell on both sides
         u = np.array(cells)
         s = GodunovState(-width, width, u, time=0.0, cfl=cfl)
-        ext = np.concatenate([[ghosts[0]], u, [ghosts[1]]])
+        ext = np.concatenate([[ghost], u, u[-1:]])
         dt = min(cfl * s.h / float(np.max(np.abs(2.0 + ext))), cut)
         f = godunov_flux(ext[:-1], ext[1:])
         expected = u - dt / s.h * (f[1:] - f[:-1])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fv, "psi_weak_array", lambda t, x: pairs(ghosts, x))
+            mp.setattr(fv, "psi_weak_array", inflow(ghost))
             s2 = solve(dt, s)
         assert s2.time == dt
         assert s2.cell_averages.tobytes() == expected.tobytes()
 
     def test_mass_conservation(self):
         s = initial_state(256)
-        # telescoping: interior fluxes cancel, only boundary fluxes move mass
+        # telescoping: interior fluxes cancel, only the inflow and outflow
+        # face fluxes move mass; the outflow face sees the last cell on both sides
         u = s.cell_averages
         h = s.h
         gl = -math.atan(s.x_lo - 0.5 * h)  # exact entropy field at t = 0
-        gr = -math.atan(s.x_hi + 0.5 * h)
-        ext = np.concatenate([[gl], u, [gr]])
+        ext = np.concatenate([[gl], u, u[-1:]])
         f = godunov_flux(ext[:-1], ext[1:])
         dt = 0.9 * h / np.max(np.abs(2.0 + ext))
         expected_change = -dt * (f[-1] - f[0])
@@ -289,10 +298,11 @@ class TestStep:
         assert linf <= dt * (2.0 + math.pi / 2) * 1.0 + s.h
 
     def test_both_ghost_cells_from_one_field_call(self, monkeypatch):
+        # the march has one ghost, the inflow one; the name is the test's stable id
         calls, fill_times = [], []
 
         def counted(t, x):
-            calls.append((np.broadcast_to(t, np.shape(x)).tolist(), x.tolist()))
+            calls.append(np.broadcast_arrays(t, x))
             return psi_weak_array(t, x)
 
         def recorded(t, x):
@@ -304,13 +314,13 @@ class TestStep:
         monkeypatch.setattr(fv, "psi_weak_array", counted)
         s = solve(0.2, s0)
         # two full CFL steps and a capped one, each after one ghost fill; the
-        # three fill times are one window, and each sweep's call holds both
-        # ghost cell centers at each of its times until the times settle
+        # three fill times are one window, and each sweep's call holds the
+        # inflow ghost center once at each of its times until the times settle
         assert len(fill_times) == 3 and s.time == 0.2
         assert len(calls) == 3
         for t, x in calls:
-            assert x == [s0.x_lo - 0.5 * s0.h, s0.x_hi + 0.5 * s0.h] * 3
-        assert calls[-1][0] == np.repeat(fill_times, 2).tolist()
+            assert x.tolist() == [s0.x_lo - 0.5 * s0.h] * 3
+        assert calls[-1][0].tolist() == fill_times
 
     def test_invariants_over_run(self):
         # _update enforces the stencil-wise maximum principle and extended
@@ -386,7 +396,7 @@ class TestStepAdvances:
         calls = []
 
         def counted(t, x):
-            calls.append(np.size(x))
+            calls.append(np.broadcast(t, x).size)
             return psi_weak_array(t, x)
 
         monkeypatch.setattr(fv, "psi_weak_array", counted)
@@ -394,7 +404,7 @@ class TestStepAdvances:
         message = f"^t_end = {t_end!r} is out of reach: a CFL step of [-+.e0-9]+ leaves t = 5.0 unchanged$"
         with pytest.raises(DomainError, match=message):
             march(t_end, s0)
-        assert calls == [2]
+        assert calls == [1]
         assert outcome(lambda: reference_solve_at((t_end,), s0))[0] is DomainError
         # an end at the start time takes no step
         assert solve(5.0, s0) is s0
@@ -411,47 +421,55 @@ class TestStepAdvances:
 
 
 class TestChecksKept:
-    # ghost values off the invariant range: the upwind flux is then not the
-    # exact-Riemann flux, and the per-step checks must stop the march
+    # an inflow ghost below the sonic point u = -2: the upwind flux is then
+    # not the exact-Riemann flux, and the per-step checks must stop the march.
+    # ghosts: that ghost, and the cells and cfl of a grid on [-1, 1] it breaks
     @pytest.mark.parametrize("ghosts, message", [
-        # a left ghost below the sonic point u = -2 pushes cell 0 above every stencil value
-        ((-3.9, -1.5), "maximum principle violated"),
-        ((-6.0, 6.0), "total variation increased"),
+        # cell 0 rises above every stencil value
+        ((-5.213242170978961, [0.535, 0.606, -1.056, -1.496], 0.92), "maximum principle violated"),
+        # cell 0 rises, but stays below the largest cell
+        ((-4.455921452193967, [-0.807, -0.764, -1.341, -0.761, 0.827, 0.622], 0.42), "total variation increased"),
     ])
     # solve_at's first end is reached by a capped step on the copy of the cells
     @pytest.mark.parametrize("march", [
         lambda s: solve(1.0, s), lambda s: solve_at((1e-3, 1.0), s),
     ], ids=["solve", "solve_at"])
     def test_raises(self, monkeypatch, march, ghosts, message):
-        monkeypatch.setattr(fv, "psi_weak_array", lambda t, x: pairs(ghosts, x))
+        ghost, cells, cfl = ghosts
+        monkeypatch.setattr(fv, "psi_weak_array", inflow(ghost))
         with pytest.raises(InvariantViolation, match=message):
-            march(GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0))
+            march(GodunovState(-1.0, 1.0, np.array(cells), 0.0, cfl))
 
-    # the ghosts stay on the range until tau, so the check fires on a march that
-    # carried |diff(ext)| and the cell range through three full steps; "capped":
-    # the first end lies inside the first step past tau, so the shared march
-    # fills the ghosts and hands them, with what it carries, to the copy
+    # ghosts: the inflow ghost before tau, on the range, and from tau on, below
+    # the sonic point.  The check fires on a march that carried |diff(ext)| and
+    # the cell range through three full steps; "capped": the first end lies
+    # inside the first step past tau, so the shared march fills the ghost and
+    # hands it, with what it carries, to the copy
     @pytest.mark.parametrize("ghosts, message", [
-        ((-3.9, -1.5), "maximum principle violated"),
-        ((-6.0, 6.0), "total variation increased"),
+        ((-1.0, -6.5), "maximum principle violated"),
+        ((-1.0, -5.0), "total variation increased"),
     ])
     @pytest.mark.parametrize("where", ["shared", "capped"])
     def test_raises_after_valid_steps(self, monkeypatch, ghosts, message, where):
-        tau = 1.2
+        tau = 0.36
         fills = []
-        switched = switch_field(tau, (-1.5, -1.5), ghosts)
+        switched = switch_field(tau, *ghosts)
 
         def field(t, x):
             fills.append(np.max(t))  # the reference's fill times
             return switched(t, x)
 
-        s0 = GodunovState(-10.0, 10.0, np.full(64, -1.5), 0.0)
+        s0 = GodunovState(-1.0, 1.0, np.array([0.76, 0.2, 1.26, -0.88]), 0.0, 0.8)
+        want_steps = []
         with pytest.raises(InvariantViolation, match=message):
-            reference_solve_at((5.0,), s0, field)
+            reference_solve_at((5.0,), s0, field, steps=want_steps)
         t_bad = fills[-1]
         assert len(fills) == 4 and t_bad > tau
-        dt_bad = s0.cfl * s0.h / (2.0 + max(-1.5, *ghosts))
-        t_ends = (5.0,) if where == "shared" else (t_bad + 0.5 * dt_bad, 5.0)
+        if where == "capped":
+            t_ends = (t_bad + 0.5 * want_steps[-1], 5.0)
+            want_steps[-1] = t_ends[0] - t_bad
+        else:
+            t_ends = (5.0,)
         with pytest.raises(InvariantViolation) as want:
             reference_solve_at(t_ends, s0, field)
         steps = []
@@ -461,8 +479,7 @@ class TestChecksKept:
         with pytest.raises(InvariantViolation, match=message) as got:
             solve_at(t_ends, s0)
         assert str(got.value) == str(want.value)
-        assert len(steps) == 4
-        assert steps[-1] == (dt_bad if where == "shared" else t_ends[0] - t_bad)
+        assert steps == want_steps
 
 
 def outcome(march):
@@ -486,16 +503,27 @@ class TestReferenceMarch:
             got = outcome(lambda: solve_at(t_ends, s0))
         assert got == outcome(lambda: reference_solve_at(t_ends, s0))
 
+    # on the exact field every state and error equals, bit for bit, that of
+    # a march that also fills a right ghost at x_hi + h/2: psi_weak is
+    # nonincreasing in x, so that ghost is never the largest state, and the
+    # checks it fed never decided a step
+    @settings(max_examples=60, deadline=None)
+    @given(grid=_grid, steps=_steps)
+    def test_equals_two_ghost_march(self, grid, steps):
+        t_ends, s0 = grid_job(*grid, steps)
+        got = outcome(lambda: solve_at(t_ends, s0))
+        assert got == outcome(lambda: reference_solve_at(t_ends, s0, right_ghost=True))
+
     def test_wrong_predictions_only_miss(self, monkeypatch):
-        # the cells' max, 1.5, exceeds both ghosts throughout, so every fill
-        # time the march predicts from the ghosts alone is wrong: each fill
+        # the cells' max, 1.5, exceeds the ghost throughout, so every fill
+        # time the march predicts from the ghost alone is wrong: each fill
         # misses and starts a window of its own, and the states still equal
         # the reference's
         s0 = GodunovState(-10.0, 10.0, np.full(64, 1.5), 0.0)
         t_ends = (0.5, 1.0)
         fills, misses = [], []
-        fill, prefetch = fv._fill_ghosts, fv._prefetch
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
+        fill, prefetch = fv._fill_ghost, fv._prefetch
+        monkeypatch.setattr(fv, "_fill_ghost", lambda *a: fills.append(a[1]) or fill(*a))
         monkeypatch.setattr(fv, "_prefetch", lambda *a: misses.append(a) or prefetch(*a))
         got = outcome(lambda: solve_at(t_ends, s0))
         assert got == outcome(lambda: reference_solve_at(t_ends, s0))
@@ -505,12 +533,12 @@ class TestReferenceMarch:
         # as above, on 400 cells to t = 1: every fill misses.  The first
         # window is whole; each later one holds twice the fills its last
         # window served, here two times settled in two sweeps: at most 2
-        # field calls and 8 ghost points per fill after the first
+        # field calls and 4 ghost points per fill after the first
         s0 = GodunovState(-10.0, 10.0, np.full(400, 1.5), 0.0)
         points, fills, rounds = [], [], []
 
         def counted(t, x):
-            points.append(np.size(x))
+            points.append(np.broadcast(t, x).size)
             return psi_weak_array(t, x)
 
         def prefetched(*args):
@@ -519,20 +547,21 @@ class TestReferenceMarch:
             rounds.append((len(points) - first, sum(points[first:])))
             return table
 
-        fill, prefetch = fv._fill_ghosts, fv._prefetch
+        fill, prefetch = fv._fill_ghost, fv._prefetch
         monkeypatch.setattr(fv, "psi_weak_array", counted)
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
+        monkeypatch.setattr(fv, "_fill_ghost", lambda *a: fills.append(a[1]) or fill(*a))
         monkeypatch.setattr(fv, "_prefetch", prefetched)
         got = outcome(lambda: solve_at((1.0,), s0))
         monkeypatch.undo()
         assert got == outcome(lambda: reference_solve_at((1.0,), s0))
         assert len(rounds) == len(fills) >= 70
-        assert all(calls <= 2 and n <= 8 for calls, n in rounds[1:])
+        assert all(calls <= 2 and n <= 4 for calls, n in rounds[1:])
 
-    @pytest.mark.parametrize("ghosts", [None, (math.nan, -1.5), (-1.5, math.nan)])
+    # ghosts: the exact field throughout, or that field until t = 1 and a NaN
+    # inflow ghost after.  The ids are stable names: no case sets a right ghost
+    @pytest.mark.parametrize("ghosts", [None, math.nan], ids=["None", "ghosts1"])
     def test_carried_state_equals_whole_array_reductions(self, monkeypatch, ghosts):
-        # before every update, in the shared march and in each capped copy;
-        # ghosts: the exact field throughout, or that field until t = 1 and NaN after
+        # before every update, in the shared march and in each capped copy
         def same(a, b):
             return a == b or (math.isnan(a) and math.isnan(b))
 
@@ -544,7 +573,7 @@ class TestReferenceMarch:
             ext = m.ext
             assert m.adiff.tobytes() == np.abs(np.diff(ext)).tobytes()
             assert same(m.ext_lo, np.min(ext)) and same(m.ext_hi, np.max(ext))
-            assert same(m.lo, np.min(ext[1:-1])) and same(m.hi, np.max(ext[1:-1]))
+            assert same(m.lo, np.min(ext[1:])) and same(m.hi, np.max(ext[1:]))
             steps.append(dt)
             update(m, dt)
 
@@ -554,15 +583,14 @@ class TestReferenceMarch:
             outcome(lambda: solve_at((0.3, 1.27, 2.0), initial_state(201)))
         assert len(steps) >= (60 if ghosts is None else 10)
 
-    # non-finite ghosts: NaN must reach the CFL step and the bounds as np.max
-    # and np.min of the whole array would carry it (a NaN step or time ends
-    # the march with an invalid state); -inf breaks the maximum principle
-    @pytest.mark.parametrize("ghosts", [
-        (math.nan, -1.5), (-1.5, math.nan), (math.inf, -1.5), (-math.inf, -1.5), (-math.inf, math.nan),
-    ])
+    # a non-finite inflow ghost: NaN must reach the CFL step and the bounds as
+    # np.max and np.min of the whole array would carry it (a NaN step or time
+    # ends the march with an invalid state); -inf breaks the maximum
+    # principle.  The ids are stable names: no case sets a right ghost
+    @pytest.mark.parametrize("ghosts", [math.nan, math.inf, -math.inf], ids=["ghosts0", "ghosts2", "ghosts3"])
     @pytest.mark.parametrize("tau", [0.0, 1.2])
     def test_non_finite_ghosts(self, monkeypatch, ghosts, tau):
-        field = switch_field(tau, (-1.0, -1.2), ghosts)
+        field = switch_field(tau, -1.0, ghosts)
         s0 = GodunovState(-10.0, 10.0, np.linspace(-1.0, -1.2, 64), 0.0)
         with np.errstate(invalid="ignore"):
             want = outcome(lambda: reference_solve_at((3.0, 5.0), s0, field))
@@ -669,8 +697,8 @@ class TestSolveAt:
         t0, t_end = 0.25405573465904935, 0.7571879348098128
         assert t0 + (t_end - t0) < t_end
         fills = []
-        fill = fv._fill_ghosts
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
+        fill = fv._fill_ghost
+        monkeypatch.setattr(fv, "_fill_ghost", lambda *a: fills.append(a[1]) or fill(*a))
         s = solve_at((t_end,), replace(initial_state(4), time=t0))[0]
         assert len(fills) == 2 and s.time == t_end
 
@@ -688,8 +716,8 @@ class TestSolveAt:
     def test_one_march_for_both_ends(self, monkeypatch):
         # the second end costs at most the fill of a second capped step
         fills = []
-        fill = fv._fill_ghosts
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
+        fill = fv._fill_ghost
+        monkeypatch.setattr(fv, "_fill_ghost", lambda *a: fills.append(a[1]) or fill(*a))
         s0 = initial_state(400)
         solve(2.0, s0)
         n_solve = len(fills)
@@ -708,9 +736,9 @@ class TestSolveAt:
             calls.append(np.ndim(t))
             return psi_weak_array(t, x)
 
-        fill, prefetch = fv._fill_ghosts, fv._prefetch
+        fill, prefetch = fv._fill_ghost, fv._prefetch
         monkeypatch.setattr(fv, "psi_weak_array", counted)
-        monkeypatch.setattr(fv, "_fill_ghosts", lambda *a: fills.append(a[1]) or fill(*a))
+        monkeypatch.setattr(fv, "_fill_ghost", lambda *a: fills.append(a[1]) or fill(*a))
         monkeypatch.setattr(fv, "_prefetch", lambda s0, *a: windows.append(s0.n_cells) or prefetch(s0, *a))
         run_suite("godunov")
         assert len(fills) == 4661
