@@ -26,18 +26,21 @@ asks the field at each fill, bit for bit, and a wrong prediction costs
 only a miss.  The march (`_march`) takes only full CFL steps, and each
 end is reached by its capped final steps on a copy, so every state equals
 that of a march to its end alone.  Between steps the march carries |diff|
-of its extended array and the min and max of its cells (`_March`): a
-step's invariant checks then read the old total variation and the
-maximum-principle bounds without a pass over the cells.  A step writes
-the new cells in place through two preallocated scratch buffers and folds
-the flux's half into the step factor, so it makes 11 passes over the
-cells.  The ghost fill refreshes only what the new ghost touches, and the
-capped steps run on a copy of the carried state.  Inputs are checked
-once, at entry and before any step: the ends (finite, nondecreasing, at
-most 1e8 CFL steps away) by `solve_at`, the bounds, time and cells by
-`GodunovState`.  A step that leaves the time where it stands (a CFL step
-at most half an ulp of t, so t+dt rounds back to t) raises where it is
-taken: a march of such steps never reaches its end.
+of its extended array, its sum over the cells alone (tv_cells, which a
+ghost fill never touches) and the min and max of its cells (`_March`): a
+step's invariant checks then read the old total variation, the ghost's
+term plus tv_cells, and the maximum-principle bounds without a pass over
+the cells.  A step writes the new cells in place through two
+preallocated scratch buffers and views built once per march, folds the
+flux's half into the step factor and sums |diff| over the cells once, so
+it makes 10 passes over the cells.  The ghost fill refreshes only what
+the new ghost touches, and the capped steps run on a copy of the carried
+state.  Inputs are checked once, at entry and before any step: the ends
+(finite, nondecreasing, at most 1e8 CFL steps away) by `solve_at`, the
+bounds, time and cells by `GodunovState`.  A step that leaves the time
+where it stands (a CFL step at most half an ulp of t, so t+dt rounds back
+to t) raises where it is taken: a march of such steps never reaches its
+end.
 Agreement here validates the entropy selection of the exact
 construction; disagreement at the wedge values would expose a wrong
 branch choice.
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,12 +137,17 @@ class _March:
 
     ext holds the ghost, then the cells: every value the update reads.
     adiff holds |diff(ext)|: the update rewrites it whole and the fill its
-    first entry.  lo and hi are the min and max of the cells ext[1:]; each
-    fill sets ext_lo and ext_hi, those of ext.  Each equals what
-    np.abs(np.diff(ext)), np.min or np.max would give, NaN included.  h is
-    the cell width and reach the CFL numerator cfl*h of the grid.  flux and
-    jump are the update's scratch buffers, which a copy shares: no step
-    reads what an earlier one left.
+    first entry.  tv_cells is the sum of adiff over the cells, adiff[1:],
+    as np.add.reduce gives it: the update sets it, and a fill leaves it, so
+    the total variation the update reads is adiff[0] + tv_cells.  lo and hi
+    are the min and max of the cells ext[1:]; each fill sets ext_lo and
+    ext_hi, those of ext.  Each equals what np.abs(np.diff(ext)), np.min or
+    np.max would give, NaN included.  h is the cell width and reach the CFL
+    numerator cfl*h of the grid.  flux and jump are the update's scratch
+    buffers, which a copy shares: no step reads what an earlier one left.
+    The views cells = ext[1:], upwind = ext[:-1], flux_out = flux[1:],
+    flux_in = flux[:-1] and adiff_cells = adiff[1:] are built once, in
+    __post_init__, so a copy (through replace) gets views of its own arrays.
     """
 
     ext: np.ndarray
@@ -150,15 +158,28 @@ class _March:
     reach: float
     lo: float
     hi: float
+    tv_cells: float
     ext_lo: float = math.nan
     ext_hi: float = math.nan
+    cells: np.ndarray = field(init=False, repr=False)
+    upwind: np.ndarray = field(init=False, repr=False)
+    flux_out: np.ndarray = field(init=False, repr=False)
+    flux_in: np.ndarray = field(init=False, repr=False)
+    adiff_cells: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cells, self.upwind = self.ext[1:], self.ext[:-1]
+        self.flux_out, self.flux_in = self.flux[1:], self.flux[:-1]
+        self.adiff_cells = self.adiff[1:]
 
     @classmethod
     def start(cls, s0: GodunovState) -> _March:
         cells = s0.cell_averages
         ext = np.concatenate([[0.0], cells])
+        adiff = np.abs(np.diff(ext))
         lo, hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
-        return cls(ext, np.abs(np.diff(ext)), np.empty(ext.size), np.empty(cells.size), s0.h, s0.cfl * s0.h, lo, hi)
+        tv_cells = float(np.add.reduce(adiff[1:]))
+        return cls(ext, adiff, np.empty(ext.size), np.empty(cells.size), s0.h, s0.cfl * s0.h, lo, hi, tv_cells)
 
     def copy(self) -> _March:
         return replace(self, ext=self.ext.copy(), adiff=self.adiff.copy())
@@ -197,18 +218,19 @@ def _cfl_step(reach: float, u_max):
 def _update(m: _March, dt: float) -> None:
     """Advance the cells of the filled march m in place by the upwind flux over dt.
 
-    11 passes over the cells.  The flux (2 + u)^2 / 2 is never formed: its
+    10 passes over the cells.  The flux (2 + u)^2 / 2 is never formed: its
     half goes into the step factor, as jump = diff((2 + u)^2) * ((dt/h) * 0.5).
     Every (2 + u)^2 on the invariant range is at least (2 - pi/2)^2, so no
     difference or product is subnormal and the halving is exact either way.
-    Raises InvariantViolation if the maximum principle or total-variation
+    The total variation, old and new, is the ghost's term adiff[0] plus the
+    cells' carried sum tv_cells: one reduction per step.  Raises
+    InvariantViolation if the maximum principle or total-variation
     monotonicity breaks; m is then left part-way through the step.
     """
-    ext, flux, jump = m.ext, m.flux, m.jump
-    cells = ext[1:]
-    np.add(ext, 2.0, out=flux)
+    cells, flux, jump, adiff = m.cells, m.flux, m.jump, m.adiff
+    np.add(m.ext, 2.0, out=flux)
     np.square(flux, out=flux)
-    np.subtract(flux[1:], flux[:-1], out=jump)
+    np.subtract(m.flux_out, m.flux_in, out=jump)
     np.multiply(jump, dt / m.h * 0.5, out=jump)
     cells -= jump
     lo_bound = m.ext_lo - _RANGE_SLACK
@@ -218,10 +240,11 @@ def _update(m: _March, dt: float) -> None:
     if not (m.lo >= lo_bound and m.hi <= hi_bound):
         if np.any(cells < lo_bound) or np.any(cells > hi_bound):
             raise InvariantViolation("maximum principle violated in a Godunov step")
-    tv_old = float(np.add.reduce(m.adiff))
-    np.subtract(ext[1:], ext[:-1], out=m.adiff)
-    np.abs(m.adiff, out=m.adiff)
-    if float(np.add.reduce(m.adiff)) > tv_old + 1e-10 * (1.0 + tv_old):
+    tv_old = float(adiff[0]) + m.tv_cells
+    np.subtract(cells, m.upwind, out=adiff)
+    np.abs(adiff, out=adiff)
+    m.tv_cells = float(np.add.reduce(m.adiff_cells))
+    if float(adiff[0]) + m.tv_cells > tv_old + 1e-10 * (1.0 + tv_old):
         raise InvariantViolation("total variation increased in a Godunov step")
 
 
@@ -288,7 +311,7 @@ def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, .
             dt_cut = min(dt_cut, t_end - t_cut)
             _update(cut, dt_cut)
             t_cut, dt_cut = _advance(t_cut, dt_cut, t_end), None
-        states.append(replace(s0, cell_averages=cut.ext[1:], time=t_cut))
+        states.append(replace(s0, cell_averages=cut.cells, time=t_cut))
     return tuple(states)
 
 

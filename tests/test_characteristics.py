@@ -508,7 +508,8 @@ class TestFrozenFeet:
     def test_shock_feet_near_crease(self):
         assert [u.hex() for u in shock_feet(1.0 + 1e-6)] == ["-0x1.c60c02321061fp-10", "0x1.c60c02321061fp-10"]
 
-    def test_godunov_ghost_pair(self):
+    def test_godunov_inflow_ghost(self):
+        # the inflow ghost center x_lo - h/2 of 8000 cells on [-10, 10], and its mirror
         u = foot_weak_array(1.3, np.array([-10.00125, 10.00125]))
         assert [float(v).hex() for v in u] == ["-0x1.d1bb3744323bap+3", "0x1.29bb27d50aa33p+3"]
 

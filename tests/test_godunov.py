@@ -297,8 +297,7 @@ class TestStep:
         # |du| <= dt * max|f'| * max|psi0'| + O(h) boundary effects
         assert linf <= dt * (2.0 + math.pi / 2) * 1.0 + s.h
 
-    def test_both_ghost_cells_from_one_field_call(self, monkeypatch):
-        # the march has one ghost, the inflow one; the name is the test's stable id
+    def test_inflow_ghost_from_one_field_call(self, monkeypatch):
         calls, fill_times = [], []
 
         def counted(t, x):
@@ -558,8 +557,8 @@ class TestReferenceMarch:
         assert all(calls <= 2 and n <= 4 for calls, n in rounds[1:])
 
     # ghosts: the exact field throughout, or that field until t = 1 and a NaN
-    # inflow ghost after.  The ids are stable names: no case sets a right ghost
-    @pytest.mark.parametrize("ghosts", [None, math.nan], ids=["None", "ghosts1"])
+    # inflow ghost after
+    @pytest.mark.parametrize("ghosts", [None, math.nan], ids=["None", "nan"])
     def test_carried_state_equals_whole_array_reductions(self, monkeypatch, ghosts):
         # before every update, in the shared march and in each capped copy
         def same(a, b):
@@ -572,6 +571,11 @@ class TestReferenceMarch:
         def checked(m, dt):
             ext = m.ext
             assert m.adiff.tobytes() == np.abs(np.diff(ext)).tobytes()
+            assert float(m.tv_cells).hex() == float(np.add.reduce(np.abs(np.diff(ext[1:])))).hex()
+            # the views are this march's own: a copy's must not alias the shared march's arrays
+            for view, base in ((m.cells, ext), (m.upwind, ext), (m.flux_out, m.flux),
+                               (m.flux_in, m.flux), (m.adiff_cells, m.adiff)):
+                assert np.shares_memory(view, base)
             assert same(m.ext_lo, np.min(ext)) and same(m.ext_hi, np.max(ext))
             assert same(m.lo, np.min(ext[1:])) and same(m.hi, np.max(ext[1:]))
             steps.append(dt)
@@ -586,8 +590,8 @@ class TestReferenceMarch:
     # a non-finite inflow ghost: NaN must reach the CFL step and the bounds as
     # np.max and np.min of the whole array would carry it (a NaN step or time
     # ends the march with an invalid state); -inf breaks the maximum
-    # principle.  The ids are stable names: no case sets a right ghost
-    @pytest.mark.parametrize("ghosts", [math.nan, math.inf, -math.inf], ids=["ghosts0", "ghosts2", "ghosts3"])
+    # principle
+    @pytest.mark.parametrize("ghosts", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
     @pytest.mark.parametrize("tau", [0.0, 1.2])
     def test_non_finite_ghosts(self, monkeypatch, ghosts, tau):
         field = switch_field(tau, -1.0, ghosts)

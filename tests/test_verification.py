@@ -105,7 +105,8 @@ def x_space_weak_form_residual(variant, tf, nt_panels=24, nx_panels=24, shock_sh
         row_ends = np.cumsum([mids.size * gl_n.size for _, _, mids, _ in panel])
         span = slice(start, start + row_ends[-1])
         tn, xn, pn = ts[span], xs[span], ps[span]
-        integrand = pn * tf.dt(tn, xn) + 0.5 * (2.0 + pn) ** 2 * tf.dx(tn, xn)
+        phi_t, phi_x = tf.gradient(tn, xn)
+        integrand = pn * phi_t + 0.5 * (2.0 + pn) ** 2 * phi_x
         for (_, wt, _, halves), part in zip(panel, np.split(integrand, row_ends)):
             total += wt * float(np.dot((halves * gl_w).ravel(), part))
         start = span.stop
@@ -163,7 +164,7 @@ class TestTestFunction:
         assert tf.value(1.0, 0.0) == 1.0
         assert tf.value(1.6, 0.0) == 0.0
         assert tf.value(1.0, 2.5) == 0.0
-        assert tf.dt(1.49999, 0.0) != 0.0
+        assert tf.gradient(1.49999, 0.0)[0] != 0.0
 
     def test_derivative_consistency(self):
         tf = TestFunction(Point(1.0, 0.0), (0.5, 2.0))
@@ -171,8 +172,9 @@ class TestTestFunction:
         for t, x in ((0.8, 0.5), (1.2, -1.0)):
             fd_t = (tf.value(t + h, x) - tf.value(t - h, x)) / (2 * h)
             fd_x = (tf.value(t, x + h) - tf.value(t, x - h)) / (2 * h)
-            assert fd_t == pytest.approx(tf.dt(t, x), abs=1e-6)
-            assert fd_x == pytest.approx(tf.dx(t, x), abs=1e-6)
+            phi_t, phi_x = tf.gradient(t, x)
+            assert fd_t == pytest.approx(phi_t, abs=1e-6)
+            assert fd_x == pytest.approx(phi_x, abs=1e-6)
 
     def test_radii_validation(self):
         with pytest.raises(DomainError):
@@ -445,13 +447,25 @@ def counting(monkeypatch, calls, module, name):
 
 
 class TestFrozenBits:
-    # exact values: the x-space reference residuals, and the pde suite at seed 42
+    # exact values: the x-space reference residuals, the foot-variable residuals
+    # of the weakform suite, and the pde suite at seed 42
     def test_standard_weak_form_residuals(self):
         got = [x_space_weak_form_residual(W, tf) for tf in standard_test_functions()]
         assert got == ORACLE_STANDARD
 
     def test_shifted_shock_control(self):
         assert x_space_weak_form_residual(W, CONTROL, shock_shift=0.05) == ORACLE_CONTROL
+
+    def test_weak_form_residual_bits(self):
+        # the foot-variable residuals of the weakform suite, bit for bit
+        got = [weak_form_residual(W, tf).hex() for tf in standard_test_functions()]
+        assert got == [
+            "-0x1.6300000000000p-54", "-0x1.5200000000000p-56", "-0x1.3900000000000p-52",
+            "-0x1.8000000000000p-53", "0x0.0p+0", "0x1.0000000000000p-52",
+            "-0x1.2000000000000p-61", "0x1.8000000000000p-53", "-0x1.0000000000000p-55",
+            "0x1.4000000000000p-52",
+        ]
+        assert weak_form_residual(W, CONTROL, shock_shift=0.05).hex() == "-0x1.e224bcb37f5fep-8"
 
     def test_pde_suite_seed_42(self):
         measured = {c.name: c.measured for c in run_suite("pde", seed=42).checks}
