@@ -23,24 +23,26 @@ matches a solved time bit for bit; a miss starts the next window at the
 missed time, and no window holds a time the march could not ask for.  The
 foot solve is elementwise, so every state equals that of a march that
 asks the field at each fill, bit for bit, and a wrong prediction costs
-only a miss.  The march (`_march`) takes only full CFL steps, and each
-end is reached by its capped final steps on a copy, so every state equals
-that of a march to its end alone.  Between steps the march carries |diff|
-of its extended array, its sum over the cells alone (tv_cells, which a
-ghost fill never touches) and the min and max of its cells (`_March`): a
-step's invariant checks then read the old total variation, the ghost's
-term plus tv_cells, and the maximum-principle bounds without a pass over
-the cells.  A step writes the new cells in place through two
-preallocated scratch buffers and views built once per march, folds the
-flux's half into the step factor and sums |diff| over the cells once, so
-it makes 10 passes over the cells.  The ghost fill refreshes only what
-the new ghost touches, and the capped steps run on a copy of the carried
-state.  Inputs are checked once, at entry and before any step: the ends
-(finite, nondecreasing, at most 1e8 CFL steps away) by `solve_at`, the
-bounds, time and cells by `GodunovState`.  A step that leaves the time
-where it stands (a CFL step at most half an ulp of t, so t+dt rounds back
-to t) raises where it is taken: a march of such steps never reaches its
-end.
+only a miss.  One stepping loop (`_steps`) takes both the shared march's
+full CFL steps, stopping before a step that would pass an end, and each
+end's capped final steps on a copy, so every state equals that of a
+march to its end alone.  Between steps a march carries its ghost and
+cells and three numbers (`_March`): the min and max of the cells and
+their own total variation tv_cells, none of which a ghost fill touches.
+A step's invariant checks then read the maximum-principle bounds as
+those of the cells and the ghost, and the old total variation as the
+ghost's |diff| term plus tv_cells, without a pass over the cells.  A
+step writes the new cells in place through three scratch buffers (flux,
+jump and |diff|), which copies share, and views built once per march; it
+folds the flux's half into the step factor and sums |diff| over the
+cells once, so it makes 10 passes over the cells.  A ghost fill writes
+only the ghost, and a copy copies only the ghost and cells.  Inputs are
+checked once, at entry and before any step: the ends (finite,
+nondecreasing, at most 1e8 CFL steps away) by `solve_at`, the bounds,
+time and cells (2 to 1e8 of them) by `GodunovState`.  A step that leaves
+the time where it stands (a CFL step at most half an ulp of t, so t+dt
+rounds back to t) raises where it is taken: a march of such steps never
+reaches its end.
 Agreement here validates the entropy selection of the exact
 construction; disagreement at the wedge values would expose a wrong
 branch choice.
@@ -70,9 +72,17 @@ _RANGE_SLACK = 1e-12
 _HALF_PI = math.pi / 2.0
 # Every wave speed 2 + u on the invariant range is at least 2 - pi/2, so a
 # march over time T takes at least T*(2 - pi/2)/(cfl*h) CFL steps; solve_at
-# refuses one that would take more than _MAX_STEPS.
+# refuses one that would take more than _MAX_STEPS, and a grid holds at most
+# _MAX_STEPS cells.
 _MIN_SPEED = 2.0 - _HALF_PI
 _MAX_STEPS = 10 ** 8
+
+
+def _check_n_cells(n_cells: int) -> None:
+    """Raise DomainError unless a grid of n_cells has 2 to _MAX_STEPS cells."""
+    if not 2 <= n_cells <= _MAX_STEPS:
+        bound = "least 2" if n_cells < 2 else f"most {_MAX_STEPS}"
+        raise DomainError(f"need at {bound} cells, got {n_cells}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +103,7 @@ class GodunovState:
             raise DomainError("empty spatial domain")
         if np.ndim(self.cell_averages) != 1:
             raise DomainError(f"cell_averages must be 1-D, got shape {np.shape(self.cell_averages)}")
-        if self.n_cells < 2:
-            raise DomainError(f"need at least 2 cells, got {self.n_cells}")
+        _check_n_cells(self.n_cells)
         if not (0.0 < self.cfl < 1.0):
             raise DomainError(f"cfl must be in (0, 1), got {self.cfl}")
         if not 0.0 <= self.time < math.inf:
@@ -123,10 +132,10 @@ class GodunovState:
 def initial_state(n_cells: int, x_lo: float = -10.0, x_hi: float = 10.0, cfl: float = 0.9) -> GodunovState:
     """Grid initialized with the initial profile sampled at cell centers.
 
-    The grid is checked, on zero cells, before the profile is sampled.
+    The cell count is checked before anything is allocated, and the rest
+    of the grid, on zero cells, before the profile is sampled.
     """
-    if n_cells < 2:
-        raise DomainError(f"need at least 2 cells, got {n_cells}")
+    _check_n_cells(n_cells)
     s = GodunovState(x_lo=x_lo, x_hi=x_hi, cell_averages=np.zeros(n_cells), time=0.0, cfl=cfl)
     return replace(s, cell_averages=-np.arctan(s.cell_centers))
 
@@ -135,19 +144,18 @@ def initial_state(n_cells: int, x_lo: float = -10.0, x_hi: float = 10.0, cfl: fl
 class _March:
     """The cells of a march behind their inflow ghost, and what it carries between steps.
 
-    ext holds the ghost, then the cells: every value the update reads.
-    adiff holds |diff(ext)|: the update rewrites it whole and the fill its
-    first entry.  tv_cells is the sum of adiff over the cells, adiff[1:],
-    as np.add.reduce gives it: the update sets it, and a fill leaves it, so
-    the total variation the update reads is adiff[0] + tv_cells.  lo and hi
-    are the min and max of the cells ext[1:]; each fill sets ext_lo and
-    ext_hi, those of ext.  Each equals what np.abs(np.diff(ext)), np.min or
-    np.max would give, NaN included.  h is the cell width and reach the CFL
-    numerator cfl*h of the grid.  flux and jump are the update's scratch
-    buffers, which a copy shares: no step reads what an earlier one left.
-    The views cells = ext[1:], upwind = ext[:-1], flux_out = flux[1:],
+    ext holds the ghost, then the cells: every value the update reads,
+    and the only array a march owns.  lo and hi are the min and max of the
+    cells ext[1:], and tv_cells their total variation, the sum of
+    |diff(ext[1:])| as np.add.reduce gives it: the update sets all three,
+    and a fill, which writes only the ghost ext[0], leaves them.  Each
+    equals what np.min, np.max or np.add.reduce would give, NaN included.
+    h is the cell width and reach the CFL numerator cfl*h of the grid.
+    flux, jump and adiff (|diff(ext)|) are the update's scratch buffers,
+    which a copy shares: no step reads what an earlier one left.  The
+    views cells = ext[1:], upwind = ext[:-1], flux_out = flux[1:],
     flux_in = flux[:-1] and adiff_cells = adiff[1:] are built once, in
-    __post_init__, so a copy (through replace) gets views of its own arrays.
+    __post_init__, so a copy (through replace) gets views of its own ext.
     """
 
     ext: np.ndarray
@@ -159,8 +167,6 @@ class _March:
     lo: float
     hi: float
     tv_cells: float
-    ext_lo: float = math.nan
-    ext_hi: float = math.nan
     cells: np.ndarray = field(init=False, repr=False)
     upwind: np.ndarray = field(init=False, repr=False)
     flux_out: np.ndarray = field(init=False, repr=False)
@@ -182,7 +188,7 @@ class _March:
         return cls(ext, adiff, np.empty(ext.size), np.empty(cells.size), s0.h, s0.cfl * s0.h, lo, hi, tv_cells)
 
     def copy(self) -> _March:
-        return replace(self, ext=self.ext.copy(), adiff=self.adiff.copy())
+        return replace(self, ext=self.ext.copy())
 
 
 def _min(a: float, b: float) -> float:
@@ -199,10 +205,8 @@ def _fill_ghost(m: _March, ghost: float) -> float:
     """Set the inflow ghost of march m to ghost, the exact entropy field at
     its center at the time of the fill; return the CFL step."""
     m.ext[0] = ghost
-    m.adiff[0] = abs(m.ext[1] - ghost)
-    m.ext_lo, m.ext_hi = _min(m.lo, ghost), _max(m.hi, ghost)
     # CFL over the extended array: the ghost's speed bounds the inflow wave
-    return _cfl_step(m.reach, m.ext_hi)
+    return _cfl_step(m.reach, _max(m.hi, ghost))
 
 
 def _cfl_step(reach: float, u_max):
@@ -222,25 +226,27 @@ def _update(m: _March, dt: float) -> None:
     half goes into the step factor, as jump = diff((2 + u)^2) * ((dt/h) * 0.5).
     Every (2 + u)^2 on the invariant range is at least (2 - pi/2)^2, so no
     difference or product is subnormal and the halving is exact either way.
-    The total variation, old and new, is the ghost's term adiff[0] plus the
+    The bounds are those of the cells, lo and hi, and the ghost; the total
+    variation, old and new, is the ghost's term |ext[1] - ghost| plus the
     cells' carried sum tv_cells: one reduction per step.  Raises
     InvariantViolation if the maximum principle or total-variation
     monotonicity breaks; m is then left part-way through the step.
     """
     cells, flux, jump, adiff = m.cells, m.flux, m.jump, m.adiff
+    ghost = float(m.ext[0])
+    lo_bound = _min(m.lo, ghost) - _RANGE_SLACK
+    hi_bound = _max(m.hi, ghost) + _RANGE_SLACK
+    tv_old = float(abs(m.ext[1] - ghost)) + m.tv_cells
     np.add(m.ext, 2.0, out=flux)
     np.square(flux, out=flux)
     np.subtract(m.flux_out, m.flux_in, out=jump)
     np.multiply(jump, dt / m.h * 0.5, out=jump)
     cells -= jump
-    lo_bound = m.ext_lo - _RANGE_SLACK
-    hi_bound = m.ext_hi + _RANGE_SLACK
     m.lo, m.hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
     # a NaN cell makes both reductions NaN: then, as on a breach, compare cell by cell
     if not (m.lo >= lo_bound and m.hi <= hi_bound):
         if np.any(cells < lo_bound) or np.any(cells > hi_bound):
             raise InvariantViolation("maximum principle violated in a Godunov step")
-    tv_old = float(adiff[0]) + m.tv_cells
     np.subtract(cells, m.upwind, out=adiff)
     np.abs(adiff, out=adiff)
     m.tv_cells = float(np.add.reduce(m.adiff_cells))
@@ -264,17 +270,29 @@ def _check_ends(t_ends: tuple[float, ...], s0: GodunovState) -> None:
             )
 
 
-def _advance(t: float, dt: float, t_end: float) -> float:
-    """The time after a step of dt from t, on the march to t_end.
+def _steps(m: _March, fill: Callable[[float], float], t: float, dt: float | None, t_end: float,
+           capped: bool) -> tuple[float, float | None]:
+    """March m from time t towards t_end; return the time reached and its CFL step.
 
-    Raises DomainError if t + dt rounds back to t: the cells took the step
-    and the time did not, and a march whose steps are all that short never
-    reaches t_end.
+    dt is the CFL step of the ghost filled at t, None if not filled, and
+    each fill's ghost comes from fill.  Uncapped, the march stops before
+    a step that would pass t_end and hands back that step; capped, the
+    step is cut to land on t_end.  Raises DomainError if t + dt rounds
+    back to t: the cells took the step and the time did not, and a march
+    whose steps are all that short never reaches t_end.
     """
-    t_next = t + dt
-    if t_next == t:
-        raise DomainError(f"t_end = {t_end} is out of reach: a CFL step of {dt!r} leaves t = {t!r} unchanged")
-    return t_next
+    while t < t_end:
+        if dt is None:
+            dt = _fill_ghost(m, fill(t))
+        if dt > t_end - t:
+            if not capped:
+                break
+            dt = t_end - t
+        _update(m, dt)
+        if t + dt == t:
+            raise DomainError(f"t_end = {t_end} is out of reach: a CFL step of {dt!r} leaves t = {t!r} unchanged")
+        t, dt = t + dt, None
+    return t, dt
 
 
 def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, ...]:
@@ -282,7 +300,7 @@ def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, .
 
     Each fill's ghost comes from the grid's ghost table (_ghost_table).
     The shared march takes only full CFL steps; each end is reached on a
-    copy of the march (cells, ghost and carried state) with the capped
+    copy of the march (ghost, cells and carried numbers) with the capped
     steps a march to that end alone takes, starting from the CFL step
     already computed at the point where the march to it leaves.
     """
@@ -291,26 +309,15 @@ def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, .
     fill = _ghost_table(s0, t_ends[-1])
     states = []
     march = _March.start(s0)
-    t, dt = s0.time, None  # dt: CFL step of the ghosts filled at t, None if not filled
+    t, dt = s0.time, None
     for t_end in t_ends:
         if t_end == s0.time:
             states.append(s0)
             continue
-        while t < t_end:
-            if dt is None:
-                dt = _fill_ghost(march, fill(t))
-            if dt > t_end - t:
-                break
-            _update(march, dt)
-            t, dt = _advance(t, dt, t_end), None
+        t, dt = _steps(march, fill, t, dt, t_end, capped=False)
         # the march to t_end alone leaves the shared one here
-        cut, t_cut, dt_cut = march.copy(), t, dt
-        while t_cut < t_end:
-            if dt_cut is None:
-                dt_cut = _fill_ghost(cut, fill(t_cut))
-            dt_cut = min(dt_cut, t_end - t_cut)
-            _update(cut, dt_cut)
-            t_cut, dt_cut = _advance(t_cut, dt_cut, t_end), None
+        cut = march.copy()
+        t_cut, _ = _steps(cut, fill, t, dt, t_end, capped=True)
         states.append(replace(s0, cell_averages=cut.cells, time=t_cut))
     return tuple(states)
 

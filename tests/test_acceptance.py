@@ -190,12 +190,11 @@ class TestAcceptance:
                f"example points {examples:.3e} <= 1e-6")
         assert ok
 
-    def test_c13_godunov_oracle(self):
-        from shocklab import godunov as fv
-        s4 = fv.solve(2.0, fv.initial_state(4000))
-        e4 = fv.l1_error(s4)
-        sw, s8 = fv.solve_at((1.27, 2.0), fv.initial_state(8000))
-        e8 = fv.l1_error(s8)
+    def test_c13_godunov_oracle(self, godunov_suite):
+        # the godunov suite's run: its two marches and their two L1 errors
+        (s4,), (sw, s8) = godunov_suite.states
+        e4, e8 = godunov_suite.errors
+        assert (s4.n_cells, s4.time, sw.n_cells, sw.time, s8.time) == (4000, 2.0, 8000, 1.27, 2.0)
         i = int(np.argmin(np.abs(sw.cell_centers - 2.5)))
         u = float(sw.cell_averages[i])
         pw = sl.psi_weak(Point(1.27, 2.5))
@@ -209,6 +208,11 @@ class TestAcceptance:
         assert ok
         # frozen: the one march serves both end times bit for bit
         assert (e4, e8, u) == (0.00781216453767635, 0.003827092042893625, 0.8283574257847297)
+        # the suite's three checks passed on these same measurements
+        assert [(c.name, c.passed, c.measured) for c in godunov_suite.report.checks] == [
+            ("godunov_l1", True, e4), ("godunov_l1_ratio", True, e8 / e4),
+            ("godunov_entropy_selection", True, abs(u - pw)),
+        ]
 
     def test_c14_crease_location(self):
         at_crease = [sl.boundary_x(kind, 1.0) for kind in BoundaryCurve]

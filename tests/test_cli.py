@@ -436,6 +436,16 @@ class TestGodunovVerb:
         assert (code, out) == (2, "")
         assert err == f"error: need at least 2 cells, got {n_cells}\n"
 
+    def test_too_many_cells_exit_2(self, capsys, monkeypatch):
+        # 1e11 cells, 800 GB: refused before np.zeros could allocate them
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("the grid was allocated before its cell count was checked")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        code, out, err = run_cli(capsys, "godunov", "--t-end", "0.1", "--n-cells", "100000000000", "--x-range=-1:1")
+        assert (code, out) == (2, "")
+        assert err == "error: need at most 100000000 cells, got 100000000000\n"
+
     def test_wide_domain_compare(self, capsys):
         code, out, err = run_cli(
             capsys, "godunov", "--t-end", "0.5", "--n-cells", "200",

@@ -12,7 +12,6 @@ import shocklab.godunov as fv
 from shocklab.core import DomainError, InvariantViolation, Point
 from shocklab.burgers import psi_classical, psi_weak, psi_weak_array
 from shocklab.godunov import GodunovState, initial_state, l1_error, solve, solve_at, state_to_csv
-from shocklab.verification import run_suite
 
 
 def flux(u):
@@ -200,6 +199,15 @@ class TestState:
     def test_too_few_cells(self, n_cells):
         with pytest.raises(DomainError, match=f"need at least 2 cells, got {n_cells}$"):
             initial_state(n_cells)
+
+    def test_too_many_cells_refused_before_allocating(self, monkeypatch):
+        # more than _MAX_STEPS cells: refused before np.zeros could allocate them
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("the grid was allocated before its cell count was checked")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(DomainError, match=f"^need at most 100000000 cells, got {fv._MAX_STEPS + 1}$"):
+            initial_state(fv._MAX_STEPS + 1)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="need at least 2 cells, got 1$"):
@@ -422,37 +430,37 @@ class TestStepAdvances:
 class TestChecksKept:
     # an inflow ghost below the sonic point u = -2: the upwind flux is then
     # not the exact-Riemann flux, and the per-step checks must stop the march.
-    # ghosts: that ghost, and the cells and cfl of a grid on [-1, 1] it breaks
-    @pytest.mark.parametrize("ghosts, message", [
+    # grid: that ghost, and the cells and cfl of a grid on [-1, 1] it breaks
+    @pytest.mark.parametrize("grid, message", [
         # cell 0 rises above every stencil value
         ((-5.213242170978961, [0.535, 0.606, -1.056, -1.496], 0.92), "maximum principle violated"),
         # cell 0 rises, but stays below the largest cell
         ((-4.455921452193967, [-0.807, -0.764, -1.341, -0.761, 0.827, 0.622], 0.42), "total variation increased"),
-    ])
+    ], ids=["ghost=-5.213,4cells,cfl=0.92", "ghost=-4.456,6cells,cfl=0.42"])
     # solve_at's first end is reached by a capped step on the copy of the cells
     @pytest.mark.parametrize("march", [
         lambda s: solve(1.0, s), lambda s: solve_at((1e-3, 1.0), s),
     ], ids=["solve", "solve_at"])
-    def test_raises(self, monkeypatch, march, ghosts, message):
-        ghost, cells, cfl = ghosts
+    def test_raises(self, monkeypatch, march, grid, message):
+        ghost, cells, cfl = grid
         monkeypatch.setattr(fv, "psi_weak_array", inflow(ghost))
         with pytest.raises(InvariantViolation, match=message):
             march(GodunovState(-1.0, 1.0, np.array(cells), 0.0, cfl))
 
-    # ghosts: the inflow ghost before tau, on the range, and from tau on, below
-    # the sonic point.  The check fires on a march that carried |diff(ext)| and
-    # the cell range through three full steps; "capped": the first end lies
-    # inside the first step past tau, so the shared march fills the ghost and
-    # hands it, with what it carries, to the copy
-    @pytest.mark.parametrize("ghosts, message", [
+    # switch: the inflow ghost before tau, on the range, and from tau on, below
+    # the sonic point.  The check fires on a march that carried the cells' min,
+    # max and total variation through three full steps; "capped": the first
+    # end lies inside the first step past tau, so the shared march fills the
+    # ghost and hands it, with the cells and what it carries, to the copy
+    @pytest.mark.parametrize("switch, message", [
         ((-1.0, -6.5), "maximum principle violated"),
         ((-1.0, -5.0), "total variation increased"),
-    ])
+    ], ids=["ghost=-1.0,then=-6.5", "ghost=-1.0,then=-5.0"])
     @pytest.mark.parametrize("where", ["shared", "capped"])
-    def test_raises_after_valid_steps(self, monkeypatch, ghosts, message, where):
+    def test_raises_after_valid_steps(self, monkeypatch, switch, message, where):
         tau = 0.36
         fills = []
-        switched = switch_field(tau, *ghosts)
+        switched = switch_field(tau, *switch)
 
         def field(t, x):
             fills.append(np.max(t))  # the reference's fill times
@@ -490,9 +498,9 @@ def outcome(march):
 
 
 class TestReferenceMarch:
-    # solve_at carries |diff(ext)| and the cell range between steps; the
-    # reference recomputes both from the whole array on every step.  solve_at
-    # asks the field only for points its march could ask for
+    # solve_at carries the cells' min, max and total variation between steps;
+    # the reference recomputes the checks from the whole array on every
+    # step.  solve_at asks the field only for points its march could ask for
     @settings(max_examples=40, deadline=None)
     @given(grid=_grid, steps=_steps)
     def test_equals_reference(self, grid, steps):
@@ -565,27 +573,42 @@ class TestReferenceMarch:
             return a == b or (math.isnan(a) and math.isnan(b))
 
         field = psi_weak_array if ghosts is None else switch_field(1.0, None, ghosts)
-        steps = []
-        update = fv._update
+        steps, capped, parents, cuts = [], [], [], []
+        update, copy = fv._update, fv._March.copy
+
+        def copied(m):
+            parents.append(m)
+            cuts.append(copy(m))
+            return cuts[-1]
 
         def checked(m, dt):
             ext = m.ext
-            assert m.adiff.tobytes() == np.abs(np.diff(ext)).tobytes()
             assert float(m.tv_cells).hex() == float(np.add.reduce(np.abs(np.diff(ext[1:])))).hex()
-            # the views are this march's own: a copy's must not alias the shared march's arrays
+            # each view is of this march's own arrays
             for view, base in ((m.cells, ext), (m.upwind, ext), (m.flux_out, m.flux),
                                (m.flux_in, m.flux), (m.adiff_cells, m.adiff)):
                 assert np.shares_memory(view, base)
-            assert same(m.ext_lo, np.min(ext)) and same(m.ext_hi, np.max(ext))
             assert same(m.lo, np.min(ext[1:])) and same(m.hi, np.max(ext[1:]))
+            # the bounds the update takes from the carried range and the ghost
+            assert same(fv._min(m.lo, ext[0]), np.min(ext)) and same(fv._max(m.hi, ext[0]), np.max(ext))
+            if any(m is cut for cut in cuts):
+                # a capped copy owns its ghost and cells and shares the scratch buffers
+                shared = parents[0]
+                assert not any(np.shares_memory(ext, other.ext) for other in (shared, *cuts) if other is not m)
+                assert m.flux is shared.flux and m.jump is shared.jump and m.adiff is shared.adiff
+                capped.append(dt)
             steps.append(dt)
             update(m, dt)
 
         monkeypatch.setattr(fv, "_update", checked)
+        monkeypatch.setattr(fv._March, "copy", copied)
         monkeypatch.setattr(fv, "psi_weak_array", field)
         with np.errstate(invalid="ignore"):
             outcome(lambda: solve_at((0.3, 1.27, 2.0), initial_state(201)))
+        # every copy is of the one shared march
+        assert all(parent is parents[0] for parent in parents)
         assert len(steps) >= (60 if ghosts is None else 10)
+        assert len(capped) >= (3 if ghosts is None else 1)
 
     # a non-finite inflow ghost: NaN must reach the CFL step and the bounds as
     # np.max and np.min of the whole array would carry it (a NaN step or time
@@ -729,22 +752,11 @@ class TestSolveAt:
         solve_at((1.27, 2.0), s0)
         assert len(fills) <= n_solve + 1
 
-    def test_godunov_suite_field_calls(self, monkeypatch):
+    def test_godunov_suite_field_calls(self, godunov_suite):
         # the 4000- and 8000-cell marches: 4,661 ghost fills, as at one field
         # call per fill (1,554 and 3,107), served from 6 windows (2 and 4) of
         # 4 to 7 fixed-point sweeps, one field call each; and the four
         # exact-average calls (at one time each) of the two l1_error comparisons
-        calls, fills, windows = [], [], []
-
-        def counted(t, x):
-            calls.append(np.ndim(t))
-            return psi_weak_array(t, x)
-
-        fill, prefetch = fv._fill_ghost, fv._prefetch
-        monkeypatch.setattr(fv, "psi_weak_array", counted)
-        monkeypatch.setattr(fv, "_fill_ghost", lambda *a: fills.append(a[1]) or fill(*a))
-        monkeypatch.setattr(fv, "_prefetch", lambda s0, *a: windows.append(s0.n_cells) or prefetch(s0, *a))
-        run_suite("godunov")
-        assert len(fills) == 4661
-        assert (windows.count(4000), windows.count(8000)) == (2, 4)
-        assert (calls.count(1), calls.count(0)) == (36, 4)
+        assert godunov_suite.fills == 4661
+        assert (godunov_suite.windows[4000], godunov_suite.windows[8000]) == (2, 4)
+        assert (godunov_suite.calls[1], godunov_suite.calls[0]) == (36, 4)
