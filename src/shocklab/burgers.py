@@ -28,6 +28,7 @@ from .core import (
     NearSingular,
     Point,
     SolutionVariant,
+    _check_times,
     _float_call,
     _raise_at,
     psi0,
@@ -186,10 +187,11 @@ def expansion_near_B(t_bar: float) -> ExpansionPrediction:
 
     The crease itself (t_bar = 1) is excluded: psi0''(0) = 0 makes the
     coefficient singular exactly there, where the cube-root profile of
-    expansion_near_S takes over.
+    expansion_near_S takes over.  A non-finite t_bar and one past the
+    modelled range t <= 1e150 are refused.
     """
-    if t_bar <= 1.0:
-        raise DomainError(f"singular-boundary expansion needs t > 1, got {t_bar}")
+    _check_times(t_bar, "singular-boundary expansion", lambda ts: ts <= 1.0,
+                 "singular-boundary expansion needs t > 1, got {t}")
     x0 = math.sqrt(t_bar - 1.0)
     g1 = float(psi0_prime(x0))
     g2 = float(psi0_second(x0))

@@ -36,6 +36,7 @@ from .core import (
     OnShockError,
     OutsideDomain,
     Point,
+    _MODELLED_RANGE,
     _check_points,
     _check_times,
     _float_call,
@@ -108,20 +109,32 @@ def blowup_time(x0: float) -> float:
 
     Only feet x0 > 0 reach the singular boundary; characteristics from
     x0 <= 0 leave the classical domain through the Cauchy horizon first.
+    A non-finite x0 and one focusing past the modelled range are refused.
     """
+    if not math.isfinite(x0):
+        raise DomainError(f"non-finite foot x0 = {x0}")
     if x0 <= 0.0:
         raise DomainError(f"blowup time defined for x0 > 0, got {x0}")
-    return 1.0 + x0 * x0
+    t = 1.0 + x0 * x0
+    if t > _MODELLED_RANGE:
+        raise DomainError(f"blowup time of x0 = {x0} is beyond the modelled range t <= {_MODELLED_RANGE:g}")
+    return t
 
 
 def shock_arrival_time(x0: float) -> float:
     """Time x0/arctan(x0) at which the characteristic from x0 != 0 meets the shock.
 
     Even in x0 and always > 1; the x0 = 0 characteristic instead terminates
-    at the crease at t = 1.
+    at the crease at t = 1.  A non-finite x0 and one past the modelled range
+    are refused.
     """
+    if not math.isfinite(x0):
+        raise DomainError(f"non-finite foot x0 = {x0}")
     if x0 == 0.0:
         raise DomainError("the x0 = 0 characteristic terminates at the crease")
+    # then the time, about 2|x0|/pi, is inside the modelled range too
+    if abs(x0) > _MODELLED_RANGE:
+        raise DomainError(f"foot x0 = {x0} is beyond the modelled range |x| <= {_MODELLED_RANGE:g}")
     return x0 / math.atan(x0)
 
 

@@ -22,9 +22,10 @@ and timelike for the post-shock field (both measured against the fixed
 tangent (1, 2)), and the Cauchy horizon x = 4 - 2t is a null line of the
 extended metric with tangent exactly Lbar.
 
-The metric, the boundary checks and the causal pasts are array-first: they
-take floats or arrays (apexes and targets as Points of arrays), and the
-float call is the size-1 case.
+The metric, the causal classes, the boundary checks and the causal pasts are
+array-first: they take floats or arrays (apexes and targets as Points of
+arrays), and the float call is the size-1 case.  The null frame stays
+float-only, as Vec2 is.
 """
 
 from __future__ import annotations
@@ -138,15 +139,19 @@ def null_frame(psi: float) -> NullFrame:
     return NullFrame(L=Vec2(1.0, 2.0 + psi), Lbar=Vec2(1.0, -2.0))
 
 
-def _class_of_norm(q: float) -> CausalClass:
-    """Causal class of a vector of metric norm q, with a GEOM_TOL-wide null band."""
-    if abs(q) <= GEOM_TOL:
-        return CausalClass.NULL
-    return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
+_CLASSES = np.array([CausalClass.TIMELIKE, CausalClass.NULL, CausalClass.SPACELIKE], dtype=object)
 
 
-def causal_class(psi: float, v: Vec2) -> CausalClass:
-    """Sign classification of g(v, v) with a GEOM_TOL-wide null band."""
+def _class_of_norm(q):
+    """Causal classes (an object array of CausalClass) of vectors of metric
+    norms q, with a GEOM_TOL-wide null band; a float q gives the member."""
+    # an object array indexed by a 0-d index gives the element itself
+    return _CLASSES[np.where(np.abs(q) <= GEOM_TOL, 1, np.where(q < 0.0, 0, 2))]
+
+
+def causal_class(psi, v: Vec2):
+    """Sign classification of g(v, v) with a GEOM_TOL-wide null band, for a
+    float psi or an array of them (v stays one vector, as Vec2 is float-only)."""
     if v.is_zero:
         raise ZeroVector("cannot classify the zero vector")
     return _class_of_norm(metric(psi).norm_sq(v))
@@ -178,12 +183,13 @@ def shock_tangent_norms(t):
     return right, left
 
 
-def shock_character(t: float) -> tuple[CausalClass, CausalClass]:
+def shock_character(t):
     """Causal class of the shock tangent against the two one-sided metrics.
 
     Expected (Spacelike, Timelike) for t > 1: supersonic for the field in
     its past, subsonic for the field in its future, degenerating to null
-    at the crease.  The classes of the two shock_tangent_norms.
+    at the crease.  The classes of the two shock_tangent_norms; an array of
+    times gives two object arrays of classes.
     """
     right, left = shock_tangent_norms(t)
     return _class_of_norm(right), _class_of_norm(left)

@@ -295,33 +295,6 @@ def _steps(m: _March, fill: Callable[[float], float], t: float, dt: float | None
     return t, dt
 
 
-def _march(t_ends: tuple[float, ...], s0: GodunovState) -> tuple[GodunovState, ...]:
-    """The states of grid s0 at its checked ends, from one march.
-
-    Each fill's ghost comes from the grid's ghost table (_ghost_table).
-    The shared march takes only full CFL steps; each end is reached on a
-    copy of the march (ghost, cells and carried numbers) with the capped
-    steps a march to that end alone takes, starting from the CFL step
-    already computed at the point where the march to it leaves.
-    """
-    if not t_ends:
-        return ()
-    fill = _ghost_table(s0, t_ends[-1])
-    states = []
-    march = _March.start(s0)
-    t, dt = s0.time, None
-    for t_end in t_ends:
-        if t_end == s0.time:
-            states.append(s0)
-            continue
-        t, dt = _steps(march, fill, t, dt, t_end, capped=False)
-        # the march to t_end alone leaves the shared one here
-        cut = march.copy()
-        t_cut, _ = _steps(cut, fill, t, dt, t_end, capped=True)
-        states.append(replace(s0, cell_averages=cut.cells, time=t_cut))
-    return tuple(states)
-
-
 # Most fill times a grid's ghost is solved ahead for, and fixed-point sweeps per window.
 _WINDOW = 1024
 _SWEEPS = 8
@@ -392,18 +365,38 @@ def _ghost_table(s0: GodunovState, t_last: float) -> Callable[[float], float]:
 def solve_at(t_ends: Sequence[float], s0: GodunovState) -> tuple[GodunovState, ...]:
     """March once from s0 and return the state at each of the nondecreasing t_ends.
 
-    Each state equals solve(t_end, s0) bit for bit.  The ghost fills are
-    solved ahead in windows of predicted fill times; the foot solve is
-    elementwise, so a served ghost equals a solve at that one time, and a
-    wrong prediction costs only a miss.  No window holds a time the march
-    could not ask the field for.  Raises DomainError, before any step, on
-    a non-finite or decreasing end and on an end that takes more than
-    _MAX_STEPS CFL steps to reach; and where it is taken, on a step that
-    leaves the time unchanged.
+    Each state equals solve(t_end, s0) bit for bit.  The shared march takes
+    only full CFL steps; each end is reached on a copy of the march (ghost,
+    cells and carried numbers) with the capped steps a march to that end
+    alone takes, starting from the CFL step already computed at the point
+    where the march to it leaves.  Each fill's ghost comes from the grid's
+    ghost table (_ghost_table): the ghost fills are solved ahead in windows
+    of predicted fill times; the foot solve is elementwise, so a served
+    ghost equals a solve at that one time, and a wrong prediction costs
+    only a miss.  No window holds a time the march could not ask the field
+    for.  Raises DomainError, before any step, on a non-finite or
+    decreasing end and on an end that takes more than _MAX_STEPS CFL steps
+    to reach; and where it is taken, on a step that leaves the time
+    unchanged.
     """
     t_ends = tuple(t_ends)
     _check_ends(t_ends, s0)
-    return _march(t_ends, s0)
+    if not t_ends:
+        return ()
+    fill = _ghost_table(s0, t_ends[-1])
+    states = []
+    march = _March.start(s0)
+    t, dt = s0.time, None
+    for t_end in t_ends:
+        if t_end == s0.time:
+            states.append(s0)
+            continue
+        t, dt = _steps(march, fill, t, dt, t_end, capped=False)
+        # the march to t_end alone leaves the shared one here
+        cut = march.copy()
+        t_cut, _ = _steps(cut, fill, t, dt, t_end, capped=True)
+        states.append(replace(s0, cell_averages=cut.cells, time=t_cut))
+    return tuple(states)
 
 
 def solve(t_end: float, s0: GodunovState) -> GodunovState:

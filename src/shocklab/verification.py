@@ -54,6 +54,8 @@ from .burgers import (
     shock_trace,
 )
 from .geometry import (
+    CausalClass,
+    _class_of_norm,
     bubble_witness,
     causal_past_contains,
     inverse_metric,
@@ -669,7 +671,8 @@ def _suite_bubble(seed: int) -> list[CheckResult]:
     ok = bool(np.all(causal_past_contains(apex, q) & ~timelike_past_contains(apex, q)))
     # the 50 times and, last, the reference time 4/pi, in one batch
     right, left = shock_tangent_norms(np.append(_LOG_TIMES, 4.0 / math.pi))
-    sc_ok = bool(np.all(right[:-1] > 0.0) and np.all(left[:-1] < 0.0))
+    sc_ok = bool(np.all(_class_of_norm(right[:-1]) == CausalClass.SPACELIKE)
+                 and np.all(_class_of_norm(left[:-1]) == CausalClass.TIMELIKE))
     right, left = float(right[-1]), float(left[-1])
     exp_right = -16.0 * (-math.pi / 4.0) / (4.0 - math.pi / 4.0) ** 2
     exp_left = -16.0 * (math.pi / 4.0) / (4.0 + math.pi / 4.0) ** 2

@@ -1,5 +1,7 @@
 """Fixtures shared by several test modules: each measurement is taken once per session."""
 
+import contextlib
+import io
 from collections import Counter
 from types import SimpleNamespace
 
@@ -7,23 +9,37 @@ import numpy as np
 import pytest
 
 import shocklab.godunov as fv
-from shocklab.verification import run_suite
+import shocklab.verification as ver
+from shocklab import cli
+
+# The verify invocations tier-1 pins, by (suite, seed).
+VERIFY_RUNS = (("all", 7), ("pde", 0), ("pde", 42), ("agreement", 0), ("agreement", 42))
 
 
-@pytest.fixture(scope="session")
-def godunov_suite():
-    """One instrumented run of run_suite("godunov"): its 4000- and 8000-cell marches.
+def _recorded(values, f):
+    """f, appending each value it returns to the list values."""
+    def call(*args):
+        values.append(f(*args))
+        return values[-1]
+    return call
 
-    report is the suite's report.  calls counts the godunov module's
-    psi_weak_array calls by np.ndim of their times (1: a window of ghost
-    fill times; 0: one time, as l1_error asks).  fills counts the ghost
-    fills (_fill_ghost) and windows the ghost windows solved (_prefetch),
-    by the cells of their grid.  states holds the tuple of states of each
-    solve_at call and errors each value l1_error returns, in call order.
+
+def _verify(suite, seed):
+    """One instrumented in-process run of `shocklab verify --suite suite --seed seed`.
+
+    code, out and report are its exit code, its stdout and its Report, and
+    measured maps each check's name to its measured value.  fits holds each
+    FitReport verification._fit returns and gaps each pair of arrays
+    verification.lax_gaps returns.  Of the godunov march: calls
+    counts the godunov module's psi_weak_array calls by np.ndim of their
+    times (1: a window of ghost fill times; 0: one time, as l1_error asks);
+    fills counts the ghost fills (_fill_ghost) and windows the ghost windows
+    solved (_prefetch), by the cells of their grid; states holds the tuple
+    of states of each solve_at call and errors each value l1_error returns.
+    All lists are in call order.
     """
-    run = SimpleNamespace(calls=Counter(), fills=0, windows=Counter(), states=[], errors=[])
-    field, fill, prefetch = fv.psi_weak_array, fv._fill_ghost, fv._prefetch
-    solve_at, l1_error = fv.solve_at, fv.l1_error
+    run = SimpleNamespace(calls=Counter(), fills=0, windows=Counter(), states=[], errors=[], fits=[], gaps=[])
+    field, fill, prefetch, reports = fv.psi_weak_array, fv._fill_ghost, fv._prefetch, []
 
     def counted(t, x):
         run.calls[np.ndim(t)] += 1
@@ -37,17 +53,21 @@ def godunov_suite():
         run.windows[s0.n_cells] += 1
         return prefetch(s0, *args)
 
-    def solved(t_ends, s0):
-        run.states.append(solve_at(t_ends, s0))
-        return run.states[-1]
-
-    def compared(s):
-        run.errors.append(l1_error(s))
-        return run.errors[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name, wrapper in (("psi_weak_array", counted), ("_fill_ghost", filled), ("_prefetch", prefetched),
-                              ("solve_at", solved), ("l1_error", compared)):
-            mp.setattr(fv, name, wrapper)
-        run.report = run_suite("godunov")
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
+        for module, name, wrapper in (
+            (fv, "psi_weak_array", counted), (fv, "_fill_ghost", filled), (fv, "_prefetch", prefetched),
+            (fv, "solve_at", _recorded(run.states, fv.solve_at)), (fv, "l1_error", _recorded(run.errors, fv.l1_error)),
+            (ver, "_fit", _recorded(run.fits, ver._fit)), (ver, "lax_gaps", _recorded(run.gaps, ver.lax_gaps)),
+            (cli, "run_suite", _recorded(reports, cli.run_suite)),
+        ):
+            mp.setattr(module, name, wrapper)
+        run.code = cli.main(["verify", "--suite", suite, "--seed", str(seed)])
+    run.out, (run.report,) = out.getvalue(), reports
+    run.measured = {c.name: c.measured for c in run.report.checks}
     return run
+
+
+@pytest.fixture(scope="session")
+def verify_runs():
+    """Each pinned verify invocation, run once per session (_verify), by (suite, seed)."""
+    return {(suite, seed): _verify(suite, seed) for suite, seed in VERIFY_RUNS}

@@ -1,5 +1,10 @@
 """Acceptance gate: every quantitative claim at its stated tolerance.
 
+Each claim is measured once: the criteria read the session's runs of
+`shocklab verify` (the verify_runs fixture of conftest.py), C11 and C12 its
+seed-0 agreement and pde runs and the rest its seed-7 run of every suite,
+and assert their own thresholds on the recorded values.
+
 Each criterion prints one PASS/FAIL line (run with `pytest -s` to see them
 while green; failing lines surface in the captured output regardless).
 Criterion 6 is marked as a strict expected failure: the claimed sqrt
@@ -14,10 +19,9 @@ import numpy as np
 import pytest
 
 import shocklab as sl
-from shocklab import Point, SolutionVariant
+from shocklab import Point
 from shocklab.characteristics import BoundaryCurve
-
-W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
+from shocklab.geometry import CausalClass
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -28,52 +32,49 @@ def log_spaced(n=50, lo=1.001, hi=100.0):
     return np.exp(np.linspace(math.log(lo), math.log(hi), n))
 
 
+@pytest.fixture(scope="module")
+def run7(verify_runs):
+    """The session's run of `shocklab verify --suite all --seed 7`."""
+    return verify_runs["all", 7]
+
+
 class TestAcceptance:
-    def test_c01_rankine_hugoniot(self):
-        worst = max(sl.rh_residual(float(t)) for t in log_spaced())
+    def test_c01_rankine_hugoniot(self, run7):
+        worst = run7.measured["rankine_hugoniot"]
         report("C01 rankine-hugoniot", worst <= 1e-11, f"max residual {worst:.3e} <= 1e-11")
         assert worst <= 1e-11
 
-    def test_c02_lax_entropy(self):
-        dev, min_gap = 0.0, math.inf
-        for t in log_spaced():
-            lo, up = sl.lax_gaps(float(t))
-            expected = math.atan(sl.shock_feet(float(t))[1])
-            dev = max(dev, abs(lo - expected), abs(up - expected))
-            min_gap = min(min_gap, lo, up)
-        near = max(sl.lax_gaps(1.0 + 1e-6))
+    def test_c02_lax_entropy(self, run7):
+        # the gaps at the 50 times and, last, just past the crease
+        ((lower, upper),) = run7.gaps
+        min_gap = float(min(lower[:-1].min(), upper[:-1].min()))
+        dev, near = run7.measured["lax_gaps_match_feet"], run7.measured["lax_gaps_crease_limit"]
         ok = min_gap > 0.0 and dev <= 1e-10 and near < 2e-3
         report("C02 lax-entropy", ok,
                f"min gap {min_gap:.3e} > 0, foot deviation {dev:.3e} <= 1e-10, "
                f"crease value {near:.3e} < 2e-3")
         assert ok
 
-    def test_c03_oleinik(self):
-        worst = max(
-            sl.oleinik_scan(t, (-10.0, 10.0), 400).max_quotient
-            for t in (0.5, 1.0, 2.0, 5.0)
-        )
+    def test_c03_oleinik(self, run7):
+        worst = run7.measured["oleinik_one_sided"]
         report("C03 oleinik", worst <= 1e-10, f"max forward quotient {worst:.3e} <= 1e-10")
         assert worst <= 1e-10
 
-    def test_c04_weak_form(self):
-        from shocklab.verification import standard_test_functions, weak_form_residual, TestFunction
-        residuals = [abs(weak_form_residual(W, tf)) for tf in standard_test_functions()]
-        control = abs(weak_form_residual(
-            W, TestFunction(Point(2.0, 4.0), (0.4, 0.8)), shock_shift=0.05))
-        ok = max(residuals) <= 1e-6 and control >= 1e-3
+    def test_c04_weak_form(self, run7):
+        worst, control = run7.measured["weak_form_identity"], run7.measured["weak_form_negative_control"]
+        ok = worst <= 1e-6 and control >= 1e-3
         report("C04 weak-form", ok,
-               f"max |residual| {max(residuals):.3e} <= 1e-6 over 10 test functions, "
+               f"max |residual| {worst:.3e} <= 1e-6 over 10 test functions, "
                f"negative control {control:.3e} >= 1e-3")
         assert ok
 
-    def test_c05_holder_crease_and_boundary(self):
-        crease = sl.boundary_fit(1.0, sl.dyadic_offsets(1e-3, 11))
+    def test_c05_holder_crease_and_boundary(self, run7):
+        # the holder suite's fits: the crease, B at t = 1.5, 2, 5, then the horizon
+        crease, *on_b = run7.fits[:4]
         ok = abs(crease.exponent - 1.0 / 3.0) <= 0.02
         ok = ok and abs(crease.coefficient / 3.0 ** (1.0 / 3.0) - 1.0) <= 0.05
         detail = [f"crease ({crease.exponent:.4f}, {crease.coefficient:.4f})"]
-        for t_bar in (1.5, 2.0, 5.0):
-            fit = sl.boundary_fit(t_bar, sl.dyadic_offsets(1e-4, 11))
+        for t_bar, fit in zip((1.5, 2.0, 5.0), on_b):
             pred = abs(sl.expansion_near_B(t_bar).leading_coefficient)
             ok = ok and abs(fit.exponent - 0.5) <= 0.02
             ok = ok and abs(fit.coefficient / pred - 1.0) <= 0.05
@@ -88,10 +89,9 @@ class TestAcceptance:
         "and the crossing-motion term cancel at sqrt order, so the probe "
         "decays linearly (measured exponent ~1.0); see README, Known deviations",
     )
-    def test_c06_horizon_roughness(self):
+    def test_c06_horizon_roughness(self, run7):
         oks, details = [], []
-        for x in (-2.0, 0.0, 1.0):
-            fit = sl.horizon_fit(x, sl.dyadic_offsets(1e-2, 11))
+        for x, fit in zip((-2.0, 0.0, 1.0), run7.fits[4:]):
             ok = abs(fit.exponent - 0.5) <= 0.02
             ok = ok and abs(fit.coefficient / math.sqrt(6.0) - 1.0) <= 0.05
             oks.append(ok)
@@ -100,14 +100,14 @@ class TestAcceptance:
                "; ".join(details) + " vs stated (0.5, 2.4495)")
         assert all(oks)
 
-    def test_c07_nullness_and_tangency(self):
+    def test_c07_nullness_and_tangency(self, run7):
         psis = np.linspace(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 10_000)
         s = (4.0 + psis) ** 2
         gtt, gtx, gxx = -8.0 * (2.0 + psis) / s, -2.0 * psis / s, 4.0 / s
         gLL = np.abs(gtt + 2.0 * gtx * (2.0 + psis) + gxx * (2.0 + psis) ** 2)
         gBB = np.abs(gtt - 4.0 * gtx + 4.0 * gxx)
         null_worst = float(max(gLL.max(), gBB.max()))
-        tang_worst = max(sl.tangency_residual_B(float(t)) for t in log_spaced())
+        tang_worst = run7.measured["boundary_tangency"]
         tangent_exact = sl.boundary_x_deriv(BoundaryCurve.CAUCHY_HORIZON, 2.0) == -2.0
         ok = null_worst <= 1e-13 and tang_worst <= 1e-10 and tangent_exact
         report("C07 nullness-tangency", ok,
@@ -116,13 +116,8 @@ class TestAcceptance:
         assert ok
 
     def test_c08_shock_causal_character(self):
-        from shocklab.geometry import CausalClass
-        ok = True
-        for t in log_spaced():
-            right, left = sl.shock_tangent_norms(float(t))
-            ok = ok and right > 0.0 and left < 0.0
-            rc, lc = sl.shock_character(float(t))
-            ok = ok and rc is CausalClass.SPACELIKE and lc is CausalClass.TIMELIKE
+        rc, lc = sl.shock_character(log_spaced())
+        ok = set(rc) == {CausalClass.SPACELIKE} and set(lc) == {CausalClass.TIMELIKE}
         # reference values at t = 4/pi from the tangent-norm formula
         # -16 psi/(4+psi)^2 at psi = -/+ pi/4: +1.2160614 and -0.5487490
         right, left = sl.shock_tangent_norms(4.0 / math.pi)
@@ -135,22 +130,12 @@ class TestAcceptance:
                f"within {dev:.1e} of ({exp_right:.6f}, {exp_left:.6f})")
         assert ok
 
-    def test_c09_causal_bubbles(self):
-        ok = True
-        for z in (0.25, 0.5, 1.0, 2.0, 4.0):
-            apex, _ = sl.psi_boundary_extension(z)
-            q = sl.bubble_witness(apex)
-            ok = ok and sl.causal_past_contains(apex, q)
-            ok = ok and not sl.timelike_past_contains(apex, q)
-        apex = Point(2.0, 5.0 - math.pi / 2)
-        target = Point(1.0, 2.1)
-        in_causal = sl.causal_past_contains(apex, target)
-        in_timelike = sl.timelike_past_contains(apex, target)
-        ok = ok and in_causal and not in_timelike
-        report("C09 causal-bubbles", ok,
-               f"witnesses causal-not-timelike at 5 apexes; explicit pair causal={in_causal}, "
-               f"timelike={in_timelike}")
-        assert ok
+    def test_c09_causal_bubbles(self, run7):
+        # one verdict: the witnesses of 5 apexes up B and the pair (1, 2.1) below (2, 5 - pi/2)
+        verdict = run7.measured["causal_bubbles"]
+        report("C09 causal-bubbles", verdict == 1.0,
+               f"witnesses at 5 apexes and the explicit pair causal-not-timelike: verdict {verdict} == 1")
+        assert verdict == 1.0
 
     def test_c10_nonunique_backward_curves(self):
         apex = Point(2.0, 5.0 - math.pi / 2)
@@ -163,37 +148,36 @@ class TestAcceptance:
                f"separation {gap:.4f} >= 0.03 at t=1.5")
         assert ok
 
-    def test_c11_agreement_disagreement(self):
-        rep = sl.agreement_disagreement_scan(1000, seed=0)
-        ok = (rep.max_gap_omega_a <= 1e-11 and rep.min_wedge_gap > 0.0
-              and abs(rep.phi_gap_at_probe) >= 1e-4)
+    def test_c11_agreement_disagreement(self, verify_runs):
+        measured = verify_runs["agreement", 0].measured
+        gap_a, gap_w = measured["agreement_region"], measured["wedge_disagreement"]
+        gap_phi = measured["potential_disagreement"]
+        ok = gap_a <= 1e-11 and gap_w > 0.0 and gap_phi >= 1e-4
         report("C11 agreement-disagreement", ok,
-               f"agreement gap {rep.max_gap_omega_a:.3e} <= 1e-11 on 1000 points, "
-               f"min wedge gap {rep.min_wedge_gap:.3e} > 0 on 1000 points, "
-               f"potential gap {abs(rep.phi_gap_at_probe):.3e} >= 1e-4")
+               f"agreement gap {gap_a:.3e} <= 1e-11 on 1000 points, "
+               f"min wedge gap {gap_w:.3e} > 0 on 1000 points, "
+               f"potential gap {gap_phi:.3e} >= 1e-4")
         assert ok
 
-    def test_c12_first_order_system(self):
-        from shocklab.verification import _suite_pde
-        checks = _suite_pde(seed=0)
-        by_name = {c.name: c for c in checks}
-        res, order = by_name["pde_residual"], by_name["pde_fd_order"]
+    def test_c12_first_order_system(self, verify_runs):
+        measured = verify_runs["pde", 0].measured
+        res, order = measured["pde_residual"], measured["pde_fd_order"]
         # the stated example points at the stated step size
         examples = max(
             sl.pde_residual_classical(0.5, 1.0, 1e-4),
             sl.pde_residual_classical(0.2, -5.0, 1e-4),
         )
-        ok = res.passed and order.passed and examples <= 1e-6
+        ok = res <= 1e-6 and order >= 1.9 and examples <= 1e-6
         report("C12 first-order-system", ok,
-               f"max residual {res.measured:.3e} <= 1e-6 at 200 points, "
-               f"min FD order {order.measured:.3f} >= 1.9 on 10 points, "
+               f"max residual {res:.3e} <= 1e-6 at 200 points, "
+               f"min FD order {order:.3f} >= 1.9 on 10 points, "
                f"example points {examples:.3e} <= 1e-6")
         assert ok
 
-    def test_c13_godunov_oracle(self, godunov_suite):
-        # the godunov suite's run: its two marches and their two L1 errors
-        (s4,), (sw, s8) = godunov_suite.states
-        e4, e8 = godunov_suite.errors
+    def test_c13_godunov_oracle(self, run7):
+        # the godunov suite's two marches and their two L1 errors
+        (s4,), (sw, s8) = run7.states
+        e4, e8 = run7.errors
         assert (s4.n_cells, s4.time, sw.n_cells, sw.time, s8.time) == (4000, 2.0, 8000, 1.27, 2.0)
         i = int(np.argmin(np.abs(sw.cell_centers - 2.5)))
         u = float(sw.cell_averages[i])
@@ -208,8 +192,8 @@ class TestAcceptance:
         assert ok
         # frozen: the one march serves both end times bit for bit
         assert (e4, e8, u) == (0.00781216453767635, 0.003827092042893625, 0.8283574257847297)
-        # the suite's three checks passed on these same measurements
-        assert [(c.name, c.passed, c.measured) for c in godunov_suite.report.checks] == [
+        # the suite's three checks, the report's last, passed on these same measurements
+        assert [(c.name, c.passed, c.measured) for c in run7.report.checks[-3:]] == [
             ("godunov_l1", True, e4), ("godunov_l1_ratio", True, e8 / e4),
             ("godunov_entropy_selection", True, abs(u - pw)),
         ]

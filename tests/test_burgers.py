@@ -201,6 +201,16 @@ class TestExpansions:
         with pytest.raises(DomainError):
             expansion_near_B(1.0)
 
+    @pytest.mark.parametrize("t_bar, message", [
+        (1e155, "singular-boundary expansion time t = 1e+155 is beyond the modelled range t <= 1e+150"),
+        (math.nan, "non-finite singular-boundary expansion time t = nan"),
+        (math.inf, "non-finite singular-boundary expansion time t = inf"),
+    ])
+    def test_near_B_refuses_non_finite_or_past_the_range(self, t_bar, message):
+        with pytest.raises(DomainError) as err:
+            expansion_near_B(t_bar)
+        assert str(err.value) == message
+
     def test_near_B_predicts_field(self):
         for t_bar in (1.5, 2.0, 5.0):
             pred = expansion_near_B(t_bar)

@@ -59,6 +59,7 @@ class TestForwardMap:
         assert blowup_time(1.0) == 2.0
         assert blowup_time(2.0) == 5.0
         assert blowup_time(1e-9) == pytest.approx(1.0, abs=1e-12)
+        assert blowup_time(1e75) == 1.0 + 1e75 * 1e75 <= 1e150  # the last foot inside the modelled range
         with pytest.raises(DomainError):
             blowup_time(0.0)
         with pytest.raises(DomainError):
@@ -68,8 +69,21 @@ class TestForwardMap:
         assert shock_arrival_time(1.0) == pytest.approx(4.0 / math.pi, abs=1e-15)
         assert shock_arrival_time(-1.0) == shock_arrival_time(1.0)
         assert shock_arrival_time(1e-8) == pytest.approx(1.0, abs=1e-8)
+        assert shock_arrival_time(-1e150) == -1e150 / math.atan(-1e150) <= 1e150
         with pytest.raises(DomainError):
             shock_arrival_time(0.0)
+
+    @pytest.mark.parametrize("f, x0, message", [
+        (blowup_time, math.nan, "non-finite foot x0 = nan"),
+        (blowup_time, 1e200, "blowup time of x0 = 1e+200 is beyond the modelled range t <= 1e+150"),
+        (shock_arrival_time, math.nan, "non-finite foot x0 = nan"),
+        (shock_arrival_time, math.inf, "non-finite foot x0 = inf"),
+        (shock_arrival_time, -1e151, "foot x0 = -1e+151 is beyond the modelled range |x| <= 1e+150"),
+    ])
+    def test_non_finite_or_past_the_range_refused(self, f, x0, message):
+        with pytest.raises(DomainError) as err:
+            f(x0)
+        assert str(err.value) == message
 
     def test_shock_before_blowup(self):
         for x0 in (0.25, 1.0, 3.0, 10.0):

@@ -550,13 +550,26 @@ class TestVerifyVerb:
 
 class TestVerdictTable:
     # verify's name -> status map must equal the table the benchmark checks
-    def test_all_suites_seed_7(self, capsys):
-        _, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")
-        assert verdicts(out) == {k: v for suite in EXPECTED_VERIFY.values() for k, v in suite.items()}
+    def test_all_suites_seed_7(self, verify_runs):
+        run = verify_runs["all", 7]
+        assert run.code == 1
+        assert verdicts(run.out) == {k: v for suite in EXPECTED_VERIFY.values() for k, v in suite.items()}
         # and every value of the report, byte for byte
-        assert hashlib.sha256(out.encode()).hexdigest() == (
+        assert hashlib.sha256(run.out.encode()).hexdigest() == (
             "56fd1e41b2b33f6e78f01b20e7607ac84a322c26610e898906f4e8478d1e844e"
         )
+
+    # the sampled suites at two more seeds: exit code and sha256 of stdout
+    @pytest.mark.parametrize("suite, seed, digest", [
+        ("pde", 0, "6cf3db9bd07381eba7eb5cc7c8e5778723c95674139a7ac99b667bcf584eca9f"),
+        ("pde", 42, "05814a379b909768631c3c0852341cb77019413ca43de9d9b14a5f0df8ce41be"),
+        ("agreement", 0, "12719bad0a503f8d6959f119a796b7f72316197ae0247a846ac076d985f38c42"),
+        ("agreement", 42, "57a07ec5508a40ac3539e5509fc7086046cbca80d7e9636ab09a8039156ab4b9"),
+    ])
+    def test_sampled_suites_frozen(self, verify_runs, suite, seed, digest):
+        run = verify_runs[suite, seed]
+        assert run.code == 0
+        assert hashlib.sha256(run.out.encode()).hexdigest() == digest
 
     def test_pde_suite_every_seed(self, capsys):
         for seed in range(100):

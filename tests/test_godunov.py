@@ -752,11 +752,13 @@ class TestSolveAt:
         solve_at((1.27, 2.0), s0)
         assert len(fills) <= n_solve + 1
 
-    def test_godunov_suite_field_calls(self, godunov_suite):
-        # the 4000- and 8000-cell marches: 4,661 ghost fills, as at one field
-        # call per fill (1,554 and 3,107), served from 6 windows (2 and 4) of
-        # 4 to 7 fixed-point sweeps, one field call each; and the four
-        # exact-average calls (at one time each) of the two l1_error comparisons
-        assert godunov_suite.fills == 4661
-        assert (godunov_suite.windows[4000], godunov_suite.windows[8000]) == (2, 4)
-        assert (godunov_suite.calls[1], godunov_suite.calls[0]) == (36, 4)
+    def test_godunov_suite_field_calls(self, verify_runs):
+        # the godunov suite's 4000- and 8000-cell marches in the seed-7 run of
+        # every suite: 4,661 ghost fills, as at one field call per fill (1,554
+        # and 3,107), served from 6 windows (2 and 4) of 4 to 7 fixed-point
+        # sweeps, one field call each; and the four exact-average calls (at
+        # one time each) of the two l1_error comparisons
+        run = verify_runs["all", 7]
+        assert run.fills == 4661
+        assert (run.windows[4000], run.windows[8000]) == (2, 4)
+        assert (run.calls[1], run.calls[0]) == (36, 4)

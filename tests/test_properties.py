@@ -24,12 +24,15 @@ from shocklab.characteristics import (
     outgoing_char,
     shock_feet,
 )
-from shocklab.core import GEOM_TOL, DomainError, OnShockError, OutsideDomain, Point, SolutionVariant
+from shocklab.core import GEOM_TOL, DomainError, OnShockError, OutsideDomain, Point, SolutionVariant, Vec2
 from shocklab.geometry import (
+    CausalClass,
     bubble_witness,
+    causal_class,
     causal_past_contains,
     horizon_null_check,
     metric,
+    shock_character,
     shock_tangent_norms,
     tangency_residual_B,
     timelike_past_contains,
@@ -345,10 +348,12 @@ def test_shock_tangent_norms_batch_equals_float_calls(times):
 # error type and message.
 
 def bits(v):
-    """The exact identity of a value: a float by its hex form, a Point by its parts."""
+    """The exact identity of a value: a float by its hex form, a Point or a tuple by its parts."""
     if isinstance(v, Point):
         return bits(v.t), bits(v.x)
-    return v if isinstance(v, bool) else float(v).hex()
+    if isinstance(v, tuple):
+        return tuple(map(bits, v))
+    return v if isinstance(v, (bool, CausalClass)) else float(v).hex()
 
 
 def assert_array_call_is_float_calls(array_call, float_calls):
@@ -449,6 +454,20 @@ def test_causal_pasts_array_equals_float_calls(pairs):
         return [Point(t, x) for t, x in zip(w.t.tolist(), w.x.tolist())]
 
     assert_array_call_is_float_calls(witnesses, [lambda a=a: bubble_witness(a) for a, _ in pairs])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.one_of(SHOCK_T, st.sampled_from([1.0, 0.5, 1e151, math.nan])), min_size=1, max_size=40),
+    st.lists(st.floats(min_value=-math.pi / 2, max_value=math.pi / 2), min_size=1, max_size=40),
+    st.sampled_from([Vec2(1.0, 2.0), Vec2(1.0, -2.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0)]),
+)
+def test_causal_classes_array_equal_float_calls(times, psis, v):
+    # the shock's two classes at each time, and the class of v at each field value
+    assert_array_call_is_float_calls(
+        lambda: list(zip(*shock_character(np.array(times)))), [lambda t=t: shock_character(t) for t in times])
+    assert_array_call_is_float_calls(
+        lambda: list(causal_class(np.array(psis), v)), [lambda p=p: causal_class(p, v) for p in psis])
 
 
 @settings(deadline=None)
