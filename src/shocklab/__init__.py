@@ -74,19 +74,14 @@ from .geometry import (
     timelike_past_contains,
 )
 from .verification import (
-    AgreementReport,
     CheckResult,
     FitReport,
-    OleinikReport,
     Report,
     TestFunction,
-    agreement_disagreement_scan,
     boundary_fit,
     dyadic_offsets,
     horizon_fit,
     lax_gaps,
-    oleinik_scan,
-    rh_residual,
     run_suite,
     weak_form_residual,
 )

@@ -214,6 +214,7 @@ def psi0_prime(x):
 
 def psi0_second(x):
     """Second derivative 2x/(1+x^2)^2; same sign as x."""
+    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
     s = 1.0 + x * x
     return 2.0 * x / (s * s)
 

@@ -117,8 +117,14 @@ class CausalClass(enum.Enum):
 # ---------------------------------------------------------------------------
 
 def _check_regular(psi: float | np.ndarray) -> None:
-    if np.any((np.abs(psi + 4.0) <= GEOM_TOL) | (np.abs(psi + 2.0) <= GEOM_TOL)):
-        raise DegenerateMetric(f"metric degenerate at psi = {psi}")
+    """Refuse, at the first refusing value as its float call does, a non-finite
+    psi and one within GEOM_TOL of -4 or -2, where the metric degenerates."""
+    p = np.asarray(psi, dtype=float)
+    _raise_first((
+        (~np.isfinite(p), DegenerateMetric, "non-finite field value psi = {psi}"),
+        ((np.abs(p + 4.0) <= GEOM_TOL) | (np.abs(p + 2.0) <= GEOM_TOL), DegenerateMetric,
+         "metric degenerate at psi = {psi}"),
+    ), p, p, psi=p)
 
 
 def metric(psi: float | np.ndarray) -> Metric2:

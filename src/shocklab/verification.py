@@ -5,7 +5,7 @@ the distributional (weak-form) identity against compactly supported test
 functions, the one-sided entropy condition, the jump and admissibility
 conditions on the shock, power-law fits of the boundary degeneracies,
 frame nullness and boundary tangency, causal-bubble membership, the
-first-order-system residual, cross-solution agreement/disagreement scans,
+first-order-system residual, cross-solution agreement and disagreement,
 and the independent finite-volume oracle.  A suite run aggregates the
 results into a machine-readable report with one pass/fail line per check.
 
@@ -75,19 +75,14 @@ from . import godunov as fv
 __all__ = [
     "TestFunction",
     "FitReport",
-    "OleinikReport",
-    "AgreementReport",
     "CheckResult",
     "Report",
     "halton",
     "weak_form_residual",
-    "oleinik_scan",
-    "rh_residual",
     "lax_gaps",
     "boundary_fit",
     "horizon_fit",
     "dyadic_offsets",
-    "agreement_disagreement_scan",
     "SUITE_NAMES",
     "run_suite",
 ]
@@ -117,6 +112,21 @@ def halton(n: int, skip: int = 0) -> np.ndarray:
             i //= base
         cols.append(r)
     return np.column_stack(cols)
+
+
+def _sample(n: int, box, skip: int, keep) -> tuple[np.ndarray, np.ndarray]:
+    """First n Halton points of the box (t_lo, t_hi, x_lo, x_hi) where keep(t, x, tags) holds,
+    from at most 64 batches; a Halton point depends only on its index, not on its batch."""
+    t_lo, t_hi, x_lo, x_hi = box
+    ts, xs = np.empty(0), np.empty(0)
+    for cursor in range(skip, skip + 4096 * 64, 4096):
+        batch = halton(4096, skip=cursor)
+        cand_t, cand_x = (np.array([t_lo, x_lo]) + batch * np.array([t_hi - t_lo, x_hi - x_lo])).T
+        hits = np.flatnonzero(keep(cand_t, cand_x, classify_array(cand_t, cand_x)))
+        ts, xs = np.append(ts, cand_t[hits]), np.append(xs, cand_x[hits])
+        if len(ts) >= n:
+            return ts[:n], xs[:n]
+    raise DomainError(f"could not collect {n} sample points in the box {box}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,54 +282,8 @@ def _require_support_classical(tf: TestFunction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Entropy, jump, and admissibility checks
+# Admissibility gaps on the shock
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OleinikReport:
-    """Forward difference-quotient scan of the entropy field at fixed time."""
-
-    t: float
-    max_quotient: float
-    n_pairs: int
-
-    def bound(self) -> float:
-        return 1.0 + 1.0 / self.t
-
-
-def oleinik_scan(t: float, x_range: tuple[float, float], n: int) -> OleinikReport:
-    """Max forward difference quotient over n consecutive pairs in x_range.
-
-    The entropy field is nonincreasing in x at fixed t, so the maximum is
-    <= 0 up to root-solver noise: strictly stronger than the one-sided
-    bound C (1 + 1/t) for any C > 0 (bound() reports it for C = 1).
-    Either end may come first; a range whose n steps are not all nonzero
-    is refused.
-    """
-    if n < 2:
-        raise DomainError("need at least 2 sample pairs")
-    if t <= 0.0:
-        raise DomainError("scan time must be positive")
-    for x in x_range:  # each end a modelled point, so that the width is finite
-        Point(t, x)
-    xs = np.linspace(x_range[0], x_range[1], n + 1)
-    dx = np.diff(xs)
-    if not dx.all():
-        raise DomainError(f"scan range {x_range} is too narrow for {n} distinct steps")
-    vals = psi_weak_array(t, xs)
-    quot = np.diff(vals) / dx
-    return OleinikReport(t=t, max_quotient=float(np.max(quot)), n_pairs=n)
-
-
-def rh_residual(t):
-    """|shock speed - mean of one-sided characteristic speeds| at time t > 1.
-
-    An array of times gives an array, from one batched foot solve.
-    """
-    trace = shock_trace(t)
-    mean_speed = 0.5 * ((2.0 + trace.left_value) + (2.0 + trace.right_value))
-    return abs(trace.speed - mean_speed)
-
 
 def lax_gaps(t):
     """Admissibility gaps (speed - right characteristic, left characteristic - speed).
@@ -401,59 +365,6 @@ def horizon_fit(x: float, offsets) -> FitReport:
 
 
 # ---------------------------------------------------------------------------
-# Agreement / disagreement scan
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AgreementReport:
-    n: int                        # points sampled in each of the two regions
-    max_gap_omega_a: float        # max |psi_C - psi_W| where they must agree
-    min_wedge_gap: float          # min (psi_W - psi_C) where they must differ
-    phi_gap_at_probe: float       # Phi_W - Phi_C at WEDGE_PROBE
-
-
-def _sample(n: int, box, skip: int, keep) -> tuple[np.ndarray, np.ndarray]:
-    """First n Halton points of the box (t_lo, t_hi, x_lo, x_hi) where keep(t, x, tags) holds,
-    from at most 64 batches; a Halton point depends only on its index, not on its batch."""
-    t_lo, t_hi, x_lo, x_hi = box
-    ts, xs = np.empty(0), np.empty(0)
-    for cursor in range(skip, skip + 4096 * 64, 4096):
-        batch = halton(4096, skip=cursor)
-        cand_t, cand_x = (np.array([t_lo, x_lo]) + batch * np.array([t_hi - t_lo, x_hi - x_lo])).T
-        hits = np.flatnonzero(keep(cand_t, cand_x, classify_array(cand_t, cand_x)))
-        ts, xs = np.append(ts, cand_t[hits]), np.append(xs, cand_x[hits])
-        if len(ts) >= n:
-            return ts[:n], xs[:n]
-    raise DomainError(f"could not collect {n} sample points in the box {box}")
-
-
-def agreement_disagreement_scan(n: int, seed: int = 0) -> AgreementReport:
-    """Compare the two solutions where they must agree and must differ.
-
-    Samples n points in the pre-shock agreement region (equality to root
-    tolerance) and n in the wedge between shock and singular boundary
-    (strict ordering), and evaluates the potential gap at the fixed wedge
-    probe point.
-    """
-    if n < 100:
-        raise DomainError("scan needs n >= 100")
-    ta, xa = _sample(n, (0.05, 3.0, -8.0, 8.0), seed, lambda t, x, tags: tags == RegionTag.OMEGA_A)
-    gap_a = np.abs(
-        psi_classical_array(ta, xa) - psi_weak_array(ta, xa)
-    )
-    tw, xw = _sample(n, (1.02, 5.0, 2.0, 11.0), seed + 1, lambda t, x, tags: tags == RegionTag.WEDGE)
-    gap_w = psi_weak_array(tw, xw) - psi_classical_array(tw, xw)
-    phi_w = phi(WEDGE_PROBE, SolutionVariant.WEAK)
-    phi_c = phi(WEDGE_PROBE, SolutionVariant.CLASSICAL)
-    return AgreementReport(
-        n=n,
-        max_gap_omega_a=float(np.max(gap_a)),
-        min_wedge_gap=float(np.min(gap_w)),
-        phi_gap_at_probe=phi_w - phi_c,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Suite runner
 # ---------------------------------------------------------------------------
 
@@ -464,10 +375,6 @@ class CheckResult:
     measured: float
     threshold: float
     claim: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name}: measured={self.measured:.6e} threshold={self.threshold:.6e} ({self.claim})"
 
 
 def _at_most(name: str, measured: float, threshold: float, claim: str) -> CheckResult:
@@ -517,7 +424,10 @@ class Report:
 
 
 def _suite_rh(seed: int) -> list[CheckResult]:
-    worst = float(np.max(rh_residual(_LOG_TIMES)))
+    # |shock speed - mean of the one-sided characteristic speeds| at the 50 times, one batched foot solve
+    trace = shock_trace(_LOG_TIMES)
+    mean_speed = 0.5 * ((2.0 + trace.left_value) + (2.0 + trace.right_value))
+    worst = float(np.max(np.abs(trace.speed - mean_speed)))
     return [_at_most(
         "rankine_hugoniot", worst, 1e-11, "shock speed equals the mean of the one-sided characteristic speeds",
     )]
@@ -546,9 +456,11 @@ def _suite_lax(seed: int) -> list[CheckResult]:
 
 
 def _suite_oleinik(seed: int) -> list[CheckResult]:
-    worst = max(
-        oleinik_scan(t, (-10.0, 10.0), 400).max_quotient for t in (0.5, 1.0, 2.0, 5.0)
-    )
+    # the forward quotients of 400 pairs in [-10, 10] at four times, from one field call: the
+    # entropy field is nonincreasing in x, which is stronger than the one-sided bound 1 + 1/t
+    xs = np.linspace(-10.0, 10.0, 401)
+    vals = psi_weak_array(np.array([[0.5], [1.0], [2.0], [5.0]]), xs)
+    worst = float(np.max(np.diff(vals, axis=1) / np.diff(xs)))
     return [_at_most(
         "oleinik_one_sided", worst, 1e-10, "forward difference quotients of the entropy field are nonpositive",
     )]
@@ -720,19 +632,23 @@ def _suite_pde(seed: int) -> list[CheckResult]:
 
 
 def _suite_agreement(seed: int) -> list[CheckResult]:
-    rep = agreement_disagreement_scan(1000, seed)
+    # 1000 points where the two fields must agree, 1000 in the wedge where they must differ
+    ta, xa = _sample(1000, (0.05, 3.0, -8.0, 8.0), seed, lambda t, x, tags: tags == RegionTag.OMEGA_A)
+    gap_a = float(np.max(np.abs(psi_classical_array(ta, xa) - psi_weak_array(ta, xa))))
+    tw, xw = _sample(1000, (1.02, 5.0, 2.0, 11.0), seed + 1, lambda t, x, tags: tags == RegionTag.WEDGE)
+    gap_w = float(np.min(psi_weak_array(tw, xw) - psi_classical_array(tw, xw)))
+    gap_phi = abs(phi(WEDGE_PROBE, SolutionVariant.WEAK) - phi(WEDGE_PROBE, SolutionVariant.CLASSICAL))
     return [
         _at_most(
-            "agreement_region", rep.max_gap_omega_a, 1e-11,
+            "agreement_region", gap_a, 1e-11,
             "classical and entropy fields agree below the shock and horizon",
         ),
         CheckResult(
-            "wedge_disagreement", rep.min_wedge_gap > 0.0, rep.min_wedge_gap, 0.0,
+            "wedge_disagreement", gap_w > 0.0, gap_w, 0.0,
             "the entropy field strictly exceeds the classical one in the wedge",
         ),
         CheckResult(
-            "potential_disagreement", abs(rep.phi_gap_at_probe) >= 1e-4,
-            abs(rep.phi_gap_at_probe), 1e-4,
+            "potential_disagreement", gap_phi >= 1e-4, gap_phi, 1e-4,
             "the two wave potentials differ at the wedge probe point",
         ),
     ]

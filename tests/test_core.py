@@ -49,6 +49,13 @@ class TestInitialDatum:
         assert psi0_second(1.0) == pytest.approx(0.5, abs=1e-15)
         assert psi0_second(-1.0) == pytest.approx(-0.5, abs=1e-15)
 
+    def test_array_likes(self):
+        # a list gives an array of the float calls' values, bit for bit
+        xs = [-3.0, 0.0, 0.5, 2.0]
+        for f in (psi0, psi0_prime, psi0_second):
+            assert f(xs).tolist() == [f(x) for x in xs]
+            assert isinstance(f(0.5), float)
+
     def test_second_matches_finite_difference(self):
         for x in (-1.0, 0.5, 2.0):
             h = 1e-4

@@ -51,7 +51,7 @@ class TestMetric:
             assert g.det == pytest.approx(-4.0 / (4.0 + psi) ** 2, rel=1e-12)
 
     def test_degenerate_guard(self):
-        for bad in (-2.0, -4.0):
+        for bad in (-2.0, -4.0, math.nan, math.inf):
             with pytest.raises(DegenerateMetric):
                 metric(bad)
             with pytest.raises(DegenerateMetric):
@@ -63,8 +63,13 @@ class TestMetric:
         for k, p in enumerate(psi.tolist()):
             assert (g.gtt[k], g.gtx[k], g.gxx[k]) == astuple(metric(p))
             assert (gi.gtx[k], gi.gxx[k]) == astuple(inverse_metric(p))[1:]
-        with pytest.raises(DegenerateMetric):
-            metric(np.array([0.0, -2.0]))
+        # refused where the first refusing float call is, with its message
+        for bad, message in (([0.0, -2.0], "metric degenerate at psi = -2.0"),
+                             ([0.1, math.nan, -4.0], "non-finite field value psi = nan")):
+            for f in (metric, inverse_metric):
+                with pytest.raises(DegenerateMetric) as err:
+                    f(np.array(bad))
+                assert str(err.value) == message
 
     def test_frame_null(self):
         for psi in np.linspace(-1.5, 1.5, 64):

@@ -462,6 +462,10 @@ def test_causal_pasts_array_equals_float_calls(pairs):
     st.lists(st.floats(min_value=-math.pi / 2, max_value=math.pi / 2), min_size=1, max_size=40),
     st.sampled_from([Vec2(1.0, 2.0), Vec2(1.0, -2.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0)]),
 )
+# field values where the metric degenerates (-2, -4) or is not defined (NaN), after a regular one
+@example([2.0], [0.1, -2.0], Vec2(1.0, 0.0))
+@example([2.0], [0.3, math.nan, -4.0], Vec2(1.0, 2.0))
+@example([2.0], [-1.0, -4.0, math.nan], Vec2(0.0, 1.0))
 def test_causal_classes_array_equal_float_calls(times, psis, v):
     # the shock's two classes at each time, and the class of v at each field value
     assert_array_call_is_float_calls(
