@@ -11,6 +11,7 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -146,7 +147,7 @@ def _cmd_shock(args) -> int:
 def _cmd_grid(args) -> int:
     t_min, t_max = _parse_range(args.t_range)
     x_min, x_max = _parse_range(args.x_range)
-    if args.nt < 2 or args.nx < 2 or t_min < 0 or t_min >= t_max or x_min >= x_max:
+    if args.nt < 2 or args.nx < 2 or args.characteristics < 0 or t_min < 0 or t_min >= t_max or x_min >= x_max:
         raise DomainError("invalid grid ranges or counts")
     variant = SolutionVariant(args.variant)
     ts = np.linspace(t_min, t_max, args.nt)
@@ -197,13 +198,14 @@ def _grid_cells(ts, xs, field: str, variant: SolutionVariant) -> list[str]:
 def _cmd_godunov(args) -> int:
     x_min, x_max = _parse_range(args.x_range)
     state = fv.initial_state(args.n_cells, x_min, x_max, args.cfl)
-    state = fv.solve(args.t_end, state)
-    text = fv.state_to_csv(state)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # opened before the march: a path that cannot be written costs no march
+    try:
+        output = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.output}: {exc.strerror}") from None
+    with output as fh:
+        state = fv.solve(args.t_end, state)
+        fh.write(fv.state_to_csv(state))
     if args.compare:
         print(f"l1_error={_fmt(fv.l1_error(state))}")
     return 0

@@ -147,8 +147,8 @@ class TestFunction:
     radii: tuple[float, float]
 
     def __post_init__(self):
-        if self.radii[0] <= 0.0 or self.radii[1] <= 0.0:
-            raise DomainError("test-function radii must be positive")
+        if not all(0.0 < r < math.inf for r in self.radii):  # NaN fails both comparisons
+            raise DomainError(f"test-function radii must be finite and positive, got {self.radii}")
 
     @staticmethod
     def _bump(s):
@@ -323,10 +323,13 @@ def dyadic_offsets(start: float, count: int) -> tuple[float, ...]:
 def _fit(offsets, values_at) -> FitReport:
     """Power law of values_at(offsets) against the offsets.
 
-    Offsets must be strictly decreasing inside the validated window
-    [1e-8, 1e-2]; raises PoorFit when r^2 falls below 0.999.
+    At least 3 offsets, strictly decreasing inside the validated window
+    [1e-8, 1e-2]: fewer cannot test a two-parameter fit.  Raises PoorFit
+    when r^2 falls below 0.999.
     """
     offsets = tuple(float(d) for d in offsets)
+    if len(offsets) < 3:
+        raise DomainError(f"need at least 3 offsets, got {len(offsets)}")
     if any(b >= a for a, b in zip(offsets, offsets[1:])):
         raise DomainError("offsets must be strictly decreasing")
     if offsets[0] > 1e-2 + 1e-15 or offsets[-1] < 1e-8 - 1e-22:

@@ -2,8 +2,8 @@
 
 Each claim is measured once: the criteria read the session's runs of
 `shocklab verify` (the verify_runs fixture of conftest.py), C11 and C12 its
-seed-0 agreement and pde runs and the rest its seed-7 run of every suite,
-and assert their own thresholds on the recorded values.
+seed-0 run of every suite and the rest its seed-7 run, and assert their own
+thresholds on the recorded values.
 
 Each criterion prints one PASS/FAIL line (run with `pytest -s` to see them
 while green; failing lines surface in the captured output regardless).
@@ -149,7 +149,7 @@ class TestAcceptance:
         assert ok
 
     def test_c11_agreement_disagreement(self, verify_runs):
-        measured = verify_runs["agreement", 0].measured
+        measured = verify_runs["all", 0].measured
         gap_a, gap_w = measured["agreement_region"], measured["wedge_disagreement"]
         gap_phi = measured["potential_disagreement"]
         ok = gap_a <= 1e-11 and gap_w > 0.0 and gap_phi >= 1e-4
@@ -160,7 +160,7 @@ class TestAcceptance:
         assert ok
 
     def test_c12_first_order_system(self, verify_runs):
-        measured = verify_runs["pde", 0].measured
+        measured = verify_runs["all", 0].measured
         res, order = measured["pde_residual"], measured["pde_fd_order"]
         # the stated example points at the stated step size
         examples = max(

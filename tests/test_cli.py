@@ -25,6 +25,10 @@ EXPECTED_VERIFY = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json").read_text()
 )
 
+# Every pinned invocation: argv, exit code, exact stderr and the sha256 of
+# stdout; a verify record may list check records, `measured` as float.hex.
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
 
 def verdicts(out):
     return {c["name"]: c["status"] for c in json.loads(out)["checks"]}
@@ -102,29 +106,11 @@ class TestEval:
         lbar = float(kv["dphi_dt"]) - 2.0 * float(kv["dphi_dx"])
         assert lbar == pytest.approx(float(kv["psi"]) if "psi" in kv else 0.0, abs=1e-9)
 
-    # sha256 of stdout for every field at once, in the wedge and, for the weak
-    # variant, in the weak-only region; the weak variant has no dpsi_dx
-    ALL_FIELDS = "psi,dpsi_dx,phi,dphi_dx,dphi_dt,region,metric,frame"
-    NO_DPSI = "psi,phi,dphi_dx,dphi_dt,region,metric,frame"
-
-    @pytest.mark.parametrize("t, x, variant, fields, digest", [
-        ("2", "3.7", "classical", ALL_FIELDS,
-         "1ccf57bee2e4b1d5e92ce2c88c2225bdcffdc83bccbe00ffc3cd123197b9b75c"),
-        ("0", "0.3", "classical", ALL_FIELDS,
-         "19a0e3a41f7e907cb3bb49fded3de79d31c2e38e3162d5ca6f3ff7289d505558"),
-        ("2", "3.7", "weak", NO_DPSI,
-         "ae12ef75fb137e3a4a16769e81e7426a5cbee972413a104b5b2cf10f27e51eca"),
-        ("2", "1.0", "weak", NO_DPSI,
-         "e893cfe8a1dabcafd146199be2a11f4b2cdb6e976ad0c271a5bb79bcee55d89b"),
-    ])
-    def test_all_fields_frozen(self, capsys, t, x, variant, fields, digest):
-        code, out, err = run_cli(capsys, "eval", "--t", t, "--x", x, "--variant", variant, "--fields", fields)
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_all_fields_weak_exit_2(self, capsys):
+        # the weak variant has no dpsi_dx
         code, out, err = run_cli(
-            capsys, "eval", "--t", "2", "--x", "3.7", "--variant", "weak", "--fields", self.ALL_FIELDS,
+            capsys, "eval", "--t", "2", "--x", "3.7", "--variant", "weak",
+            "--fields", "psi,dpsi_dx,phi,dphi_dx,dphi_dt,region,metric,frame",
         )
         assert (code, out) == (2, "")
         assert err == "error: dpsi_dx is provided for the classical variant\n"
@@ -460,17 +446,11 @@ class TestGodunovVerb:
         assert (code, out) == (2, "")
         assert err == f"error: t_end = {t_end} is not finite\n"
 
-    # sha256 of stdout: the march and its L1 comparison, byte for byte
-    @pytest.mark.parametrize("argv, digest", [
-        (("--t-end", "2", "--n-cells", "800"),
-         "6a6898ad615567e4f68450c255bdd4fe8db32a08e6714b53a2a71ee35e9647e9"),
-        (("--t-end", "0.5", "--n-cells", "200", "--x-range=-200:200"),
-         "b145f471ac112802c33368c103ad6a12405fb07e604c5fc01f1641f9d4390a21"),
-    ])
-    def test_compare_output_frozen(self, capsys, argv, digest):
-        code, out, err = run_cli(capsys, "godunov", *argv, "--compare")
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "godunov", "--t-end", "0.5", "--n-cells", "8", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
 
     def test_outflow_edge_at_the_modelled_range(self, capsys):
         # the march reads the field only at its inflow ghost, x_lo - h/2, so
@@ -554,27 +534,27 @@ class TestVerdictTable:
         run = verify_runs["all", 7]
         assert run.code == 1
         assert verdicts(run.out) == {k: v for suite in EXPECTED_VERIFY.values() for k, v in suite.items()}
-        # and every value of the report, byte for byte
-        assert hashlib.sha256(run.out.encode()).hexdigest() == (
-            "56fd1e41b2b33f6e78f01b20e7607ac84a322c26610e898906f4e8478d1e844e"
-        )
 
-    # the sampled suites at two more seeds: exit code and sha256 of stdout
-    @pytest.mark.parametrize("suite, seed, digest", [
-        ("pde", 0, "6cf3db9bd07381eba7eb5cc7c8e5778723c95674139a7ac99b667bcf584eca9f"),
-        ("pde", 42, "05814a379b909768631c3c0852341cb77019413ca43de9d9b14a5f0df8ce41be"),
-        ("agreement", 0, "12719bad0a503f8d6959f119a796b7f72316197ae0247a846ac076d985f38c42"),
-        ("agreement", 42, "57a07ec5508a40ac3539e5509fc7086046cbca80d7e9636ab09a8039156ab4b9"),
-    ])
-    def test_sampled_suites_frozen(self, verify_runs, suite, seed, digest):
-        run = verify_runs[suite, seed]
-        assert run.code == 0
-        assert hashlib.sha256(run.out.encode()).hexdigest() == digest
-
-    def test_pde_suite_every_seed(self, capsys):
+    # the two suites that read the seed, at every seed the benchmark draws
+    @pytest.mark.parametrize("suite", ["pde", "agreement"])
+    def test_seeded_suites_every_seed(self, capsys, suite):
         for seed in range(100):
-            _, out, _ = run_cli(capsys, "verify", "--suite", "pde", "--seed", str(seed))
-            assert verdicts(out) == EXPECTED_VERIFY["pde"], f"seed {seed}"
+            _, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", str(seed))
+            assert verdicts(out) == EXPECTED_VERIFY[suite], f"seed {seed}"
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=lambda record: " ".join(record["argv"]))
+def test_golden(capsys, verify_runs, record):
+    # a verify invocation the session has run is read from that run; any other runs here
+    runs = {("verify", "--suite", suite, "--seed", str(seed)): run for (suite, seed), run in verify_runs.items()}
+    run = runs.get(tuple(record["argv"]))
+    code, out, err = (run.code, run.out, run.err) if run else run_cli(capsys, *record["argv"])
+    # the check records first, so a moved check is named before the whole output's sha256
+    if "checks" in record:
+        got = {c["name"]: dict(c, measured=float(c["measured"]).hex()) for c in json.loads(out)["checks"]}
+        assert [got.get(c["name"]) for c in record["checks"]] == record["checks"]
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (
+        record["code"], record["stderr"], record["stdout_sha256"])
 
 
 class TestRoundTrip:

@@ -174,8 +174,9 @@ class TestTestFunction:
             assert fd_x == pytest.approx(phi_x, abs=1e-6)
 
     def test_radii_validation(self):
-        with pytest.raises(DomainError):
-            TestFunction(Point(1.0, 0.0), (0.0, 1.0))
+        for radii in [(0.0, 1.0), (math.nan, 1.0), (0.3, math.inf)]:
+            with pytest.raises(DomainError, match="radii must be finite and positive"):
+                TestFunction(Point(1.0, 0.0), radii)
 
 
 class TestWeakForm:
@@ -347,6 +348,11 @@ class TestHolderFits:
             boundary_fit(1.0, (1e-1, 1e-2))
         with pytest.raises(DomainError):
             boundary_fit(1.0, (1e-3, 1e-3))
+        # two parameters: fewer than 3 offsets would give r^2 = 1 whatever the data
+        for fit in (boundary_fit, horizon_fit):
+            for count in range(3):
+                with pytest.raises(DomainError, match=f"need at least 3 offsets, got {count}"):
+                    fit(2.0, dyadic_offsets(1e-3, count))
 
     def test_boundary_fit_needs_t_past_the_crease(self):
         # t = 1 is the crease, B's first point; before it B does not exist
@@ -378,7 +384,8 @@ class TestHolderFits:
 class TestAgreementSuite:
     def test_thresholds(self, verify_runs):
         # the seed-0 run states the three thresholds, meets them and passes
-        checks = {c.name: c for c in verify_runs["agreement", 0].report.checks}
+        checks = {c.name: c for c in verify_runs["all", 0].report.checks if c.name in (
+            "agreement_region", "wedge_disagreement", "potential_disagreement")}
         assert {name: c.threshold for name, c in checks.items()} == {
             "agreement_region": 1e-11, "wedge_disagreement": 0.0, "potential_disagreement": 1e-4}
         assert checks["agreement_region"].measured <= 1e-11
