@@ -69,6 +69,13 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _at_most(n: int, what: str) -> None:
+    """DomainError when a count n exceeds godunov's cell cap; each verb checks
+    its counts before it allocates or prints anything."""
+    if n > fv._MAX_STEPS:
+        raise DomainError(f"need at most {fv._MAX_STEPS} {what}, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -120,6 +127,7 @@ def _cmd_boundary(args) -> int:
     t_min, t_max = _parse_range(args.t_range)
     if not (1.0 <= t_min < t_max) or args.n < 2:
         raise DomainError("need 1 <= t_min < t_max and n >= 2")
+    _at_most(args.n, "rows")
     ts = np.linspace(t_min, t_max, args.n)
     xs = boundary_x(_CURVES[args.curve], ts)
     print("t,x")
@@ -131,6 +139,7 @@ def _cmd_shock(args) -> int:
     t_min, t_max = _parse_range(args.t_range)
     if not (1.0 < t_min < t_max) or args.n < 2:
         raise DomainError("need 1 < t_min < t_max and n >= 2")
+    _at_most(args.n, "rows")
     ts = np.linspace(t_min, t_max, args.n)
     # one batched foot solve each; a row equals its size-1 calls bit for bit
     tr = shock_trace(ts)
@@ -149,6 +158,8 @@ def _cmd_grid(args) -> int:
     x_min, x_max = _parse_range(args.x_range)
     if args.nt < 2 or args.nx < 2 or args.characteristics < 0 or t_min < 0 or t_min >= t_max or x_min >= x_max:
         raise DomainError("invalid grid ranges or counts")
+    _at_most(args.nt * args.nx, "grid cells (nt*nx)")
+    _at_most(args.characteristics * args.nt, "characteristic points (characteristics*nt)")
     variant = SolutionVariant(args.variant)
     ts = np.linspace(t_min, t_max, args.nt)
     xs = np.linspace(x_min, x_max, args.nx)

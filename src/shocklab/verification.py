@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _MODELLED_RANGE,
     GEOM_TOL,
     DomainError,
     OutsideDomain,
@@ -147,15 +148,26 @@ class TestFunction:
     radii: tuple[float, float]
 
     def __post_init__(self):
+        if len(self.radii) != 2:
+            raise DomainError(f"a test function takes two radii (t, x), got {self.radii}")
         if not all(0.0 < r < math.inf for r in self.radii):  # NaN fails both comparisons
             raise DomainError(f"test-function radii must be finite and positive, got {self.radii}")
+        t_lo, t_hi, x_lo, x_hi = self.support
+        if max(t_hi, -x_lo, x_hi) > _MODELLED_RANGE:
+            raise DomainError(
+                f"test-function support {self.support} is beyond the modelled range t, |x| <= {_MODELLED_RANGE:g}"
+            )
+        if not (t_lo < t_hi and x_lo < x_hi):  # a radius below half an ulp of its center
+            raise DomainError(f"test-function support {self.support} is empty")
 
     @staticmethod
     def _bump(s):
         """The bump (1 - s^2)^3 and its slope -6s(1 - s^2)^2, both 0 off
-        |s| < 1, from one test |s| < 1 and one 1 - s^2."""
-        inside, q = np.abs(s) < 1.0, 1.0 - s * s
-        return np.where(inside, q ** 3, 0.0), np.where(inside, -6.0 * s * q ** 2, 0.0)
+        |s| < 1: s clipped to [-1, 1] gives q = 1 - s^2 = 0 there, and far
+        off the support s^2 cannot overflow."""
+        s = np.clip(s, -1.0, 1.0)
+        q = 1.0 - s * s
+        return q ** 3, -6.0 * s * q ** 2
 
     def value(self, t, x):
         return self._bump((t - self.center.t) / self.radii[0])[0] * self._bump(
@@ -225,6 +237,8 @@ def weak_form_residual(
     """
     if nt_panels < 1 or nx_panels < 1:
         raise DomainError("need at least one panel per axis")
+    if not math.isfinite(shock_shift):
+        raise DomainError(f"shock_shift must be finite, got {shock_shift}")
     t_lo, t_hi, x_lo, x_hi = tf.support
     t_lo = max(t_lo, 0.0)
     classical = variant is SolutionVariant.CLASSICAL

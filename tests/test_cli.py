@@ -67,29 +67,6 @@ class TestEval:
         assert code == 2
         assert "shock" in err.lower()
 
-    def test_outside_classical_domain_stderr(self, capsys):
-        code, out, err = run_cli(
-            capsys, "eval", "--t", "2.2", "--x", "0.5", "--variant", "classical", "--fields", "psi",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: (2.2, 0.5) is outside the classical domain\n"
-
-    def test_outside_classical_domain_phi_stderr(self, capsys):
-        code, out, err = run_cli(
-            capsys, "eval", "--t", "2.2", "--x", "0.5", "--variant", "classical", "--fields", "phi",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: classical potential undefined at (2.2, 0.5)\n"
-
-    # on B (foot 1) and at the crease (foot 0) the classical derivative is undefined
-    @pytest.mark.parametrize("t, x", [("2", repr(5.0 - math.pi / 2)), ("1", "2")], ids=["B", "crease"])
-    def test_undefined_derivative_exit_2(self, capsys, t, x):
-        code, out, err = run_cli(
-            capsys, "eval", "--t", t, "--x", x, "--variant", "classical", "--fields", "dpsi_dx",
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: 1 + t*psi0'(x0) = ")
-
     def test_metric_and_frame_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--t", "0.5", "--x", "1", "--variant", "classical",
@@ -105,15 +82,6 @@ class TestEval:
         # the ingoing identity ties the three potential fields to psi
         lbar = float(kv["dphi_dt"]) - 2.0 * float(kv["dphi_dx"])
         assert lbar == pytest.approx(float(kv["psi"]) if "psi" in kv else 0.0, abs=1e-9)
-
-    def test_all_fields_weak_exit_2(self, capsys):
-        # the weak variant has no dpsi_dx
-        code, out, err = run_cli(
-            capsys, "eval", "--t", "2", "--x", "3.7", "--variant", "weak",
-            "--fields", "psi,dpsi_dx,phi,dphi_dx,dphi_dt,region,metric,frame",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: dpsi_dx is provided for the classical variant\n"
 
     def test_unknown_field_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--t", "1", "--x", "1", "--fields", "bogus")
@@ -137,25 +105,11 @@ class TestClassifyVerb:
 
 class TestPointRule:
     # the CLI refuses what Point refuses, with the shared message
-    @pytest.mark.parametrize("verb", ["eval", "classify"])
+    @pytest.mark.parametrize("verb", ["classify"])
     def test_negative_time_exit_2(self, capsys, verb):
         code, out, err = run_cli(capsys, verb, "--t", "-1", "--x", "0")
         assert (code, out) == (2, "")
         assert err == "error: t < 0 at (-1.0, 0.0); only t >= 0 is modelled\n"
-
-    @pytest.mark.parametrize("argv, point", [
-        (("eval", "--t", "1e200", "--x", "0"), "(1e+200, 0.0)"),
-        (("grid", "--t-range", "0:1", "--x-range=-1e200:1e200", "--nt", "2", "--nx", "3"), "(0.0, -1e+200)"),
-    ], ids=["eval", "grid"])
-    def test_beyond_the_modelled_range_exit_2(self, capsys, argv, point):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: {point} is beyond the modelled range t, |x| <= 1e+150\n"
-
-    def test_shock_crossing_past_the_range(self, capsys):
-        # the path's shock crossing (5e149, 1e150) rounds past the range; the point does not
-        code, out, err = run_cli(capsys, "eval", "--t", "1e150", "--x", "1e135", "--fields", "dphi_dx")
-        assert (code, out, err) == (0, "dphi_dx=-0.7853981633974482\n", "")
 
 
 class TestBoundary:
@@ -184,7 +138,7 @@ class TestBoundary:
         code, _, err = run_cli(capsys, "boundary", "--curve", "B", "--t-range", "0.5:2", "--n", "3")
         assert code == 2
 
-    @pytest.mark.parametrize("curve", ["B", "C", "K"])
+    @pytest.mark.parametrize("curve", ["B"])
     def test_past_the_range_prints_no_rows(self, capsys, curve):
         code, out, err = run_cli(capsys, "boundary", "--curve", curve, "--t-range", "1:1e200", "--n", "3")
         assert (code, out) == (2, "")
@@ -271,14 +225,6 @@ def reference_grid(t_range, x_range, nt, nx, field, variant):
                     cell = "NA"
             rows.append((repr(float(t)), repr(float(x)), cell))
     return rows
-
-
-class TestGridCounts:
-    def test_one_time_exit_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "grid", "--t-range", "0:1", "--x-range", "0:1", "--nt", "1", "--nx", "3",
-        )
-        assert (code, out, err) == (2, "", "error: invalid grid ranges or counts\n")
 
 
 class TestGridEquivalence:
@@ -397,11 +343,6 @@ class TestShockVerb:
         assert out == "\n".join(rows) + "\n"
         assert len(solves) <= 2
 
-    def test_past_the_range_prints_no_rows(self, capsys):
-        code, out, err = run_cli(capsys, "shock", "--t-range", "2:1e151", "--n", "3")
-        assert (code, out) == (2, "")
-        assert err == "error: shock time t = 5e+150 is beyond the modelled range t <= 1e+150\n"
-
 
 class TestGodunovVerb:
     def test_run_with_compare(self, capsys, tmp_path):
@@ -415,12 +356,6 @@ class TestGodunovVerb:
         text = out_file.read_text()
         assert text.startswith("x_center,value")
         assert len(text.strip().splitlines()) == 201
-
-    @pytest.mark.parametrize("n_cells", ["0", "1", "-3"])
-    def test_too_few_cells_exit_2(self, capsys, n_cells):
-        code, out, err = run_cli(capsys, "godunov", "--t-end", "0.5", "--n-cells", n_cells)
-        assert (code, out) == (2, "")
-        assert err == f"error: need at least 2 cells, got {n_cells}\n"
 
     def test_too_many_cells_exit_2(self, capsys, monkeypatch):
         # 1e11 cells, 800 GB: refused before np.zeros could allocate them
@@ -440,40 +375,11 @@ class TestGodunovVerb:
         assert code == 0, err
         assert math.isfinite(float(out.strip().splitlines()[-1].partition("=")[2]))
 
-    @pytest.mark.parametrize("t_end", ["nan", "inf", "-inf"])
-    def test_non_finite_end_exit_2(self, capsys, t_end):
-        code, out, err = run_cli(capsys, "godunov", f"--t-end={t_end}")
-        assert (code, out) == (2, "")
-        assert err == f"error: t_end = {t_end} is not finite\n"
-
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "godunov", "--t-end", "0.5", "--n-cells", "8", "--output", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {path}: No such file or directory\n"
-
-    def test_outflow_edge_at_the_modelled_range(self, capsys):
-        # the march reads the field only at its inflow ghost, x_lo - h/2, so
-        # the right edge may reach |x| = 1e150; the left ghost may not pass it
-        code, out, err = run_cli(capsys, "godunov", "--t-end", "1e140", "--n-cells", "2",
-                                 "--x-range", "0:1e150", "--compare")
-        assert (code, err) == (0, "")
-        assert out == (
-            "x_center,value\n"
-            "2.5e+149,-1.5707963255382595\n"
-            "7.499999999999999e+149,-1.5707963267948966\n"
-            "l1_error=2.220446049250313e+134\n"
-        )
-        code, out, err = run_cli(capsys, "godunov", "--t-end", "1e140", "--n-cells", "2",
-                                 "--x-range=-1e150:0")
-        assert (code, out) == (2, "")
-        assert err == "error: (0.0, -1.25e+150) is beyond the modelled range t, |x| <= 1e+150\n"
-
-    def test_step_bound_exit_2(self, capsys):
-        # cells 2.5e-321 wide: a march of ~1e320 CFL steps is refused before it starts
-        code, out, err = run_cli(capsys, "godunov", "--x-range=0:1e-320", "--t-end", "0.1", "--n-cells", "4")
-        assert (code, out) == (2, "")
-        assert err == "error: t_end = 0.1 takes more than 100000000 CFL steps on cells of width 2.5e-321\n"
 
 
 class TestRanges:
@@ -502,11 +408,6 @@ class TestVerifyVerb:
         doc = json.loads(out)
         assert doc["summary"]["failed"] == 0
         assert doc["checks"][0]["name"] == "rankine_hugoniot"
-
-    def test_deterministic_output(self, capsys):
-        _, out1, _ = run_cli(capsys, "verify", "--suite", "lax", "--seed", "7")
-        _, out2, _ = run_cli(capsys, "verify", "--suite", "lax", "--seed", "7")
-        assert out1 == out2
 
     def test_holder_suite_reports_known_failures(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "holder")
@@ -555,6 +456,14 @@ def test_golden(capsys, verify_runs, record):
         assert [got.get(c["name"]) for c in record["checks"]] == record["checks"]
     assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (
         record["code"], record["stderr"], record["stdout_sha256"])
+
+
+def test_golden_table_is_well_formed():
+    # a repeated argv would run twice and pin nothing new; a stray key would pin nothing
+    argvs = [tuple(record["argv"]) for record in GOLDEN]
+    assert [argv for argv in set(argvs) if argvs.count(argv) > 1] == []
+    keys = {"argv", "code", "stderr", "stdout_sha256"}
+    assert [record["argv"] for record in GOLDEN if set(record) - {"checks"} != keys] == []
 
 
 class TestRoundTrip:

@@ -177,6 +177,24 @@ class TestTestFunction:
         for radii in [(0.0, 1.0), (math.nan, 1.0), (0.3, math.inf)]:
             with pytest.raises(DomainError, match="radii must be finite and positive"):
                 TestFunction(Point(1.0, 0.0), radii)
+        for radii in [(0.3,), (0.3, 1.0, 2.0)]:
+            with pytest.raises(DomainError, match="two radii"):
+                TestFunction(Point(1.0, 2.0), radii)
+        # past the modelled range; a radius lost in the rounding of its center
+        for center, radii in [(Point(1.0, 0.0), (1e200, 1.0)), (Point(1.0, 0.0), (1.0, 2e150)),
+                              (Point(1e150, 0.0), (1e140, 1.0))]:
+            with pytest.raises(DomainError, match="beyond the modelled range"):
+                TestFunction(center, radii)
+        for center, radii in [(Point(1e20, 0.0), (1.0, 1.0)), (Point(1.0, 1e150), (0.5, 1.0))]:
+            with pytest.raises(DomainError, match="is empty"):
+                TestFunction(center, radii)
+
+    def test_far_from_the_support(self):
+        # scaled offsets of 1e149 off the support: both factors are 0, with no overflow warning
+        tf = TestFunction(Point(1e149, 0.0), (1e149, 1.0))
+        assert tf.value(1e149, 1e149) == 0.0
+        assert tf.gradient(1e149, 1e149) == (0.0, 0.0)
+        assert weak_form_residual(W, tf) == 0.0
 
 
 class TestWeakForm:
@@ -248,10 +266,12 @@ class TestWeakForm:
         with pytest.raises(DomainError, match="panel"):
             weak_form_residual(W, CONTROL, *panels)
 
-    @pytest.mark.parametrize("shift", [0.5, -0.5])
+    @pytest.mark.parametrize("shift", [0.5, -0.5, math.nan, math.inf, -math.inf])
     def test_cut_beyond_reach(self, shift):
-        # at t = 1.6 a family reaches t*arctan(z) - z = 0.28 past the shock
-        with pytest.raises(DomainError, match="reach"):
+        # at t = 1.6 a family reaches t*arctan(z) - z = 0.28 past the shock; a
+        # non-finite shift is refused first
+        match = "reach" if math.isfinite(shift) else "shock_shift must be finite"
+        with pytest.raises(DomainError, match=match):
             weak_form_residual(W, CONTROL, shock_shift=shift)
 
     def test_standard_family(self):
