@@ -113,7 +113,8 @@ def psi_classical(p: Point) -> float:
 
 
 def psi_classical_array(t, x) -> np.ndarray:
-    return np.asarray(psi0(foot_classical_array(t, x)))
+    u = foot_classical_array(t, x)
+    return psi0(u, out=u)
 
 
 def dpsidx_classical(p: Point) -> float:
@@ -137,7 +138,8 @@ def psi_weak(p: Point) -> float:
 
 
 def psi_weak_array(t, x) -> np.ndarray:
-    return np.asarray(psi0(foot_weak_array(t, x)))
+    u = foot_weak_array(t, x)
+    return psi0(u, out=u)
 
 
 def psi(p: Point, variant: SolutionVariant) -> float:

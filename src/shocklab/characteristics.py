@@ -90,12 +90,23 @@ class BoundaryCurve(enum.Enum):
 def _char_x(x0, t):
     """x at time t of the characteristic with foot x0, x0 + t*(2 + psi0(x0)):
     the package's one form of it, for floats or broadcast arrays."""
-    return x0 + t * (2.0 - np.arctan(x0))
+    return _char_x_atan(x0, np.arctan(x0), t)
+
+
+def _char_x_atan(x0, atan_x0, t):
+    """_char_x with arctan(x0) given, for a caller that has formed it already;
+    the one place the line's arithmetic is written."""
+    return x0 + t * (2.0 - atan_x0)
+
+
+def _focus_foot(t):
+    """sqrt(max(t-1, 0)): the foot whose characteristic focuses on B at time t, 0 up to the crease."""
+    return np.sqrt(np.maximum(t - 1.0, 0.0))
 
 
 def _x_B(t):
     """x of B at times t >= 1, where the characteristic from sqrt(t-1) focuses; 2t before."""
-    return _char_x(np.sqrt(np.maximum(t - 1.0, 0.0)), t)
+    return _char_x(_focus_foot(t), t)
 
 
 def outgoing_char(x0, t) -> Point:
@@ -193,9 +204,10 @@ _TAG_OBJECTS = np.array(_TAG_ORDER, dtype=object)
 _INITIAL, _CREASE, _SHOCK, _ON_B, _ON_C, _OMEGA_A, _WEDGE, _WEAK_ONLY = range(len(_TAG_ORDER))
 
 
-def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index into _TAG_ORDER of each (checked) point's tag: the region rules
-    of classify, classify_array and the classical foot map.
+def _region_codes(t: np.ndarray, x: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Index into _TAG_ORDER of each (checked) point's tag, given x of B at
+    its time (_x_B(t)): the region rules of classify, classify_array and the
+    classical foot map.
 
     Rules are applied from the last to the first, so the first that holds
     wins.  Past the crease a point off the curves and outside Omega_A is
@@ -203,7 +215,6 @@ def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     Omega_A means x == 2t, which the shock band already takes.
     """
     post = t > 1.0
-    xb = _x_B(t)
     codes = np.where(x < xb, _WEAK_ONLY, _WEDGE)
     codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = _OMEGA_A
     codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= GEOM_TOL)] = _ON_C
@@ -216,7 +227,8 @@ def _region_codes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def classify(p: Point) -> RegionTag:
     """Unique region tag of p; on-curve tags win within GEOM_TOL."""
-    return _TAG_ORDER[int(_region_codes(np.asarray(p.t), np.asarray(p.x)))]
+    t = np.asarray(p.t)
+    return _TAG_ORDER[int(_region_codes(t, np.asarray(p.x), _x_B(t)))]
 
 
 def classify_array(t, x) -> np.ndarray:
@@ -227,7 +239,7 @@ def classify_array(t, x) -> np.ndarray:
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     _check_points(t, x)
-    codes = _region_codes(t, x)
+    codes = _region_codes(t, x, _x_B(t))
     # index the flat codes: a 0-d index would return a bare RegionTag
     return _TAG_OBJECTS[codes.ravel()].reshape(codes.shape)
 
@@ -241,21 +253,21 @@ def classify_array(t, x) -> np.ndarray:
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _bracket(t, d, right):
-    """Bracket of the foot on the right family (u >= sqrt(t-1)) or the left one.
+def _bracket(t, d, right, z):
+    """Bracket of the foot on the right family (u >= z) or the left one (u <= -z),
+    given the branch point z = _focus_foot(t).
 
-    Up to the crease sqrt(t-1) reads as 0, and the foot on the line x = 2t
-    is exactly 0.
+    Up to the crease z is 0, and the foot on the line x = 2t is exactly 0.
     """
-    z = np.sqrt(np.maximum(t - 1.0, 0.0))
     flat = (d == 0.0) & (t <= 1.0)
     lo = np.where(flat, 0.0, np.where(right, z, d - t * _HALF_PI))
     hi = np.where(flat, 0.0, np.where(right, d + t * _HALF_PI, -z))
     return lo, hi
 
 
-# Points per block of the batched maps, which keeps their working arrays in cache.
-_BLOCK = 8192
+# Points per block of the batched maps: their working arrays stay in a core's
+# L2 cache, and each block's fixed cost is spread over enough points.
+_BLOCK = 12288
 # Relative step below which a Newton iterate counts as converged: a few ulp.
 _STEP_TOL = 1e-14
 # Newton sweeps before a block gives up with MaxIterExceeded.
@@ -263,12 +275,14 @@ _MAX_SWEEPS = 160
 
 
 def _blocked(block, *arrays):
-    """block on each run of _BLOCK points of the float arrays (of one shape), its results in that shape."""
-    flat = [a.reshape(-1) for a in arrays]
-    out = np.empty(flat[0].size)
+    """Results, in the shape of the float arrays (of one shape), of
+    block(out, *runs) on each run of _BLOCK points; block writes the run's
+    results into out, its slice of the returned array, so no block copies."""
+    out = np.empty(arrays[0].shape)
+    flat_out, flat = out.reshape(-1), [a.reshape(-1) for a in arrays]
     for i in range(0, out.size, _BLOCK):
-        out[i:i + _BLOCK] = block(*(a[i:i + _BLOCK] for a in flat))
-    return out.reshape(arrays[0].shape)
+        block(flat_out[i:i + _BLOCK], *(a[i:i + _BLOCK] for a in flat))
+    return out
 
 
 def _solve_feet(t, d, lo, hi):
@@ -283,7 +297,8 @@ def _solve_feet(t, d, lo, hi):
     vanish or stop shrinking, or once its step is at most
     _STEP_TOL*(1 + |u|); it keeps the iterate with the smaller residual and
     leaves the active set.  Points with lo == hi are returned as given.
-    t, d, lo and hi are float arrays of one shape, solved per block (_blocked).
+    t, d, lo and hi are float arrays of one shape, solved per block
+    (_blocked), each block's feet written into its slice of the result.
 
     Raises MaxIterExceeded after _MAX_SWEEPS sweeps, naming the active point
     (t, d) with the largest residual, its iterate, residual and bracket.
@@ -291,9 +306,8 @@ def _solve_feet(t, d, lo, hi):
     return _blocked(_solve_block, t, d, lo, hi)
 
 
-def _solve_block(t, d, lo, hi):
+def _solve_block(out, t, d, lo, hi):
     u = np.where(lo >= 0.0, hi, lo)
-    out = np.empty(u.size)
     pos = np.arange(u.size)          # block positions of the active points
     r = u - t * np.arctan(u) - d
     best, done = u, (r == 0.0) | (lo >= hi)
@@ -304,7 +318,7 @@ def _solve_block(t, d, lo, hi):
                 stop = np.flatnonzero(done)
                 out[pos.take(stop)] = best.take(stop)
                 if stop.size == pos.size:
-                    return out
+                    return
                 live = np.flatnonzero(~done)
                 pos, t, d, u, r, lo, hi = (a.take(live) for a in (pos, t, d, u, r, lo, hi))
             if sweep == _MAX_SWEEPS:
@@ -331,9 +345,9 @@ def foot_weak_array(t, x) -> np.ndarray:
     return _blocked(_weak_feet, t, x)
 
 
-def _weak_feet(t, x):
+def _weak_feet(out, t, x):
     d = x - 2.0 * t
-    return _solve_block(t, d, *_bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0))))
+    _solve_block(out, t, d, *_bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0)), _focus_foot(t)))
 
 
 def foot_classical_array(t, x) -> np.ndarray:
@@ -352,17 +366,19 @@ def foot_classical_array(t, x) -> np.ndarray:
     return _blocked(_classical_feet, t, x)
 
 
-def _classical_feet(t, x):
-    codes = _region_codes(t, x)
+def _classical_feet(out, t, x):
+    # the branch point and its arctan, formed once for B, the bracket and the snap
+    z = _focus_foot(t)
+    atan_z = np.arctan(z)
+    codes = _region_codes(t, x, _char_x_atan(z, atan_z, t))
     _raise_at(codes == _WEAK_ONLY, OutsideDomain, "{p} is outside the classical domain", t, x)
     d = x - 2.0 * t
     post = t > 1.0
     left = (codes == _ON_C) | ((codes == _OMEGA_A) & (x < 2.0 * t))
     right = np.where(post, ~left, d > 0.0)
-    lo, hi = _bracket(t, d, right)
-    z = np.sqrt(np.maximum(t - 1.0, 0.0))
-    snap = post & right & (z - t * np.arctan(z) - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
-    return _solve_block(t, d, np.where(snap, z, lo), np.where(snap, z, hi))
+    lo, hi = _bracket(t, d, right, z)
+    snap = post & right & (z - t * atan_z - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
+    _solve_block(out, t, d, np.where(snap, z, lo), np.where(snap, z, hi))
 
 
 _ON_SHOCK = "{p} is on the shock; use shock_trace for the limits"
@@ -405,5 +421,5 @@ def shock_feet(t):
     """
     ts = _check_times(t, "shock", lambda ts: ts <= 1.0, "the shock exists for t > 1, got t = {t}")
     d = np.zeros(ts.shape)
-    x0 = _float_call(_solve_feet(ts, d, *_bracket(ts, d, True)))
+    x0 = _float_call(_solve_feet(ts, d, *_bracket(ts, d, True, _focus_foot(ts))))
     return -x0, x0

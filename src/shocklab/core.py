@@ -201,9 +201,12 @@ GEOM_TOL = 1e-10
 # Initial datum
 # ---------------------------------------------------------------------------
 
-def psi0(x):
-    """Initial profile -arctan(x); strictly decreasing, range (-pi/2, pi/2)."""
-    return -np.arctan(x)
+def psi0(x, out=None):
+    """Initial profile -arctan(x); strictly decreasing, range (-pi/2, pi/2).
+
+    As for a ufunc, an array out (which may be x itself) receives the values.
+    """
+    return np.negative(np.arctan(x, out=out), out=out)
 
 
 def psi0_prime(x):

@@ -40,6 +40,7 @@ from .characteristics import (
     BoundaryCurve,
     RegionTag,
     _bracket,
+    _focus_foot,
     _solve_feet,
     _x_B,
     boundary_x,
@@ -252,7 +253,7 @@ def weak_form_residual(
         k = np.where(post, np.clip(2.0 * t + shock_shift, x_lo, x_hi), x_lo)
     left, right = k > x_lo, k < x_hi
     dk = k - 2.0 * t
-    z = np.sqrt(np.maximum(t - 1.0, 0.0))
+    z = _focus_foot(t)
     beyond = (left & (dk > 0.0)) | (right & (dk < 0.0))
     if np.any(post & beyond & (np.abs(dk) >= t * np.arctan(z) - z)):
         raise DomainError("the shifted cut lies beyond its family's reach")
@@ -263,7 +264,7 @@ def weak_form_residual(
     te = np.tile(ti, 2)
     de = np.concatenate([xa, xb]) - 2.0 * te
     fam = np.where(te > 1.0, np.tile(np.arange(ti.size) >= left.sum(), 2), de > 0.0)
-    ua, ub = np.split(_solve_feet(te, de, *_bracket(te, de, fam)), 2)
+    ua, ub = np.split(_solve_feet(te, de, *_bracket(te, de, fam, _focus_foot(te))), 2)
     frac, wu = _panels(nx_panels)
     total = 0.0
     for rows in np.array_split(np.arange(ti.size), math.ceil(ti.size / 32)):  # small temporaries

@@ -12,9 +12,10 @@ from shocklab.core import (
     OnShockError,
     OutsideDomain,
     Point,
+    psi0,
 )
 from shocklab import characteristics
-from shocklab.burgers import psi_classical_array
+from shocklab.burgers import psi_classical, psi_classical_array, psi_weak, psi_weak_array
 from shocklab.characteristics import (
     _solve_feet,
     BoundaryCurve,
@@ -519,6 +520,16 @@ class TestFrozenFeet:
     def test_classical_foot_snaps_to_branch_point(self):
         assert foot_classical(Point(3.0, boundary_x(B, 3.0))).hex() == "0x1.6a09e667f3bcdp+0"
 
+    @pytest.mark.parametrize("t, x, expected", [
+        (2.0, 3.7, "0x1.d9d41fa5c0c9dp+0"),           # right family past the crease (wedge)
+        # 1 ulp left of B at t = 2, inside the rounding band: snapped to sqrt(t-1) = 1 exactly
+        (2.0, float.fromhex("0x1.b6f0255dde973p+1"), "0x1.0000000000000p+0"),
+        (2.0, 0.0, "-0x1.b682f3418d8eap+2"),          # left family on the horizon C
+        (0.5, 1.3, "0x1.1ac7d82b4f95bp-1"),           # before the crease
+    ])
+    def test_classical_feet(self, t, x, expected):
+        assert float(foot_classical_array(t, x)).hex() == expected
+
     def test_shock_feet_near_crease(self):
         assert [u.hex() for u in shock_feet(1.0 + 1e-6)] == ["-0x1.c60c02321061fp-10", "0x1.c60c02321061fp-10"]
 
@@ -527,18 +538,92 @@ class TestFrozenFeet:
         u = foot_weak_array(1.3, np.array([-10.00125, 10.00125]))
         assert [float(v).hex() for v in u] == ["-0x1.d1bb3744323bap+3", "0x1.29bb27d50aa33p+3"]
 
-    def test_batch_across_blocks(self):
-        # 10007 points: more than one solver block
+    def test_batch_across_blocks(self, monkeypatch):
+        # 10007 points in blocks of 4096: three solver blocks
+        monkeypatch.setattr(characteristics, "_BLOCK", 4096)
         t = np.linspace(0.0, 4.0, 10007)
         x = np.linspace(-30.0, 40.0, 10007)[::-1]
         digest = hashlib.sha256(foot_weak_array(t, x).tobytes()).hexdigest()
         assert digest == "174b654e7649bd9b775d6c39138d0e92ecba31730f56544630b61fee961fda6d"
 
     def test_classical_batch_across_blocks(self):
-        # 28221 classical-domain points on a line through every region: more than three blocks
+        # 28221 classical-domain points on a line through every region: more than two blocks
         t = np.linspace(0.0, 4.0, 30011)
         x = np.linspace(-30.0, 40.0, 30011)[::-1]
         keep = classify_array(t, x) != RegionTag.WEAK_ONLY
         assert keep.sum() == 28221
         digest = hashlib.sha256(foot_classical_array(t[keep], x[keep]).tobytes()).hexdigest()
         assert digest == "0ee356c012461707b958accce4124e5e6037050863f38215dcce4945d6481a4e"
+
+
+def _classical_batch():
+    """A 9x12 batch of classical-domain points: before the crease, on and right
+    of B, beside and on K, on and left of C."""
+    t = np.linspace(0.0, 4.0, 9)[:, None]
+    xb = boundary_x(B, np.maximum(t, 1.0))
+    x = np.hstack([xb, xb + 1e-12, xb + 0.3, 2.0 * t - 0.1, 2.0 * t, 2.0 * t + 0.1, 2.0 * t + 5.0,
+                   4.0 - 2.0 * t, 4.0 - 2.0 * t - 1e-11, 4.0 - 2.0 * t - 1.0, 4.0 - 2.0 * t - 30.0,
+                   np.full_like(t, -1e3)])
+    t = np.broadcast_to(t, x.shape).copy()
+    assert not (classify_array(t, x) == RegionTag.WEAK_ONLY).any()
+    return t, x
+
+
+_MAPS = [foot_weak_array, foot_classical_array, psi_weak_array, psi_classical_array]
+
+
+class TestBlocks:
+    """The batched maps give the same bits at any block size, and the psi maps
+    apply psi0 in place on their own foot arrays only."""
+
+    @pytest.mark.parametrize("f", _MAPS)
+    def test_maps_bit_equal_at_any_block(self, f, monkeypatch):
+        t, x = _classical_batch()
+        want = f(t, x)
+        for block in (1, 7):
+            monkeypatch.setattr(characteristics, "_BLOCK", block)
+            got = f(t, x)
+            assert got.shape == t.shape and got.tobytes() == want.tobytes()
+
+    def test_solve_feet_bit_equal_at_any_block(self, monkeypatch):
+        t, x = _classical_batch()
+        d = x - 2.0 * t
+        lo, hi = characteristics._bracket(t, d, d > 0.0, characteristics._focus_foot(t))
+        want = _solve_feet(t, d, lo, hi)
+        for block in (1, 7):
+            monkeypatch.setattr(characteristics, "_BLOCK", block)
+            got = _solve_feet(t, d, lo, hi)
+            assert got.shape == t.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("f", [psi_weak_array, psi_classical_array])
+    def test_psi_maps_leave_read_only_inputs_alone(self, f):
+        t, x = _classical_batch()
+        t0, x0 = t.copy(), x.copy()
+        t.setflags(write=False)
+        x.setflags(write=False)
+        v = f(t, x)
+        assert t.tobytes() == t0.tobytes() and x.tobytes() == x0.tobytes()
+        assert not np.shares_memory(v, t) and not np.shares_memory(v, x)
+        assert v.flags.writeable
+
+    @pytest.mark.parametrize("f, foot, scalar", [
+        (psi_weak_array, foot_weak_array, psi_weak),
+        (psi_classical_array, foot_classical_array, psi_classical),
+    ])
+    def test_psi_maps_on_0d_pairs(self, f, foot, scalar):
+        t, x = np.asarray(2.0), np.asarray(3.7)
+        v = f(t, x)
+        assert v.shape == () and float(v) == scalar(Point(2.0, 3.7)) == psi0(float(foot(t, x)))
+        assert not np.shares_memory(v, t) and not np.shares_memory(v, x)
+
+    @pytest.mark.parametrize("f, foot", [
+        (psi_weak_array, foot_weak_array),
+        (psi_classical_array, foot_classical_array),
+    ])
+    def test_psi_maps_broadcast_float_t(self, f, foot):
+        # the call of godunov.l1_error: one time against (cells, 15 nodes)
+        x = np.linspace(-3.0, 9.0, 4 * 15).reshape(4, 15)
+        v = f(0.75, x)
+        assert v.shape == x.shape
+        assert v.tobytes() == f(np.full_like(x, 0.75), x).tobytes()
+        assert v.tobytes() == psi0(foot(0.75, x)).tobytes()

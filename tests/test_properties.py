@@ -269,7 +269,7 @@ def test_ghost_batch_equals_size_one_calls(ghost_x, t_lo, t_hi, n):
 
 
 def test_batch_across_blocks_equals_size_one_calls():
-    # the solve splits a batch into blocks of 8192 points: every point within
+    # the solve splits a batch into blocks of _BLOCK points: every point within
     # 64 of the first block edge, and every 16th point besides
     from shocklab.characteristics import _BLOCK
     rng = np.random.default_rng(0)

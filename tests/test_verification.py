@@ -50,7 +50,7 @@ def displaced_weak_array(t, x, delta):
     reach = ts * np.arctan(z) - z
     if np.any(ds >= reach):
         raise DomainError("displacement exceeds the left family's reach")
-    vals[strip] = psi0(_solve_feet(ts, ds, *_bracket(ts, ds, False)))
+    vals[strip] = psi0(_solve_feet(ts, ds, *_bracket(ts, ds, False, z)))
     return vals
 
 
