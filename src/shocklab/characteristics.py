@@ -212,11 +212,17 @@ def _region_codes(t: np.ndarray, x: np.ndarray, xb: np.ndarray) -> np.ndarray:
     Rules are applied from the last to the first, so the first that holds
     wins.  Past the crease a point off the curves and outside Omega_A is
     weak-only left of B and in the wedge right of it: x >= 2t outside
-    Omega_A means x == 2t, which the shock band already takes.
+    Omega_A means x == 2t, which the shock band already takes.  The three
+    area tags, which split the points about evenly, are summed from their
+    masks (_OMEGA_A, _WEDGE and _WEAK_ONLY are consecutive) rather than
+    selected per point; the rare curve tags are then assigned.
     """
     post = t > 1.0
-    codes = np.where(x < xb, _WEAK_ONLY, _WEDGE)
-    codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = _OMEGA_A
+    omega = t < np.maximum(0.5 * x, 2.0 - 0.5 * x)
+    # np.array keeps a 0-d pair's codes an array, which the assignments below need
+    codes = np.array((x < xb) & ~omega, dtype=np.intp)
+    codes += _WEDGE
+    codes -= omega
     codes[post & (np.abs(x - (4.0 - 2.0 * t)) <= GEOM_TOL)] = _ON_C
     codes[post & (np.abs(x - xb) <= GEOM_TOL)] = _ON_B
     codes[on_shock(t, x)] = _SHOCK
@@ -254,14 +260,25 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def _bracket(t, d, right, z):
-    """Bracket of the foot on the right family (u >= z) or the left one (u <= -z),
-    given the branch point z = _focus_foot(t).
+    """Bracket [lo, hi] of the foot on the right family (u >= z) or the left
+    one (u <= -z), given the branch point z = _focus_foot(t): [z, d + t*pi/2]
+    on the right, [d - t*pi/2, -z] on the left.
 
-    Up to the crease z is 0, and the foot on the line x = 2t is exactly 0.
+    Both ends are formed by sign arithmetic, with no per-point select: with
+    s = right - 1/2 the far end is d + copysign(t*pi/2, s) and the near end
+    copysign(z, s), and lo and hi are their minimum and maximum (the far end
+    lies beyond the near one on every bracket of a point of the family).  Up
+    to the crease z is 0, and the foot on the line x = 2t is exactly 0: those
+    rare flat points get [0, 0].  No bracket straddles 0, which the Newton
+    start of _solve_feet needs.
     """
+    s = right - 0.5
+    far = d + np.copysign(t * _HALF_PI, s)
+    near = np.copysign(z, s)
+    lo, hi = np.minimum(near, far), np.maximum(near, far)
     flat = (d == 0.0) & (t <= 1.0)
-    lo = np.where(flat, 0.0, np.where(right, z, d - t * _HALF_PI))
-    hi = np.where(flat, 0.0, np.where(right, d + t * _HALF_PI, -z))
+    if flat.any():
+        lo, hi = np.where(flat, 0.0, lo), np.where(flat, 0.0, hi)
     return lo, hi
 
 
@@ -288,50 +305,69 @@ def _blocked(block, *arrays):
 def _solve_feet(t, d, lo, hi):
     """Roots of u - t*arctan(u) = d, one per bracket [lo, hi], by batched Newton.
 
-    Each bracket holds one sign change of the increasing residual.  Newton
-    starts on its convex side (hi where lo >= 0, lo elsewhere: the
-    curvature has the sign of u), so the iterates approach the root
-    monotonically with no bisection, also at a double root, where a
-    residual test would stop far from it.  Steps are clipped to the
-    bracket.  A point stops once rounding makes its residual change sign,
-    vanish or stop shrinking, or once its step is at most
-    _STEP_TOL*(1 + |u|); it keeps the iterate with the smaller residual and
-    leaves the active set.  Points with lo == hi are returned as given.
-    t, d, lo and hi are float arrays of one shape, solved per block
-    (_blocked), each block's feet written into its slice of the result.
+    Each bracket holds one sign change of the increasing residual and does
+    not straddle 0 (lo >= 0 or hi <= 0), as every bracket _bracket forms and
+    the collapsed [z, z] do.  Newton starts on its convex side, the end
+    farther from 0, copysign(max(|lo|, |hi|), lo + hi): that is hi where
+    lo >= 0 and lo elsewhere, with no per-point select (the curvature has
+    the sign of u).  So the iterates approach the root monotonically with
+    no bisection, also at a double root, where a residual test would stop
+    far from it.  Steps are clipped to the bracket.  A point stops once
+    rounding makes its residual change sign, vanish or stop shrinking, or
+    once its step is at most _STEP_TOL*(1 + |u|); it keeps the iterate with
+    the smaller residual, written to the result once.  Points with
+    lo == hi are returned as given.  Stopped points stay in the carried
+    arrays, marked dead in a live mask, until at most half of them are live;
+    only then are the arrays compacted.  t, d, lo and hi are float arrays
+    of one shape, solved per block (_blocked), each block's feet written
+    into its slice of the result.
 
-    Raises MaxIterExceeded after _MAX_SWEEPS sweeps, naming the active point
+    Raises MaxIterExceeded after _MAX_SWEEPS sweeps, naming the live point
     (t, d) with the largest residual, its iterate, residual and bracket.
     """
     return _blocked(_solve_block, t, d, lo, hi)
 
 
+def _newton_start(lo, hi):
+    """Newton's start in brackets [lo, hi] that do not straddle 0: the end
+    farther from 0, hi where lo >= 0 and lo elsewhere, by sign arithmetic."""
+    return np.copysign(np.maximum(np.abs(lo), np.abs(hi)), lo + hi)
+
+
 def _solve_block(out, t, d, lo, hi):
-    u = np.where(lo >= 0.0, hi, lo)
-    pos = np.arange(u.size)          # block positions of the active points
+    u = _newton_start(lo, hi)
     r = u - t * np.arctan(u) - d
-    best, done = u, (r == 0.0) | (lo >= hi)
+    stop = (r == 0.0) | (lo >= hi)
+    if stop.any():
+        out[stop] = u[stop]
+    live = ~stop
+    n_live = np.count_nonzero(live)
+    pos = np.arange(u.size)          # block positions of the carried points
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        for sweep in range(_MAX_SWEEPS + 1):
-            if done.any():
-                # compact by index: one flatnonzero and a take per array beats boolean gathers
-                stop = np.flatnonzero(done)
-                out[pos.take(stop)] = best.take(stop)
-                if stop.size == pos.size:
+        for _ in range(_MAX_SWEEPS):
+            if 2 * n_live <= pos.size:
+                if n_live == 0:
                     return
-                live = np.flatnonzero(~done)
-                pos, t, d, u, r, lo, hi = (a.take(live) for a in (pos, t, d, u, r, lo, hi))
-            if sweep == _MAX_SWEEPS:
-                break
+                # compact by index: one flatnonzero and a take per array beats boolean gathers
+                keep = np.flatnonzero(live)
+                pos, t, d, u, r, lo, hi = (a.take(keep) for a in (pos, t, d, u, r, lo, hi))
+                live = np.ones(n_live, dtype=bool)
             un = np.minimum(np.maximum(u - r / (1.0 - t / (1.0 + u * u)), lo), hi)
             rn = un - t * np.arctan(un) - d
             better = np.abs(rn) < np.abs(r)
-            done = ~better | (rn * r <= 0.0) | (np.abs(un - u) <= _STEP_TOL * (1.0 + np.abs(un)))
-            best = np.where(better, un, u)
+            stop = np.flatnonzero(live & (~better | (rn * r <= 0.0)
+                                          | (np.abs(un - u) <= _STEP_TOL * (1.0 + np.abs(un)))))
+            if stop.size:
+                out[pos.take(stop)] = np.where(better.take(stop), un.take(stop), u.take(stop))
+                live[stop] = False
+                n_live -= stop.size
             u, r = un, rn
-    i = int(np.argmax(np.abs(r)))
+    if n_live == 0:
+        return
+    keep = np.flatnonzero(live)
+    i = keep[np.argmax(np.abs(r.take(keep)))]
     raise MaxIterExceeded(
-        f"batched root solve: {pos.size} points unconverged after {_MAX_SWEEPS} sweeps; "
+        f"batched root solve: {n_live} points unconverged after {_MAX_SWEEPS} sweeps; "
         f"worst point (t, d) = ({float(t[i])!r}, {float(d[i])!r}): u = {float(u[i])!r}, "
         f"residual {float(r[i]):.3e}, bracket [{float(lo[i])!r}, {float(hi[i])!r}]"
     )
@@ -375,10 +411,13 @@ def _classical_feet(out, t, x):
     d = x - 2.0 * t
     post = t > 1.0
     left = (codes == _ON_C) | ((codes == _OMEGA_A) & (x < 2.0 * t))
-    right = np.where(post, ~left, d > 0.0)
+    # up to the crease left holds only where d < 0, so there right is d > 0
+    right = ~left & (post | (d > 0.0))
     lo, hi = _bracket(t, d, right, z)
     snap = post & right & (z - t * atan_z - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
-    _solve_block(out, t, d, np.where(snap, z, lo), np.where(snap, z, hi))
+    if snap.any():
+        lo, hi = np.where(snap, z, lo), np.where(snap, z, hi)
+    _solve_block(out, t, d, lo, hi)
 
 
 _ON_SHOCK = "{p} is on the shock; use shock_trace for the limits"

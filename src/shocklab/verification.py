@@ -105,13 +105,14 @@ def halton(n: int, skip: int = 0) -> np.ndarray:
     """First n points of the 2D Halton sequence (bases 2, 3) after `skip`."""
     cols = []
     for base in (2, 3):
-        # radical inverse of every index at once; finished indices add 0.0
+        # radical inverse of every index at once; finished indices add 0.0.
+        # The digit weight f is the same for every index, so it is one float.
         i = np.arange(skip + 1, skip + n + 1)
-        f, r = np.ones(n), np.zeros(n)
+        f, r = 1.0, np.zeros(n)
         while np.any(i > 0):
             f /= base
-            r += f * (i % base)
-            i //= base
+            i, digit = np.divmod(i, base)
+            r += f * digit
         cols.append(r)
     return np.column_stack(cols)
 

@@ -69,6 +69,18 @@ def _verify(suite, seed):
     return run
 
 
+def pytest_report_header(config):
+    """numpy's version and the SIMD extensions it found on this CPU: every
+    .hex() pin and golden sha256 rests on numpy's arctan, whose last bits may
+    differ with either, so a pin that fails on another setup can be traced."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2 keeps the module under numpy.core
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+    return f"numpy {np.__version__}, SIMD extensions found: {' '.join(found) or 'none'}"
+
+
 @pytest.fixture(scope="session")
 def verify_runs():
     """Each pinned verify invocation, run once per session (_verify), by (suite, seed)."""

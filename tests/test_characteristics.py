@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from shocklab.core import (
@@ -477,6 +479,162 @@ class TestSolveFeet:
         msg = str(err.value)
         assert "(t, d) = (1.0, 0.001)" in msg
         assert "residual" in msg and "bracket [0.0, " in msg
+
+    def test_max_iter_names_only_live_points(self, monkeypatch):
+        # 100 easy points stop in the one sweep allowed, with residual -1.8e-12,
+        # and stay uncompacted in the carried arrays; the hard point, last, sits
+        # at B's double root and after that sweep has the smaller residual 1.1e-13
+        t = np.append(np.full(100, 1.3282584869235945), 2.0)
+        d = np.append(np.full(100, 11507.769383046852), boundary_x(B, 2.0) - 4.0)
+        lo, hi = characteristics._bracket(t, d, True, characteristics._focus_foot(t))
+        hi[-1] = 1.0 + 2.0 ** -20
+        monkeypatch.setattr(characteristics, "_MAX_SWEEPS", 1)
+        u = _solve_feet(t[:-1], d[:-1], lo[:-1], hi[:-1])
+        assert np.all(np.abs(u - t[:-1] * np.arctan(u) - d[:-1]) <= 2e-12)
+        with pytest.raises(MaxIterExceeded) as err:
+            _solve_feet(t, d, lo, hi)
+        msg = str(err.value)
+        assert msg.startswith("batched root solve: 1 points unconverged after 1 sweeps")
+        assert f"(t, d) = (2.0, {float(d[-1])!r})" in msg and "bracket [1.0, " in msg
+
+
+def _bits(a):
+    """The float64 bit patterns of a, so that -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _where_bracket(t, d, right, z):
+    """_bracket by per-point selects: the reference its sign arithmetic keeps."""
+    flat = (d == 0.0) & (t <= 1.0)
+    lo = np.where(flat, 0.0, np.where(right, z, d - t * characteristics._HALF_PI))
+    hi = np.where(flat, 0.0, np.where(right, d + t * characteristics._HALF_PI, -z))
+    return lo, hi
+
+
+def _where_codes(t, x, xb):
+    """_region_codes with the area tags selected per point: its reference."""
+    codes = np.where(x < xb, characteristics._WEAK_ONLY, characteristics._WEDGE)
+    codes[t < np.maximum(0.5 * x, 2.0 - 0.5 * x)] = characteristics._OMEGA_A
+    for tag, band in (
+        (characteristics._ON_C, (t > 1.0) & (np.abs(x - (4.0 - 2.0 * t)) <= GEOM_TOL)),
+        (characteristics._ON_B, (t > 1.0) & (np.abs(x - xb) <= GEOM_TOL)),
+        (characteristics._SHOCK, characteristics.on_shock(t, x)),
+        (characteristics._CREASE, (np.abs(t - 1.0) <= GEOM_TOL) & (np.abs(x - 2.0) <= GEOM_TOL)),
+        (characteristics._INITIAL, t <= GEOM_TOL),
+    ):
+        codes[band] = tag
+    return codes
+
+
+def _traced(f, *args):
+    """f(*args), with the arguments and result of each _bracket call and the
+    bracket of each _solve_block call, in call order."""
+    brackets, solves = [], []
+    bracket, solve = characteristics._bracket, characteristics._solve_block
+
+    def traced_bracket(*a):
+        brackets.append((a, bracket(*a)))
+        return brackets[-1][1]
+
+    def traced_solve(out, t, d, lo, hi):
+        solves.append((lo, hi))
+        solve(out, t, d, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characteristics, "_bracket", traced_bracket)
+        mp.setattr(characteristics, "_solve_block", traced_solve)
+        f(*args)
+    return brackets, solves
+
+
+def _assert_select_free_rules(t, x):
+    """Each sign-arithmetic rule of the foot maps gives the bits of its per-point
+    select form on the points (t, x): the brackets of both maps and of
+    shock_feet, the Newton start on every bracket solved (the classical snap's
+    [z, z] too), the region codes and the classical map's family mask."""
+    xb = characteristics._x_B(t)
+    codes = characteristics._region_codes(t, x, xb)
+    want = _where_codes(t, x, xb)
+    assert codes.dtype == np.intp and codes.tolist() == want.tolist()
+    keep = want != characteristics._WEAK_ONLY
+    traces = [_traced(foot_weak_array, t, x), _traced(foot_classical_array, t[keep], x[keep])]
+    if (t > 1.0).any():
+        traces.append(_traced(shock_feet, t[t > 1.0]))
+    for brackets, solves in traces:
+        for args, (lo, hi) in brackets:
+            want_lo, want_hi = _where_bracket(*args)
+            assert np.array_equal(_bits(lo), _bits(want_lo)) and np.array_equal(_bits(hi), _bits(want_hi))
+        for lo, hi in solves:
+            start = characteristics._newton_start(lo, hi)
+            assert np.array_equal(_bits(start), _bits(np.where(lo >= 0.0, hi, lo)))
+    if keep.any():
+        # the classical map's one block makes its one _bracket call
+        (tc, d, right, _), _ = traces[1][0][0]
+        kept = want[keep]
+        left = (kept == characteristics._ON_C) | ((kept == characteristics._OMEGA_A) & (x[keep] < 2.0 * tc))
+        assert right.tolist() == np.where(tc > 1.0, ~left, d > 0.0).tolist()
+
+
+def _b_ulps(t, k):
+    """x k ulps from B at time t (2t, the line B continues, up to the crease)."""
+    x = boundary_x(B, t) if t >= 1.0 else 2.0 * t
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_T_EDGES = [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 2.0, 37.5, 1e6]
+
+
+@st.composite
+def _rule_points(draw):
+    """A point anywhere, on the line x = 2t (flat points up to the crease), a few
+    ulps from B, or within a few GEOM_TOL of C or K."""
+    t = draw(st.one_of(st.sampled_from(_T_EDGES), st.floats(0.0, 1e3), st.floats(0.9, 3.0)))
+    kind = draw(st.sampled_from(["free", "near", "2t", "B", "C", "K"]))
+    if kind == "free":
+        return t, draw(st.floats(-1e6, 1e6))
+    if kind == "near":
+        return t, draw(st.floats(-20.0, 20.0))
+    if kind == "2t":
+        return t, 2.0 * t
+    if kind == "B":
+        return t, _b_ulps(t, draw(st.integers(-3, 3)))
+    off = draw(st.floats(-3e-9, 3e-9))
+    return t, (4.0 - 2.0 * t if kind == "C" else 2.0 * t) + off
+
+
+class TestSelectFreeRules:
+    """The brackets, the Newton start, the region codes and the classical
+    family mask are formed by sign arithmetic; each keeps, bit for bit, the
+    per-point np.where form it replaced."""
+
+    def test_edges(self):
+        pts = [(t, x) for t in _T_EDGES for x in (2.0 * t, -0.0, 0.0, 4.0 - 2.0 * t, 2.0 * t + 1e-9,
+                                                   2.0 * t - 1e-9, -30.0, 40.0)]
+        pts += [(t, _b_ulps(t, k)) for t in _T_EDGES for k in (-2, -1, 0, 1, 2)]
+        pts += [(1.0, 2.0 + 1e-11), (1.0 + 1e-11, 2.0), (2.0, float.fromhex("0x1.b6f0255dde973p+1"))]
+        t, x = np.array(pts).T
+        _assert_select_free_rules(t, x)
+        # the snap's collapsed brackets [z, z] are among the solved ones
+        on_b = np.array([_b_ulps(2.0, -1), _b_ulps(3.0, 0)])
+        _, solves = _traced(foot_classical_array, np.array([2.0, 3.0]), on_b)
+        (lo, hi), = solves
+        assert lo.tolist() == hi.tolist() == [1.0, math.sqrt(2.0)]
+
+    @settings(deadline=None)
+    @given(st.lists(_rule_points(), min_size=1, max_size=40))
+    def test_drawn_points(self, points):
+        t, x = np.array(points).T
+        _assert_select_free_rules(t, x)
+
+    @pytest.mark.parametrize("t, x", [(2.0, 3.7), (2.0, 3.0), (0.5, 1.0), (0.0, 5.0), (2.0, 4.0)])
+    def test_region_codes_keep_0d_arrays(self, t, x):
+        ts, xs = np.asarray(t), np.asarray(x)
+        codes = characteristics._region_codes(ts, xs, characteristics._x_B(ts))
+        assert isinstance(codes, np.ndarray) and codes.shape == () and codes.dtype == np.intp
+        assert int(codes) == int(_where_codes(ts, xs, characteristics._x_B(ts)))
+        assert classify(Point(t, x)) is characteristics._TAG_ORDER[int(codes)]
 
 
 class TestWideArrays:

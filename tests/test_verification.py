@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -148,6 +149,13 @@ class TestHalton:
         skip = 4096 * 63 + 99
         expected = [[radical_inverse(i, 2), radical_inverse(i, 3)] for i in range(skip + 1, skip + 513)]
         assert halton(512, skip=skip).tolist() == expected
+
+    def test_frozen_digest(self):
+        # 4096 points at each of six skips, up to indices near the largest seed's 2**62
+        h = hashlib.sha256()
+        for skip in (0, 7, 42, 12387, 2**40, 2**62 - 5000):
+            h.update(halton(4096, skip=skip).tobytes())
+        assert h.hexdigest() == "4734ce980eeb208e4cec4770ce8d7b1c586b7e940def70794540e6d36bdcce95"
 
     def test_range_and_spread(self):
         pts = halton(256)
