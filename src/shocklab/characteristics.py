@@ -173,7 +173,7 @@ def boundary_x_deriv(kind: BoundaryCurve, t):
     """Analytic slope dx/dt of the boundary curve at times t, refused as by boundary_x."""
     ts = _boundary_times(t)
     if kind is BoundaryCurve.SINGULAR_BOUNDARY:
-        return _float_call(2.0 - np.arctan(np.sqrt(ts - 1.0)))
+        return _float_call(2.0 - np.arctan(_focus_foot(ts)))
     return _float_call(np.full(ts.shape, -2.0 if kind is BoundaryCurve.CAUCHY_HORIZON else 2.0))
 
 

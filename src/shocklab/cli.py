@@ -45,12 +45,6 @@ from .verification import SUITE_NAMES, lax_gaps, run_suite
 from .wave_potential import dphidt_closed, dphidx_closed, phi, phi_array
 from . import godunov as fv
 
-_CURVES = {
-    "B": BoundaryCurve.SINGULAR_BOUNDARY,
-    "C": BoundaryCurve.CAUCHY_HORIZON,
-    "K": BoundaryCurve.SHOCK,
-}
-
 _EVAL_FIELDS = ("psi", "dpsi_dx", "phi", "dphi_dx", "dphi_dt", "region", "metric", "frame")
 
 
@@ -129,7 +123,7 @@ def _cmd_boundary(args) -> int:
         raise DomainError("need 1 <= t_min < t_max and n >= 2")
     _at_most(args.n, "rows")
     ts = np.linspace(t_min, t_max, args.n)
-    xs = boundary_x(_CURVES[args.curve], ts)
+    xs = boundary_x(BoundaryCurve(args.curve), ts)
     print("t,x")
     print("\n".join(f"{t!r},{x!r}" for t, x in zip(ts.tolist(), xs.tolist())))
     return 0
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("boundary", help="sample a boundary curve as CSV")
-    p.add_argument("--curve", choices=list(_CURVES), required=True)
+    p.add_argument("--curve", choices=[c.value for c in BoundaryCurve], required=True)
     p.add_argument("--t-range", required=True, help="t_min:t_max")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_boundary)

@@ -48,7 +48,7 @@ from .core import (
     _float_call,
     _raise_first,
 )
-from .characteristics import BoundaryCurve, _char_x, _x_B, boundary_x, boundary_x_deriv
+from .characteristics import BoundaryCurve, _char_x, _focus_foot, _x_B, boundary_x, boundary_x_deriv
 from .burgers import psi_boundary_extension, psi_classical_array, psi_weak_array, shock_trace
 
 __all__ = [
@@ -172,7 +172,7 @@ def tangency_residual_B(t):
     extended outgoing speed matches the boundary slope identically."""
     ts = _check_times(t, "boundary", lambda ts: ts <= 1.0, "singular boundary needs t > 1, got {t}")
     slope = boundary_x_deriv(BoundaryCurve.SINGULAR_BOUNDARY, ts)
-    _, psi_ext = psi_boundary_extension(np.sqrt(ts - 1.0))
+    _, psi_ext = psi_boundary_extension(_focus_foot(ts))
     return _float_call(np.abs(slope - (2.0 + psi_ext)))
 
 
@@ -233,7 +233,7 @@ def _past_edges(apex: Point, t):
          "apex {p} off the singular boundary by {off:.3e}"),
         (t > at, DomainError, "target must not lie after the apex"),
     ), at, ax, apex_t=at, off=off)
-    return _x_B(t), _char_x(np.sqrt(at - 1.0), t), ax + 2.0 * (at - t)
+    return _x_B(t), _char_x(_focus_foot(at), t), ax + 2.0 * (at - t)
 
 
 def _in_past(apex: Point, target: Point):
@@ -292,7 +292,7 @@ def backward_L_curves(
     ds = ts[1] - ts[0]
     fd_b = (xb[2:] - xb[:-2]) / (2.0 * ds)
     fd_i = (x_int[2:] - x_int[:-2]) / (2.0 * ds)
-    _, psi_b = psi_boundary_extension(np.sqrt(ts[1:-1] - 1.0))
+    _, psi_b = psi_boundary_extension(_focus_foot(ts[1:-1]))
     psi_int = psi_classical_array(ts[1:-1], x_int[1:-1])
     res_b = float(np.max(np.abs(fd_b - (2.0 + psi_b))))
     res_i = float(np.max(np.abs(fd_i - (2.0 + psi_int))))

@@ -310,7 +310,8 @@ def _window(t_miss: float, steps: np.ndarray, t_last: float) -> np.ndarray:
     past the march's last end t_last, or one beyond the modelled range,
     which the field refuses.
     """
-    times = np.cumsum(np.concatenate([[t_miss], steps]))
+    with np.errstate(over="ignore"):  # an infinite time fails times < t_last
+        times = np.cumsum(np.concatenate([[t_miss], steps]))
     ok = (times[1:] > times[:-1]) & (times[1:] < t_last) & (times[1:] <= _MODELLED_RANGE)
     return times[:1 + (ok.size if ok.all() else int(ok.argmin()))]
 

@@ -374,7 +374,7 @@ def boundary_fit(t_bar: float, offsets) -> FitReport:
     crease (1, 2), where a cube root is expected.
     """
     x_bar = boundary_x(BoundaryCurve.SINGULAR_BOUNDARY, t_bar)
-    _, v0 = psi_boundary_extension(math.sqrt(t_bar - 1.0))
+    _, v0 = psi_boundary_extension(_focus_foot(t_bar))
     return _fit(offsets, lambda d: np.abs(psi_classical_array(t_bar, x_bar + np.array(d)) - v0))
 
 

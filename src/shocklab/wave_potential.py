@@ -74,14 +74,17 @@ _GL_X, _GL_W = gauss_panel(-1.0, 1.0)
 
 
 def _shock_crossing(t, x):
-    """Whether the ingoing path from (t, x) crosses the shock K, and when.
+    """Which ingoing paths from the points (t, x) cross the shock K, when, and where.
 
     The path meets the line x = 2s at time t_c = t/2 + x/4, inside the
-    path when -2t < x < 2t; it crosses the shock only if t_c > 1.
-    Returns (crosses, t_c) for scalars or arrays alike.
+    path when -2t < x < 2t; it crosses the shock only if t_c > 1.  Returns
+    the mask of crossing points and, for those points only, t_c and the
+    shock feet (-x0, +x0) at t_c from one batched shock_feet solve.
     """
     t_c = 0.5 * t + 0.25 * x
-    return (-2.0 * t < x) & (x < 2.0 * t) & (t_c > 1.0), t_c
+    crosses = (-2.0 * t < x) & (x < 2.0 * t) & (t_c > 1.0)
+    t_c = t_c[crosses]
+    return crosses, t_c, *shock_feet(t_c)
 
 
 def _foot_integral(c, a, s_a, b, s_b):
@@ -107,9 +110,10 @@ def _foot_integral(c, a, s_a, b, s_b):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         r = mid[..., None] + half[..., None] * _GL_X
         u = c[..., None] - r
-        w = 4.0 + psi0(u)
+        p = psi0(u)
+        w = 4.0 + p
         # 1/2 psi0(u) y'(u), with y' = 2 (1 - s/(1 + u^2)) / w and s = r / w
-        g = psi0(u) * (1.0 - r / (w * (1.0 + u * u))) / w
+        g = p * (1.0 - r / (w * (1.0 + u * u))) / w
         total += half * np.sum(g * _GL_W, axis=-1)
         hi = lo
     return total
@@ -127,29 +131,18 @@ def phi_array(t, x, variant: SolutionVariant) -> np.ndarray:
     point is weak-only.  Zero on the initial slice.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    zero = np.zeros(t.shape)
+    weak = variant is SolutionVariant.WEAK
     # the foot maps check the points before any arithmetic on them
-    if variant is SolutionVariant.CLASSICAL:
-        u = foot_classical_array(t, x)
-        crosses, t_c = np.zeros(t.shape, dtype=bool), zero
-    else:
-        u = foot_weak_array(t, x)
-        crosses, t_c = _shock_crossing(t, x)
-        t_c = np.where(crosses, t_c, 0.0)
+    u = (foot_weak_array if weak else foot_classical_array)(t, x)
     c = x + 2.0 * t
-    # x0: the positive shock foot at the crossing time t_c; c is a numpy scalar on a size-1 call
-    x0 = c
-    if crosses.any():
-        x0 = np.array(c)
-        x0[crosses] = shock_feet(t_c[crosses])[1]
-    # [u, -x0] and [x0, c] where the path crosses the shock at time t_c,
-    # [u, c] and the empty [c, c] elsewhere
-    parts = _foot_integral(
-        np.stack([c, c]),
-        np.stack([u, x0]), np.stack([t, t_c]),
-        np.stack([np.where(crosses, -x0, c), c]), np.stack([t_c, zero]),
-    )
-    return parts[0] + parts[1]
+    # the piece [u, end]: end = c, or -x0 at time t_c where the weak path
+    # crosses K, and then a second piece [x0, c]
+    end, s_end, second = np.array(c), np.zeros(t.shape), np.zeros(t.shape)
+    if weak:
+        crosses, t_c, neg, pos = _shock_crossing(t, x)
+        end[crosses], s_end[crosses] = neg, t_c
+        second[crosses] = _foot_integral(c[crosses], pos, t_c, c[crosses], 0.0)
+    return _foot_integral(c, u, t, end, s_end) + second
 
 
 def phi(p: Point, variant: SolutionVariant) -> float:
@@ -169,13 +162,13 @@ def dphidx_closed_array(t, x, variant: SolutionVariant) -> np.ndarray:
     (two-sided) for the weak variant, weak-only for the classical one."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     weak = variant is SolutionVariant.WEAK
+    _check_points(t, x)
     if weak:
-        _check_points(t, x)
         _refuse_on_shock(t, x)
     value = np.log((4.0 + psi0(x + 2.0 * t)) / (4.0 + (psi_weak_array if weak else psi_classical_array)(t, x)))
-    crosses, t_c = _shock_crossing(t, x)
-    if weak and crosses.any():
-        left, right = (psi0(u) for u in shock_feet(t_c[crosses]))
+    if weak:
+        crosses, _, neg, pos = _shock_crossing(t, x)
+        left, right = psi0(neg), psi0(pos)
         value = np.array(value)  # writable, also on a size-1 call
         # (v + log) - jump/4: the jump terms added one after the other
         value[crosses] = value[crosses] + np.log((4.0 + left) / (4.0 + right)) - 0.25 * (left - right)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shocklab.burgers import psi_classical, psi_weak
-from shocklab.characteristics import RegionTag, boundary_x, classify, classify_array, foot_weak, outgoing_char
+from shocklab.characteristics import BoundaryCurve, RegionTag, boundary_x, classify, classify_array, foot_weak, outgoing_char
 from shocklab import cli
 from shocklab.cli import main
 from shocklab.core import GEOM_TOL, InvariantViolation, OnShockError, OutsideDomain, Point, SolutionVariant
@@ -149,7 +149,7 @@ class TestBoundary:
         # one array call; each row equals the float call at its time
         code, out, err = run_cli(capsys, "boundary", "--curve", curve, "--t-range", "1:100", "--n", "1000")
         assert (code, err) == (0, "")
-        rows = [f"{t!r},{boundary_x(cli._CURVES[curve], t)!r}" for t in np.linspace(1.0, 100.0, 1000).tolist()]
+        rows = [f"{t!r},{boundary_x(BoundaryCurve(curve), t)!r}" for t in np.linspace(1.0, 100.0, 1000).tolist()]
         assert out == "t,x\n" + "\n".join(rows) + "\n"
 
 

@@ -179,8 +179,9 @@ ARRAY_MAPS = {
     "foot_classical_array": foot_classical_array,
     "psi_classical_array": psi_classical_array,
     "phi_array classical": lambda t, x: phi_array(t, x, CL),
+    "dphidx_closed_array classical": lambda t, x: dphidx_closed_array(t, x, CL),
 }
-CLASSICAL_MAPS = {"foot_classical_array", "psi_classical_array", "phi_array classical"}
+CLASSICAL_MAPS = {"foot_classical_array", "psi_classical_array", "phi_array classical", "dphidx_closed_array classical"}
 EDGES = st.sampled_from([0.0, -0.0, -5e-324, -1.0, 1e151, 1e300, -1e300, math.nan, math.inf, -math.inf])
 
 
@@ -189,6 +190,7 @@ EDGES = st.sampled_from([0.0, -0.0, -5e-324, -1.0, 1e151, 1e300, -1e300, math.na
     st.tuples(st.one_of(st.floats(min_value=-3.0, max_value=30.0), EDGES), st.one_of(NEAR, EDGES)),
     min_size=1, max_size=6,
 ))
+@example([(math.inf, -math.inf)])  # x + 2t is NaN there: a map must check before it adds
 def test_array_maps_refuse_what_point_refuses(points):
     t, x = arrays(points)
     refused = []

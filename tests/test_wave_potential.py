@@ -17,6 +17,7 @@ from shocklab.core import (
 )
 from shocklab.burgers import psi_weak
 from shocklab.characteristics import RegionTag, classify_array, foot_weak
+from shocklab import wave_potential
 from shocklab.wave_potential import (
     dphidt_closed,
     dphidx_closed,
@@ -25,6 +26,7 @@ from shocklab.wave_potential import (
     lbar_derivative,
     pde_residual_classical,
     phi,
+    phi_array,
 )
 
 W, CL = SolutionVariant.WEAK, SolutionVariant.CLASSICAL
@@ -95,6 +97,37 @@ class TestPhi:
             gaps.append(abs(phi(Point(t0 + d, x), W) - phi(Point(t0 - d, x), W)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-5
+
+
+class TestQuadratureIntervals:
+    # the quadrature is handed one interval per piece of each path: one per
+    # point, and one more per weak path that crosses the shock K
+    @staticmethod
+    def intervals(monkeypatch, points, variant):
+        sizes, integral = [], wave_potential._foot_integral
+        monkeypatch.setattr(wave_potential, "_foot_integral",
+                            lambda c, *ends: sizes.append(np.size(c)) or integral(c, *ends))
+        t, x = np.array(points).T
+        phi_array(t, x, variant)
+        return sum(sizes)
+
+    @staticmethod
+    def crossing(t, x):
+        return -2.0 * t < x < 2.0 * t and 0.5 * t + 0.25 * x > 1.0
+
+    def test_classical_one_per_point(self, monkeypatch):
+        # the wedge points (1.27, 2.5) and (600, 1e3) cross K, but the classical path does not split
+        points = [p for p in SAMPLE_POINTS + WIDE_POINTS if classify_array(*p) != RegionTag.WEAK_ONLY]
+        assert self.intervals(monkeypatch, points, CL) == len(points) == 10
+
+    def test_weak_one_more_per_crossing(self, monkeypatch):
+        points = SAMPLE_POINTS + WIDE_POINTS
+        k = sum(self.crossing(*p) for p in points)
+        assert self.intervals(monkeypatch, points, W) == len(points) + k == 16
+
+    def test_weak_without_crossing_one_per_point(self, monkeypatch):
+        points = [p for p in SAMPLE_POINTS + WIDE_POINTS if not self.crossing(*p)]
+        assert self.intervals(monkeypatch, points, W) == len(points) == 8
 
 
 class TestClosedFormDerivative:
