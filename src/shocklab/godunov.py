@@ -33,16 +33,24 @@ A step's invariant checks then read the maximum-principle bounds as
 those of the cells and the ghost, and the old total variation as the
 ghost's |diff| term plus tv_cells, without a pass over the cells.  A
 step writes the new cells in place through three scratch buffers (flux,
-jump and |diff|), which copies share, and views built once per march; it
-folds the flux's half into the step factor and sums |diff| over the
-cells once, so it makes 10 passes over the cells.  A ghost fill writes
-only the ghost, and a copy copies only the ghost and cells.  Inputs are
-checked once, at entry and before any step: the ends (finite,
-nondecreasing, at most 1e8 CFL steps away) by `solve_at`, the bounds,
-time and cells (2 to 1e8 of them) by `GodunovState`.  A step that leaves
-the time where it stands (a CFL step at most half an ulp of t, so t+dt
-rounds back to t) raises where it is taken: a march of such steps never
-reaches its end.
+jump and diff), each on a 64-byte cache line, which copies share, and
+views built once per march; it folds the flux's half into the step
+factor and sums the diff over the cells once.  The entropy field is nonincreasing in x, and a monotone
+scheme keeps it so.  Where the new cells are nonincreasing behind a
+ghost no lower (no signed diff of the ghost and cells is above 0), the
+bounds are the end cells and the total variation is 0.0 minus the sum
+of the signed diffs: the step then makes 8 passes over the cells, one
+ufunc call each.  Any other step, NaN included, takes the min and max
+reductions and an abs pass, 11 passes.  Either way the carried min and
+max equal np.min and np.max in value, and tv_cells equals the sum of
+|diff| bit for bit, so every state and error is that of the whole-array
+reductions.  A ghost fill writes only the ghost, and a copy copies only
+the ghost and cells.  Inputs are checked once, at entry and before any
+step: the ends (finite, nondecreasing, at most 1e8 CFL steps away) by
+`solve_at`, the bounds, time and cells (2 to 1e8 of them) by
+`GodunovState`.  A step that leaves the time where it stands (a CFL step
+at most half an ulp of t, so t+dt rounds back to t) raises where it is
+taken: a march of such steps never reaches its end.
 Agreement here validates the entropy selection of the exact
 construction; disagreement at the wedge values would expose a wrong
 branch choice.
@@ -140,6 +148,20 @@ def initial_state(n_cells: int, x_lo: float = -10.0, x_hi: float = 10.0, cfl: fl
     return replace(s, cell_averages=-np.arctan(s.cell_centers))
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised float64 array of size whose data starts on a 64-byte cache line.
+
+    numpy's vector loops load and store unaligned, and with 64-byte
+    (AVX-512) vectors every access to an array off a line boundary straddles
+    two lines: on a 2-core Xeon with numpy 2.4.6 an 8000-cell step took
+    about 15 us with its scratch buffers on line boundaries and up to 19 us
+    off them, where np.empty puts a buffer at any multiple of 16 bytes.
+    """
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size]
+
+
 @dataclass
 class _March:
     """The cells of a march behind their inflow ghost, and what it carries between steps.
@@ -148,14 +170,18 @@ class _March:
     and the only array a march owns.  lo and hi are the min and max of the
     cells ext[1:], and tv_cells their total variation, the sum of
     |diff(ext[1:])| as np.add.reduce gives it: the update sets all three,
-    and a fill, which writes only the ghost ext[0], leaves them.  Each
-    equals what np.min, np.max or np.add.reduce would give, NaN included.
-    h is the cell width and reach the CFL numerator cfl*h of the grid.
-    flux, jump and adiff (|diff(ext)|) are the update's scratch buffers,
-    which a copy shares: no step reads what an earlier one left.  The
-    views cells = ext[1:], upwind = ext[:-1], flux_out = flux[1:],
-    flux_in = flux[:-1] and adiff_cells = adiff[1:] are built once, in
-    __post_init__, so a copy (through replace) gets views of its own ext.
+    and a fill, which writes only the ghost ext[0], leaves them.  lo and
+    hi equal what np.min and np.max would give in value (a zero may carry
+    the other sign), and tv_cells what np.add.reduce would give bit for
+    bit, NaN included.  h is the cell width and reach the CFL numerator
+    cfl*h of the grid.  flux, jump and adiff are the update's scratch
+    buffers, each on a 64-byte cache line (_aligned_empty), which a copy
+    shares: no step reads what an earlier one left.
+    After an update adiff holds diff(ext) if the step took the ordered
+    path and |diff(ext)| if not (_update).  The views cells = ext[1:],
+    upwind = ext[:-1], flux_out = flux[1:], flux_in = flux[:-1] and
+    adiff_cells = adiff[1:] are built once, in __post_init__, so a copy
+    (through replace) gets views of its own ext.
     """
 
     ext: np.ndarray
@@ -182,10 +208,11 @@ class _March:
     def start(cls, s0: GodunovState) -> _March:
         cells = s0.cell_averages
         ext = np.concatenate([[0.0], cells])
-        adiff = np.abs(np.diff(ext))
+        adiff = np.abs(np.diff(ext), out=_aligned_empty(cells.size))
         lo, hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
         tv_cells = float(np.add.reduce(adiff[1:]))
-        return cls(ext, adiff, np.empty(ext.size), np.empty(cells.size), s0.h, s0.cfl * s0.h, lo, hi, tv_cells)
+        return cls(ext, adiff, _aligned_empty(ext.size), _aligned_empty(cells.size), s0.h, s0.cfl * s0.h,
+                   lo, hi, tv_cells)
 
     def copy(self) -> _March:
         return replace(self, ext=self.ext.copy())
@@ -222,13 +249,20 @@ def _cfl_step(reach: float, u_max):
 def _update(m: _March, dt: float) -> None:
     """Advance the cells of the filled march m in place by the upwind flux over dt.
 
-    10 passes over the cells.  The flux (2 + u)^2 / 2 is never formed: its
-    half goes into the step factor, as jump = diff((2 + u)^2) * ((dt/h) * 0.5).
-    Every (2 + u)^2 on the invariant range is at least (2 - pi/2)^2, so no
-    difference or product is subnormal and the halving is exact either way.
-    The bounds are those of the cells, lo and hi, and the ghost; the total
-    variation, old and new, is the ghost's term |ext[1] - ghost| plus the
-    cells' carried sum tv_cells: one reduction per step.  Raises
+    The flux (2 + u)^2 / 2 is never formed: its half goes into the step
+    factor, as jump = diff((2 + u)^2) * ((dt/h) * 0.5).  Every (2 + u)^2 on
+    the invariant range is at least (2 - pi/2)^2, so no difference or
+    product is subnormal and the halving is exact either way.  The signed
+    diff d = diff(ext) of the ghost and new cells goes into adiff.  On the
+    ordered path, max(d) <= 0, lo and hi are the last and first cell and
+    tv_cells is 0.0 - sum(d[1:]): negation is exact and rounding treats
+    both signs alike, so this is sum(|d[1:]|) bit for bit, and the 0.0 -
+    turns a sum of -0.0 into +0.0.  It makes 8 passes over the cells, one
+    ufunc call each.  Any other step (a NaN fails max(d) <= 0) takes the
+    min and max reductions and |d| in place: 11 passes.  The bounds are
+    those of the cells, lo and hi, and the ghost; the total variation, old
+    and new, is the ghost's term |ext[1] - ghost| plus the cells' carried
+    sum tv_cells.  Both checks run on every step.  Raises
     InvariantViolation if the maximum principle or total-variation
     monotonicity breaks; m is then left part-way through the step.
     """
@@ -242,15 +276,25 @@ def _update(m: _March, dt: float) -> None:
     np.subtract(m.flux_out, m.flux_in, out=jump)
     np.multiply(jump, dt / m.h * 0.5, out=jump)
     cells -= jump
-    m.lo, m.hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
-    # a NaN cell makes both reductions NaN: then, as on a breach, compare cell by cell
+    np.subtract(cells, m.upwind, out=adiff)
+    # a NaN fails this test
+    if np.maximum.reduce(adiff) <= 0.0:
+        # nonincreasing behind a ghost no lower: the bounds are the end cells
+        # and each |diff| is -diff, so 0.0 - sum(diff) is sum(|diff|) bit for
+        # bit, and tv_cells - diff[0] is |diff[0]| + tv_cells
+        m.lo, m.hi = float(cells[-1]), float(cells[0])
+        m.tv_cells = 0.0 - float(np.add.reduce(m.adiff_cells))
+        tv_new = m.tv_cells - float(adiff[0])
+    else:
+        m.lo, m.hi = float(np.minimum.reduce(cells)), float(np.maximum.reduce(cells))
+        np.abs(adiff, out=adiff)
+        m.tv_cells = float(np.add.reduce(m.adiff_cells))
+        tv_new = float(adiff[0]) + m.tv_cells
+    # a NaN cell makes both bounds NaN: then, as on a breach, compare cell by cell
     if not (m.lo >= lo_bound and m.hi <= hi_bound):
         if np.any(cells < lo_bound) or np.any(cells > hi_bound):
             raise InvariantViolation("maximum principle violated in a Godunov step")
-    np.subtract(cells, m.upwind, out=adiff)
-    np.abs(adiff, out=adiff)
-    m.tv_cells = float(np.add.reduce(m.adiff_cells))
-    if float(adiff[0]) + m.tv_cells > tv_old + 1e-10 * (1.0 + tv_old):
+    if tv_new > tv_old + 1e-10 * (1.0 + tv_old):
         raise InvariantViolation("total variation increased in a Godunov step")
 
 

@@ -142,7 +142,9 @@ def phi_array(t, x, variant: SolutionVariant) -> np.ndarray:
         crosses, t_c, neg, pos = _shock_crossing(t, x)
         end[crosses], s_end[crosses] = neg, t_c
         second[crosses] = _foot_integral(c[crosses], pos, t_c, c[crosses], 0.0)
-    return _foot_integral(c, u, t, end, s_end) + second
+    total = _foot_integral(c, u, t, end, s_end)
+    total += second  # in place: an ndarray, also on a size-1 call
+    return total
 
 
 def phi(p: Point, variant: SolutionVariant) -> float:
@@ -165,11 +167,12 @@ def dphidx_closed_array(t, x, variant: SolutionVariant) -> np.ndarray:
     _check_points(t, x)
     if weak:
         _refuse_on_shock(t, x)
-    value = np.log((4.0 + psi0(x + 2.0 * t)) / (4.0 + (psi_weak_array if weak else psi_classical_array)(t, x)))
+    field = (psi_weak_array if weak else psi_classical_array)(t, x)
+    # an ndarray, writable, also on a size-1 call
+    value = np.asarray(np.log((4.0 + psi0(x + 2.0 * t)) / (4.0 + field)))
     if weak:
         crosses, _, neg, pos = _shock_crossing(t, x)
         left, right = psi0(neg), psi0(pos)
-        value = np.array(value)  # writable, also on a size-1 call
         # (v + log) - jump/4: the jump terms added one after the other
         value[crosses] = value[crosses] + np.log((4.0 + left) / (4.0 + right)) - 0.25 * (left - right)
     return value
@@ -201,7 +204,7 @@ def lbar_derivative(t, x, variant: SolutionVariant, h=None) -> np.ndarray:
     if variant is SolutionVariant.WEAK:
         _refuse_on_shock(t, x)
     up, dn = phi_array(np.stack([t + h, t - h]), np.stack([x - 2.0 * h, x + 2.0 * h]), variant)
-    return (up - dn) / (2.0 * h)
+    return np.asarray((up - dn) / (2.0 * h))  # an ndarray, also on a size-1 call
 
 
 def horizon_jump_probe(x, eps):
@@ -247,4 +250,4 @@ def pde_residual_classical(t, x, h) -> np.ndarray:
     fwd, bwd = psi_classical_array(np.stack([t + h, t - h]), np.stack([x + step, x - step]))
     transport = np.abs(fwd - bwd) / (2.0 * h)
     ingoing = np.abs(lbar_derivative(t, x, SolutionVariant.CLASSICAL, h) - psi_here)
-    return np.maximum(transport, ingoing)
+    return np.asarray(np.maximum(transport, ingoing))  # an ndarray, also on a size-1 call

@@ -25,6 +25,17 @@ def _recorded(values, f):
     return call
 
 
+def _by_path(paths, update):
+    """update, counting each step it takes in the Counter paths by the path of
+    godunov._update: "ordered" when the adiff buffer is left holding diff(ext),
+    all <= 0, which only the ordered path leaves; "general" when it holds
+    |diff(ext)|, with a positive or NaN entry."""
+    def counted(m, dt):
+        update(m, dt)
+        paths["ordered" if np.maximum.reduce(m.adiff) <= 0.0 else "general"] += 1
+    return counted
+
+
 def _verify(suite, seed):
     """One instrumented in-process run of `shocklab verify --suite suite --seed seed`.
 
@@ -35,11 +46,13 @@ def _verify(suite, seed):
     counts the godunov module's psi_weak_array calls by np.ndim of their
     times (1: a window of ghost fill times; 0: one time, as l1_error asks);
     fills counts the ghost fills (_fill_ghost) and windows the ghost windows
-    solved (_prefetch), by the cells of their grid; states holds the tuple
-    of states of each solve_at call and errors each value l1_error returns.
+    solved (_prefetch), by the cells of their grid; updates counts the
+    updates by path (_by_path); states holds the tuple of states of each
+    solve_at call and errors each value l1_error returns.
     All lists are in call order.
     """
-    run = SimpleNamespace(calls=Counter(), fills=0, windows=Counter(), states=[], errors=[], fits=[], gaps=[])
+    run = SimpleNamespace(calls=Counter(), fills=0, windows=Counter(), updates=Counter(), states=[], errors=[],
+                          fits=[], gaps=[])
     field, fill, prefetch, reports = fv.psi_weak_array, fv._fill_ghost, fv._prefetch, []
 
     def counted(t, x):
@@ -58,6 +71,7 @@ def _verify(suite, seed):
           contextlib.redirect_stderr(io.StringIO()) as err):
         for module, name, wrapper in (
             (fv, "psi_weak_array", counted), (fv, "_fill_ghost", filled), (fv, "_prefetch", prefetched),
+            (fv, "_update", _by_path(run.updates, fv._update)),
             (fv, "solve_at", _recorded(run.states, fv.solve_at)), (fv, "l1_error", _recorded(run.errors, fv.l1_error)),
             (ver, "_fit", _recorded(run.fits, ver._fit)), (ver, "lax_gaps", _recorded(run.gaps, ver.lax_gaps)),
             (cli, "run_suite", _recorded(reports, cli.run_suite)),
@@ -85,3 +99,11 @@ def pytest_report_header(config):
 def verify_runs():
     """Each pinned verify invocation, run once per session (_verify), by (suite, seed)."""
     return {(suite, seed): _verify(suite, seed) for suite, seed in VERIFY_RUNS}
+
+
+@pytest.fixture
+def update_paths(monkeypatch):
+    """The Godunov updates of the test, counted by path (_by_path)."""
+    paths = Counter()
+    monkeypatch.setattr(fv, "_update", _by_path(paths, fv._update))
+    return paths

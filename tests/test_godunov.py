@@ -564,15 +564,24 @@ class TestReferenceMarch:
         assert len(rounds) == len(fills) >= 70
         assert all(calls <= 2 and n <= 4 for calls, n in rounds[1:])
 
-    # ghosts: the exact field throughout, or that field until t = 1 and a NaN
-    # inflow ghost after
-    @pytest.mark.parametrize("ghosts", [None, math.nan], ids=["None", "nan"])
-    def test_carried_state_equals_whole_array_reductions(self, monkeypatch, ghosts):
+    # ghosts: the exact field throughout, that field until t = 1 and a NaN
+    # inflow ghost after, or constant cells behind a ghost of the same value,
+    # whose total variation stays +0.0 on every step; each march takes at
+    # least the given numbers of steps and capped steps
+    @pytest.mark.parametrize("ghosts, n_steps, n_capped", [(None, 60, 3), (math.nan, 10, 1), ("constant", 50, 3)],
+                             ids=["None", "nan", "constant"])
+    def test_carried_state_equals_whole_array_reductions(self, monkeypatch, ghosts, n_steps, n_capped):
         # before every update, in the shared march and in each capped copy
         def same(a, b):
             return a == b or (math.isnan(a) and math.isnan(b))
 
-        field = psi_weak_array if ghosts is None else switch_field(1.0, None, ghosts)
+        s0 = initial_state(201)
+        if ghosts is None:
+            field = psi_weak_array
+        elif ghosts == "constant":
+            s0, field = replace(s0, cell_averages=np.full(201, 0.5)), inflow(0.5)
+        else:
+            field = switch_field(1.0, None, ghosts)
         steps, capped, parents, cuts = [], [], [], []
         update, copy = fv._update, fv._March.copy
 
@@ -591,6 +600,8 @@ class TestReferenceMarch:
             assert same(m.lo, np.min(ext[1:])) and same(m.hi, np.max(ext[1:]))
             # the bounds the update takes from the carried range and the ghost
             assert same(fv._min(m.lo, ext[0]), np.min(ext)) and same(fv._max(m.hi, ext[0]), np.max(ext))
+            # the scratch buffers start on 64-byte cache lines
+            assert all(buf.ctypes.data % 64 == 0 for buf in (m.flux, m.jump, m.adiff))
             if any(m is cut for cut in cuts):
                 # a capped copy owns its ghost and cells and shares the scratch buffers
                 shared = parents[0]
@@ -604,11 +615,26 @@ class TestReferenceMarch:
         monkeypatch.setattr(fv._March, "copy", copied)
         monkeypatch.setattr(fv, "psi_weak_array", field)
         with np.errstate(invalid="ignore"):
-            outcome(lambda: solve_at((0.3, 1.27, 2.0), initial_state(201)))
+            outcome(lambda: solve_at((0.3, 1.27, 2.0), s0))
         # every copy is of the one shared march
         assert all(parent is parents[0] for parent in parents)
-        assert len(steps) >= (60 if ghosts is None else 10)
-        assert len(capped) >= (3 if ghosts is None else 1)
+        assert len(steps) >= n_steps
+        assert len(capped) >= n_capped
+
+    # the godunov suite's two marches on their real grids: 4000 cells to
+    # t = 2, and 8000 cells to t = 1.27 and 2
+    @pytest.mark.parametrize("t_ends, n_cells", [((2.0,), 4000), ((1.27, 2.0), 8000)])
+    def test_real_grids_equal_reference(self, t_ends, n_cells):
+        s0 = initial_state(n_cells)
+        assert outcome(lambda: solve_at(t_ends, s0)) == outcome(lambda: reference_solve_at(t_ends, s0))
+
+    def test_random_cells_take_the_general_path(self, update_paths):
+        # unordered cells leave the ordered path for the whole-array
+        # reductions, and the states still equal the reference's
+        t_ends, s0 = grid_job(64, -10.0, 20.0, 0.9, 0.5, 20261021, [10.0, 30.0])
+        got = outcome(lambda: solve_at(t_ends, s0))
+        assert update_paths["general"] >= 1
+        assert got == outcome(lambda: reference_solve_at(t_ends, s0))
 
     # a non-finite inflow ghost: NaN must reach the CFL step and the bounds as
     # np.max and np.min of the whole array would carry it (a NaN step or time
@@ -762,3 +788,9 @@ class TestSolveAt:
         assert run.fills == 4661
         assert (run.windows[4000], run.windows[8000]) == (2, 4)
         assert (run.calls[1], run.calls[0]) == (36, 4)
+
+    def test_godunov_suite_updates_take_the_ordered_path(self, verify_runs):
+        # the entropy field is nonincreasing in x and the monotone scheme keeps
+        # it so: each of the 4,662 updates of the two marches leaves
+        # nonincreasing cells behind a ghost no lower
+        assert verify_runs["all", 7].updates == {"ordered": 4662}

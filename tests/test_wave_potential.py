@@ -15,8 +15,8 @@ from shocklab.core import (
     Point,
     SolutionVariant,
 )
-from shocklab.burgers import psi_weak
-from shocklab.characteristics import RegionTag, classify_array, foot_weak
+from shocklab.burgers import psi_classical_array, psi_weak, psi_weak_array
+from shocklab.characteristics import RegionTag, classify_array, foot_classical_array, foot_weak, foot_weak_array
 from shocklab import wave_potential
 from shocklab.wave_potential import (
     dphidt_closed,
@@ -392,3 +392,30 @@ class TestArrayForms:
             pde_residual_classical(np.insert(t, k, tb), np.insert(x, k, xb), np.insert(h, k, 1e-3))
         with pytest.raises(DomainError, match=expected):
             lbar_derivative(np.insert(t, k, tb), np.insert(x, k, xb), W, np.insert(h, k, 1e-3))
+
+
+# every public map on arrays of points, at classical interior points
+ARRAY_MAPS = {
+    "foot_weak_array": foot_weak_array,
+    "foot_classical_array": foot_classical_array,
+    "classify_array": classify_array,
+    "psi_weak_array": psi_weak_array,
+    "psi_classical_array": psi_classical_array,
+    "phi_array weak": lambda t, x: phi_array(t, x, W),
+    "phi_array classical": lambda t, x: phi_array(t, x, CL),
+    "dphidx_closed_array weak": lambda t, x: dphidx_closed_array(t, x, W),
+    "dphidx_closed_array classical": lambda t, x: dphidx_closed_array(t, x, CL),
+    "lbar_derivative weak": lambda t, x: lbar_derivative(t, x, W),
+    "lbar_derivative classical": lambda t, x: lbar_derivative(t, x, CL),
+    "pde_residual_classical": lambda t, x: pde_residual_classical(t, x, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_MAPS)
+def test_array_map_returns_an_array_of_the_broadcast_shape(name):
+    # a scalar pair gives a 0-d ndarray, not a numpy scalar
+    f = ARRAY_MAPS[name]
+    one = f(0.5, 0.3)
+    assert type(one) is np.ndarray and one.shape == ()
+    three = f(np.array([0.5, 0.6, 0.7]), np.array([0.3, -1.0, 1.5]))
+    assert type(three) is np.ndarray and three.shape == (3,)
