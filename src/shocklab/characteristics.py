@@ -16,10 +16,10 @@ Inverting a characteristic through a point (t, x) means solving
 for the foot u.  The residual is monotone on each half-axis and, past the
 focusing time, on each branch |u| >= sqrt(t-1), so every foot map below is
 a bracketed root find.  All of them go through one batched Newton solve
-(_solve_block, per block) and all region tags through one set of rules
-(_region_codes); a scalar foot map or classify is a size-1 array call, so
-scalar and array answers agree bit for bit.  The maps accept the points
-Point accepts (core._check_points) and share one shock band (on_shock).
+(_solve_block, per block, started by _bracket) and all region tags through
+one set of rules (_region_codes); a scalar foot map or classify is a size-1
+array call, so scalar and array answers agree bit for bit.  The maps accept
+the points Point accepts (core._check_points) and share one shock band.
 """
 
 from __future__ import annotations
@@ -261,16 +261,16 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 
 def _bracket(t, d, right, z):
     """Bracket [lo, hi] of the foot on the right family (u >= z) or the left
-    one (u <= -z), given the branch point z = _focus_foot(t): [z, d + t*pi/2]
-    on the right, [d - t*pi/2, -z] on the left.
+    one (u <= -z), given the branch point z = _focus_foot(t), and Newton's
+    start u0, its far end: [z, d + t*pi/2] from d + t*pi/2 on the right,
+    [d - t*pi/2, -z] from d - t*pi/2 on the left.
 
-    Both ends are formed by sign arithmetic, with no per-point select: with
-    s = right - 1/2 the far end is d + copysign(t*pi/2, s) and the near end
-    copysign(z, s), and lo and hi are their minimum and maximum (the far end
-    lies beyond the near one on every bracket of a point of the family).  Up
-    to the crease z is 0, and the foot on the line x = 2t is exactly 0: those
-    rare flat points get [0, 0].  No bracket straddles 0, which the Newton
-    start of _solve_feet needs.
+    All three are formed by sign arithmetic, with no per-point select: with
+    s = right - 1/2 the far end u0 is d + copysign(t*pi/2, s) and the near
+    end copysign(z, s), and lo and hi are their minimum and maximum (the far
+    end lies beyond the near one on every bracket of a point of the family).
+    Up to the crease z is 0, and the foot on the line x = 2t is exactly 0:
+    those rare flat points get lo = hi = u0 = 0.
     """
     s = right - 0.5
     far = d + np.copysign(t * _HALF_PI, s)
@@ -278,8 +278,8 @@ def _bracket(t, d, right, z):
     lo, hi = np.minimum(near, far), np.maximum(near, far)
     flat = (d == 0.0) & (t <= 1.0)
     if flat.any():
-        lo, hi = np.where(flat, 0.0, lo), np.where(flat, 0.0, hi)
-    return lo, hi
+        lo, hi, far = (np.where(flat, 0.0, a) for a in (lo, hi, far))
+    return lo, hi, far
 
 
 # Points per block of the batched maps: their working arrays stay in a core's
@@ -292,7 +292,7 @@ _MAX_SWEEPS = 160
 
 
 def _blocked(block, *arrays):
-    """Results, in the shape of the float arrays (of one shape), of
+    """Float results, in the shape of the arrays (of one shape), of
     block(out, *runs) on each run of _BLOCK points; block writes the run's
     results into out, its slice of the returned array, so no block copies."""
     out = np.empty(arrays[0].shape)
@@ -302,40 +302,34 @@ def _blocked(block, *arrays):
     return out
 
 
-def _solve_feet(t, d, lo, hi):
-    """Roots of u - t*arctan(u) = d, one per bracket [lo, hi], by batched Newton.
+def _solve_feet(t, d, right):
+    """Feet of the points (t, d = x - 2t) on the right family where right
+    holds and on the left one elsewhere, per block (_family_feet)."""
+    return _blocked(_family_feet, t, d, right)
 
-    Each bracket holds one sign change of the increasing residual and does
-    not straddle 0 (lo >= 0 or hi <= 0), as every bracket _bracket forms and
-    the collapsed [z, z] do.  Newton starts on its convex side, the end
-    farther from 0, copysign(max(|lo|, |hi|), lo + hi): that is hi where
-    lo >= 0 and lo elsewhere, with no per-point select (the curvature has
-    the sign of u).  So the iterates approach the root monotonically with
-    no bisection, also at a double root, where a residual test would stop
-    far from it.  Steps are clipped to the bracket.  A point stops once
-    rounding makes its residual change sign, vanish or stop shrinking, or
-    once its step is at most _STEP_TOL*(1 + |u|); it keeps the iterate with
-    the smaller residual, written to the result once.  Points with
-    lo == hi are returned as given.  Stopped points stay in the carried
-    arrays, marked dead in a live mask, until at most half of them are live;
-    only then are the arrays compacted.  t, d, lo and hi are float arrays
-    of one shape, solved per block (_blocked), each block's feet written
-    into its slice of the result.
+
+def _family_feet(out, t, d, right):
+    _solve_block(out, t, d, *_bracket(t, d, right, _focus_foot(t)))
+
+
+def _solve_block(out, t, d, lo, hi, u):
+    """Roots of u - t*arctan(u) = d, one per bracket [lo, hi] that holds one
+    sign change of the increasing residual, by batched Newton from u, the
+    bracket's end on the convex side (the curvature has the sign of u).
+
+    So the iterates approach the root monotonically with no bisection, also
+    at a double root, where a residual test would stop far from it.  Steps
+    are clipped to the bracket.  A point stops once rounding makes its
+    residual change sign, vanish or stop shrinking, or once its step is at
+    most _STEP_TOL*(1 + |u|); it keeps the iterate with the smaller
+    residual, written to out once.  Points with lo == hi (== u) are returned
+    as given.  Stopped points stay in the carried arrays, marked dead in a
+    live mask, until at most half of them are live; only then are the
+    arrays compacted.
 
     Raises MaxIterExceeded after _MAX_SWEEPS sweeps, naming the live point
     (t, d) with the largest residual, its iterate, residual and bracket.
     """
-    return _blocked(_solve_block, t, d, lo, hi)
-
-
-def _newton_start(lo, hi):
-    """Newton's start in brackets [lo, hi] that do not straddle 0: the end
-    farther from 0, hi where lo >= 0 and lo elsewhere, by sign arithmetic."""
-    return np.copysign(np.maximum(np.abs(lo), np.abs(hi)), lo + hi)
-
-
-def _solve_block(out, t, d, lo, hi):
-    u = _newton_start(lo, hi)
     r = u - t * np.arctan(u) - d
     stop = (r == 0.0) | (lo >= hi)
     if stop.any():
@@ -383,7 +377,7 @@ def foot_weak_array(t, x) -> np.ndarray:
 
 def _weak_feet(out, t, x):
     d = x - 2.0 * t
-    _solve_block(out, t, d, *_bracket(t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0)), _focus_foot(t)))
+    _family_feet(out, t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0)))
 
 
 def foot_classical_array(t, x) -> np.ndarray:
@@ -413,11 +407,11 @@ def _classical_feet(out, t, x):
     left = (codes == _ON_C) | ((codes == _OMEGA_A) & (x < 2.0 * t))
     # up to the crease left holds only where d < 0, so there right is d > 0
     right = ~left & (post | (d > 0.0))
-    lo, hi = _bracket(t, d, right, z)
+    lo, hi, u0 = _bracket(t, d, right, z)
     snap = post & right & (z - t * atan_z - d >= -_ROUNDING * (np.abs(x) + 2.0 * t))
     if snap.any():
-        lo, hi = np.where(snap, z, lo), np.where(snap, z, hi)
-    _solve_block(out, t, d, lo, hi)
+        lo, hi, u0 = (np.where(snap, z, a) for a in (lo, hi, u0))
+    _solve_block(out, t, d, lo, hi, u0)
 
 
 _ON_SHOCK = "{p} is on the shock; use shock_trace for the limits"
@@ -459,6 +453,5 @@ def shock_feet(t):
     bad time: 2t may lie past the range when t does not.
     """
     ts = _check_times(t, "shock", lambda ts: ts <= 1.0, "the shock exists for t > 1, got t = {t}")
-    d = np.zeros(ts.shape)
-    x0 = _float_call(_solve_feet(ts, d, *_bracket(ts, d, True, _focus_foot(ts))))
+    x0 = _float_call(_solve_feet(ts, np.zeros(ts.shape), np.full(ts.shape, True)))
     return -x0, x0

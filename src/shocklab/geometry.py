@@ -278,7 +278,8 @@ def backward_L_curves(
     running down the singular boundary, the second down the interior
     characteristic that focuses at the apex.  Residuals are the maximum
     central-difference defects |dx/ds - (2 + psi)| with psi from the
-    boundary extension and from the classical field respectively.
+    boundary extension and from the classical field respectively.  A duration
+    too short for the rounding of the apex time is refused.
     """
     _past_edges(apex, apex.t)  # the apex before the other arguments
     if steps < 2:
@@ -288,6 +289,8 @@ def backward_L_curves(
     if apex.t - duration < 1.0:
         raise DomainError("boundary curve leaves t >= 1; shorten the duration")
     ts = apex.t + np.linspace(-duration, 0.0, steps + 1)
+    if not (np.diff(ts) > 0.0).all():
+        raise DomainError(f"duration {duration!r} in {steps} steps is below the rounding of the apex time")
     xb, x_int, _ = _past_edges(apex, ts)
     ds = ts[1] - ts[0]
     fd_b = (xb[2:] - xb[:-2]) / (2.0 * ds)

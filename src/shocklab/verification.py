@@ -39,7 +39,6 @@ from .core import (
 from .characteristics import (
     BoundaryCurve,
     RegionTag,
-    _bracket,
     _focus_foot,
     _solve_feet,
     _x_B,
@@ -265,7 +264,7 @@ def weak_form_residual(
     te = np.tile(ti, 2)
     de = np.concatenate([xa, xb]) - 2.0 * te
     fam = np.where(te > 1.0, np.tile(np.arange(ti.size) >= left.sum(), 2), de > 0.0)
-    ua, ub = np.split(_solve_feet(te, de, *_bracket(te, de, fam, _focus_foot(te))), 2)
+    ua, ub = np.split(_solve_feet(te, de, fam), 2)
     frac, wu = _panels(nx_panels)
     total = 0.0
     for rows in np.array_split(np.arange(ti.size), math.ceil(ti.size / 32)):  # small temporaries
@@ -340,8 +339,9 @@ def _fit(offsets, values_at) -> FitReport:
     """Power law of values_at(offsets) against the offsets.
 
     At least 3 offsets, strictly decreasing inside the validated window
-    [1e-8, 1e-2]: fewer cannot test a two-parameter fit.  Raises PoorFit
-    when r^2 falls below 0.999.
+    [1e-8, 1e-2]: fewer cannot test a two-parameter fit.  The first offset
+    whose value is not finite and positive (no point of a log-log fit)
+    raises DomainError, and PoorFit is raised when r^2 falls below 0.999.
     """
     offsets = tuple(float(d) for d in offsets)
     if len(offsets) < 3:
@@ -351,6 +351,9 @@ def _fit(offsets, values_at) -> FitReport:
     if offsets[0] > 1e-2 + 1e-15 or offsets[-1] < 1e-8 - 1e-22:
         raise DomainError("offsets outside the validated window [1e-8, 1e-2]")
     vals = values_at(offsets)
+    for d, v in zip(offsets, vals):
+        if not 0.0 < v < math.inf:
+            raise DomainError(f"fit value at offset {d!r} is {float(v)!r}, not finite and positive")
     lx, ly = np.log(np.array(offsets)), np.log(vals)
     A = np.vstack([lx, np.ones_like(lx)]).T
     (slope, intercept), res, _, _ = np.linalg.lstsq(A, ly, rcond=None)

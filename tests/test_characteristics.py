@@ -443,6 +443,17 @@ class TestMembershipBand:
         assert u == pytest.approx(1.0, abs=1e-8)
 
 
+def _select_start(lo, hi):
+    """Newton's start in [lo, hi] by a per-point select: the end farther from 0
+    of a bracket that does not straddle it, the reference for _bracket's u0."""
+    return np.where(lo >= 0.0, hi, lo)
+
+
+def _explicit_solve(t, d, lo, hi):
+    """The batched Newton solve on given brackets, started at their far ends."""
+    return characteristics._blocked(characteristics._solve_block, t, d, lo, hi, _select_start(lo, hi))
+
+
 class TestSolveFeet:
     def test_matches_brentq_per_point(self):
         # easy points, a point near the crease and a wide-|d| point converge together
@@ -450,7 +461,7 @@ class TestSolveFeet:
         d = np.array([0.7, 1.0, 1e-6, -4e5, -0.3])
         lo = np.array([0.0, 1.0, 0.0, -4e5 - 2.0, -10.0])
         hi = np.array([2.0, 10.0, 1.0, 0.0, -math.sqrt(2.0)])
-        u = _solve_feet(t, d, lo, hi)
+        u = _explicit_solve(t, d, lo, hi)
         for ti, di, a, b, ui in zip(t, d, lo, hi, u):
             f = lambda y: y - ti * math.atan(y) - di
             expected = brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
@@ -461,21 +472,21 @@ class TestSolveFeet:
         rng = np.random.default_rng(5)
         t = rng.uniform(0.0, 0.99, (3, 7000))
         d = rng.uniform(0.01, 50.0, (3, 7000))
-        u = _solve_feet(t, d, np.zeros_like(t), d + t * math.pi / 2)
+        u = _explicit_solve(t, d, np.zeros_like(t), d + t * math.pi / 2)
         assert u.shape == t.shape
         residual = u - t * np.arctan(u) - d
         assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * (u + d))
 
     def test_collapsed_bracket_returned_as_given(self):
         t, d = np.array([2.0, 0.5]), np.array([1.0, 0.0])
-        u = _solve_feet(t, d, np.array([1.25, 0.0]), np.array([1.25, 0.0]))
+        u = _explicit_solve(t, d, np.array([1.25, 0.0]), np.array([1.25, 0.0]))
         assert u.tolist() == [1.25, 0.0]
 
     def test_max_iter_message_names_worst_point(self, monkeypatch):
         t, d = np.array([0.5, 1.0]), np.array([0.1, 1e-3])
         monkeypatch.setattr(characteristics, "_MAX_SWEEPS", 2)
         with pytest.raises(MaxIterExceeded) as err:
-            _solve_feet(t, d, np.zeros(2), d + t * math.pi / 2)
+            _explicit_solve(t, d, np.zeros(2), d + t * math.pi / 2)
         msg = str(err.value)
         assert "(t, d) = (1.0, 0.001)" in msg
         assert "residual" in msg and "bracket [0.0, " in msg
@@ -486,16 +497,29 @@ class TestSolveFeet:
         # at B's double root and after that sweep has the smaller residual 1.1e-13
         t = np.append(np.full(100, 1.3282584869235945), 2.0)
         d = np.append(np.full(100, 11507.769383046852), boundary_x(B, 2.0) - 4.0)
-        lo, hi = characteristics._bracket(t, d, True, characteristics._focus_foot(t))
+        lo, hi, _ = characteristics._bracket(t, d, True, characteristics._focus_foot(t))
         hi[-1] = 1.0 + 2.0 ** -20
         monkeypatch.setattr(characteristics, "_MAX_SWEEPS", 1)
-        u = _solve_feet(t[:-1], d[:-1], lo[:-1], hi[:-1])
+        u = _explicit_solve(t[:-1], d[:-1], lo[:-1], hi[:-1])
         assert np.all(np.abs(u - t[:-1] * np.arctan(u) - d[:-1]) <= 2e-12)
         with pytest.raises(MaxIterExceeded) as err:
-            _solve_feet(t, d, lo, hi)
+            _explicit_solve(t, d, lo, hi)
         msg = str(err.value)
         assert msg.startswith("batched root solve: 1 points unconverged after 1 sweeps")
         assert f"(t, d) = (2.0, {float(d[-1])!r})" in msg and "bracket [1.0, " in msg
+
+    def test_family_solve_is_the_solve_on_its_brackets(self):
+        # the weak map's families over three blocks, flat points among them,
+        # and the shock's right family
+        t = np.append(np.linspace(0.0, 40.0, 30011), [0.0, 0.5, 1.0])
+        x = np.append(np.linspace(-1e3, 1e3, 30011)[::-1], [0.0, 1.0, 2.0])
+        d = x - 2.0 * t
+        ts = t[t > 1.0]
+        for t, d, right in ((t, d, (d > 0.0) | ((t > 1.0) & (d == 0.0))),
+                            (ts, np.zeros(ts.shape), np.full(ts.shape, True))):
+            lo, hi, u0 = characteristics._bracket(t, d, right, characteristics._focus_foot(t))
+            want = characteristics._blocked(characteristics._solve_block, t, d, lo, hi, u0)
+            assert _solve_feet(t, d, right).tobytes() == want.tobytes()
 
 
 def _bits(a):
@@ -528,7 +552,7 @@ def _where_codes(t, x, xb):
 
 def _traced(f, *args):
     """f(*args), with the arguments and result of each _bracket call and the
-    bracket of each _solve_block call, in call order."""
+    bracket and start of each _solve_block call, in call order."""
     brackets, solves = [], []
     bracket, solve = characteristics._bracket, characteristics._solve_block
 
@@ -536,9 +560,9 @@ def _traced(f, *args):
         brackets.append((a, bracket(*a)))
         return brackets[-1][1]
 
-    def traced_solve(out, t, d, lo, hi):
-        solves.append((lo, hi))
-        solve(out, t, d, lo, hi)
+    def traced_solve(out, t, d, lo, hi, u0):
+        solves.append((lo, hi, u0))
+        solve(out, t, d, lo, hi, u0)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characteristics, "_bracket", traced_bracket)
@@ -550,8 +574,9 @@ def _traced(f, *args):
 def _assert_select_free_rules(t, x):
     """Each sign-arithmetic rule of the foot maps gives the bits of its per-point
     select form on the points (t, x): the brackets of both maps and of
-    shock_feet, the Newton start on every bracket solved (the classical snap's
-    [z, z] too), the region codes and the classical map's family mask."""
+    shock_feet, the Newton start each bracket names and each solve starts
+    from (the classical snap's collapsed [z, z] and start z too), the region
+    codes and the classical map's family mask."""
     xb = characteristics._x_B(t)
     codes = characteristics._region_codes(t, x, xb)
     want = _where_codes(t, x, xb)
@@ -561,12 +586,12 @@ def _assert_select_free_rules(t, x):
     if (t > 1.0).any():
         traces.append(_traced(shock_feet, t[t > 1.0]))
     for brackets, solves in traces:
-        for args, (lo, hi) in brackets:
+        for args, (lo, hi, u0) in brackets:
             want_lo, want_hi = _where_bracket(*args)
             assert np.array_equal(_bits(lo), _bits(want_lo)) and np.array_equal(_bits(hi), _bits(want_hi))
-        for lo, hi in solves:
-            start = characteristics._newton_start(lo, hi)
-            assert np.array_equal(_bits(start), _bits(np.where(lo >= 0.0, hi, lo)))
+            assert np.array_equal(_bits(u0), _bits(_select_start(want_lo, want_hi)))
+        for lo, hi, u0 in solves:
+            assert np.array_equal(_bits(u0), _bits(_select_start(lo, hi)))
     if keep.any():
         # the classical map's one block makes its one _bracket call
         (tc, d, right, _), _ = traces[1][0][0]
@@ -605,9 +630,9 @@ def _rule_points(draw):
 
 
 class TestSelectFreeRules:
-    """The brackets, the Newton start, the region codes and the classical
-    family mask are formed by sign arithmetic; each keeps, bit for bit, the
-    per-point np.where form it replaced."""
+    """The brackets with their Newton starts, the region codes and the
+    classical family mask are formed by sign arithmetic; each keeps, bit for
+    bit, the per-point np.where form it replaced."""
 
     def test_edges(self):
         pts = [(t, x) for t in _T_EDGES for x in (2.0 * t, -0.0, 0.0, 4.0 - 2.0 * t, 2.0 * t + 1e-9,
@@ -619,8 +644,8 @@ class TestSelectFreeRules:
         # the snap's collapsed brackets [z, z] are among the solved ones
         on_b = np.array([_b_ulps(2.0, -1), _b_ulps(3.0, 0)])
         _, solves = _traced(foot_classical_array, np.array([2.0, 3.0]), on_b)
-        (lo, hi), = solves
-        assert lo.tolist() == hi.tolist() == [1.0, math.sqrt(2.0)]
+        (lo, hi, u0), = solves
+        assert lo.tolist() == hi.tolist() == u0.tolist() == [1.0, math.sqrt(2.0)]
 
     @settings(deadline=None)
     @given(st.lists(_rule_points(), min_size=1, max_size=40))
@@ -714,6 +739,46 @@ class TestFrozenFeet:
         assert digest == "0ee356c012461707b958accce4124e5e6037050863f38215dcce4945d6481a4e"
 
 
+def _solver_batch():
+    """206,005 seeded points where the solver and the region rules are hardest:
+    random boxes out to |x| = 1e7 and t = 1e3, 1e-6 boxes around the origin and
+    the crease, points 0 to 2 ulps either side of B and C, 1e-9 either side of
+    K, flat points x = 2t up to the crease, and x = +-0, +-1e-300 and the
+    smallest subnormal on the initial slice."""
+    rng = np.random.default_rng(35)
+    boxes = [((0.0, 4.0), (-30.0, 40.0)), ((0.0, 1e3), (-1e4, 1e4)), ((0.0, 1e3), (-1e7, 1e7)),
+             ((0.0, 1e-6), (-1e-6, 1e-6)), ((1.0 - 1e-6, 1.0 + 1e-6), (2.0 - 1e-6, 2.0 + 1e-6))]
+    ts, xs = zip(*[(rng.uniform(*tb, 36000), rng.uniform(*xb, 36000)) for tb, xb in boxes])
+    t_curve, t_shock, t_flat = rng.uniform(1.0, 1e3, 2000), rng.uniform(1.0, 1e3, 2000), rng.uniform(0.0, 1.0, 2000)
+    edges = []
+    for x in (boundary_x(B, t_curve), 4.0 - 2.0 * t_curve):
+        for k in (-2, -1, 0, 1, 2):
+            xk = x
+            for _ in range(abs(k)):
+                xk = np.nextafter(xk, math.copysign(math.inf, k))
+            edges.append(xk)
+    t = np.concatenate(ts + (np.tile(t_curve, 10), t_shock, t_shock, t_flat, np.zeros(5)))
+    x = np.concatenate(xs + tuple(edges) + (2.0 * t_shock - 1e-9, 2.0 * t_shock + 1e-9, 2.0 * t_flat,
+                                            np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324])))
+    return t, x
+
+
+class TestSolverBitPin:
+    def test_maps_digest(self):
+        # one digest of the region codes, the four foot and psi maps (the classical
+        # ones on the points not weak-only) and shock_feet: a refactor of the
+        # solver or the rules that moves any bit shows here
+        t, x = _solver_batch()
+        codes = characteristics._region_codes(t, x, characteristics._x_B(t))
+        keep = codes != characteristics._WEAK_ONLY
+        digest = hashlib.sha256(codes.tobytes())
+        for a in (foot_weak_array(t, x), psi_weak_array(t, x), foot_classical_array(t[keep], x[keep]),
+                  psi_classical_array(t[keep], x[keep]), *shock_feet(t[t > 1.0])):
+            digest.update(a.tobytes())
+        assert (t.size, keep.sum()) == (206005, 188358)
+        assert digest.hexdigest() == "77f06c98e12f876fab4cf95342411ca0795f02a0e276c54721d80fc297503511"
+
+
 def _classical_batch():
     """A 9x12 batch of classical-domain points: before the crease, on and right
     of B, beside and on K, on and left of C."""
@@ -746,12 +811,12 @@ class TestBlocks:
     def test_solve_feet_bit_equal_at_any_block(self, monkeypatch):
         t, x = _classical_batch()
         d = x - 2.0 * t
-        lo, hi = characteristics._bracket(t, d, d > 0.0, characteristics._focus_foot(t))
-        want = _solve_feet(t, d, lo, hi)
+        lo, hi, _ = characteristics._bracket(t, d, d > 0.0, characteristics._focus_foot(t))
+        want = _explicit_solve(t, d, lo, hi)
         for block in (1, 7):
             monkeypatch.setattr(characteristics, "_BLOCK", block)
-            got = _solve_feet(t, d, lo, hi)
-            assert got.shape == t.shape and got.tobytes() == want.tobytes()
+            for got in (_explicit_solve(t, d, lo, hi), _solve_feet(t, d, d > 0.0)):
+                assert got.shape == t.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("f", [psi_weak_array, psi_classical_array])
     def test_psi_maps_leave_read_only_inputs_alone(self, f):

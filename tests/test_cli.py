@@ -337,7 +337,7 @@ class TestShockVerb:
             rows.append(",".join(map(cli._fmt, (t, 2.0 * t, tr.left_value, tr.right_value, tr.speed, lo, up))))
         solves = []
         solve_feet = ch._solve_feet
-        monkeypatch.setattr(ch, "_solve_feet", lambda *a: solves.append(a) or solve_feet(*a))
+        monkeypatch.setattr(ch, "_solve_feet", lambda t, d, right: solves.append(t) or solve_feet(t, d, right))
         code, out, err = run_cli(capsys, "shock", "--t-range", "1.1:3", "--n", "200")
         assert (code, err) == (0, "")
         assert out == "\n".join(rows) + "\n"

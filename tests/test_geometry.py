@@ -234,6 +234,12 @@ class TestBackwardCurves:
         with pytest.raises(DomainError, match="duration must be positive"):
             backward_L_curves(APEX, 0.0, 100)
 
+    def test_duration_below_apex_rounding(self):
+        # at t = 2 the 11 sample times of a 1e-16 duration all round to 2.0
+        apex = psi_boundary_extension(1.0)[0]
+        with pytest.raises(DomainError, match="duration 1e-16 in 10 steps is below the rounding"):
+            backward_L_curves(apex, 1e-16, 10)
+
     def test_steps_guard(self):
         with pytest.raises(DomainError, match="at least 2 steps"):
             backward_L_curves(APEX, 0.5, 1)

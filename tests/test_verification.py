@@ -11,7 +11,6 @@ from shocklab.burgers import psi_classical, psi_classical_array, psi_weak_array,
 from shocklab.characteristics import (
     BoundaryCurve,
     RegionTag,
-    _bracket,
     _solve_feet,
     boundary_x,
     classify_array,
@@ -51,7 +50,7 @@ def displaced_weak_array(t, x, delta):
     reach = ts * np.arctan(z) - z
     if np.any(ds >= reach):
         raise DomainError("displacement exceeds the left family's reach")
-    vals[strip] = psi0(_solve_feet(ts, ds, *_bracket(ts, ds, False, z)))
+    vals[strip] = psi0(_solve_feet(ts, ds, np.full(ts.shape, False)))
     return vals
 
 
@@ -382,6 +381,13 @@ class TestHolderFits:
                 with pytest.raises(DomainError, match=f"need at least 3 offsets, got {count}"):
                     fit(2.0, dyadic_offsets(1e-3, count))
 
+    @pytest.mark.parametrize("fit, at, offset", [(boundary_fit, 1e12, "0.0001"), (horizon_fit, -1e12, "2.5e-05")],
+                             ids=["boundary", "horizon"])
+    def test_zero_drops_refused(self, fit, at, offset):
+        # far out every probe offset rounds away, and a log of 0.0 is no point of the fit
+        with pytest.raises(DomainError, match=f"fit value at offset {offset} is 0.0, not finite and positive"):
+            fit(at, dyadic_offsets(1e-4, 5))
+
     def test_boundary_fit_needs_t_past_the_crease(self):
         # t = 1 is the crease, B's first point; before it B does not exist
         with pytest.raises(DomainError, match="boundary curves are defined for t >= 1"):
@@ -502,9 +508,9 @@ class TestCallCounts:
         sizes = []
         solve = verification._solve_feet
 
-        def recording(t, d, lo, hi):
+        def recording(t, d, right):
             sizes.append(t.size)
-            return solve(t, d, lo, hi)
+            return solve(t, d, right)
 
         monkeypatch.setattr(verification, "_solve_feet", recording)
         weak_form_residual(W, TestFunction(Point(0.5, 0.0), (0.3, 1.0)), nt_panels=2)
