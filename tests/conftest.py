@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 from collections import Counter
 from types import SimpleNamespace
 
@@ -36,6 +37,11 @@ def _by_path(paths, update):
     return counted
 
 
+def _serial(first, second):
+    """verification._both without the fork: first(), then second()."""
+    return first(), second()
+
+
 def _verify(suite, seed):
     """One instrumented in-process run of `shocklab verify --suite suite --seed seed`.
 
@@ -49,7 +55,9 @@ def _verify(suite, seed):
     solved (_prefetch), by the cells of their grid; updates counts the
     updates by path (_by_path); states holds the tuple of states of each
     solve_at call and errors each value l1_error returns.
-    All lists are in call order.
+    All lists are in call order.  verification._both runs its two halves in
+    turn here (_serial), so every count sees both: a forked child's calls
+    would be counted in the child.
     """
     run = SimpleNamespace(calls=Counter(), fills=0, windows=Counter(), updates=Counter(), states=[], errors=[],
                           fits=[], gaps=[])
@@ -74,7 +82,7 @@ def _verify(suite, seed):
             (fv, "_update", _by_path(run.updates, fv._update)),
             (fv, "solve_at", _recorded(run.states, fv.solve_at)), (fv, "l1_error", _recorded(run.errors, fv.l1_error)),
             (ver, "_fit", _recorded(run.fits, ver._fit)), (ver, "lax_gaps", _recorded(run.gaps, ver.lax_gaps)),
-            (cli, "run_suite", _recorded(reports, cli.run_suite)),
+            (cli, "run_suite", _recorded(reports, cli.run_suite)), (ver, "_both", _serial),
         ):
             mp.setattr(module, name, wrapper)
         run.code = cli.main(["verify", "--suite", suite, "--seed", str(seed)])
@@ -107,3 +115,18 @@ def update_paths(monkeypatch):
     paths = Counter()
     monkeypatch.setattr(fv, "_update", _by_path(paths, fv._update))
     return paths
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """The pids os.fork returns to the parent in the test, in call order."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids

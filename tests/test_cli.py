@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +444,21 @@ class TestVerdictTable:
         for seed in range(100):
             _, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", str(seed))
             assert verdicts(out) == EXPECTED_VERIFY[suite], f"seed {seed}"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="verify forks on Linux only")
+def test_verify_all_on_the_fork_path(capsys, fork_pids):
+    # uninstrumented, the godunov and weakform suites each fork one child, which
+    # is reaped by the time verify returns, and stdout is the golden record's
+    argv = ["verify", "--suite", "all", "--seed", "7"]
+    (record,) = (record for record in GOLDEN if record["argv"] == argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (
+        record["code"], record["stderr"], record["stdout_sha256"])
+    assert len(fork_pids) == 2
+    for pid in fork_pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize("record", GOLDEN, ids=lambda record: " ".join(record["argv"]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import astuple
 
@@ -239,6 +240,23 @@ class TestBackwardCurves:
         apex = psi_boundary_extension(1.0)[0]
         with pytest.raises(DomainError, match="duration 1e-16 in 10 steps is below the rounding"):
             backward_L_curves(apex, 1e-16, 10)
+
+    @pytest.mark.parametrize("duration", [1e-13, 1e-14])
+    def test_step_below_the_rounding_bound(self, duration):
+        # at (2, 5 - pi/2) in 10 steps the residuals would be (0.037, 0.015) and
+        # (0.54, 0.29): the rounding of the samples, not a defect of the curves
+        with pytest.raises(DomainError, match=rf"step {duration / 10!r} < 5\.10991167009637\d*e-08 = sqrt\(eps\)"):
+            backward_L_curves(APEX, duration, 10)
+
+    @pytest.mark.parametrize("duration, steps, residuals, digest", [
+        (0.5, 100, ("0x1.b09697c280000p-19", "0x1.6100000000000p-44"), "7474a813d1763a23"),
+        (0.95, 10_000, ("0x1.2c88dde000000p-25", "0x1.9340000000000p-39"), "e87df593c0fc3bbe"),  # C10's call
+    ])
+    def test_steps_above_the_bound_are_unchanged(self, duration, steps, residuals, digest):
+        # frozen: both curves and residuals as before the bound
+        gb, gi, got = backward_L_curves(APEX, duration, steps)
+        assert tuple(r.hex() for r in got) == residuals
+        assert hashlib.sha256(gb.tobytes() + gi.tobytes()).hexdigest()[:16] == digest
 
     def test_steps_guard(self):
         with pytest.raises(DomainError, match="at least 2 steps"):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -16,12 +18,17 @@ from shocklab.characteristics import (
     classify_array,
     shock_feet,
 )
-from shocklab.core import DomainError, OutsideDomain, Point, PoorFit, SolutionVariant, gauss_panel, psi0
+from shocklab.core import (
+    DomainError, InvariantViolation, OutsideDomain, Point, PoorFit, SolutionVariant, gauss_panel, psi0,
+)
 from shocklab.verification import (
     TestFunction,
+    _both,
     _pde_margins,
     _sample,
+    _suite_godunov,
     _suite_pde,
+    _suite_weakform,
     boundary_fit,
     dyadic_offsets,
     halton,
@@ -599,3 +606,82 @@ class TestSampler:
         tags = classify_array(t, x)
         expected = [keeps_pde_point(a, b, tag) for a, b, tag in zip(t.tolist(), x.tolist(), tags)]
         assert np.array_equal(_pde_margins(t, x, tags), expected)
+
+
+def is_reaped(pid):
+    """Whether pid is no child of this process any more (os.waitpid finds none)."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def as_bits(checks):
+    return [(c.name, c.passed, float(c.measured).hex(), float(c.threshold).hex(), c.claim) for c in checks]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="_both forks on Linux only")
+class TestBoth:
+    # verification._both: first in a forked child while second runs here
+    def test_value_equals_serial(self, fork_pids):
+        first = lambda: (float(np.arctan(np.linspace(0.0, 3.0, 1001)).sum()), os.getpid())
+        second = lambda: [weak_form_residual(W, CONTROL, shock_shift=0.05)]
+        (value, pid), got = _both(first, second)
+        assert (value, got) == (first()[0], second())
+        assert fork_pids == [pid] and pid != os.getpid() and is_reaped(pid)
+
+    @pytest.mark.parametrize("error", [DomainError, InvariantViolation])
+    def test_child_error_is_raised_here(self, fork_pids, error):
+        def first():
+            raise error(f"raised in process {os.getpid()}")
+
+        with pytest.raises(error) as info:
+            _both(first, lambda: 1.0)
+        (pid,) = fork_pids
+        assert type(info.value) is error and str(info.value) == f"raised in process {pid}"
+        assert is_reaped(pid)
+
+    def test_child_leaves_by_exit_on_system_exit(self, fork_pids):
+        # a child that got past os._exit would go on to run the rest of this session
+        with pytest.raises(SystemExit) as info:
+            _both(lambda: sys.exit(3), lambda: 1.0)
+        assert info.value.code == 3 and is_reaped(fork_pids[0])
+
+    def test_parent_error_reaps_the_child(self, fork_pids):
+        def second():
+            raise InvariantViolation("raised in the parent")
+
+        with pytest.raises(InvariantViolation, match="raised in the parent"):
+            _both(lambda: 1.0, second)
+        (pid,) = fork_pids
+        assert is_reaped(pid)
+
+    def test_unpicklable_value_is_named(self, fork_pids):
+        with pytest.raises(ChildProcessError, match="the forked child left no result"):
+            _both(lambda: (lambda: None), lambda: 1.0)
+        assert is_reaped(fork_pids[0])
+
+    def test_failed_fork_runs_in_turn(self, monkeypatch):
+        def refused():
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", refused)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert _both(os.getpid, lambda: 2.0) == (os.getpid(), 2.0)
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+
+    def test_off_linux_runs_in_turn(self, monkeypatch):
+        def refused():
+            raise AssertionError("forked off Linux")
+
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert _both(os.getpid, lambda: 2.0) == (os.getpid(), 2.0)
+
+    @pytest.mark.parametrize("suite", [_suite_godunov, _suite_weakform])
+    def test_suites_equal_bit_for_bit_on_both_paths(self, monkeypatch, fork_pids, suite):
+        forked = as_bits(suite(7))
+        assert len(fork_pids) == 1 and is_reaped(fork_pids[0])
+        monkeypatch.setattr(verification, "_both", lambda first, second: (first(), second()))
+        assert forked == as_bits(suite(7))
