@@ -12,7 +12,11 @@ update with CFL-limited steps on one local array per grid, with a
 Dirichlet inflow ghost fed by the exact entropy field and both invariant
 checks on every step, each taken over the ghost and the cells the update
 reads, and compares the result in L1 against exact per-cell averages with
-the shock cell split.  `solve_at` is the one march, and `solve` its
+the shock cell split.  The comparison has two parts: the averages
+(_exact_averages) read only the grid and a time, so they can be taken
+before or beside the march, and the distance (_l1_distance) refuses a
+state whose time is not theirs bit for bit; `l1_error` composes them at
+the state time.  `solve_at` is the one march, and `solve` its
 one-end case.  A march solves its own ghost fills ahead: its fills are
 served from a table of ghosts solved at a window of up to 1024 predicted
 fill times (after the first window, up to twice the fills the last window
@@ -449,13 +453,13 @@ def solve(t_end: float, s0: GodunovState) -> GodunovState:
     return solve_at((t_end,), s0)[0]
 
 
-def l1_error(s: GodunovState) -> float:
-    """L1 distance of the grid to the exact entropy field at the state time.
+def _exact_averages(s: GodunovState, t: float) -> np.ndarray:
+    """Exact per-cell averages of the entropy field at time t over the grid of s.
 
-    Exact per-cell averages are computed with 15-point panels, splitting
-    the single cell that contains the shock at its exact location x = 2t.
+    Each cell takes one 15-point panel, except the single cell that
+    contains the shock at its exact location x = 2t, which is split there.
+    Only the grid of s is read: its cells and time are not.
     """
-    t = s.time
     h = s.h
     edges = s.x_lo + np.arange(s.n_cells + 1) * h
     # one panel per cell, vectorized; the shock cell handled separately
@@ -479,7 +483,28 @@ def l1_error(s: GodunovState) -> float:
                 xn, xw = gauss_panel(p, q)
                 avg += float(np.dot(xw, psi_weak_array(t, xn)))
         exact_avg[shock_cell] = avg / h
-    return float(np.sum(np.abs(s.cell_averages - exact_avg)) * h)
+    return exact_avg
+
+
+def _l1_distance(s: GodunovState, exact_avg: np.ndarray, t: float) -> float:
+    """L1 distance of the cells of s to exact_avg, the exact averages over its grid at time t.
+
+    Raises InvariantViolation, naming both times, unless s is at time t
+    bit for bit: averages at another time measure nothing.
+    """
+    if s.time != t:
+        raise InvariantViolation(f"the state at t = {s.time!r} is compared with exact averages at t = {t!r}")
+    return float(np.sum(np.abs(s.cell_averages - exact_avg)) * s.h)
+
+
+def l1_error(s: GodunovState) -> float:
+    """L1 distance of the grid to the exact entropy field at the state time.
+
+    Exact per-cell averages are computed with 15-point panels, splitting
+    the single cell that contains the shock at its exact location x = 2t
+    (_exact_averages), and the cells are compared with them (_l1_distance).
+    """
+    return _l1_distance(s, _exact_averages(s, s.time), s.time)
 
 
 # ---------------------------------------------------------------------------

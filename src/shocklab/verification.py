@@ -13,10 +13,13 @@ The weak-form residual integrates in each characteristic family's foot
 variable u, where the field is psi0(u): only interval ends need a foot solve.
 
 Two suites use the host's second core: the Godunov suite marches its
-4000-cell grid, and the weak-form suite takes the first five of its eleven
-residuals, in a forked child (_both) while the parent does the rest.  Each
-value comes from the same code on the same inputs, so the report is the same
-bit for bit; off Linux, or when the fork fails, both halves run in turn.
+4000-cell grid, takes its L1 error and computes the exact averages of the
+8000-cell grid at t = 2, and the weak-form suite takes the first five of its
+eleven residuals, in a forked child (_both) while the parent does the rest:
+the 8000-cell march and its distance to those averages, and the other six
+residuals.  Each value comes from the same code on the same inputs, so the
+report is the same bit for bit; off Linux, or when the fork fails, both
+halves run in turn.
 
 Sampling is deterministic: a Halton sequence (bases 2 and 3) offset by the
 seed (the seed skips that many indices, so nearby seeds share almost every
@@ -733,13 +736,18 @@ def _suite_agreement(seed: int) -> list[CheckResult]:
 
 
 def _suite_godunov(seed: int) -> list[CheckResult]:
-    # each march solves its own ghost fills ahead, in windows of predicted fill times;
-    # the 4000-cell march and its error in one half, the 8000-cell one in the other
-    def fine():
-        sw, s8 = fv.solve_at((WEDGE_PROBE.t, 2.0), fv.initial_state(8000))
-        return sw, fv.l1_error(s8)
-
-    e4, (sw, e8) = _both(lambda: fv.l1_error(fv.solve_at((2.0,), fv.initial_state(4000))[0]), fine)
+    # each march solves its own ghost fills ahead, in windows of predicted fill times.
+    # The child marches the 4000-cell grid, takes its error and computes the exact
+    # averages of the 8000-cell grid at t = 2, which need no march; the parent marches
+    # that grid: halves of about 54 and 84 ms.  The march's capped last step lands on
+    # t = 2 exactly, as it leaves from a time of at least 1, so 2 - t is exact
+    # (Sterbenz); _l1_distance raises if the state's time is ever not 2.0
+    fine = fv.initial_state(8000)
+    (e4, exact8), (sw, s8) = _both(
+        lambda: (fv.l1_error(fv.solve_at((2.0,), fv.initial_state(4000))[0]), fv._exact_averages(fine, 2.0)),
+        lambda: fv.solve_at((WEDGE_PROBE.t, 2.0), fine),
+    )
+    e8 = fv._l1_distance(s8, exact8, 2.0)
     i = int(np.argmin(np.abs(sw.cell_centers - WEDGE_PROBE.x)))
     u = float(sw.cell_averages[i])
     pw = float(psi_weak_array(np.array([WEDGE_PROBE.t]), np.array([WEDGE_PROBE.x]))[0])

@@ -50,11 +50,11 @@ def _verify(suite, seed):
     FitReport verification._fit returns and gaps each pair of arrays
     verification.lax_gaps returns.  Of the godunov march: calls
     counts the godunov module's psi_weak_array calls by np.ndim of their
-    times (1: a window of ghost fill times; 0: one time, as l1_error asks);
+    times (1: a window of ghost fill times; 0: one time, as _exact_averages asks);
     fills counts the ghost fills (_fill_ghost) and windows the ghost windows
     solved (_prefetch), by the cells of their grid; updates counts the
     updates by path (_by_path); states holds the tuple of states of each
-    solve_at call and errors each value l1_error returns.
+    solve_at call and errors each value _l1_distance returns (l1_error calls it).
     All lists are in call order.  verification._both runs its two halves in
     turn here (_serial), so every count sees both: a forked child's calls
     would be counted in the child.
@@ -80,7 +80,8 @@ def _verify(suite, seed):
         for module, name, wrapper in (
             (fv, "psi_weak_array", counted), (fv, "_fill_ghost", filled), (fv, "_prefetch", prefetched),
             (fv, "_update", _by_path(run.updates, fv._update)),
-            (fv, "solve_at", _recorded(run.states, fv.solve_at)), (fv, "l1_error", _recorded(run.errors, fv.l1_error)),
+            (fv, "solve_at", _recorded(run.states, fv.solve_at)),
+            (fv, "_l1_distance", _recorded(run.errors, fv._l1_distance)),
             (ver, "_fit", _recorded(run.fits, ver._fit)), (ver, "lax_gaps", _recorded(run.gaps, ver.lax_gaps)),
             (cli, "run_suite", _recorded(reports, cli.run_suite)), (ver, "_both", _serial),
         ):

@@ -718,6 +718,44 @@ class TestSolve:
         assert abs(u - psi_classical(Point(1.27, 2.5))) >= 0.5
 
 
+class TestL1Parts:
+    # l1_error is _exact_averages, which reads only the grid, then _l1_distance
+    # at the state time: the godunov suite takes the averages on the initial grid
+    # in one process and the distance of the marched state in another
+
+    # the grid [2.2, 5] holds the shock x = 2t for t in (1.1, 2.5)
+    X_LO, X_HI = 2.2, 5.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_cells=st.integers(2, 2000),
+        where=st.sampled_from(["anywhere", "on an edge", "in the last cell", "off the grid", "t <= 1"]),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_l1_error_is_the_parts_composed(self, n_cells, where, frac, seed):
+        grid = initial_state(n_cells, self.X_LO, self.X_HI)
+        edges = self.X_LO + np.arange(n_cells + 1) * grid.h
+        t = {
+            "anywhere": 3.0 * frac,
+            "on an edge": float(edges[1 + round(frac * (n_cells - 2))]) / 2.0,
+            "in the last cell": float(edges[-2] + (0.01 + 0.98 * frac) * (edges[-1] - edges[-2])) / 2.0,
+            "off the grid": 2.5 + 0.5 * frac if seed % 2 else 1.0 + 0.1 * frac,
+            "t <= 1": frac,
+        }[where]
+        cells = np.random.default_rng(seed).uniform(-math.pi / 2, math.pi / 2, n_cells)
+        s = replace(grid, cell_averages=cells, time=t)
+        assert fv._l1_distance(s, fv._exact_averages(grid, t), t).hex() == l1_error(s).hex()
+
+    def test_distance_refuses_averages_at_another_time(self):
+        s0 = initial_state(400)
+        exact = fv._exact_averages(s0, 2.0)
+        s = replace(s0, time=math.nextafter(2.0, 0.0))
+        with pytest.raises(InvariantViolation,
+                           match=r"^the state at t = 1\.9999999999999998 is compared with exact averages at t = 2\.0$"):
+            fv._l1_distance(s, exact, 2.0)
+
+
 class TestSolveAt:
     @settings(max_examples=40, deadline=None)
     @given(

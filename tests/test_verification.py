@@ -3,12 +3,14 @@ import json
 import math
 import os
 import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from shocklab import characteristics, verification, wave_potential
+from shocklab import godunov as fv
 from shocklab.burgers import psi_classical, psi_classical_array, psi_weak_array, shock_trace
 from shocklab.characteristics import (
     BoundaryCurve,
@@ -657,6 +659,22 @@ class TestBoth:
         (pid,) = fork_pids
         assert is_reaped(pid)
 
+    def test_payload_past_the_pipe_buffer_comes_whole(self, fork_pids):
+        # 8 MB against a 64 KiB pipe buffer: the child blocks on its write until second returns
+        value, got = _both(lambda: np.arange(1e6), lambda: float(np.arctan(np.linspace(0.0, 3.0, 100001)).sum()))
+        assert value.tobytes() == np.arange(1e6).tobytes()
+        assert got == float(np.arctan(np.linspace(0.0, 3.0, 100001)).sum())
+        assert is_reaped(fork_pids[0])
+
+    def test_parent_error_reaps_a_child_blocked_on_its_write(self, fork_pids):
+        def second():
+            time.sleep(0.1)  # the child pickles 8 MB and blocks on the full pipe
+            raise InvariantViolation("raised in the parent")
+
+        with pytest.raises(InvariantViolation, match="raised in the parent"):
+            _both(lambda: np.arange(1e6), second)
+        assert is_reaped(fork_pids[0])
+
     def test_unpicklable_value_is_named(self, fork_pids):
         with pytest.raises(ChildProcessError, match="the forked child left no result"):
             _both(lambda: (lambda: None), lambda: 1.0)
@@ -685,3 +703,26 @@ class TestBoth:
         assert len(fork_pids) == 1 and is_reaped(fork_pids[0])
         monkeypatch.setattr(verification, "_both", lambda first, second: (first(), second()))
         assert forked == as_bits(suite(7))
+
+
+def test_godunov_parent_half_only_marches(monkeypatch):
+    # run in turn, the child half (first) makes the four one-time field calls of
+    # the exact averages, two for each grid; the parent half (second) makes none
+    halves, field, half = (Counter(), Counter()), fv.psi_weak_array, None
+
+    def counted(t, x):
+        halves[half][np.ndim(t)] += 1
+        return field(t, x)
+
+    def serial(first, second):
+        nonlocal half
+        half = 0
+        a = first()
+        half = 1
+        return a, second()
+
+    monkeypatch.setattr(fv, "psi_weak_array", counted)
+    monkeypatch.setattr(verification, "_both", serial)
+    _suite_godunov(7)
+    assert (halves[0][0], halves[1][0]) == (4, 0)
+    assert halves[0][1] > 0 and halves[1][1] > 0  # each half marches a grid
